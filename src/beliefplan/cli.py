@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import formula
 from .belief_rrt import RrtParams
 from .dynamics import SwitchedSystem, SystemMode
 from .formula import FormulaSyntaxError, NameCollisionError, UnsupportedBoundError, parse_formula
 from .gaussian import InvalidCovarianceError, make_belief
 from .geometry import Polytope, LinearExpression, box_polytope
 from .synthesis import Problem, SynthesisResult, solve, trajectory_query
-from .tracking import lqr_gains, simulate
+from .tracking import lqr_gains, simulate, track_step
 
 log = logging.getLogger("beliefplan")
 
@@ -186,14 +187,12 @@ def load_problem(path: str):
     named_doc = doc.get("named_formulas", {})
     if not isinstance(named_doc, dict):
         raise SchemaError("$.named_formulas: expected an object")
-    from .formula import named as name_formula
-
     for fname, text in named_doc.items():
         if not isinstance(text, str):
             raise SchemaError(f"$.named_formulas.{fname}: expected a string")
         parsed = parse_formula(text, n, len(modes), named)
         try:
-            parsed = name_formula(parsed, fname)
+            parsed = formula.named(parsed, fname)
         except ValueError:
             pass  # non-atomic named formulas stay anonymous internally
         named[fname] = parsed
@@ -201,7 +200,7 @@ def load_problem(path: str):
     formula_text = _require(doc, "formula", "$")
     if not isinstance(formula_text, str):
         raise SchemaError("$.formula: expected a string")
-    formula = parse_formula(formula_text, n, len(modes), named)
+    spec = parse_formula(formula_text, n, len(modes), named)
 
     planner_doc = _require(doc, "planner", "$")
     if not isinstance(planner_doc, dict):
@@ -209,13 +208,21 @@ def load_problem(path: str):
     known = {
         "rrt_timeout", "iteration_cap", "delta_near", "delta_drain",
         "goal_bias", "min_num_of_steps", "max_num_of_steps",
-        "k_max", "K_max", "seed",
+        "k_max", "seed",
     }
     unknown = set(planner_doc) - known
     if unknown:
         raise SchemaError(f"$.planner: unknown field(s) {sorted(unknown)}")
-    k_max = int(planner_doc.get("k_max", planner_doc.get("K_max", 6)))
-    seed = int(planner_doc.get("seed", 0))
+    k_max = _positive_int(planner_doc.get("k_max", 6), "$.planner.k_max")
+    seed = planner_doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SchemaError(f"$.planner.seed: expected a non-negative integer, got {seed!r}")
+    min_steps = _positive_int(
+        planner_doc.get("min_num_of_steps", 1), "$.planner.min_num_of_steps"
+    )
+    max_steps = _positive_int(
+        planner_doc.get("max_num_of_steps", 1), "$.planner.max_num_of_steps"
+    )
     try:
         params = RrtParams(
             rrt_timeout=planner_doc.get("rrt_timeout"),
@@ -223,14 +230,14 @@ def load_problem(path: str):
             delta_near=float(planner_doc.get("delta_near", 1.0)),
             delta_drain=float(planner_doc.get("delta_drain", 0.5)),
             goal_bias=float(planner_doc.get("goal_bias", 0.25)),
-            min_num_of_steps=int(planner_doc.get("min_num_of_steps", 1)),
-            max_num_of_steps=int(planner_doc.get("max_num_of_steps", 1)),
+            min_num_of_steps=min_steps,
+            max_num_of_steps=max_steps,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"$.planner: {exc}")
 
     try:
-        problem = Problem(system, initial, formula)
+        problem = Problem(system, initial, spec)
     except ValueError as exc:
         raise NumericError(f"$: {exc}")
 
@@ -440,11 +447,9 @@ def run(argv=None) -> int:
             track_control
             for track_control in _replay_controls(problem, sim, trajectory, est_trace, gains, num_steps)
         ]
-        from .formula import InsufficientTraceError, monitor
-
         try:
-            satisfied = monitor(problem.formula, est_trace, 0)
-        except InsufficientTraceError:
+            satisfied = formula.monitor(problem.formula, est_trace, 0)
+        except formula.InsufficientTraceError:
             satisfied = False
         _write_simulation_csv(
             os.path.join(args.out, "simulation.csv"), est_trace, xs, controls, satisfied
@@ -455,8 +460,6 @@ def run(argv=None) -> int:
 def _replay_controls(problem, sim, trajectory, est_trace, gains, num_steps):
     """Recompute the applied controls from the estimated trace (the
     feedback law is deterministic given the estimates)."""
-    from .tracking import track_step
-
     for k in range(num_steps):
         mode_idx = trajectory_query(trajectory, "action", k)
         yield track_step(

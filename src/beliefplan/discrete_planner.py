@@ -137,10 +137,12 @@ def word_of(plan: DiscretePlan, dwells) -> list:
             raise ValueError(
                 f"dwell {d} outside window [{seg.dwell_min}, {seg.dwell_max}]"
             )
-    return _word_unchecked(plan.signature(), dwells)
+    return signature_word(plan.signature(), dwells)
 
 
-def _word_unchecked(signature, dwells) -> list:
+def signature_word(signature, dwells) -> list:
+    """Word of a (label, mode) signature held for the given dwells, with
+    no window check: each pair is repeated for its dwell."""
     word = []
     for (label, mode), d in zip(signature, dwells):
         word.extend((frozenset({label}), mode) for _ in range(d))
@@ -159,7 +161,7 @@ class _DwellSearch:
         self.k = len(signature)
 
     def _satisfies(self, dwells) -> bool:
-        return monitor_word(self.f, _word_unchecked(self.signature, dwells))
+        return monitor_word(self.f, signature_word(self.signature, dwells))
 
     def find(self, fixed=None) -> list | None:
         """First satisfying assignment in lexicographic order, with the

@@ -5,11 +5,16 @@ constraints plus a mode-set predicate, composed with and/or and the
 bounded temporal operators U[a,b] and R[a,b]. Always and eventually are
 derived: G[a,b] f == false R[a,b] f, F[a,b] f == true U[a,b] f.
 
-Satisfaction of a belief trace is evaluated with three-valued bounded
-semantics: a verdict is definite when it does not depend on time points
-beyond the end of the trace, otherwise monitor() raises
-InsufficientTraceError. Because the grammar has no negation, extending a
-trace can never turn a definite verdict around.
+One array evaluator serves both monitors. It maps a formula to its
+satisfaction at every position of a finite signal, with positions past
+the end counting as false (Maler & Nickovic, "Monitoring Temporal
+Properties of Continuous Signals", 2004). monitor_word() feeds it
+atomic arrays from word labels; monitor() feeds it cone containment of
+each belief. A belief trace gets three-valued bounded semantics: a
+verdict is definite when it does not depend on time points beyond the
+end of the trace, otherwise monitor() raises InsufficientTraceError.
+Because the grammar has no negation, extending a trace can never turn a
+definite verdict around.
 """
 
 from __future__ import annotations
@@ -314,7 +319,7 @@ def horizon(f) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trace monitor (belief semantics)
+# Monitors: one array evaluator, two front ends
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -340,50 +345,52 @@ class Trace:
         return len(self.beliefs)
 
 
-def _eval_trace(f, tr: Trace, k: int, missing: bool, memo: dict) -> bool:
-    key = (id(f), k)
+def _sat(f, atom, memo) -> np.ndarray:
+    """Satisfaction of f at every position of a finite signal, as a
+    Boolean array. atom(a) gives an atomic's array; all arrays share one
+    length, and positions past the end count as false."""
+    key = id(f)
     if key in memo:
         return memo[key]
-    n = len(tr.beliefs)
     if isinstance(f, Atomic):
-        if k >= n:
-            return missing  # not memoized: depends only on the flag
-        mode_ok = k == 0 or (f.modes is None or tr.modes[k - 1] in f.modes)
-        out = mode_ok and cone_contains(f.cone, tr.beliefs[k])
+        sat = atom(f)
     elif isinstance(f, And):
-        out = all(_eval_trace(ch, tr, k, missing, memo) for ch in f.children)
+        sat = np.logical_and.reduce([_sat(ch, atom, memo) for ch in f.children])
     elif isinstance(f, Or):
-        out = any(_eval_trace(ch, tr, k, missing, memo) for ch in f.children)
-    elif isinstance(f, Until):
-        out = False
-        for kp in range(k + f.a, k + f.b + 1):
-            if not _eval_trace(f.right, tr, kp, missing, memo):
-                continue
-            if all(
-                _eval_trace(f.left, tr, kpp, missing, memo)
-                for kpp in range(k + f.a, kp)
-            ):
-                out = True
-                break
-    elif isinstance(f, Release):
-        out = all(
-            _eval_trace(f.right, tr, kp, missing, memo)
-            for kp in range(k + f.a, k + f.b + 1)
-        )
-        if not out:
-            for kp in range(k + f.a, k + f.b + 1):
-                if not _eval_trace(f.left, tr, kp, missing, memo):
-                    continue
-                if all(
-                    _eval_trace(f.right, tr, kpp, missing, memo)
-                    for kpp in range(k + f.a, kp + 1)
-                ):
-                    out = True
-                    break
+        sat = np.logical_or.reduce([_sat(ch, atom, memo) for ch in f.children])
+    elif isinstance(f, (Until, Release)):
+        until = isinstance(f, Until)
+        left, right = _sat(f.left, atom, memo), _sat(f.right, atom, memo)
+        # A witness j in [k+a, k+b] needs `hit` at j while `guard` holds
+        # on [k+a, j) for U (left before right) or on [k+a, j] for R.
+        guard, hit = (left, right) if until else (right, left)
+        L = len(guard)
+        k = np.arange(L)
+        lo = np.minimum(k + f.a, L)
+        hi = np.minimum(k + f.b, L - 1)
+        # first_fail[j]: smallest index >= j where guard is false, else L
+        first_fail = np.minimum.accumulate(np.append(np.where(guard, L, k), L)[::-1])[::-1]
+        hits = np.concatenate(([0], np.cumsum(hit)))
+        last = np.maximum(np.minimum(hi, first_fail[lo] - (not until)), lo - 1)
+        sat = hits[last + 1] > hits[lo]
+        if not until:  # right holds on the whole window, inside the signal
+            sat |= first_fail[lo] > k + f.b
     else:
         raise TypeError(f"not a formula: {f!r}")
-    memo[key] = out
-    return out
+    memo[key] = sat
+    return sat
+
+
+def _atomic_sat(a: Atomic, holds, modes: np.ndarray) -> np.ndarray:
+    """Atomic array over len(modes) + 1 positions: holds(a) masked by
+    the mode arriving at each position k >= 1 (modes[k-1]); position 0
+    passes the mode test. A trivially false atomic is false everywhere."""
+    if is_trivially_false(a):
+        return np.zeros(len(modes) + 1, dtype=bool)
+    sat = holds(a)
+    if a.modes is not None:
+        sat = sat & np.concatenate(([True], np.isin(modes, list(a.modes.modes))))
+    return sat
 
 
 def monitor(f, tr: Trace, k: int = 0) -> bool:
@@ -394,94 +401,33 @@ def monitor(f, tr: Trace, k: int = 0) -> bool:
     definite (true under pessimistic completion, or false under
     optimistic completion); otherwise InsufficientTraceError is raised.
     """
-    if k < 0 or k >= len(tr.beliefs):
+    n = len(tr.beliefs)
+    if k < 0 or k >= n:
         raise ValueError(f"evaluation index {k} outside trace")
-    strong = _eval_trace(f, tr, k, False, {})
-    if len(tr.beliefs) >= k + horizon(f) + 1:
+    need = k + horizon(f) + 1
+    modes = np.asarray(tr.modes, dtype=np.int64)
+    cones = {}
+
+    def holds(a):
+        return np.fromiter((cone_contains(a.cone, b) for b in tr.beliefs), bool, n)
+
+    def verdict(missing: bool) -> bool:
+        def atom(a):
+            if id(a) not in cones:
+                cones[id(a)] = _atomic_sat(a, holds, modes)
+            return np.append(cones[id(a)], np.full(max(need - n, 0), missing))
+
+        return bool(_sat(f, atom, {})[k])
+
+    strong = verdict(False)
+    if n >= need or strong:
         return strong
-    if strong:
-        return True
-    if not _eval_trace(f, tr, k, True, {}):
+    if not verdict(True):
         return False
     raise InsufficientTraceError(
-        f"trace of length {len(tr.beliefs)} cannot decide a formula of "
+        f"trace of length {n} cannot decide a formula of "
         f"horizon {horizon(f)} at index {k}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Word monitor (Boolean abstraction used by the BMC layer)
-# ---------------------------------------------------------------------------
-
-def _next_false(arr: np.ndarray) -> np.ndarray:
-    """next_false[k] = smallest index >= k where arr is False, else L."""
-    L = arr.shape[0]
-    out = np.empty(L + 1, dtype=np.int64)
-    out[L] = L
-    for k in range(L - 1, -1, -1):
-        out[k] = k if not arr[k] else out[k + 1]
-    return out
-
-
-def _word_sat(f, labels, modes, memo) -> np.ndarray:
-    key = id(f)
-    if key in memo:
-        return memo[key]
-    L = len(labels)
-    if isinstance(f, Atomic):
-        if is_trivially_false(f):
-            sat = np.zeros(L, dtype=bool)
-        else:
-            _, state = _split_constraints(f)
-            if state:
-                label = atomic_label(f)
-                sat = np.fromiter(
-                    (label in labels[k] for k in range(L)), dtype=bool, count=L
-                )
-            else:
-                sat = np.ones(L, dtype=bool)
-            if f.modes is not None:
-                mode_ok = np.ones(L, dtype=bool)
-                for k in range(1, L):
-                    mode_ok[k] = modes[k - 1] in f.modes
-                sat &= mode_ok
-    elif isinstance(f, And):
-        sat = np.logical_and.reduce([_word_sat(ch, labels, modes, memo) for ch in f.children])
-    elif isinstance(f, Or):
-        sat = np.logical_or.reduce([_word_sat(ch, labels, modes, memo) for ch in f.children])
-    elif isinstance(f, Until):
-        l = _word_sat(f.left, labels, modes, memo)
-        r = _word_sat(f.right, labels, modes, memo)
-        nfl = _next_false(l)
-        rcum = np.concatenate(([0], np.cumsum(r)))
-        sat = np.zeros(L, dtype=bool)
-        for k in range(L):
-            lo = k + f.a
-            if lo >= L:
-                break
-            hi = min(k + f.b, L - 1, nfl[lo])
-            if hi >= lo and rcum[hi + 1] - rcum[lo] > 0:
-                sat[k] = True
-    elif isinstance(f, Release):
-        l = _word_sat(f.left, labels, modes, memo)
-        r = _word_sat(f.right, labels, modes, memo)
-        nfr = _next_false(r)
-        lcum = np.concatenate(([0], np.cumsum(l)))
-        sat = np.zeros(L, dtype=bool)
-        for k in range(L):
-            lo = k + f.a
-            if lo >= L:
-                break
-            if k + f.b <= L - 1 and nfr[lo] > k + f.b:
-                sat[k] = True
-                continue
-            hi = min(k + f.b, L - 1, nfr[lo] - 1)
-            if hi >= lo and lcum[hi + 1] - lcum[lo] > 0:
-                sat[k] = True
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = sat
-    return sat
 
 
 def monitor_word(f, word) -> bool:
@@ -491,14 +437,22 @@ def monitor_word(f, word) -> bool:
     assumed true at that step, and the mode of the segment active there.
     Universal obligations that reach past the end of the word count as
     violated, so a True verdict is a genuine finite witness and is
-    preserved under extension of the word.
+    preserved under extension of the word. This is the pessimistic trace
+    semantics with label membership in place of cone containment.
     """
     word = list(word)
     if not word:
         raise ValueError("word must be nonempty")
     labels = [frozenset(ls) for ls, _ in word]
-    modes = [int(m) for _, m in word]
-    return bool(_word_sat(f, labels, modes, {})[0])
+    modes = np.array([int(m) for _, m in word[:-1]], dtype=np.int64)
+
+    def holds(a):
+        if not _split_constraints(a)[1]:  # no state-dependent constraint
+            return np.ones(len(labels), dtype=bool)
+        label = atomic_label(a)
+        return np.fromiter((label in ls for ls in labels), bool, len(labels))
+
+    return bool(_sat(f, lambda a: _atomic_sat(a, holds, modes), {})[0])
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from .discrete_planner import (
     Abstraction,
     CounterexampleStore,
     DiscretePlan,
-    _word_unchecked,
     abstract,
     add_counterexample,
     bmc_next_candidate,
+    signature_word,
 )
 from .dynamics import SwitchedSystem
 from .formula import InsufficientTraceError, Trace, horizon, monitor, monitor_word
@@ -170,7 +170,7 @@ def _attempt_plan(
     # final segment additionally owns its entry position.
     dwells = list(realized)
     dwells[-1] += 1
-    word = _word_unchecked(plan.signature(), dwells)
+    word = signature_word(plan.signature(), dwells)
     if not monitor_word(problem.formula, word):
         return ("fail", K - 1, "realized-dwell")
 

@@ -295,6 +295,11 @@ def test_criterion_09_lqr():
 
 
 def test_criterion_10_cli_reproducibility(tmp_path):
+    # The child does not inherit pytest's pythonpath setting, so put the
+    # absolute src directory first on its PYTHONPATH.
+    src = os.path.abspath(os.path.join(HERE, os.pardir, "src"))
+    paths = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     outs = []
     for name in ("run_a", "run_b"):
         out = tmp_path / name
@@ -304,7 +309,7 @@ def test_criterion_10_cli_reproducibility(tmp_path):
                 "--problem", LIGHTDARK, "--out", str(out),
                 "--seed", "0", "--iteration-cap", "20000",
             ],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert r.returncode == 0, r.stderr
         outs.append(out)

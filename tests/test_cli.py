@@ -130,6 +130,31 @@ def test_load_unknown_planner_field(tmp_path):
         load_problem(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", "abc"),
+        ("seed", -1),
+        ("seed", True),
+        ("seed", 1.5),
+        ("k_max", 0),
+        ("k_max", "6"),
+        ("k_max", True),
+        ("min_num_of_steps", 0),
+        ("min_num_of_steps", 3.0),
+        ("max_num_of_steps", "15"),
+        ("K_max", 6),
+        ("delta_near", None),
+        ("iteration_cap", "20000"),
+    ],
+)
+def test_load_bad_planner_field(tmp_path, field, value):
+    doc = _base_doc()
+    doc["planner"][field] = value
+    with pytest.raises(SchemaError, match=r"\$\.planner"):
+        load_problem(_write(tmp_path, doc))
+
+
 def test_load_vertices_control_domain(tmp_path):
     doc = _small_doc()
     del doc["control_domain"]["box"]
@@ -221,6 +246,14 @@ def test_exit_code_schema(tmp_path):
     del doc["modes"]
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_SCHEMA, r.stderr
+
+
+def test_exit_code_schema_bad_seed(tmp_path):
+    doc = _small_doc()
+    doc["planner"]["seed"] = "abc"
+    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_exit_code_formula(tmp_path):

@@ -33,7 +33,7 @@ from beliefplan.geometry import (
     ProbabilisticLinearPredicate,
 )
 
-from oracles import oracle_monitor, random_formula, random_trace
+from oracles import oracle_atomic, oracle_monitor, random_formula, random_trace
 
 
 def _atomic(h, c, eps, modes=None, name=None):
@@ -268,6 +268,45 @@ def test_monitor_word_agrees_with_trace_monitor_on_induced_traces():
             mode = tr.modes[k] if k < len(tr.modes) else 0
             word.append((frozenset(labels), mode))
         assert monitor_word(f, word) == monitor(f, tr, 0)
+
+
+def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
+    """The word monitor against the brute-force oracle, not against the
+    trace monitor: a word carries the label of each atomic whose cone the
+    oracle finds satisfied at that belief, and the trace's modes. Past
+    the end the oracle reads false, which is the word semantics, so the
+    verdicts agree on short traces too; there the trace monitor may
+    answer True only when the oracle does."""
+    rng = np.random.default_rng(2004)
+    lengths = {"short": 0, "full": 0}
+    for _ in range(300):
+        dim = int(rng.integers(1, 3))
+        num_modes = int(rng.integers(1, 4))
+        f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)))
+        h = horizon(f)
+        if h + 3 > 14:
+            continue
+        length = int(rng.integers(1, h + 4))
+        tr = random_trace(rng, dim, num_modes, length)
+        atomics = atomic_propositions(f)
+        word = []
+        for k in range(length):
+            labels = frozenset(
+                atomic_label(a) for a in atomics if oracle_atomic(Atomic(a.cone), tr, k)
+            )
+            word.append((labels, tr.modes[k] if k < length - 1 else 0))
+        assert monitor_word(f, word) == oracle_monitor(f, tr, 0)
+        if length >= h + 1:
+            lengths["full"] += 1
+            continue
+        lengths["short"] += 1
+        for k in range(min(length, 3)):
+            try:
+                verdict = monitor(f, tr, k)
+            except InsufficientTraceError:
+                verdict = None
+            assert (verdict is True) == oracle_monitor(f, tr, k)
+    assert lengths["short"] > 50 and lengths["full"] > 50
 
 
 def random_formula_over(rng, a1, a2):
