@@ -46,6 +46,7 @@ from .formula import (
     eventually,
     horizon,
     monitor,
+    monitor_dwells,
     monitor_word,
     named,
     parse_formula,
@@ -70,6 +71,7 @@ from .discrete_planner import (
     CounterexampleStore,
     DiscretePlan,
     PlanSegment,
+    WitnessDisagreementError,
     abstract,
     add_counterexample,
     bmc_next_candidate,

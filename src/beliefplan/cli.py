@@ -6,7 +6,8 @@ tracked-execution simulation. `run` writes plan.json, trajectory.csv,
 and simulation.csv into the output directory.
 
 Exit codes: 0 solution, 1 no-solution, 2 schema error, 3 formula error,
-4 numeric/dimension error.
+4 numeric/dimension error, 5 internal error (the planner and a monitor
+disagree: a bug, never a property of the problem).
 """
 
 from __future__ import annotations
@@ -16,17 +17,18 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import formula
 from .belief_rrt import RrtParams
-from .dynamics import SwitchedSystem, SystemMode
+from .discrete_planner import WitnessDisagreementError
+from .dynamics import IllConditionedUpdateError, SwitchedSystem, SystemMode
 from .formula import FormulaSyntaxError, NameCollisionError, UnsupportedBoundError, parse_formula
-from .gaussian import InvalidCovarianceError, make_belief
-from .geometry import Polytope, LinearExpression, box_polytope
-from .synthesis import Problem, SynthesisResult, solve, trajectory_query
+from .gaussian import DomainError, InvalidCovarianceError, make_belief
+from .geometry import DegeneratePolytopeError, Polytope, LinearExpression, box_polytope
+from .synthesis import InternalConsistencyError, Problem, SynthesisResult, solve, trajectory_query
 from .tracking import lqr_gains, simulate, track_step
 
 log = logging.getLogger("beliefplan")
@@ -36,6 +38,7 @@ EXIT_NO_SOLUTION = 1
 EXIT_SCHEMA = 2
 EXIT_FORMULA = 3
 EXIT_NUMERIC = 4
+EXIT_INTERNAL = 5
 
 _FMT = "%.17g"
 
@@ -79,6 +82,12 @@ def _positive_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise SchemaError(f"{path}: expected a positive integer, got {value!r}")
     return value
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"{path}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _load_mode(doc, path: str, n: int, m: int) -> SystemMode:
@@ -223,17 +232,23 @@ def load_problem(path: str):
     max_steps = _positive_int(
         planner_doc.get("max_num_of_steps", 1), "$.planner.max_num_of_steps"
     )
+    timeout = planner_doc.get("rrt_timeout")
+    if timeout is not None:
+        timeout = _number(timeout, "$.planner.rrt_timeout")
+    cap = planner_doc.get("iteration_cap")
+    if cap is not None:
+        cap = _positive_int(cap, "$.planner.iteration_cap")
     try:
         params = RrtParams(
-            rrt_timeout=planner_doc.get("rrt_timeout"),
-            iteration_cap=planner_doc.get("iteration_cap"),
-            delta_near=float(planner_doc.get("delta_near", 1.0)),
-            delta_drain=float(planner_doc.get("delta_drain", 0.5)),
-            goal_bias=float(planner_doc.get("goal_bias", 0.25)),
+            rrt_timeout=timeout,
+            iteration_cap=cap,
+            delta_near=_number(planner_doc.get("delta_near", 1.0), "$.planner.delta_near"),
+            delta_drain=_number(planner_doc.get("delta_drain", 0.5), "$.planner.delta_drain"),
+            goal_bias=_number(planner_doc.get("goal_bias", 0.25), "$.planner.goal_bias"),
             min_num_of_steps=min_steps,
             max_num_of_steps=max_steps,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"$.planner: {exc}")
 
     try:
@@ -400,17 +415,17 @@ def run(argv=None) -> int:
         )
     )
 
+    for flag, value, least in (
+        ("--seed", args.seed, 0),
+        ("--k-max", args.k_max, 1),
+        ("--iteration-cap", args.iteration_cap, 1),
+    ):
+        if value is not None and value < least:
+            raise SchemaError(f"{flag}: expected an integer >= {least}, got {value}")
+
     problem, params, k_max, seed, sim = load_problem(args.problem)
     if args.iteration_cap is not None:
-        params = RrtParams(
-            rrt_timeout=None,
-            iteration_cap=args.iteration_cap,
-            delta_near=params.delta_near,
-            delta_drain=params.delta_drain,
-            goal_bias=params.goal_bias,
-            min_num_of_steps=params.min_num_of_steps,
-            max_num_of_steps=params.max_num_of_steps,
-        )
+        params = replace(params, rrt_timeout=None, iteration_cap=args.iteration_cap)
     if args.k_max is not None:
         k_max = args.k_max
     if args.seed is not None:
@@ -480,9 +495,13 @@ def main() -> None:
     except (FormulaSyntaxError, NameCollisionError, UnsupportedBoundError) as exc:
         print(f"formula error: {exc}", file=sys.stderr)
         code = EXIT_FORMULA
-    except (NumericError, InvalidCovarianceError) as exc:
+    except (NumericError, InvalidCovarianceError, IllConditionedUpdateError,
+            DegeneratePolytopeError, DomainError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         code = EXIT_NUMERIC
+    except (InternalConsistencyError, WitnessDisagreementError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     sys.exit(code)
 
 

@@ -17,7 +17,12 @@ import itertools
 from dataclasses import dataclass, field
 
 from .dynamics import SwitchedSystem
-from .formula import Atomic, atomic_label, atomic_propositions, horizon, monitor_word
+from .formula import Atomic, atomic_label, atomic_propositions, horizon, monitor_dwells, monitor_word
+
+# Candidate dwell vectors checked per monitor_dwells call: large enough
+# to amortise the per-call set-up, small enough to keep the (rows x
+# positions) arrays, and the rows wasted past the first hit, small.
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -149,10 +154,16 @@ def signature_word(signature, dwells) -> list:
     return word
 
 
+class WitnessDisagreementError(RuntimeError):
+    """The batched dwell search and the word monitor disagree on a
+    witness; this is a bug signal, never silently ignored."""
+
+
 class _DwellSearch:
     """Existence and window tightening of dwell assignments for a fixed
-    (label, mode) sequence, by depth-first search with a monitor_word
-    check at the leaves."""
+    (label, mode) sequence. A depth-first search fixes the leading
+    segments; at the deepest free segment every candidate dwell is
+    checked at once by monitor_dwells, CHUNK_ROWS rows per call."""
 
     def __init__(self, signature, f, max_positions):
         self.signature = signature
@@ -160,31 +171,52 @@ class _DwellSearch:
         self.cap = max_positions
         self.k = len(signature)
 
-    def _satisfies(self, dwells) -> bool:
-        return monitor_word(self.f, signature_word(self.signature, dwells))
-
     def find(self, fixed=None) -> list | None:
         """First satisfying assignment in lexicographic order, with the
-        optional constraint {segment index: dwell value}."""
+        optional constraint {segment index: dwell value}. A witness is
+        confirmed by the word monitor before it is returned."""
         fixed = fixed or {}
-        dwells = [0] * self.k
-        return self._dfs(0, 0, dwells, fixed)
+        if any(d < 1 for d in fixed.values()):
+            return None
+        # least[i]: smallest dwell segment i can take; after[i]: the
+        # smallest total of the segments behind it.
+        least = [fixed.get(i, 1) for i in range(self.k)]
+        after = [sum(least[i + 1:]) for i in range(self.k)]
+        free = [i for i in range(self.k) if i not in fixed]
+        deepest = free[-1] if free else self.k - 1
+        witness = self._dfs(0, [], fixed, after, deepest, least[deepest + 1:])
+        if witness is not None and not monitor_word(
+            self.f, signature_word(self.signature, witness)
+        ):
+            raise WitnessDisagreementError(
+                f"dwells {witness} of {self.signature} pass the batched "
+                "search but fail the word monitor"
+            )
+        return witness
 
-    def _dfs(self, idx, used, dwells, fixed):
-        if idx == self.k:
-            return list(dwells) if self._satisfies(dwells) else None
-        remaining_min = self.k - idx - 1  # later segments need >= 1 each
+    def _dfs(self, idx, prefix, fixed, after, deepest, tail):
+        room = self.cap - sum(prefix) - after[idx]  # largest dwell here
         if idx in fixed:
-            candidates = [fixed[idx]]
+            candidates = [fixed[idx]] if fixed[idx] <= room else []
         else:
-            candidates = range(1, self.cap - used - remaining_min + 1)
+            candidates = range(1, room + 1)
+        if idx == deepest:
+            return self._first_row(prefix, candidates, tail)
         for d in candidates:
-            if d < 1 or used + d + remaining_min > self.cap:
-                continue
-            dwells[idx] = d
-            hit = self._dfs(idx + 1, used + d, dwells, fixed)
+            hit = self._dfs(idx + 1, prefix + [d], fixed, after, deepest, tail)
             if hit is not None:
                 return hit
+        return None
+
+    def _first_row(self, prefix, candidates, tail):
+        """First satisfying row of prefix + [d] + tail over candidates d,
+        in order."""
+        rows = [prefix + [d] + tail for d in candidates]
+        for start in range(0, len(rows), CHUNK_ROWS):
+            chunk = rows[start : start + CHUNK_ROWS]
+            sat = monitor_dwells(self.f, self.signature, chunk)
+            if sat.any():
+                return chunk[sat.argmax()]
         return None
 
     def windows(self, witness) -> list:

@@ -5,14 +5,16 @@ constraints plus a mode-set predicate, composed with and/or and the
 bounded temporal operators U[a,b] and R[a,b]. Always and eventually are
 derived: G[a,b] f == false R[a,b] f, F[a,b] f == true U[a,b] f.
 
-One array evaluator serves both monitors. It maps a formula to its
+One array evaluator serves every monitor. It maps a formula to its
 satisfaction at every position of a finite signal, with positions past
 the end counting as false (Maler & Nickovic, "Monitoring Temporal
 Properties of Continuous Signals", 2004). monitor_word() feeds it
-atomic arrays from word labels; monitor() feeds it cone containment of
-each belief. A belief trace gets three-valued bounded semantics: a
-verdict is definite when it does not depend on time points beyond the
-end of the trace, otherwise monitor() raises InsufficientTraceError.
+atomic arrays from word labels; monitor_dwells() feeds it a whole batch
+of run-length words at once, one row per dwell vector of a (label, mode)
+segment sequence; monitor() feeds it cone containment of each belief.
+A belief trace gets three-valued bounded semantics: a verdict is
+definite when it does not depend on time points beyond the end of the
+trace, otherwise monitor() raises InsufficientTraceError.
 Because the grammar has no negation, extending a trace can never turn a
 definite verdict around.
 """
@@ -347,8 +349,9 @@ class Trace:
 
 def _sat(f, atom, memo) -> np.ndarray:
     """Satisfaction of f at every position of a finite signal, as a
-    Boolean array. atom(a) gives an atomic's array; all arrays share one
-    length, and positions past the end count as false."""
+    Boolean array whose last axis is the position; leading axes batch
+    independent signals. atom(a) gives an atomic's array; all arrays
+    share one shape, and positions past the end count as false."""
     key = id(f)
     if key in memo:
         return memo[key]
@@ -364,17 +367,22 @@ def _sat(f, atom, memo) -> np.ndarray:
         # A witness j in [k+a, k+b] needs `hit` at j while `guard` holds
         # on [k+a, j) for U (left before right) or on [k+a, j] for R.
         guard, hit = (left, right) if until else (right, left)
-        L = len(guard)
-        k = np.arange(L)
+        batch, L = guard.shape[:-1], guard.shape[-1]
+        k = np.arange(L, dtype=np.int32)
         lo = np.minimum(k + f.a, L)
         hi = np.minimum(k + f.b, L - 1)
-        # first_fail[j]: smallest index >= j where guard is false, else L
-        first_fail = np.minimum.accumulate(np.append(np.where(guard, L, k), L)[::-1])[::-1]
-        hits = np.concatenate(([0], np.cumsum(hit)))
-        last = np.maximum(np.minimum(hi, first_fail[lo] - (not until)), lo - 1)
-        sat = hits[last + 1] > hits[lo]
+        # first_fail[..., j]: smallest index >= j where guard is false, else L
+        fails = np.concatenate(
+            (np.where(guard, np.int32(L), k), np.full(batch + (1,), L, np.int32)), axis=-1
+        )
+        first_fail = np.minimum.accumulate(fails[..., ::-1], axis=-1)[..., ::-1]
+        hits = np.zeros(batch + (L + 1,), np.int32)
+        np.cumsum(hit, axis=-1, dtype=np.int32, out=hits[..., 1:])
+        fail_lo = first_fail[..., lo]
+        last = np.maximum(np.minimum(hi, fail_lo - (not until)), lo - 1)
+        sat = np.take_along_axis(hits, last + 1, axis=-1) > hits[..., lo]
         if not until:  # right holds on the whole window, inside the signal
-            sat |= first_fail[lo] > k + f.b
+            sat |= fail_lo > k + f.b
     else:
         raise TypeError(f"not a formula: {f!r}")
     memo[key] = sat
@@ -453,6 +461,50 @@ def monitor_word(f, word) -> bool:
         return np.fromiter((label in ls for ls in labels), bool, len(labels))
 
     return bool(_sat(f, lambda a: _atomic_sat(a, holds, modes), {})[0])
+
+
+def monitor_dwells(f, signature, dwells) -> np.ndarray:
+    """Word-monitor verdicts for many dwell vectors over one signature.
+
+    signature is a sequence of K (label, mode) segments and dwells a
+    (B, K) matrix of non-negative dwells; row b stands for the word that
+    holds segment s for dwells[b, s] positions. Returns the (B,) Boolean
+    verdicts at position 0, equal to monitor_word on each row's word.
+    All rows are evaluated in one array pass, padded with false up to
+    horizon(f) + 1 positions (or the longest row): past its end a word
+    is false anyway.
+    """
+    dwells = np.asarray(dwells, dtype=np.int32)
+    if dwells.ndim != 2 or dwells.shape[1] != len(signature):
+        raise ValueError(
+            f"dwells must be a (B, {len(signature)}) matrix, got shape {dwells.shape}"
+        )
+    if np.any(dwells < 0) or not np.all(dwells.sum(axis=1) > 0):
+        raise ValueError("dwells must be non-negative with a nonempty word per row")
+    B, K = dwells.shape
+    ends = np.cumsum(dwells, axis=1, dtype=np.int32)
+    L = max(horizon(f) + 1, int(ends[:, -1].max()))
+    # seg[b, p]: segment active at position p of row b, K past the end;
+    # prev[b, p]: segment at p - 1, whose mode the atomic rule reads
+    # (K at position 0, which passes the mode test).
+    seg = (ends[:, None, :] <= np.arange(L, dtype=np.int32)[:, None]).sum(
+        axis=2, dtype=np.int32
+    )
+    prev = np.concatenate((np.full((B, 1), K, np.int32), seg[:, :-1]), axis=1)
+    labels = [label for label, _ in signature]
+    modes = [int(m) for _, m in signature]
+
+    def atom(a):
+        if is_trivially_false(a):
+            return np.zeros((B, L), dtype=bool)
+        label = atomic_label(a) if _split_constraints(a)[1] else None
+        truth = np.array([label is None or label == lb for lb in labels] + [False])
+        allowed = np.array(
+            [a.modes is None or m in a.modes.modes for m in modes] + [True]
+        )
+        return truth[seg] & allowed[prev]
+
+    return _sat(f, atom, {})[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from beliefplan import cli
 from beliefplan.cli import (
     EXIT_FORMULA,
+    EXIT_INTERNAL,
     EXIT_NO_SOLUTION,
     EXIT_NUMERIC,
     EXIT_SCHEMA,
@@ -18,7 +20,12 @@ from beliefplan.cli import (
     load_problem,
     run,
 )
+from beliefplan.discrete_planner import WitnessDisagreementError
+from beliefplan.dynamics import IllConditionedUpdateError
 from beliefplan.formula import FormulaSyntaxError
+from beliefplan.gaussian import DomainError
+from beliefplan.geometry import DegeneratePolytopeError
+from beliefplan.synthesis import InternalConsistencyError
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.abspath(os.path.join(HERE, os.pardir, "src"))
@@ -146,6 +153,13 @@ def test_load_unknown_planner_field(tmp_path):
         ("K_max", 6),
         ("delta_near", None),
         ("iteration_cap", "20000"),
+        ("delta_near", "2"),
+        ("delta_drain", True),
+        ("goal_bias", "0.25"),
+        ("rrt_timeout", "5"),
+        ("iteration_cap", 20000.5),
+        ("iteration_cap", 0),
+        ("iteration_cap", True),
     ],
 )
 def test_load_bad_planner_field(tmp_path, field, value):
@@ -254,6 +268,47 @@ def test_exit_code_schema_bad_seed(tmp_path):
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_SCHEMA, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--seed", "-1"), ("--k-max", "0"), ("--iteration-cap", "0")]
+)
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_exit_code_schema_bad_flag(tmp_path, flag, value, validate_only):
+    args = ["--problem", _write(tmp_path, _small_doc()), "--out", str(tmp_path / "out"),
+            flag, value]
+    r = _cli(args + ["--validate-only"] * validate_only, tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert "Traceback" not in r.stderr
+    assert flag in r.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (IllConditionedUpdateError("innovation matrix is ill-conditioned"), EXIT_NUMERIC),
+        (DegeneratePolytopeError("polytope has no interior"), EXIT_NUMERIC),
+        (DomainError("std_normal_quantile requires p in (0, 1)"), EXIT_NUMERIC),
+        (InternalConsistencyError("planner and monitor disagree"), EXIT_INTERNAL),
+        (WitnessDisagreementError("batched search and word monitor disagree"), EXIT_INTERNAL),
+    ],
+)
+def test_main_maps_search_errors_to_exit_codes(tmp_path, monkeypatch, capsys, error, code):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    monkeypatch.setattr(
+        sys, "argv",
+        ["beliefplan", "--problem", _write(tmp_path, _small_doc()), "--out", str(tmp_path / "out")],
+    )
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert str(error) in err
+    assert "Traceback" not in err
 
 
 def test_exit_code_formula(tmp_path):

@@ -20,11 +20,13 @@ from beliefplan.formula import (
     eventually,
     horizon,
     monitor,
+    monitor_dwells,
     monitor_word,
     named,
     parse_formula,
     top,
 )
+from beliefplan.discrete_planner import signature_word
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
     BeliefCone,
@@ -307,6 +309,39 @@ def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
                 verdict = None
             assert (verdict is True) == oracle_monitor(f, tr, k)
     assert lengths["short"] > 50 and lengths["full"] > 50
+
+
+def test_monitor_dwells_matches_word_monitor():
+    """Each row's batched verdict equals monitor_word on the row's word,
+    for random formulas, two labels, two modes and rows whose totals fall
+    short of, meet and pass the horizon (zero dwells included)."""
+    rng = np.random.default_rng(2013)
+    verdicts = []
+    for _ in range(150):
+        f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
+        labels = [atomic_label(a) for a in atomic_propositions(f)][:2]
+        labels += ["other"] * (2 - len(labels))
+        K = int(rng.integers(1, 5))
+        signature = [(labels[int(rng.integers(2))], int(rng.integers(2))) for _ in range(K)]
+        h = horizon(f)
+        dwells = rng.integers(0, h + 3, size=(int(rng.integers(1, 12)), K))
+        dwells[dwells.sum(axis=1) == 0, 0] = 1
+        got = monitor_dwells(f, signature, dwells)
+        assert got.shape == (len(dwells),)
+        for row, verdict in zip(dwells, got):
+            assert verdict == monitor_word(f, signature_word(signature, row))
+            verdicts.append(bool(verdict))
+    assert 200 < sum(verdicts) < len(verdicts) - 200
+
+
+def test_monitor_dwells_rejects_bad_shapes():
+    a = _atomic([1.0], 0.0, 0.1, name="a")
+    with pytest.raises(ValueError):
+        monitor_dwells(a, [("a", 0)], [[1, 2]])
+    with pytest.raises(ValueError):
+        monitor_dwells(a, [("a", 0), ("b", 0)], [[0, 0]])
+    with pytest.raises(ValueError):
+        monitor_dwells(a, [("a", 0), ("b", 0)], [[2, -1]])
 
 
 def random_formula_over(rng, a1, a2):

@@ -8,9 +8,11 @@ from beliefplan.discrete_planner import (
     CounterexampleStore,
     DiscretePlan,
     PlanSegment,
+    _DwellSearch,
     abstract,
     add_counterexample,
     bmc_next_candidate,
+    signature_word,
     word_of,
 )
 from beliefplan.dynamics import SwitchedSystem, SystemMode
@@ -182,6 +184,42 @@ def _exists_assignment(plan, f, idx, value, cap):
         if monitor_word(f, word):
             return True
     return False
+
+
+def test_bmc_windows_match_bruteforce_bounds():
+    """Every emitted window [dwell_min, dwell_max] is exactly the least
+    and greatest dwell of that segment over all satisfying dwell vectors,
+    found by exhaustive enumeration, for plans of one to three segments;
+    the dwell search's witness is the lexicographically first of them."""
+    a, b = _atomic("a"), _atomic("b", modes={1})
+    scenarios = [
+        Until(a, b, 1, 4),
+        Until(a, always(0, 2, b, state_dim=1), 0, 5),
+        Until(Until(a, b, 0, 3), always(0, 1, a, state_dim=1), 1, 4),
+        always(0, 2, Until(b, a, 0, 3), state_dim=1),
+    ]
+    sizes = set()
+    for f in scenarios:
+        abs_ = abstract(f, _system(num_modes=2))
+        cap = horizon(f) + 1
+        cex = CounterexampleStore()
+        while True:
+            plan = bmc_next_candidate(abs_, f, cex, k_max=3)
+            if plan is None:
+                break
+            K = len(plan.segments)
+            sizes.add(K)
+            first = next(
+                list(dwells)
+                for dwells in itertools.product(range(1, cap + 1), repeat=K)
+                if sum(dwells) <= cap and monitor_word(f, signature_word(plan.signature(), dwells))
+            )
+            assert _DwellSearch(plan.signature(), f, cap).find() == first
+            for i, seg in enumerate(plan.segments):
+                feasible = [d for d in range(1, cap + 1) if _exists_assignment(plan, f, i, d, cap)]
+                assert (seg.dwell_min, seg.dwell_max) == (feasible[0], feasible[-1])
+            add_counterexample(cex, plan.signature())
+    assert sizes == {1, 2, 3}
 
 
 def test_bmc_exhaustion_returns_none():
