@@ -20,6 +20,7 @@ from .geometry import (
     ProbabilisticLinearPredicate,
     box_polytope,
     cone_contains,
+    cone_contains_stack,
     cone_margin,
     eval_linear,
     polytope_contains,
@@ -63,6 +64,7 @@ from .dynamics import (
     noise_cov,
     predict,
     propagate_mlo,
+    propagate_mlo_stack,
     sample_observation,
     step_truth,
 )
@@ -78,8 +80,10 @@ from .discrete_planner import (
     word_of,
 )
 from .belief_rrt import (
+    InternalConsistencyError,
     RrtNode,
     RrtParams,
+    RrtTree,
     SegmentResult,
     SegmentTask,
     rrt_drain,
@@ -88,7 +92,6 @@ from .belief_rrt import (
     solve_segment,
 )
 from .synthesis import (
-    InternalConsistencyError,
     Problem,
     SolutionTrajectory,
     SynthesisResult,

@@ -6,27 +6,38 @@ sampled mean-space point (active perception); insertion drains nearby
 dominated nodes. A segment succeeds when some node's belief enters the
 goal cone and a zero-control dwell keeps the goal satisfied for the
 required number of further steps.
+
+The tree is a set of parallel arrays, so selection and draining are a
+few vector operations per iteration; an extension advances all of its
+control candidates as one stack of beliefs.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SwitchedSystem, SystemMode, propagate_mlo
-from .gaussian import BeliefState, uncertainty_measure
+from .dynamics import SwitchedSystem, SystemMode, propagate_mlo, propagate_mlo_stack
+from .gaussian import BeliefState, frozen_belief, uncertainty_measure
 from .geometry import (
     BeliefCone,
     Polytope,
     cone_contains,
+    cone_contains_stack,
     polytope_contains,
     polytope_sample,
 )
 
 _BOX_CLIP = 10.0  # clip unbounded sampling directions this far past the start
 _NUM_RANDOM_CONTROLS = 7
+
+
+class InternalConsistencyError(RuntimeError):
+    """An internal invariant failed (an assembled trajectory failed the
+    monitor, or a replayed branch differs from the tree); this is a bug
+    signal, never silently ignored."""
 
 
 @dataclass(frozen=True)
@@ -57,20 +68,66 @@ class RrtParams:
             raise ValueError("need 1 <= min_num_of_steps <= max_num_of_steps")
 
 
-@dataclass
+class RrtTree:
+    """The sparse tree as parallel arrays, row i holding node i: means
+    (N, n), covariance traces, active mask, parent (-1 at the root) and
+    depth in steps, grown by doubling. Each node also keeps its end
+    belief and its constant control (None at the root); the beliefs in
+    between are replayed on success. Iterating a tree yields RrtNode
+    views."""
+
+    def __init__(self, root: BeliefState, capacity: int = 64):
+        self.size = 0
+        self.means = np.empty((capacity, root.dim))
+        self.traces = np.empty(capacity)
+        self.active = np.zeros(capacity, dtype=bool)
+        self.parent = np.empty(capacity, dtype=np.intp)
+        self.depth = np.empty(capacity, dtype=np.intp)
+        self.beliefs: list = []
+        self.controls: list = []
+        self.add(root, -1, None, 0)
+
+    def add(self, belief: BeliefState, parent: int, control, steps: int) -> int:
+        """Append an active node reached from `parent` by holding
+        `control` for `steps` steps; returns its id."""
+        i = self.size
+        if i == self.traces.shape[0]:
+            for name in ("means", "traces", "active", "parent", "depth"):
+                old = getattr(self, name)
+                grown = np.zeros((2 * i,) + old.shape[1:], dtype=old.dtype)
+                grown[:i] = old
+                setattr(self, name, grown)
+        self.means[i] = belief.mean
+        self.traces[i] = uncertainty_measure(belief)
+        self.active[i] = True
+        self.parent[i] = parent
+        self.depth[i] = steps + (self.depth[parent] if parent >= 0 else 0)
+        self.beliefs.append(belief)
+        self.controls.append(control)
+        self.size = i + 1
+        return i
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        return (RrtNode(self, i) for i in range(self.size))
+
+
+@dataclass(frozen=True)
 class RrtNode:
-    belief: BeliefState
-    parent: int | None
-    control: np.ndarray | None  # constant over the extension
-    steps_from_parent: int
-    step_beliefs: tuple  # beliefs after each step of the extension
-    depth_steps: int
+    """Read-only view of one row of a tree."""
+
+    tree: RrtTree
     node_id: int
-    active: bool = True
 
     @property
-    def trace_cov(self) -> float:
-        return uncertainty_measure(self.belief)
+    def belief(self) -> BeliefState:
+        return self.tree.beliefs[self.node_id]
+
+    @property
+    def active(self) -> bool:
+        return bool(self.tree.active[self.node_id])
 
 
 @dataclass(frozen=True)
@@ -105,32 +162,25 @@ class SegmentResult:
         return len(self.controls)
 
 
-def rrt_select(tree: list, sample_point: np.ndarray, delta_near: float) -> int:
+def _distances(points: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row to a point, with the bits of
+    np.linalg.norm on each row (a dot product, then sqrt)."""
+    d = points - point
+    return np.sqrt(np.vecdot(d, d))
+
+
+def rrt_select(tree: RrtTree, sample_point: np.ndarray, delta_near: float) -> int:
     """Among active nodes within delta_near of the sample, the one with
     the least covariance trace; otherwise the nearest active node.
     Ties break toward the lowest node id."""
-    best_near = None
-    best_near_key = None
-    best_far = None
-    best_far_key = None
-    for node in tree:
-        if not node.active:
-            continue
-        dist = float(np.linalg.norm(node.belief.mean - sample_point))
-        if dist <= delta_near:
-            key = (node.trace_cov, node.node_id)
-            if best_near_key is None or key < best_near_key:
-                best_near_key = key
-                best_near = node.node_id
-        key = (dist, node.node_id)
-        if best_far_key is None or key < best_far_key:
-            best_far_key = key
-            best_far = node.node_id
-    if best_near is not None:
-        return best_near
-    if best_far is None:
+    ids = np.flatnonzero(tree.active[: len(tree)])
+    if ids.size == 0:
         raise ValueError("tree has no active nodes")
-    return best_far
+    dist = _distances(tree.means[ids], sample_point)
+    near = ids[dist <= delta_near]
+    if near.size:
+        return int(near[np.argmin(tree.traces[near])])
+    return int(ids[np.argmin(dist)])
 
 
 def _clamp_to_box(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -139,7 +189,7 @@ def _clamp_to_box(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def rrt_extend(
     mode: SystemMode,
-    node: RrtNode,
+    belief: BeliefState,
     target_point: np.ndarray,
     horizon: int,
     stay: BeliefCone,
@@ -147,58 +197,62 @@ def rrt_extend(
     rng: np.random.Generator,
 ):
     """Try 8 constant controls (7 uniform, 1 greedy least-squares toward
-    the target) for `horizon` steps each; keep the survivor whose final
-    mean is closest to the target. Returns (control, step beliefs) or
-    None when every candidate leaves the stay cone."""
+    the target) for `horizon` steps each from `belief`; keep the survivor
+    whose final mean is closest to the target, the first one on ties.
+    Returns (control, step beliefs) or None when every candidate leaves
+    the stay cone.
+
+    The candidates advance together as one stack, and the rows that
+    left the stay cone are dropped after each step: exactly the beliefs
+    a candidate-by-candidate loop would compute are computed and checked."""
     candidates = [polytope_sample(control_domain, rng) for _ in range(_NUM_RANDOM_CONTROLS)]
     lo, hi = control_domain.bounding_box()
     reach = horizon * mode.B
-    residual = target_point - node.belief.mean
+    residual = target_point - belief.mean
     greedy, *_ = np.linalg.lstsq(reach, residual, rcond=None)
     greedy = _clamp_to_box(greedy, lo, hi)
     if polytope_contains(control_domain, greedy):
         candidates.append(greedy)
 
-    best = None
-    best_dist = None
-    for u in candidates:
-        beliefs = []
-        b = node.belief
-        ok = True
-        for _ in range(horizon):
-            b = propagate_mlo(mode, b, u)
-            beliefs.append(b)
-            if not cone_contains(stay, b):
-                ok = False
-                break
-        if not ok:
-            continue
-        dist = float(np.linalg.norm(b.mean - target_point))
-        if best_dist is None or dist < best_dist:
-            best_dist = dist
-            best = (u, tuple(beliefs))
-    return best
+    k = len(candidates)
+    controls = np.array(candidates)
+    alive = np.arange(k)
+    means = np.repeat(belief.mean[None], k, axis=0)
+    covs = np.repeat(belief.cov[None], k, axis=0)
+    step_means = np.empty((horizon,) + means.shape)
+    step_covs = np.empty((horizon,) + covs.shape)
+    for t in range(horizon):
+        means, covs = propagate_mlo_stack(mode, means, covs, controls[alive])
+        step_means[t, alive] = means
+        step_covs[t, alive] = covs
+        inside = cone_contains_stack(stay, means, covs)
+        if not inside.all():
+            alive, means, covs = alive[inside], means[inside], covs[inside]
+            if alive.size == 0:
+                return None
+    best = alive[np.argmin(_distances(means, target_point))]
+    beliefs = tuple(
+        frozen_belief(step_means[t, best], step_covs[t, best]) for t in range(horizon)
+    )
+    return candidates[best], beliefs
 
 
-def rrt_drain(tree: list, new_node: RrtNode, delta_drain: float) -> None:
+def rrt_drain(tree: RrtTree, node_id: int, delta_drain: float) -> None:
     """Deactivate active non-ancestor nodes within delta_drain of the
-    new node that carry strictly more uncertainty."""
-    ancestors = set()
-    cursor = new_node.parent
-    while cursor is not None:
-        ancestors.add(cursor)
-        cursor = tree[cursor].parent
-    new_trace = new_node.trace_cov
-    for node in tree:
-        if not node.active or node.node_id == new_node.node_id:
-            continue
-        if node.node_id in ancestors:
-            continue
-        if (
-            np.linalg.norm(node.belief.mean - new_node.belief.mean) <= delta_drain
-            and node.trace_cov > new_trace
-        ):
-            node.active = False
+    given node that carry strictly more uncertainty."""
+    n = len(tree)
+    drained = (
+        tree.active[:n]
+        & (_distances(tree.means[:n], tree.means[node_id]) <= delta_drain)
+        & (tree.traces[:n] > tree.traces[node_id])
+    )
+    if not drained.any():
+        return
+    cursor = tree.parent[node_id]
+    while cursor >= 0:
+        drained[cursor] = False
+        cursor = tree.parent[cursor]
+    tree.active[:n] &= ~drained
 
 
 def _cone_mean_box(cone: BeliefCone, center: np.ndarray) -> tuple:
@@ -241,19 +295,30 @@ def _dwell_in_goal(
     return out
 
 
-def _reconstruct(tree: list, node_id: int):
-    """Step-by-step beliefs and controls from the root to a node."""
+def _reconstruct(mode: SystemMode, tree: RrtTree, node_id: int):
+    """Step-by-step beliefs and controls from the root to a node,
+    replaying each node's constant control. A replayed node belief that
+    is not bit-equal to the stored one raises InternalConsistencyError."""
     chain = []
     cursor = node_id
-    while cursor is not None:
-        chain.append(tree[cursor])
-        cursor = tree[cursor].parent
+    while cursor >= 0:
+        chain.append(cursor)
+        cursor = tree.parent[cursor]
     chain.reverse()
-    beliefs = [chain[0].belief]
+    b = tree.beliefs[0]
+    beliefs = [b]
     controls = []
-    for node in chain[1:]:
-        beliefs.extend(node.step_beliefs)
-        controls.extend([node.control] * node.steps_from_parent)
+    for parent, node in zip(chain, chain[1:]):
+        u = tree.controls[node]
+        for _ in range(tree.depth[node] - tree.depth[parent]):
+            b = propagate_mlo(mode, b, u)
+            beliefs.append(b)
+            controls.append(u)
+        stored = tree.beliefs[node]
+        if not (np.array_equal(b.mean, stored.mean) and np.array_equal(b.cov, stored.cov)):
+            raise InternalConsistencyError(
+                f"replaying the branch to RRT node {node} does not reproduce its belief"
+            )
     return beliefs, controls
 
 
@@ -290,11 +355,7 @@ def solve_segment(
     goal_lo, goal_hi = _cone_mean_box(task.goal, start.mean)
     stay_lo, stay_hi = _cone_mean_box(task.stay, start.mean)
 
-    root = RrtNode(
-        belief=start, parent=None, control=None, steps_from_parent=0,
-        step_beliefs=(), depth_steps=0, node_id=0,
-    )
-    tree = [root]
+    tree = RrtTree(start)
 
     deadline = (
         time.monotonic() + params.rrt_timeout
@@ -313,40 +374,31 @@ def solve_segment(
             sample = rng.uniform(goal_lo, goal_hi)
         else:
             sample = rng.uniform(stay_lo, stay_hi)
-        node = tree[rrt_select(tree, sample, params.delta_near)]
+        node = rrt_select(tree, sample, params.delta_near)
         steps = int(rng.integers(params.min_num_of_steps, params.max_num_of_steps + 1))
-        if node.depth_steps + steps > task.max_total_steps:
+        if tree.depth[node] + steps > task.max_total_steps:
             continue
         branch = rrt_extend(
-            mode, node, sample, steps, task.stay, sys.control_domain, rng
+            mode, tree.beliefs[node], sample, steps, task.stay, sys.control_domain, rng
         )
         if branch is None:
             continue
         control, step_beliefs = branch
-        new_node = RrtNode(
-            belief=step_beliefs[-1],
-            parent=node.node_id,
-            control=control,
-            steps_from_parent=steps,
-            step_beliefs=step_beliefs,
-            depth_steps=node.depth_steps + steps,
-            node_id=len(tree),
-        )
-        tree.append(new_node)
-        rrt_drain(tree, new_node, params.delta_drain)
+        new = tree.add(step_beliefs[-1], node, control, steps)
+        rrt_drain(tree, new, params.delta_drain)
 
-        if not cone_contains(task.goal, new_node.belief):
+        if not cone_contains(task.goal, tree.beliefs[new]):
             continue
-        if new_node.depth_steps + task.min_dwell_in_goal > task.max_total_steps:
+        if tree.depth[new] + task.min_dwell_in_goal > task.max_total_steps:
             continue
         dwell = (
             []
             if task.min_dwell_in_goal == 0
-            else _dwell_in_goal(mode, new_node.belief, task.goal, task.min_dwell_in_goal)
+            else _dwell_in_goal(mode, tree.beliefs[new], task.goal, task.min_dwell_in_goal)
         )
         if dwell is None:
             continue
-        beliefs, controls = _reconstruct(tree, new_node.node_id)
+        beliefs, controls = _reconstruct(mode, tree, new)
         if dwell:
             u0 = np.zeros(mode.control_dim)
             beliefs.extend(dwell)

@@ -22,13 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import formula
-from .belief_rrt import RrtParams
+from .belief_rrt import InternalConsistencyError, RrtParams
 from .discrete_planner import WitnessDisagreementError
 from .dynamics import IllConditionedUpdateError, SwitchedSystem, SystemMode
 from .formula import FormulaSyntaxError, NameCollisionError, UnsupportedBoundError, parse_formula
 from .gaussian import DomainError, InvalidCovarianceError, make_belief
 from .geometry import DegeneratePolytopeError, Polytope, LinearExpression, box_polytope
-from .synthesis import InternalConsistencyError, Problem, SynthesisResult, solve, trajectory_query
+from .synthesis import Problem, SynthesisResult, solve, trajectory_query
 from .tracking import lqr_gains, simulate, track_step
 
 log = logging.getLogger("beliefplan")
@@ -63,6 +63,8 @@ class SimulationConfig:
 
 
 def _require(doc: dict, key: str, path: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected an object")
     if key not in doc:
         raise SchemaError(f"{path}.{key}: missing required field")
     return doc[key]
@@ -486,9 +488,9 @@ def _replay_controls(problem, sim, trajectory, est_trace, gains, num_steps):
         )
 
 
-def main() -> None:
+def main(argv=None) -> None:
     try:
-        code = run()
+        code = run(argv)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         code = EXIT_SCHEMA

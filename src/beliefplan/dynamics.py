@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import BeliefState, make_belief
+from .gaussian import BeliefState, checked_cov, make_belief
 from .geometry import Polytope
 
 _CONDITION_LIMIT = 1e12
@@ -279,14 +279,48 @@ class SwitchedSystem:
 # ---------------------------------------------------------------------------
 
 def noise_cov(mode: SystemMode, x) -> np.ndarray:
-    """Measurement covariance R(x) = n(x) n(x)^T."""
+    """Measurement covariance R(x) = n(x) n(x)^T, at one state or at
+    each row of a stack of states."""
     p = mode.obs_dim
     if p == 0:
         raise NoObservationError("mode has no observation (p = 0)")
-    if isinstance(mode.noise, ScalarExpression):
+    if not isinstance(mode.noise, ScalarExpression):
+        return mode.noise @ mode.noise.T
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
         n_val = mode.noise(x)
-        return (n_val * n_val) * np.eye(p)
-    return mode.noise @ mode.noise.T
+    else:
+        n_val = np.array([mode.noise(row) for row in x])[:, None, None]
+    return (n_val * n_val) * np.eye(p)
+
+
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for one vector or each row of a stack; per row this is the
+    same BLAS call as M @ x, so the results agree bit for bit."""
+    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
+
+
+def _predict(mode: SystemMode, mean, cov, u):
+    """Unchecked prediction of one belief or a stack (one control per row)."""
+    return (
+        _mv(mode.A, mean) + _mv(mode.B, u),
+        mode.A @ cov @ mode.A.T + mode.W @ mode.W.T,
+    )
+
+
+def _joseph(mode: SystemMode, mean, cov, y, R):
+    """Unchecked Joseph-form update of one belief or a stack."""
+    C = mode.C
+    S = C @ cov @ C.T + R
+    S = 0.5 * (S + S.mT)
+    if (np.linalg.cond(S) > _CONDITION_LIMIT).any():
+        raise IllConditionedUpdateError(
+            f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
+        )
+    K = np.linalg.solve(S, C @ cov).mT
+    mean = mean + _mv(K, y - _mv(C, mean))
+    IKC = np.eye(mode.state_dim) - K @ C
+    return mean, IKC @ cov @ IKC.mT + K @ R @ K.mT
 
 
 def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
@@ -298,24 +332,7 @@ def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
         )
     if b.dim != mode.state_dim:
         raise ValueError(f"belief dimension {b.dim} != {mode.state_dim}")
-    mean = mode.A @ b.mean + mode.B @ u
-    cov = mode.A @ b.cov @ mode.A.T + mode.W @ mode.W.T
-    return make_belief(mean, cov)
-
-
-def _joseph_update(mode: SystemMode, b: BeliefState, y, R) -> BeliefState:
-    C = mode.C
-    S = C @ b.cov @ C.T + R
-    S = 0.5 * (S + S.T)
-    if np.linalg.cond(S) > _CONDITION_LIMIT:
-        raise IllConditionedUpdateError(
-            f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
-        )
-    K = np.linalg.solve(S, C @ b.cov).T
-    mean = b.mean + K @ (y - C @ b.mean)
-    IKC = np.eye(b.dim) - K @ C
-    cov = IKC @ b.cov @ IKC.T + K @ R @ K.T
-    return make_belief(mean, cov)
+    return make_belief(*_predict(mode, b.mean, b.cov, u))
 
 
 def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
@@ -327,7 +344,7 @@ def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
     if y.shape[0] != mode.obs_dim:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
     R = noise_cov(mode, b.mean)
-    return _joseph_update(mode, b, y, R)
+    return make_belief(*_joseph(mode, b.mean, b.cov, y, R))
 
 
 def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
@@ -338,7 +355,21 @@ def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     if mode.obs_dim == 0:
         return bp
     R = noise_cov(mode, bp.mean)
-    return _joseph_update(mode, bp, mode.C @ bp.mean, R)
+    return make_belief(*_joseph(mode, bp.mean, bp.cov, _mv(mode.C, bp.mean), R))
+
+
+def propagate_mlo_stack(mode: SystemMode, means, covs, us):
+    """propagate_mlo for a stack of beliefs, one control per row:
+    returns the (k, n) means and the symmetrized (k, n, n) covariances.
+    Every predicted and updated belief passes make_belief's checks, and
+    each row equals propagate_mlo on that row bit for bit."""
+    means, covs = _predict(mode, means, covs, us)
+    covs = checked_cov(means, covs)
+    if mode.obs_dim == 0:
+        return means, covs
+    R = noise_cov(mode, means)
+    means, covs = _joseph(mode, means, covs, _mv(mode.C, means), R)
+    return means, checked_cov(means, covs)
 
 
 def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:

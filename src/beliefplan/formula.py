@@ -657,7 +657,7 @@ class _Parser:
         self.error(f"expected an atom, found {tok.value!r}", tok)
 
     def parse_probpred(self):
-        self.expect("P")
+        start = self.expect("P")
         self.expect("(")
         h, c = self.parse_linexpr()
         self.expect("<=")
@@ -670,6 +670,8 @@ class _Parser:
             self.error(
                 f"probability bound must lie in [0.5, 1], got {p:g}", tok
             )
+        if not (np.all(np.isfinite(h)) and np.isfinite(c - rhs)):
+            self.error("predicate coefficients must be finite", start)
         expr = LinearExpression(h, c - rhs)
         return Atomic(BeliefCone((ProbabilisticLinearPredicate(expr, eps),)))
 

@@ -59,18 +59,32 @@ def make_belief(mean, cov) -> BeliefState:
         raise InvalidCovarianceError(
             f"covariance shape {cov.shape} does not match mean dimension {n}"
         )
-    if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+    return frozen_belief(mean, checked_cov(mean, cov))
+
+
+def checked_cov(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """The checks of make_belief on one belief, or on a stack of them
+    along a leading axis: finite entries, asymmetry at most 1e-6, no
+    eigenvalue below -1e-9. Returns the symmetrized covariance(s)."""
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
         raise InvalidCovarianceError("non-finite entries in belief state")
-    asym = np.max(np.abs(cov - cov.T)) if n else 0.0
+    asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
     if asym > _MAKE_SYMMETRY_TOL:
         raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
-    sym = 0.5 * (cov + cov.T)
+    sym = 0.5 * (cov + cov.mT)
     eigs = np.linalg.eigvalsh(sym)
-    if eigs.size and eigs[0] < EIGENVALUE_TOL:
+    if eigs.size and eigs[..., 0].min() < EIGENVALUE_TOL:
         raise InvalidCovarianceError(
-            f"covariance has negative eigenvalue {eigs[0]:g}"
+            f"covariance has negative eigenvalue {eigs[..., 0].min():g}"
         )
+    return sym
+
+
+def frozen_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:
+    """Belief state over read-only copies of a mean and a covariance
+    that already passed checked_cov."""
     mean = mean.copy()
+    sym = sym.copy()
     mean.flags.writeable = False
     sym.flags.writeable = False
     return BeliefState(mean=mean, cov=sym)

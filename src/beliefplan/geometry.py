@@ -165,20 +165,34 @@ def cone_margin(pred: ProbabilisticLinearPredicate, b: BeliefState) -> float:
     direction h carries no variance, in which case the deterministic
     margin h.mean + c is returned.
     """
-    base = eval_linear(pred.expr, b.mean)
-    q = float(pred.expr.h @ b.cov @ pred.expr.h)
-    if q < 0.0:  # PSD rounding noise
-        q = 0.0
+    return float(_margin(pred, b.mean, b.cov))
+
+
+def _margin(pred: ProbabilisticLinearPredicate, mean, cov):
+    """cone_margin at one belief, or at each belief of a stack.
+    vecdot and a vector-matrix product give the same bits per row as
+    the 1-D dot products of a single belief."""
+    h = pred.expr.h
+    base = np.vecdot(mean, h) + pred.expr.c
+    q = np.vecdot(h @ cov, h)
+    q = np.maximum(q, 0.0) if q.ndim else max(q, 0.0)  # clip PSD rounding noise
     if pred.epsilon == 0.0:
-        if q == 0.0:
-            return base
-        return math.inf
-    return base + cached_quantile(1.0 - pred.epsilon) * math.sqrt(q)
+        return np.where(q == 0.0, base, math.inf)
+    return base + cached_quantile(1.0 - pred.epsilon) * np.sqrt(q)
 
 
 def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
     """Conjunction of cone_margin <= tol over all constraints."""
     return all(cone_margin(p, b) <= CONTAINMENT_TOL for p in cone.constraints)
+
+
+def cone_contains_stack(cone: BeliefCone, means, covs) -> np.ndarray:
+    """cone_contains for each belief of a stack: (k, n) means and
+    (k, n, n) covariances give a (k,) mask."""
+    inside = np.ones(means.shape[0], dtype=bool)
+    for p in cone.constraints:
+        inside &= _margin(p, means, covs) <= CONTAINMENT_TOL
+    return inside
 
 
 def region_from_predicates(preds) -> BeliefCone:

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .belief_rrt import RrtParams, SegmentResult, SegmentTask, solve_segment
+from .belief_rrt import (
+    InternalConsistencyError,
+    RrtParams,
+    SegmentResult,
+    SegmentTask,
+    solve_segment,
+)
 from .discrete_planner import (
     Abstraction,
     CounterexampleStore,
@@ -30,11 +36,6 @@ from .formula import InsufficientTraceError, Trace, horizon, monitor, monitor_wo
 from .gaussian import BeliefState, uncertainty_measure
 
 _GROWTH_WARN_STEPS = 50
-
-
-class InternalConsistencyError(RuntimeError):
-    """An assembled trajectory failed the monitor; this is a bug signal,
-    never silently ignored."""
 
 
 @dataclass(frozen=True)

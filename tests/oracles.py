@@ -3,9 +3,11 @@ package. Deliberately naive: direct transcriptions of the defining
 equations, no sharing of code with the implementation under test."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from beliefplan.dynamics import propagate_mlo
 from beliefplan.formula import And, Atomic, Or, Release, Until
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
@@ -13,6 +15,9 @@ from beliefplan.geometry import (
     DiscretePredicate,
     LinearExpression,
     ProbabilisticLinearPredicate,
+    cone_contains,
+    polytope_contains,
+    polytope_sample,
 )
 
 
@@ -141,3 +146,106 @@ def random_trace(rng, dim, num_modes, length):
         beliefs.append(make_belief(mean, L @ L.T + 1e-6 * np.eye(dim)))
     modes = [int(m) for m in rng.integers(0, num_modes, size=length - 1)]
     return Trace(tuple(beliefs), tuple(modes))
+
+
+# ---------------------------------------------------------------------------
+# List-based reference RRT: one Python object per node, a loop over the
+# tree per selection and per drain, and one candidate control at a time
+# through the single-belief propagate_mlo.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ListNode:
+    belief: object
+    parent: int | None
+    node_id: int
+    active: bool = True
+
+    @property
+    def trace_cov(self) -> float:
+        return float(np.trace(self.belief.cov))
+
+
+def list_rrt_select(tree, sample_point, delta_near):
+    """Among active nodes within delta_near of the sample, the one with
+    the least covariance trace; otherwise the nearest active node.
+    Ties break toward the lowest node id."""
+    best_near = None
+    best_near_key = None
+    best_far = None
+    best_far_key = None
+    for node in tree:
+        if not node.active:
+            continue
+        dist = float(np.linalg.norm(node.belief.mean - sample_point))
+        if dist <= delta_near:
+            key = (node.trace_cov, node.node_id)
+            if best_near_key is None or key < best_near_key:
+                best_near_key = key
+                best_near = node.node_id
+        key = (dist, node.node_id)
+        if best_far_key is None or key < best_far_key:
+            best_far_key = key
+            best_far = node.node_id
+    if best_near is not None:
+        return best_near
+    if best_far is None:
+        raise ValueError("tree has no active nodes")
+    return best_far
+
+
+def list_rrt_drain(tree, new_node, delta_drain):
+    """Deactivate active non-ancestor nodes within delta_drain of the
+    new node that carry strictly more uncertainty."""
+    ancestors = set()
+    cursor = new_node.parent
+    while cursor is not None:
+        ancestors.add(cursor)
+        cursor = tree[cursor].parent
+    new_trace = new_node.trace_cov
+    for node in tree:
+        if not node.active or node.node_id == new_node.node_id:
+            continue
+        if node.node_id in ancestors:
+            continue
+        if (
+            np.linalg.norm(node.belief.mean - new_node.belief.mean) <= delta_drain
+            and node.trace_cov > new_trace
+        ):
+            node.active = False
+
+
+def list_rrt_extend(mode, belief, target_point, horizon, stay, control_domain, rng):
+    """Try 8 constant controls (7 uniform, 1 greedy least-squares toward
+    the target), each propagated on its own; keep the survivor whose
+    final mean is closest to the target. Returns (best, exits): best is
+    (control, step beliefs) or None, and exits[i] is the step at which
+    candidate i left the stay cone (None if it stayed)."""
+    candidates = [polytope_sample(control_domain, rng) for _ in range(7)]
+    lo, hi = control_domain.bounding_box()
+    greedy, *_ = np.linalg.lstsq(horizon * mode.B, target_point - belief.mean, rcond=None)
+    greedy = np.minimum(np.maximum(greedy, lo), hi)
+    if polytope_contains(control_domain, greedy):
+        candidates.append(greedy)
+
+    best = None
+    best_dist = None
+    exits = []
+    for u in candidates:
+        beliefs = []
+        b = belief
+        exit_step = None
+        for step in range(horizon):
+            b = propagate_mlo(mode, b, u)
+            beliefs.append(b)
+            if not cone_contains(stay, b):
+                exit_step = step
+                break
+        exits.append(exit_step)
+        if exit_step is not None:
+            continue
+        dist = float(np.linalg.norm(b.mean - target_point))
+        if best_dist is None or dist < best_dist:
+            best_dist = dist
+            best = (u, tuple(beliefs))
+    return best, exits

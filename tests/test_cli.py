@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from beliefplan import cli
 from beliefplan.cli import (
@@ -127,6 +132,20 @@ def test_load_formula_error(tmp_path):
     doc = _base_doc()
     doc["formula"] = "(free_space) U[0,240] G[0,40] (unknown_region)"
     with pytest.raises(FormulaSyntaxError):
+        load_problem(_write(tmp_path, doc))
+
+
+def test_load_non_object_section_is_schema_error(tmp_path):
+    doc = _base_doc()
+    doc["initial"] = 3
+    with pytest.raises(SchemaError, match=r"\$\.initial: expected an object"):
+        load_problem(_write(tmp_path, doc))
+
+
+def test_load_nonfinite_predicate_is_formula_error(tmp_path):
+    doc = _base_doc()
+    doc["named_formulas"]["free_space"] = "P(-x0 <= 1e999) >= 0.99"
+    with pytest.raises(FormulaSyntaxError, match="finite"):
         load_problem(_write(tmp_path, doc))
 
 
@@ -341,3 +360,72 @@ def test_seed_and_cap_overrides(tmp_path):
         assert code == EXIT_SOLUTION
     for name in ("plan.json", "trajectory.csv", "simulation.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed problem files
+# ---------------------------------------------------------------------------
+
+DOCUMENTED_EXIT_CODES = {
+    EXIT_SOLUTION, EXIT_NO_SOLUTION, EXIT_SCHEMA, EXIT_FORMULA, EXIT_NUMERIC, EXIT_INTERNAL,
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**20, 10**20)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_EXTREMES = [0, -1, 1, 0.5, -0.5, 1e-320, 1e308, -1e308, float("nan"), float("inf"), 2**63]
+_TEXT_NUMBERS = ["0", "-1", "1e999", "1e-999", "99999999999999999999", "0.5", "nan"]
+
+
+@st.composite
+def _mutated_lightdark(draw):
+    """problems/lightdark.json with one to three mutations, each at a
+    path found by walking down from the root: drop the field or item,
+    give it another JSON type, reshape it, or set an out-of-range value
+    (for a string, a number inside it)."""
+    doc = _base_doc()
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = None, None
+        node = doc
+        while isinstance(node, (dict, list)) and len(node) and (parent is None or draw(st.booleans())):
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            continue
+        kind = draw(st.sampled_from(["drop", "retype", "reshape", "range"]))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "retype":
+            parent[key] = draw(_JSON_VALUES)
+        elif kind == "reshape":
+            if isinstance(node, list) and node:
+                parent[key] = draw(st.sampled_from([node[:-1], node + node[-1:], [node], node[0]]))
+            else:
+                parent[key] = [node]
+        elif isinstance(node, str):
+            numbers = list(re.finditer(r"(?<![\w.])\d+(\.\d+)?", node))  # not the 0 of x0
+            if numbers:
+                at = numbers[draw(st.integers(0, len(numbers) - 1))]
+                number = draw(st.sampled_from(_TEXT_NUMBERS))
+                parent[key] = node[: at.start()] + number + node[at.end():]
+        else:
+            parent[key] = draw(st.sampled_from(_EXTREMES))
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_mutated_lightdark())
+def test_fuzzed_lightdark_exits_with_documented_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.main(["--problem", path, "--validate-only"])
+    assert exc.value.code in DOCUMENTED_EXIT_CODES, err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,16 +1,27 @@
+import json
+
 import numpy as np
 import pytest
 
+import oracles
+from beliefplan import belief_rrt, cli
 from beliefplan.belief_rrt import (
-    RrtNode,
+    InternalConsistencyError,
     RrtParams,
+    RrtTree,
     SegmentTask,
+    _reconstruct,
     rrt_drain,
     rrt_extend,
     rrt_select,
     solve_segment,
 )
-from beliefplan.dynamics import SwitchedSystem, SystemMode, propagate_mlo
+from beliefplan.dynamics import (
+    IllConditionedUpdateError,
+    SwitchedSystem,
+    SystemMode,
+    propagate_mlo,
+)
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
     BeliefCone,
@@ -40,13 +51,17 @@ def _lightdark_system():
     return SwitchedSystem((mode,), box_polytope([(-1, 1), (-1, 1)]))
 
 
-def _node(mean, trace, node_id, parent=None, active=True):
-    b = make_belief(mean, (trace / len(mean)) * np.eye(len(mean)))
-    return RrtNode(
-        belief=b, parent=parent, control=None, steps_from_parent=1,
-        step_beliefs=(b,), depth_steps=0 if parent is None else 1,
-        node_id=node_id, active=active,
-    )
+def _belief(mean, trace):
+    return make_belief(mean, (trace / len(mean)) * np.eye(len(mean)))
+
+
+def _tree(*nodes):
+    """Tree from (mean, trace, parent) rows; the first row is the root."""
+    (mean, trace, _), *rest = nodes
+    tree = RrtTree(_belief(mean, trace))
+    for mean, trace, parent in rest:
+        tree.add(_belief(mean, trace), parent, None, 1)
+    return tree
 
 
 def test_params_validation():
@@ -61,80 +76,356 @@ def test_params_validation():
 
 
 def test_select_prefers_low_uncertainty_near():
-    tree = [
-        _node([0.0, 0.0], 1.0, 0),
-        _node([0.5, 0.0], 0.1, 1),  # near, low uncertainty
-        _node([0.2, 0.0], 0.5, 2),
-    ]
+    tree = _tree(
+        ([0.0, 0.0], 1.0, None),
+        ([0.5, 0.0], 0.1, 0),  # near, low uncertainty
+        ([0.2, 0.0], 0.5, 0),
+    )
     assert rrt_select(tree, np.array([0.1, 0.0]), delta_near=1.0) == 1
 
 
 def test_select_falls_back_to_nearest():
-    tree = [
-        _node([10.0, 0.0], 0.1, 0),
-        _node([5.0, 0.0], 5.0, 1),  # nearest, despite higher uncertainty
-    ]
+    tree = _tree(
+        ([10.0, 0.0], 0.1, None),
+        ([5.0, 0.0], 5.0, 0),  # nearest, despite higher uncertainty
+    )
     assert rrt_select(tree, np.array([4.0, 0.0]), delta_near=0.5) == 1
 
 
 def test_select_ignores_inactive():
-    tree = [
-        _node([0.0, 0.0], 0.01, 0, active=False),
-        _node([0.1, 0.0], 5.0, 1),
-    ]
+    tree = _tree(
+        ([0.0, 0.0], 0.01, None),
+        ([0.1, 0.0], 5.0, 0),
+    )
+    tree.active[0] = False
     assert rrt_select(tree, np.array([0.0, 0.0]), delta_near=1.0) == 1
-    tree[1].active = False
+    tree.active[1] = False
     with pytest.raises(ValueError):
         rrt_select(tree, np.array([0.0, 0.0]), delta_near=1.0)
 
 
 def test_extend_respects_stay_cone():
     sys = _lightdark_system()
-    node = _node([0.0, 2.5], 0.2, 0)
+    start = _belief([0.0, 2.5], 0.2)
     stay = _box_cone([(-1, 5), (-1, 4)], 0.01)
     rng = np.random.default_rng(0)
-    out = rrt_extend(sys.modes[0], node, np.array([2.0, 2.5]), 5, stay, sys.control_domain, rng)
+    out = rrt_extend(sys.modes[0], start, np.array([2.0, 2.5]), 5, stay, sys.control_domain, rng)
     assert out is not None
     u, beliefs = out
     assert len(beliefs) == 5
     for b in beliefs:
         assert cone_contains(stay, b)
     # replaying the constant control reproduces the branch exactly
-    b = node.belief
+    b = start
     for bref in beliefs:
         b = propagate_mlo(sys.modes[0], b, u)
-        assert np.allclose(b.mean, bref.mean)
-        assert np.allclose(b.cov, bref.cov)
+        assert np.array_equal(b.mean, bref.mean)
+        assert np.array_equal(b.cov, bref.cov)
 
 
 def test_extend_returns_none_when_boxed_in():
     sys = _lightdark_system()
-    node = _node([0.0, 2.5], 0.2, 0)
+    start = _belief([0.0, 2.5], 0.2)
     # stay cone the belief cannot re-enter: x0 <= -10 deterministically
     stay = _box_cone([(-20, -10), (-20, 20)], 0.01)
     rng = np.random.default_rng(0)
-    assert rrt_extend(sys.modes[0], node, np.array([0.0, 0.0]), 3, stay, sys.control_domain, rng) is None
+    assert rrt_extend(sys.modes[0], start, np.array([0.0, 0.0]), 3, stay, sys.control_domain, rng) is None
 
 
 def test_drain_deactivates_dominated_neighbors():
-    tree = [
-        _node([0.0, 0.0], 1.0, 0),
-        _node([0.1, 0.0], 0.5, 1, parent=0),
-    ]
-    new = _node([0.1, 0.05], 0.1, 2, parent=0)
-    tree.append(new)
-    rrt_drain(tree, new, delta_drain=0.5)
-    assert tree[0].active  # ancestor, spared
-    assert not tree[1].active  # nearby and worse
-    assert tree[2].active
+    tree = _tree(
+        ([0.0, 0.0], 1.0, None),
+        ([0.1, 0.0], 0.5, 0),
+        ([0.1, 0.05], 0.1, 0),  # the new node
+    )
+    rrt_drain(tree, 2, delta_drain=0.5)
+    assert tree.active[0]  # ancestor, spared
+    assert not tree.active[1]  # nearby and worse
+    assert tree.active[2]
 
 
 def test_drain_spares_better_nodes():
-    tree = [_node([0.0, 0.0], 0.05, 0)]
-    new = _node([0.1, 0.0], 0.2, 1)
-    tree.append(new)
-    rrt_drain(tree, new, delta_drain=0.5)
-    assert tree[0].active
+    tree = _tree(
+        ([5.0, 5.0], 1.0, None),  # a far root, so node 1 is no ancestor of node 2
+        ([0.0, 0.0], 0.05, 0),
+        ([0.1, 0.0], 0.2, 0),  # the new node
+    )
+    rrt_drain(tree, 2, delta_drain=0.5)
+    assert tree.active[1]
+
+
+def _random_tree_pair(rng, size, grid):
+    """The same random tree as an RrtTree and as the reference list of
+    nodes. On the grid, means sit on half units and traces on tenths,
+    so distance and trace ties are common."""
+    if grid:
+        means = rng.integers(-3, 4, size=(size, 2)) * 0.5
+        traces = rng.integers(1, 6, size=size) * 0.1
+    else:
+        means = rng.uniform(-1.5, 1.5, size=(size, 2))
+        traces = rng.uniform(0.1, 0.5, size=size)
+    beliefs = [_belief(m, t) for m, t in zip(means, traces)]
+    parents = [None] + [int(rng.integers(0, i)) for i in range(1, size)]
+    active = rng.random(size) < 0.7
+    tree = RrtTree(beliefs[0], capacity=4)
+    ref = [oracles.ListNode(beliefs[0], None, 0)]
+    for i in range(1, size):
+        assert tree.add(beliefs[i], parents[i], None, 1) == i
+        ref.append(oracles.ListNode(beliefs[i], parents[i], i))
+    tree.active[:size] = active
+    for node, a in zip(ref, active):
+        node.active = bool(a)
+    return tree, ref
+
+
+def test_select_and_drain_match_list_reference():
+    """Random trees, on and off the grid; half of the radii equal the
+    reference's own distance to some node, so `<=` is tested at the
+    boundary, where a distance one ulp off changes the answer."""
+    rng = np.random.default_rng(2024)
+    checked_select = checked_drain = drained = 0
+    for trial in range(300):
+        size = int(rng.integers(1, 40))
+        grid = trial % 2 == 0
+        tree, ref = _random_tree_pair(rng, size, grid)
+        assert len(tree) == size
+        assert [node.active for node in tree] == [node.active for node in ref]
+        for _ in range(10):
+            sample = rng.integers(-4, 5, size=2) * 0.5 if grid else rng.uniform(-2, 2, size=2)
+            delta = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            if rng.random() < 0.5:
+                delta = float(np.linalg.norm(ref[int(rng.integers(size))].belief.mean - sample))
+            try:
+                expected = oracles.list_rrt_select(ref, sample, delta)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rrt_select(tree, sample, delta)
+                continue
+            assert rrt_select(tree, sample, delta) == expected
+            checked_select += 1
+        node_id = int(rng.integers(0, size))
+        delta = float(rng.choice([0.25, 0.5, 1.0]))
+        if rng.random() < 0.5:
+            other = ref[int(rng.integers(size))].belief.mean
+            delta = float(np.linalg.norm(other - ref[node_id].belief.mean))
+        before = sum(node.active for node in ref)
+        oracles.list_rrt_drain(ref, ref[node_id], delta)
+        rrt_drain(tree, node_id, delta)
+        assert [node.active for node in tree] == [node.active for node in ref]
+        checked_drain += 1
+        drained += before - sum(node.active for node in ref)
+    assert checked_select > 2000 and checked_drain == 300 and drained > 100
+
+
+def _random_mode(rng, n, m, kind, process_noise):
+    """A random mode of the given kind. A third of the 2-D modes rotate
+    the state, so means can leave the stay cone and come back; one in
+    ten has B = 0, so every candidate ties on distance."""
+    A = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    if n == 2 and rng.random() < 1 / 3:
+        th = rng.uniform(0.3, 1.2)
+        A = 0.95 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    B = rng.normal(scale=0.5, size=(n, m)) if rng.random() < 0.9 else np.zeros((n, m))
+    W = 0.05 * rng.normal(size=(n, n)) if process_noise else np.zeros((n, n))
+    if kind == "lbs":
+        return SystemMode(A=A, B=B, W=W)
+    p = int(rng.integers(1, n + 1))
+    C = rng.normal(size=(p, n))
+    if kind == "polbs_linear":
+        L = rng.normal(scale=0.3, size=(p, p))
+        return SystemMode(A=A, B=B, W=W, C=C, noise=L + 0.3 * np.eye(p))
+    return SystemMode(A=A, B=B, W=W, C=C, noise="0.2*(1 - x0)^2 + 0.05")
+
+
+def _same_extension(got, expected):
+    if expected is None:
+        return got is None
+    (u, beliefs), (u_ref, beliefs_ref) = got, expected
+    return (
+        np.array_equal(u, u_ref)
+        and len(beliefs) == len(beliefs_ref)
+        and all(
+            np.array_equal(b.mean, r.mean) and np.array_equal(b.cov, r.cov)
+            for b, r in zip(beliefs, beliefs_ref)
+        )
+    )
+
+
+def test_extend_matches_per_candidate_reference():
+    """Random modes (identity and non-identity A, with and without
+    process noise, no observation, constant and state-dependent noise)
+    and random box cones: the stacked extension returns the reference's
+    control and step beliefs bit for bit and draws the same numbers."""
+    rng = np.random.default_rng(77)
+    seen = {"none": 0, "staggered": 0, "partial": 0, "kinds": set()}
+    for trial in range(300):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 3))
+        kind = ("lbs", "polbs_linear", "polbs_nonlinear")[trial % 3]
+        mode = _random_mode(rng, n, m, kind, process_noise=rng.random() < 0.5)
+        if rng.random() < 0.3:
+            mode = SystemMode(A=np.eye(n), B=mode.B, W=mode.W, C=mode.C, noise=mode.noise)
+        domain = box_polytope([(-1.0, 1.0)] * m)
+        L = rng.normal(scale=0.2, size=(n, n))
+        start = make_belief(rng.normal(size=n), L @ L.T)
+        half = rng.uniform(0.5, 4.0, size=n)
+        stay = _box_cone(
+            [(c - w, c + w) for c, w in zip(start.mean, half)],
+            float(rng.choice([0.01, 0.05, 0.2])),
+        )
+        target = start.mean + rng.normal(scale=2.0, size=n)
+        horizon = int(rng.integers(1, 9))
+        seed = int(rng.integers(1 << 30))
+        r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, exits = oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, r_ref)
+        got = rrt_extend(mode, start, target, horizon, stay, domain, r_new)
+        assert _same_extension(got, expected), trial
+        assert r_new.bit_generator.state == r_ref.bit_generator.state
+        dead = {e for e in exits if e is not None}
+        seen["none"] += expected is None
+        seen["partial"] += expected is not None and bool(dead)
+        seen["staggered"] += len(dead) > 1
+        seen["kinds"].add(mode.kind)
+    assert seen["none"] > 10 and seen["partial"] > 10 and seen["staggered"] > 10
+    assert seen["kinds"] == {"lbs", "polbs_linear", "polbs_nonlinear"}
+
+
+def test_extend_matches_reference_with_zero_epsilon_cones():
+    """epsilon = 0 constraints hold only along directions that carry no
+    variance: a noise-free mode with a rank-deficient covariance keeps
+    the x0 constraints deterministic, while the x1 constraints are
+    violated by every candidate whenever they are hard."""
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for trial in range(120):
+        A = np.diag([1.0 + 0.1 * rng.normal(), 1.0])
+        mode = SystemMode(A=A, B=rng.normal(scale=0.5, size=(2, 2)), W=np.zeros((2, 2)))
+        start = make_belief(rng.normal(size=2), np.diag([0.0, 0.1]))
+        w = rng.uniform(0.5, 3.0)
+        eps_x1 = float(rng.choice([0.0, 0.05]))
+        preds = [
+            ProbabilisticLinearPredicate(LinearExpression([1.0, 0.0], -(start.mean[0] + w)), 0.0),
+            ProbabilisticLinearPredicate(LinearExpression([-1.0, 0.0], start.mean[0] - w), 0.0),
+            ProbabilisticLinearPredicate(LinearExpression([0.0, 1.0], -(start.mean[1] + 5.0)), eps_x1),
+        ]
+        stay = BeliefCone(tuple(preds))
+        domain = box_polytope([(-1.0, 1.0)] * 2)
+        target = start.mean + rng.normal(scale=2.0, size=2)
+        horizon = int(rng.integers(1, 9))
+        seed = int(rng.integers(1 << 30))
+        r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected, _ = oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, r_ref)
+        got = rrt_extend(mode, start, target, horizon, stay, domain, r_new)
+        assert _same_extension(got, expected), trial
+        assert r_new.bit_generator.state == r_ref.bit_generator.state
+        if eps_x1 == 0.0:
+            assert got is None
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def _ill_conditioned_system():
+    """Observing x0 with noise gain x1 while x0 carries no variance: the
+    innovation matrix is R = x1^2, singular exactly when x1 = 0. From
+    x1 = 1 with the control box [-1, 1]^2, only the greedy candidate,
+    clamped to u1 = -1 toward a target with x1 <= -3, lands there."""
+    mode = SystemMode(
+        A=np.eye(2), B=np.eye(2), W=np.zeros((2, 2)), C=[[1.0, 0.0]], noise="x1",
+    )
+    return SwitchedSystem((mode,), box_polytope([(-1, 1), (-1, 1)]))
+
+
+def test_one_ill_conditioned_candidate_aborts_the_segment():
+    sys = _ill_conditioned_system()
+    mode = sys.modes[0]
+    start = make_belief([0.0, 1.0], np.diag([0.0, 0.01]))
+    propagate_mlo(mode, start, [0.3, -0.7])  # a uniform candidate is well conditioned
+    with pytest.raises(IllConditionedUpdateError):
+        propagate_mlo(mode, start, [0.3, -1.0])  # the clamped greedy one is not
+    task = SegmentTask(
+        mode=0,
+        stay=_box_cone([(-5, 5), (-5, 5)], 0.05),
+        goal=BeliefCone((ProbabilisticLinearPredicate(LinearExpression([0.0, 1.0], 3.0), 0.05),)),
+        min_dwell_in_goal=0,
+        max_total_steps=20,
+    )
+    params = RrtParams(iteration_cap=50, goal_bias=1.0)
+    with pytest.raises(IllConditionedUpdateError):
+        solve_segment(sys, task, start, params, np.random.default_rng(0))
+
+
+def test_one_ill_conditioned_candidate_exits_numeric(tmp_path, capsys):
+    doc = {
+        "state_dim": 2,
+        "control_dim": 2,
+        "modes": [{"A": np.eye(2).tolist(), "B": np.eye(2).tolist(), "W": [[0.0, 0.0], [0.0, 0.0]],
+                   "C": [[1.0, 0.0]], "noise": "x1"}],
+        "control_domain": {"box": [[-1.0, 1.0], [-1.0, 1.0]]},
+        "initial": {"mean": [0.0, 1.0], "cov": [[0.0, 0.0], [0.0, 0.01]]},
+        "named_formulas": {
+            "stay": "P(x1 <= 5) >= 0.95 & P(-x1 <= 5) >= 0.95",
+            "goal": "P(x1 + 3 <= 0) >= 0.95",
+        },
+        "formula": "(stay) U[0,20] G[0,2] (goal)",
+        "planner": {"iteration_cap": 50, "goal_bias": 1.0, "k_max": 2},
+    }
+    path = tmp_path / "ill.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "condition number" in err
+    assert "Traceback" not in err
+
+
+def _corrupting(frozen_belief):
+    """frozen_belief with the mean of every belief moved by one ulp."""
+    def corrupt(mean, cov):
+        return frozen_belief(np.nextafter(mean, np.inf), cov)
+    return corrupt
+
+
+def test_reconstruct_rejects_a_corrupted_node():
+    sys = _lightdark_system()
+    mode = sys.modes[0]
+    start = _belief([0.0, 2.5], 0.2)
+    stay = _box_cone([(-1, 5), (-1, 4)], 0.01)
+    u, beliefs = rrt_extend(mode, start, np.array([2.0, 2.5]), 4, stay, sys.control_domain,
+                            np.random.default_rng(3))
+    tree = RrtTree(start)
+    tree.add(beliefs[-1], 0, u, 4)
+    replayed, controls = _reconstruct(mode, tree, 1)
+    assert len(replayed) == 5 and len(controls) == 4
+    assert np.array_equal(replayed[-1].cov, beliefs[-1].cov)
+    tree.beliefs[1] = make_belief(np.nextafter(beliefs[-1].mean, np.inf), beliefs[-1].cov)
+    with pytest.raises(InternalConsistencyError):
+        _reconstruct(mode, tree, 1)
+
+
+def test_corrupted_tree_exits_internal(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(belief_rrt, "frozen_belief", _corrupting(belief_rrt.frozen_belief))
+    doc = {
+        "state_dim": 1,
+        "control_dim": 1,
+        "modes": [{"A": [[1.0]], "B": [[1.0]], "W": [[0.0]], "C": [[1.0]], "noise": "0.01"}],
+        "control_domain": {"box": [[-1.0, 1.0]]},
+        "initial": {"mean": [0.0], "cov": [[0.01]]},
+        "named_formulas": {
+            "safe": "P(-x0 <= 1) >= 0.95 & P(x0 <= 6) >= 0.95",
+            "goal": "P(x0 - 5 <= 0.3) >= 0.9 & P(5 - x0 <= 0.3) >= 0.9",
+        },
+        "formula": "(safe) U[0,20] G[0,5] (goal)",
+        "planner": {"iteration_cap": 2000, "k_max": 3},
+    }
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "does not reproduce" in err
+    assert "Traceback" not in err
 
 
 def test_solve_segment_infeasible_start():
