@@ -28,8 +28,8 @@ from .dynamics import IllConditionedUpdateError, SwitchedSystem, SystemMode
 from .formula import FormulaSyntaxError, NameCollisionError, UnsupportedBoundError, parse_formula
 from .gaussian import DomainError, InvalidCovarianceError, make_belief
 from .geometry import DegeneratePolytopeError, Polytope, LinearExpression, box_polytope
-from .synthesis import Problem, SynthesisResult, solve, trajectory_query
-from .tracking import lqr_gains, simulate, track_step
+from .synthesis import Problem, SynthesisResult, solve
+from .tracking import lqr_gains, simulate
 
 log = logging.getLogger("beliefplan")
 
@@ -41,6 +41,10 @@ EXIT_NUMERIC = 4
 EXIT_INTERNAL = 5
 
 _FMT = "%.17g"
+
+# lqr_gains runs and keeps one Riccati step per horizon step; the bound
+# keeps a mistyped horizon from running for hours or exhausting memory.
+MAX_LQR_HORIZON = 10_000
 
 
 class SchemaError(ValueError):
@@ -77,6 +81,8 @@ def _matrix(value, path: str, shape=None) -> np.ndarray:
         raise SchemaError(f"{path}: not a numeric array ({exc})")
     if shape is not None and arr.shape != shape:
         raise NumericError(f"{path}: expected shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NumericError(f"{path}: expected finite entries")
     return arr
 
 
@@ -286,9 +292,15 @@ def _load_simulation(doc, system: SwitchedSystem, n: int, m: int) -> SimulationC
     if not isinstance(lqr_doc, dict):
         raise SchemaError(f"{path}.lqr: expected an object")
     h = _positive_int(_require(lqr_doc, "horizon", f"{path}.lqr"), f"{path}.lqr.horizon")
+    if h > MAX_LQR_HORIZON:
+        raise SchemaError(f"{path}.lqr.horizon: expected at most {MAX_LQR_HORIZON}, got {h}")
     Q_final = _matrix(_require(lqr_doc, "Q_final", f"{path}.lqr"), f"{path}.lqr.Q_final", (n, n))
     Q = _matrix(_require(lqr_doc, "Q", f"{path}.lqr"), f"{path}.lqr.Q", (n, n))
     R = _matrix(_require(lqr_doc, "R", f"{path}.lqr"), f"{path}.lqr.R", (m, m))
+    # The rank test is the one lqr_gains applies.
+    if not (np.array_equal(R, R.T) and np.linalg.eigvalsh(R)[0] > 0
+            and np.linalg.matrix_rank(R) == m):
+        raise NumericError(f"{path}.lqr.R: expected a symmetric positive definite matrix, got {R.tolist()}")
     return SimulationConfig(real_system, real_x0, num_steps, h, Q_final, Q, R)
 
 
@@ -359,9 +371,9 @@ def _write_trajectory_csv(path, trajectory):
             fh.write(",".join(row) + "\n")
 
 
-def _write_simulation_csv(path, est_trace, xs, controls, satisfied: bool):
-    n = est_trace.beliefs[0].dim
-    m = controls[0].shape[0] if controls else 0
+def _write_simulation_csv(path, est, xs, satisfied: bool):
+    n = est.beliefs[0].dim
+    m = est.controls[0].shape[0] if est.controls else 0
     diag = [(i, i) for i in range(n)]
     header = (
         ["k"]
@@ -370,17 +382,17 @@ def _write_simulation_csv(path, est_trace, xs, controls, satisfied: bool):
         + [f"est_cov{i}{i}" for i in range(n)]
         + [f"control{i}" for i in range(m)]
     )
-    T = len(controls)
+    T = est.num_steps
     with open(path, "w", newline="") as fh:
         fh.write(f"# satisfied: {1 if satisfied else 0}\n")
         fh.write(",".join(header) + "\n")
-        for k, b in enumerate(est_trace.beliefs):
+        for k, b in enumerate(est.beliefs):
             row = [str(k)]
             row.extend(_fmt(v) for v in xs[k])
             row.extend(_fmt(v) for v in b.mean)
             row.extend(_fmt(b.cov[i, j]) for i, j in diag)
             if k < T:
-                row.extend(_fmt(v) for v in controls[k])
+                row.extend(_fmt(v) for v in est.controls[k])
             else:
                 row.extend("" for _ in range(m))
             fh.write(",".join(row) + "\n")
@@ -450,42 +462,28 @@ def run(argv=None) -> int:
     log.info("solution with %d steps", trajectory.num_steps)
 
     if sim is not None and not args.no_simulation:
-        gains = {
-            i: lqr_gains(mode, sim.lqr_horizon, sim.Q_final, sim.Q, sim.R)
-            for i, mode in enumerate(problem.system.modes)
-        }
         num_steps = sim.num_steps if sim.num_steps is not None else trajectory.num_steps
         num_steps = min(num_steps, trajectory.num_steps)
-        est_trace, xs = simulate(
-            problem.system, sim.real_system, trajectory, sim.real_x0,
-            num_steps, gains, rng,
-        )
-        controls = [
-            track_control
-            for track_control in _replay_controls(problem, sim, trajectory, est_trace, gains, num_steps)
-        ]
+        # Costs or a real system large enough to overflow would otherwise
+        # run on as inf and nan until some later check trips.
         try:
-            satisfied = formula.monitor(problem.formula, est_trace, 0)
+            with np.errstate(over="raise", invalid="raise"):
+                gains = {
+                    i: lqr_gains(mode, sim.lqr_horizon, sim.Q_final, sim.Q, sim.R)
+                    for i, mode in enumerate(problem.system.modes)
+                }
+                est, xs = simulate(
+                    problem.system, sim.real_system, trajectory, sim.real_x0,
+                    num_steps, gains, rng,
+                )
+        except (OverflowError, FloatingPointError) as exc:
+            raise NumericError(f"$.simulation: the tracked execution failed numerically ({exc})")
+        try:
+            satisfied = formula.monitor(problem.formula, est, 0)
         except formula.InsufficientTraceError:
             satisfied = False
-        _write_simulation_csv(
-            os.path.join(args.out, "simulation.csv"), est_trace, xs, controls, satisfied
-        )
+        _write_simulation_csv(os.path.join(args.out, "simulation.csv"), est, xs, satisfied)
     return EXIT_SOLUTION
-
-
-def _replay_controls(problem, sim, trajectory, est_trace, gains, num_steps):
-    """Recompute the applied controls from the estimated trace (the
-    feedback law is deterministic given the estimates)."""
-    for k in range(num_steps):
-        mode_idx = trajectory_query(trajectory, "action", k)
-        yield track_step(
-            gains[mode_idx],
-            trajectory_query(trajectory, "mean", k),
-            trajectory_query(trajectory, "control", k),
-            est_trace.beliefs[k],
-            problem.system.control_domain,
-        )
 
 
 def main(argv=None) -> None:

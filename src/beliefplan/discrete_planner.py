@@ -7,8 +7,9 @@ CEGIS trace is reproducible. Counterexamples exclude (atomic, mode)
 sequence prefixes of plans whose continuous realization failed.
 
 A sequence is emitted only if some dwell assignment induces a word that
-satisfies the specification under the word monitor; the emitted dwell
-windows are tightened to the witnessed durations.
+satisfies the specification under the word monitor; each emitted dwell
+window is the least and greatest dwell of its segment over all
+satisfying assignments (see dwell_search).
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dynamics import SwitchedSystem
 from .formula import Atomic, atomic_label, atomic_propositions, horizon, monitor_dwells, monitor_word
 
-# Candidate dwell vectors checked per monitor_dwells call: large enough
-# to amortise the per-call set-up, small enough to keep the (rows x
-# positions) arrays, and the rows wasted past the first hit, small.
+# Dwell vectors checked per monitor_dwells call: large enough to
+# amortise the per-call set-up, small enough to keep the (rows x
+# positions) arrays small.
 CHUNK_ROWS = 64
 
 
@@ -155,86 +158,61 @@ def signature_word(signature, dwells) -> list:
 
 
 class WitnessDisagreementError(RuntimeError):
-    """The batched dwell search and the word monitor disagree on a
-    witness; this is a bug signal, never silently ignored."""
+    """The batched dwell search and the word monitor disagree on a dwell
+    vector the search reports; this is a bug signal, never silently
+    ignored."""
 
 
-class _DwellSearch:
-    """Existence and window tightening of dwell assignments for a fixed
-    (label, mode) sequence. A depth-first search fixes the leading
-    segments; at the deepest free segment every candidate dwell is
-    checked at once by monitor_dwells, CHUNK_ROWS rows per call."""
+def dwell_search(signature, f, cap):
+    """Dwell vectors of a (label, mode) signature whose word, at most
+    cap positions long, satisfies f: returns (witness, windows), the
+    lexicographically first such vector and each segment's [min, max]
+    dwell over all of them, or None when there is none.
 
-    def __init__(self, signature, f, max_positions):
-        self.signature = signature
-        self.f = f
-        self.cap = max_positions
-        self.k = len(signature)
-
-    def find(self, fixed=None) -> list | None:
-        """First satisfying assignment in lexicographic order, with the
-        optional constraint {segment index: dwell value}. A witness is
-        confirmed by the word monitor before it is returned."""
-        fixed = fixed or {}
-        if any(d < 1 for d in fixed.values()):
-            return None
-        # least[i]: smallest dwell segment i can take; after[i]: the
-        # smallest total of the segments behind it.
-        least = [fixed.get(i, 1) for i in range(self.k)]
-        after = [sum(least[i + 1:]) for i in range(self.k)]
-        free = [i for i in range(self.k) if i not in fixed]
-        deepest = free[-1] if free else self.k - 1
-        witness = self._dfs(0, [], fixed, after, deepest, least[deepest + 1:])
-        if witness is not None and not monitor_word(
-            self.f, signature_word(self.signature, witness)
-        ):
+    Lengthening the last segment extends the word, and an extension
+    never turns a True verdict False: the grammar has no negation and
+    monitor_dwells reads positions past a row's end as false. So for
+    leading dwells p the satisfying last dwells form the interval
+    [least(p), room(p)], room(p) = cap - sum(p), which is nonempty
+    exactly when p + [room(p)] satisfies. One pass over every p in
+    lexicographic order finds the feasible ones, and one bisection over
+    all of them at once finds least(p). The witness and one vector
+    realizing each window end are confirmed by the word monitor.
+    """
+    K = len(signature)
+    leads = (p for p in itertools.product(range(1, cap), repeat=K - 1) if sum(p) < cap)
+    feasible = []
+    while chunk := list(itertools.islice(leads, CHUNK_ROWS)):
+        rows = np.array([p + (cap - sum(p),) for p in chunk], dtype=np.int64)
+        feasible.extend(rows[monitor_dwells(f, signature, rows)])
+    if not feasible:
+        return None
+    longest = np.array(feasible)  # each feasible p with room(p)
+    fails = np.zeros(len(longest), dtype=np.int64)  # a last dwell known to fail (0: none)
+    least = longest[:, -1].copy()  # a last dwell known to hold
+    while (open_ := np.flatnonzero(least - fails > 1)).size:
+        rows = longest[open_].copy()
+        mid = (fails[open_] + least[open_]) // 2
+        rows[:, -1] = mid
+        sat = np.concatenate([
+            monitor_dwells(f, signature, rows[s : s + CHUNK_ROWS])
+            for s in range(0, len(rows), CHUNK_ROWS)
+        ])
+        least[open_[sat]] = mid[sat]
+        fails[open_[~sat]] = mid[~sat]
+    shortest = np.column_stack((longest[:, :-1], least))  # each feasible p with least(p)
+    # The first vector with the least dwell of segment 0 is the witness.
+    ends = {tuple(shortest[shortest[:, i].argmin()]) for i in range(K)}
+    ends |= {tuple(longest[longest[:, i].argmax()]) for i in range(K)}
+    for dwells in sorted(ends):
+        if not monitor_word(f, signature_word(signature, dwells)):
             raise WitnessDisagreementError(
-                f"dwells {witness} of {self.signature} pass the batched "
-                "search but fail the word monitor"
+                f"dwells {[int(d) for d in dwells]} of {signature} pass the "
+                "batched search but fail the word monitor"
             )
-        return witness
-
-    def _dfs(self, idx, prefix, fixed, after, deepest, tail):
-        room = self.cap - sum(prefix) - after[idx]  # largest dwell here
-        if idx in fixed:
-            candidates = [fixed[idx]] if fixed[idx] <= room else []
-        else:
-            candidates = range(1, room + 1)
-        if idx == deepest:
-            return self._first_row(prefix, candidates, tail)
-        for d in candidates:
-            hit = self._dfs(idx + 1, prefix + [d], fixed, after, deepest, tail)
-            if hit is not None:
-                return hit
-        return None
-
-    def _first_row(self, prefix, candidates, tail):
-        """First satisfying row of prefix + [d] + tail over candidates d,
-        in order."""
-        rows = [prefix + [d] + tail for d in candidates]
-        for start in range(0, len(rows), CHUNK_ROWS):
-            chunk = rows[start : start + CHUNK_ROWS]
-            sat = monitor_dwells(self.f, self.signature, chunk)
-            if sat.any():
-                return chunk[sat.argmax()]
-        return None
-
-    def windows(self, witness) -> list:
-        """Per-segment [min, max] dwell over satisfying assignments."""
-        out = []
-        for i in range(self.k):
-            lo = witness[i]
-            for d in range(1, witness[i]):
-                if self.find({i: d}) is not None:
-                    lo = d
-                    break
-            hi = witness[i]
-            for d in range(self.cap - (self.k - 1), witness[i], -1):
-                if self.find({i: d}) is not None:
-                    hi = d
-                    break
-            out.append((lo, hi))
-        return out
+    witness = [int(d) for d in shortest[0]]
+    windows = [(int(lo), int(hi)) for lo, hi in zip(shortest.min(axis=0), longest.max(axis=0))]
+    return witness, windows
 
 
 def bmc_next_candidate(
@@ -256,11 +234,10 @@ def bmc_next_candidate(
             )
             if cex.excludes(signature):
                 continue
-            search = _DwellSearch(signature, f, cap)
-            witness = search.find()
-            if witness is None:
+            found = dwell_search(signature, f, cap)
+            if found is None:
                 continue
-            windows = search.windows(witness)
+            _, windows = found
             segments = tuple(
                 PlanSegment(abs_.atomics[i], m, lo, hi)
                 for (i, m), (lo, hi) in zip(combo, windows)

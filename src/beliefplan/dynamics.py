@@ -111,6 +111,10 @@ def _parse_noise(text: str, dim: int):
         return node
 
     def factor():
+        # Unary minus binds looser than ^: -x0^2 == -(x0^2).
+        if peek() == ("op", "-"):
+            advance()
+            return ("neg", factor())
         node = base()
         if peek() == ("op", "^"):
             advance()
@@ -133,8 +137,6 @@ def _parse_noise(text: str, dim: int):
             if advance() != ("op", ")"):
                 raise ValueError("unbalanced parenthesis in noise expression")
             return node
-        if (kind, value) == ("op", "-"):
-            return ("neg", base())
         raise ValueError(f"unexpected token in noise expression: {value!r}")
 
     node = expr()

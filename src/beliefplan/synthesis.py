@@ -53,27 +53,22 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class SolutionTrajectory:
-    """Realized belief trajectory: T+1 beliefs, T modes, T controls,
-    and the belief index at which each plan segment starts."""
+class SolutionTrajectory(Trace):
+    """Belief trajectory with the T controls applied between its T+1
+    beliefs and the belief index at which each plan segment starts; the
+    trace monitor accepts it as it is."""
 
-    beliefs: tuple
-    modes: tuple
     controls: tuple
     segment_boundaries: tuple
 
     def __post_init__(self):
-        if len(self.modes) != len(self.beliefs) - 1:
-            raise ValueError("need len(modes) == len(beliefs) - 1")
+        super().__post_init__()
         if len(self.controls) != len(self.modes):
             raise ValueError("need one control per step")
 
     @property
     def num_steps(self) -> int:
         return len(self.modes)
-
-    def as_trace(self) -> Trace:
-        return Trace(self.beliefs, self.modes)
 
 
 def trajectory_query(t: SolutionTrajectory, kind: str, k: int):
@@ -219,7 +214,7 @@ def solve(
         trajectory = outcome[1]
         _warn_on_uncertainty_growth(trajectory.beliefs)
         try:
-            verified = monitor(problem.formula, trajectory.as_trace(), 0)
+            verified = monitor(problem.formula, trajectory, 0)
         except InsufficientTraceError:
             verified = False
         if not verified:

@@ -26,7 +26,6 @@ from .dynamics import (
     sample_observation,
     step_truth,
 )
-from .formula import Trace
 from .gaussian import BeliefState
 from .geometry import Polytope, polytope_contains
 from .synthesis import SolutionTrajectory, trajectory_query
@@ -93,10 +92,12 @@ def simulate(
 ):
     """Track the reference for num_steps against the real system.
 
-    Returns (estimated Trace, true state sequence). The estimate starts
-    at the reference initial belief; each step applies the feedback law,
-    advances the truth through real_sys, draws an observation from the
-    planner's model at the true state, and filters.
+    Returns (estimated trajectory, true state sequence). The estimate
+    starts at the reference initial belief; each step applies the
+    feedback law, advances the truth through real_sys, draws an
+    observation from the planner's model at the true state, and filters.
+    The estimated trajectory carries the applied controls and the
+    reference's segment boundaries up to num_steps.
     """
     if num_steps > ref.num_steps:
         raise ValueError(
@@ -110,6 +111,7 @@ def simulate(
     x = np.asarray(real_x0, dtype=float).reshape(-1)
     est_beliefs = [est]
     modes = []
+    controls = []
     xs = [x]
     for k in range(num_steps):
         mode_idx = trajectory_query(ref, "action", k)
@@ -129,5 +131,7 @@ def simulate(
             est = kalman_update(mode, est, y)
         est_beliefs.append(est)
         modes.append(mode_idx)
+        controls.append(u)
         xs.append(x)
-    return Trace(tuple(est_beliefs), tuple(modes)), xs
+    boundaries = tuple(b for b in ref.segment_boundaries if b <= num_steps)
+    return SolutionTrajectory(tuple(est_beliefs), tuple(modes), tuple(controls), boundaries), xs

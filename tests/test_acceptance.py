@@ -87,7 +87,7 @@ def test_criterion_01_lightdark_end_to_end(lightdark, solutions):
             continue
         t = res.trajectory
         assert t.num_steps <= 281
-        assert monitor(problem.formula, t.as_trace(), 0) is True
+        assert monitor(problem.formula, t, 0) is True
         # the final plan segment is the target hold; its entry index
         # starts the >= 41 positions that must sit in the target cone
         target_start = t.segment_boundaries[-1]

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -7,12 +8,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from beliefplan import cli
+from beliefplan import cli, discrete_planner
 from beliefplan.cli import (
     EXIT_FORMULA,
     EXIT_INTERNAL,
@@ -30,7 +32,7 @@ from beliefplan.dynamics import IllConditionedUpdateError
 from beliefplan.formula import FormulaSyntaxError
 from beliefplan.gaussian import DomainError
 from beliefplan.geometry import DegeneratePolytopeError
-from beliefplan.synthesis import InternalConsistencyError
+from beliefplan.synthesis import InternalConsistencyError, solve
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.abspath(os.path.join(HERE, os.pardir, "src"))
@@ -126,6 +128,43 @@ def test_load_bad_covariance_is_numeric(tmp_path):
     doc["initial"]["cov"] = [[-1.0, 0.0], [0.0, 0.1]]
     with pytest.raises(NumericError, match="initial.cov"):
         load_problem(_write(tmp_path, doc))
+
+
+@pytest.mark.parametrize(
+    "R",
+    [
+        [[0.0, 0.0], [0.0, 0.05]],  # singular
+        [[0.05, 0.01], [0.0, 0.05]],  # not symmetric
+        [[-0.05, 0.0], [0.0, 0.05]],  # indefinite
+        [[1.0, 0.0], [0.0, 1e-20]],  # singular to lqr_gains' rank test
+    ],
+)
+def test_load_bad_lqr_R_is_numeric(tmp_path, R):
+    doc = _base_doc()
+    doc["simulation"]["lqr"]["R"] = R
+    with pytest.raises(NumericError, match=r"lqr\.R"):
+        load_problem(_write(tmp_path, doc))
+
+
+def test_load_huge_lqr_horizon_is_schema_error(tmp_path):
+    doc = _base_doc()
+    doc["simulation"]["lqr"]["horizon"] = cli.MAX_LQR_HORIZON + 1
+    with pytest.raises(SchemaError, match=r"lqr\.horizon"):
+        load_problem(_write(tmp_path, doc))
+
+
+def test_load_nonfinite_matrix_is_numeric(tmp_path):
+    doc = _base_doc()
+    doc["simulation"]["real_modes"][0]["A"][0][0] = float("inf")
+    with pytest.raises(NumericError, match=r"real_modes\[0\]\.A"):
+        load_problem(_write(tmp_path, doc))
+
+
+def test_overflowing_tracked_execution_is_numeric(tmp_path):
+    doc = _small_doc()
+    doc["simulation"]["real_modes"][0]["A"] = [[1e200]]
+    with pytest.raises(NumericError, match="failed numerically"):
+        run(["--problem", _write(tmp_path, doc), "--out", str(tmp_path / "out")])
 
 
 def test_load_formula_error(tmp_path):
@@ -330,6 +369,18 @@ def test_main_maps_search_errors_to_exit_codes(tmp_path, monkeypatch, capsys, er
     assert "Traceback" not in err
 
 
+def test_rejected_dwell_vector_exits_internal(tmp_path, monkeypatch, capsys):
+    """A dwell vector the search reports but discrete_planner.monitor_word
+    rejects ends the run with exit 5 and no traceback."""
+    monkeypatch.setattr(discrete_planner, "monitor_word", lambda f, word: False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, _small_doc()), "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "fail the word monitor" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_formula(tmp_path):
     doc = _small_doc()
     doc["formula"] = "G[5,2] (safe)"
@@ -342,6 +393,14 @@ def test_exit_code_numeric(tmp_path):
     doc["initial"]["mean"] = [0.0, 0.0]
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_NUMERIC, r.stderr
+
+
+def test_exit_code_numeric_singular_lqr_R(tmp_path):
+    doc = _small_doc()
+    doc["simulation"]["lqr"]["R"] = [[0.0]]
+    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_NUMERIC, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_exit_code_validate_ok(tmp_path):
@@ -379,14 +438,31 @@ _EXTREMES = [0, -1, 1, 0.5, -0.5, 1e-320, 1e308, -1e308, float("nan"), float("in
 _TEXT_NUMBERS = ["0", "-1", "1e999", "1e-999", "99999999999999999999", "0.5", "nan"]
 
 
+def _scalars(parent, key):
+    """(parent, key) of every scalar at or below parent[key]."""
+    node = parent[key]
+    if isinstance(node, (dict, list)):
+        for k in (node if isinstance(node, dict) else range(len(node))):
+            yield from _scalars(node, k)
+    else:
+        yield parent, key
+
+
 @st.composite
-def _mutated_lightdark(draw):
+def _mutated_lightdark(draw, section=None):
     """problems/lightdark.json with one to three mutations, each at a
     path found by walking down from the root: drop the field or item,
     give it another JSON type, reshape it, or set an out-of-range value
-    (for a string, a number inside it)."""
+    (for a string, a number inside it). With a top-level section, each
+    mutation instead sets one of that section's scalars, drawn evenly,
+    to an out-of-range value, so deep numbers are reached as often as
+    shallow ones."""
     doc = _base_doc()
     for _ in range(draw(st.integers(1, 3))):
+        if section is not None:
+            parent, key = draw(st.sampled_from(list(_scalars(doc, section))))
+            parent[key] = draw(st.sampled_from(_EXTREMES))
+            continue
         parent, key = None, None
         node = doc
         while isinstance(node, (dict, list)) and len(node) and (parent is None or draw(st.booleans())):
@@ -427,5 +503,30 @@ def test_fuzzed_lightdark_exits_with_documented_code(doc):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
             cli.main(["--problem", path, "--validate-only"])
+    assert exc.value.code in DOCUMENTED_EXIT_CODES, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@functools.cache
+def _lightdark_result():
+    problem, params, k_max, seed, _ = load_problem(LIGHTDARK)
+    return solve(problem, params, k_max=k_max, rng=np.random.default_rng(seed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_mutated_lightdark(section="simulation"))
+def test_fuzzed_simulation_block_exits_with_documented_code(doc):
+    """A full run with mutated simulation scalars, on a fixed light-dark
+    solution, ends with a documented exit code and no traceback, whether
+    load_problem rejects the block or the tracking stage fails."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        fixed = mock.patch.object(cli, "solve", lambda *args, **kwargs: _lightdark_result())
+        with fixed, contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.main(["--problem", path, "--out", os.path.join(tmp, "out")])
     assert exc.value.code in DOCUMENTED_EXIT_CODES, err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -34,6 +34,23 @@ def test_scalar_expression():
     assert e([3.0, 7.0]) == pytest.approx(0.1 * 4 + 0.001)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("-x0^2", -9.0),  # unary minus binds looser than ^
+        ("1 + -x0^2", -8.0),
+        ("1 - x0^2", -8.0),
+        ("(-x0)^2", 9.0),
+        ("-x0*2", -6.0),
+        ("2*-x0^2", -18.0),
+        ("--x0", 3.0),
+        ("-2^2 + x0", -1.0),
+    ],
+)
+def test_scalar_expression_unary_minus(text, value):
+    assert ScalarExpression(text, 1)([3.0]) == value
+
+
 def test_scalar_expression_errors():
     with pytest.raises(ValueError):
         ScalarExpression("x9", 2)

@@ -3,15 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
+from beliefplan import discrete_planner
 from beliefplan.discrete_planner import (
     Abstraction,
     CounterexampleStore,
     DiscretePlan,
     PlanSegment,
-    _DwellSearch,
+    WitnessDisagreementError,
     abstract,
     add_counterexample,
     bmc_next_candidate,
+    dwell_search,
     signature_word,
     word_of,
 )
@@ -21,7 +23,9 @@ from beliefplan.formula import (
     Until,
     always,
     atomic_label,
+    atomic_propositions,
     horizon,
+    monitor_dwells,
     monitor_word,
     parse_formula,
 )
@@ -32,6 +36,8 @@ from beliefplan.geometry import (
     ProbabilisticLinearPredicate,
     box_polytope,
 )
+
+from oracles import random_formula
 
 
 def _atomic(name, modes=None):
@@ -214,12 +220,96 @@ def test_bmc_windows_match_bruteforce_bounds():
                 for dwells in itertools.product(range(1, cap + 1), repeat=K)
                 if sum(dwells) <= cap and monitor_word(f, signature_word(plan.signature(), dwells))
             )
-            assert _DwellSearch(plan.signature(), f, cap).find() == first
+            assert dwell_search(plan.signature(), f, cap)[0] == first
             for i, seg in enumerate(plan.segments):
                 feasible = [d for d in range(1, cap + 1) if _exists_assignment(plan, f, i, d, cap)]
                 assert (seg.dwell_min, seg.dwell_max) == (feasible[0], feasible[-1])
             add_counterexample(cex, plan.signature())
     assert sizes == {1, 2, 3}
+
+
+def _random_case(rng):
+    """A random formula of horizon at most 13 (atomics with and without
+    mode sets) and a signature of one to three segments over its first
+    two labels, padded with a label no atomic has."""
+    f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
+    while horizon(f) > 13:
+        f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
+    labels = [atomic_label(a) for a in atomic_propositions(f)][:2]
+    labels += ["other"] * (2 - len(labels))
+    K = int(rng.integers(1, 4))
+    return f, tuple((labels[int(rng.integers(2))], int(rng.integers(2))) for _ in range(K))
+
+
+def test_dwell_search_matches_exhaustive_enumeration():
+    """The witness is the lexicographically first satisfying dwell
+    vector and each window the least and greatest dwell of its segment
+    over all of them, against every vector of at most cap positions,
+    for at least 400 random cases with 30 satisfiable ones per K."""
+    rng = np.random.default_rng(2606)
+    cases, satisfiable = 0, {1: 0, 2: 0, 3: 0}
+    while cases < 400 or min(satisfiable.values()) < 30:
+        f, signature = _random_case(rng)
+        cap, K = horizon(f) + 1, len(signature)
+        vectors = np.array(
+            [d for d in itertools.product(range(1, cap + 1), repeat=K) if sum(d) <= cap]
+        ).reshape(-1, K)
+        sat = vectors[monitor_dwells(f, signature, vectors)] if len(vectors) else vectors
+        found = dwell_search(signature, f, cap)
+        if len(sat) == 0:
+            assert found is None
+        else:
+            witness, windows = found
+            assert witness == sat[0].tolist()
+            assert windows == list(zip(sat.min(axis=0).tolist(), sat.max(axis=0).tolist()))
+            satisfiable[K] += 1
+        cases += 1
+    assert cases < 3000
+
+
+def test_monitor_dwells_is_monotone_in_the_last_dwell():
+    """Lengthening the last segment never turns a True verdict False,
+    the fact dwell_search rests on: over last dwells 1 to cap + 2 after
+    random leading dwells, the verdicts never fall."""
+    rng = np.random.default_rng(1606)
+    rises = {False: 0, True: 0}  # by whether some atomic has a mode set
+    for _ in range(600):
+        f, signature = _random_case(rng)
+        cap, K = horizon(f) + 1, len(signature)
+        last = np.arange(1, cap + 3)
+        lead = np.repeat(rng.integers(1, cap // K + 2, size=(1, K - 1)), len(last), axis=0)
+        verdicts = monitor_dwells(f, signature, np.column_stack((lead, last)))
+        assert np.all(verdicts[1:] >= verdicts[:-1]), (f, signature, lead[0])
+        if verdicts[-1] and not verdicts[0]:
+            rises[any(a.modes is not None for a in atomic_propositions(f))] += 1
+    assert rises[True] >= 10 and rises[False] >= 3, rises
+
+
+def test_dwell_search_confirms_reported_vectors_with_word_monitor(monkeypatch):
+    """discrete_planner.monitor_word accepts the witness and, for each
+    end of each window, a vector whose dwell there is that end; a
+    rejection raises WitnessDisagreementError."""
+    a, b = _atomic("a"), _atomic("b")
+    f = Until(a, always(0, 2, b, state_dim=1), 0, 5)
+    signature, cap = (("a", 0), ("b", 0)), horizon(f) + 1
+    confirmed = []
+
+    def recording(g, word):
+        verdict = monitor_word(g, word)
+        if verdict:
+            confirmed.append([len(list(run)) for _, run in itertools.groupby(word)])
+        return verdict
+
+    monkeypatch.setattr(discrete_planner, "monitor_word", recording)
+    witness, windows = dwell_search(signature, f, cap)
+    assert windows == [(1, 5), (3, 7)]
+    assert witness in confirmed
+    for i, window in enumerate(windows):
+        for end in window:
+            assert any(d[i] == end for d in confirmed), (i, end)
+    monkeypatch.setattr(discrete_planner, "monitor_word", lambda g, word: False)
+    with pytest.raises(WitnessDisagreementError):
+        dwell_search(signature, f, cap)
 
 
 def test_bmc_exhaustion_returns_none():

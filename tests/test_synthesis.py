@@ -67,7 +67,7 @@ def test_solve_reach_and_hold():
     assert res.ok
     t = res.trajectory
     assert t.num_steps <= 26
-    assert monitor(problem.formula, t.as_trace(), 0) is True
+    assert monitor(problem.formula, t, 0) is True
     # plan and log shape
     assert res.plan is not None
     assert res.candidate_log[-1]["outcome"] == "success"
@@ -80,7 +80,7 @@ def test_solve_trajectory_satisfies_monitor_always_formula():
     )
     res = solve(problem, _params(), k_max=2, rng=np.random.default_rng(2))
     assert res.ok
-    assert monitor(problem.formula, res.trajectory.as_trace(), 0) is True
+    assert monitor(problem.formula, res.trajectory, 0) is True
     assert res.trajectory.num_steps <= 11
 
 

@@ -114,6 +114,25 @@ def test_simulate_pulls_back_offset_start():
     assert end_err < 0.1 * start_err
 
 
+def test_simulate_returns_the_applied_controls():
+    """The estimated trajectory carries, bit for bit, the feedback
+    control applied at each step, and the reference's segment
+    boundaries up to the simulated length."""
+    sys, ref = _straight_reference(12, observed=True)
+    ref = SolutionTrajectory(ref.beliefs, ref.modes, ref.controls, (0, 6, 10))
+    gains = {0: lqr_gains(sys.modes[0], 5, np.eye(2), np.eye(2), 0.05 * np.eye(2))}
+    real = SwitchedSystem((_mode(W=0.01 * np.eye(2)),), sys.control_domain)
+    est, _xs = simulate(sys, real, ref, [0.1, -0.1], 8, gains, np.random.default_rng(3))
+    assert isinstance(est, SolutionTrajectory)
+    assert est.num_steps == len(est.controls) == 8
+    assert est.segment_boundaries == (0, 6)
+    for k, u in enumerate(est.controls):
+        expected = track_step(
+            gains[0], ref.beliefs[k].mean, ref.controls[k], est.beliefs[k], sys.control_domain
+        )
+        assert np.array_equal(u, expected)
+
+
 def test_simulate_validates_inputs():
     sys, ref = _straight_reference(5)
     gains = {0: lqr_gains(sys.modes[0], 5, np.eye(2), np.eye(2), 0.05 * np.eye(2))}
