@@ -5,7 +5,6 @@ from .gaussian import (
     BeliefState,
     DomainError,
     InvalidCovarianceError,
-    cached_quantile,
     make_belief,
     std_normal_cdf,
     std_normal_quantile,
@@ -22,10 +21,8 @@ from .geometry import (
     cone_contains,
     cone_contains_stack,
     cone_margin,
-    eval_linear,
     polytope_contains,
     polytope_sample,
-    region_from_predicates,
 )
 from .formula import (
     And,

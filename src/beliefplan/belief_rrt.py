@@ -262,17 +262,13 @@ def _cone_mean_box(cone: BeliefCone, center: np.ndarray) -> tuple:
     n = center.shape[0]
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
-    for pred in cone.constraints:
-        h = pred.expr.h
-        nz = np.nonzero(h)[0]
-        if nz.size != 1:
-            continue  # non-axis constraints do not tighten the box
-        j = nz[0]
-        bound = -pred.expr.c / h[j]
-        if h[j] > 0:
-            hi[j] = min(hi[j], bound)
-        else:
-            lo[j] = max(lo[j], bound)
+    axis_rows = np.count_nonzero(cone.H, axis=1) == 1  # others do not tighten the box
+    H = cone.H[axis_rows]
+    j = np.nonzero(H)[1]
+    h = H[H != 0]
+    bound = -cone.c[axis_rows] / h
+    np.minimum.at(hi, j[h > 0], bound[h > 0])
+    np.maximum.at(lo, j[h < 0], bound[h < 0])
     lo = np.where(np.isfinite(lo), lo, center - _BOX_CLIP)
     hi = np.where(np.isfinite(hi), hi, center + _BOX_CLIP)
     hi = np.maximum(hi, lo)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import BeliefState, checked_cov, make_belief
-from .geometry import Polytope
+from .geometry import Polytope, polytope_contains
 
 _CONDITION_LIMIT = 1e12
 
@@ -265,6 +265,8 @@ class SwitchedSystem:
             )
         if self.control_domain.vertices is None:
             raise ValueError("control domain needs a V-representation")
+        if not polytope_contains(self.control_domain, np.zeros(m)):
+            raise ValueError("control domain must contain 0, the control of a goal dwell")
         object.__setattr__(self, "modes", modes)
 
     @property

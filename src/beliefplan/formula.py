@@ -243,26 +243,14 @@ def _walk_atomics(f):
 # Atomic classification and labels
 # ---------------------------------------------------------------------------
 
-def _split_constraints(a: Atomic):
-    """Partition cone constraints into constant (zero h) and
-    state-dependent ones."""
-    const, state = [], []
-    for p in a.cone.constraints:
-        (const if not np.any(p.expr.h) else state).append(p)
-    return const, state
-
-
-def _constant_part_holds(a: Atomic) -> bool:
-    const, _ = _split_constraints(a)
-    return all(p.expr.c <= CONTAINMENT_TOL for p in const)
-
-
 def is_trivially_true(a: Atomic) -> bool:
     return not a.cone.constraints and a.modes is None
 
 
 def is_trivially_false(a: Atomic) -> bool:
-    return not _constant_part_holds(a)
+    """Some constant constraint (a zero row of the cone) fails."""
+    H, c = a.cone.H, a.cone.c
+    return bool(np.any(c[~H.any(axis=1)] > CONTAINMENT_TOL))
 
 
 def atomic_label(a: Atomic) -> str:
@@ -455,7 +443,7 @@ def monitor_word(f, word) -> bool:
     modes = np.array([int(m) for _, m in word[:-1]], dtype=np.int64)
 
     def holds(a):
-        if not _split_constraints(a)[1]:  # no state-dependent constraint
+        if not a.cone.H.any():  # no constraint reads the state
             return np.ones(len(labels), dtype=bool)
         label = atomic_label(a)
         return np.fromiter((label in ls for ls in labels), bool, len(labels))
@@ -497,7 +485,7 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
     def atom(a):
         if is_trivially_false(a):
             return np.zeros((B, L), dtype=bool)
-        label = atomic_label(a) if _split_constraints(a)[1] else None
+        label = atomic_label(a) if a.cone.H.any() else None
         truth = np.array([label is None or label == lb for lb in labels] + [False])
         allowed = np.array(
             [a.modes is None or m in a.modes.modes for m in modes] + [True]

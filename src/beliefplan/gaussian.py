@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -145,9 +144,3 @@ def std_normal_quantile(p: float) -> float:
     x = x - u / (1.0 + 0.5 * x * u)
     return x
 
-
-@lru_cache(maxsize=256)
-def cached_quantile(p: float) -> float:
-    """Memoized quantile; cone-margin evaluation hits the same epsilon
-    values millions of times during planning."""
-    return std_normal_quantile(p)

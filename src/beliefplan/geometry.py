@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import BeliefState, cached_quantile
+from .gaussian import BeliefState, std_normal_quantile
 
 CONTAINMENT_TOL = 1e-12
 _MAX_REJECTIONS = 10 ** 6
@@ -76,58 +76,81 @@ class DiscretePredicate:
 
 @dataclass(frozen=True)
 class Polytope:
-    """Intersection of closed halfspaces, with optional vertex list."""
+    """Intersection of closed halfspaces, with optional vertex list.
+
+    Construction stacks the halfspaces into read-only H (k, m) and c
+    (k,), and keeps the vertex bounding box as box = (lo, hi)."""
 
     halfspaces: tuple
     vertices: tuple | None = None
+    H: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    box: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hs = tuple(self.halfspaces)
         object.__setattr__(self, "halfspaces", hs)
+        _stack_rows(self, [mu.h for mu in hs], [mu.c for mu in hs])
+        box = None
         if self.vertices is not None:
             vs = tuple(np.asarray(v, dtype=float).reshape(-1) for v in self.vertices)
-            for v in vs:
-                for mu in hs:
-                    if eval_linear(mu, v) > 1e-9:
-                        raise ValueError(
-                            f"vertex {v} violates halfspace (residual "
-                            f"{eval_linear(mu, v):g})"
-                        )
+            worst = (np.vecdot(np.stack(vs)[:, None, :], self.H) + self.c).max(axis=1)
+            if np.any(worst > 1e-9):
+                i = worst.argmax()
+                raise ValueError(f"vertex {vs[i]} violates halfspace (residual {worst[i]:g})")
             object.__setattr__(self, "vertices", vs)
+            box = (_read_only(np.min(vs, axis=0)), _read_only(np.max(vs, axis=0)))
+        object.__setattr__(self, "box", box)
 
     @property
     def dim(self) -> int:
-        return self.halfspaces[0].dim
+        return self.H.shape[1]
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Axis-aligned bounding box of the vertex set."""
-        if self.vertices is None:
+        if self.box is None:
             raise ValueError("polytope has no V-representation")
-        pts = np.stack(self.vertices)
-        return pts.min(axis=0), pts.max(axis=0)
+        return self.box
 
 
 @dataclass(frozen=True)
 class BeliefCone:
-    """Conjunction of probabilistic linear predicates over beliefs."""
+    """Conjunction of probabilistic linear predicates over beliefs.
+
+    Construction stacks the constraints into read-only H (k, n) and c
+    (k,), with quantile (k,) holding each row's Phi^{-1}(1 - epsilon),
+    +inf where epsilon = 0. The empty cone has H of shape (0, 0)."""
 
     constraints: tuple = field(default_factory=tuple)
+    H: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    quantile: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        preds = tuple(self.constraints)
+        object.__setattr__(self, "constraints", preds)
+        if len({p.expr.dim for p in preds}) > 1:
+            raise ValueError("predicates have mixed state dimensions")
+        _stack_rows(self, [p.expr.h for p in preds], [p.expr.c for p in preds])
+        q = [std_normal_quantile(1.0 - p.epsilon) if p.epsilon else math.inf for p in preds]
+        object.__setattr__(self, "quantile", _read_only(np.array(q, dtype=float)))
 
 
-def eval_linear(expr: LinearExpression, x) -> float:
-    """Evaluate h.x + c."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != expr.dim:
-        raise ValueError(f"dimension mismatch: expression {expr.dim}, point {x.shape[0]}")
-    return float(expr.h @ x + expr.c)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _stack_rows(obj, hs, cs) -> None:
+    """Set obj.H and obj.c, read-only, to the stacked rows h.x + c."""
+    object.__setattr__(obj, "H", _read_only(np.stack(hs) if hs else np.zeros((0, 0))))
+    object.__setattr__(obj, "c", _read_only(np.array(cs, dtype=float)))
 
 
 def polytope_contains(P: Polytope, x) -> bool:
     """Membership with absolute tolerance 1e-12 on each halfspace."""
-    return all(eval_linear(mu, x) <= CONTAINMENT_TOL for mu in P.halfspaces)
+    x = np.asarray(x, dtype=float).reshape(-1)
+    return bool((np.vecdot(x, P.H) + P.c <= CONTAINMENT_TOL).all())
 
 
 def polytope_sample(P: Polytope, rng: np.random.Generator) -> np.ndarray:
@@ -165,45 +188,30 @@ def cone_margin(pred: ProbabilisticLinearPredicate, b: BeliefState) -> float:
     direction h carries no variance, in which case the deterministic
     margin h.mean + c is returned.
     """
-    return float(_margin(pred, b.mean, b.cov))
+    return float(_margins(BeliefCone((pred,)), b.mean[None], b.cov[None])[0, 0])
 
 
-def _margin(pred: ProbabilisticLinearPredicate, mean, cov):
-    """cone_margin at one belief, or at each belief of a stack.
-    vecdot and a vector-matrix product give the same bits per row as
-    the 1-D dot products of a single belief."""
-    h = pred.expr.h
-    base = np.vecdot(mean, h) + pred.expr.c
-    q = np.vecdot(h @ cov, h)
-    q = np.maximum(q, 0.0) if q.ndim else max(q, 0.0)  # clip PSD rounding noise
-    if pred.epsilon == 0.0:
-        return np.where(q == 0.0, base, math.inf)
-    return base + cached_quantile(1.0 - pred.epsilon) * np.sqrt(q)
+def _margins(cone: BeliefCone, means, covs) -> np.ndarray:
+    """(B, k) margins of each belief of a stack, (B, n) means and
+    (B, n, n) covariances, against each row of the cone. vecdot over
+    rows and a stack of vector-matrix products give the same bits per
+    row as the 1-D products of one constraint at one belief."""
+    H = cone.H
+    if H.shape[0] == 0:
+        return np.zeros((means.shape[0], 0))
+    base = np.vecdot(means[:, None, :], H) + cone.c
+    q = np.vecdot((H[:, None, None, :] @ covs)[:, :, 0, :], H[:, None, :]).T
+    q = np.maximum(q, 0.0)  # clip PSD rounding noise
+    # epsilon = 0 rows: +inf spread, or none on a zero-variance direction.
+    return base + np.where(q > 0.0, cone.quantile, 0.0) * np.sqrt(q)
 
 
 def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
     """Conjunction of cone_margin <= tol over all constraints."""
-    return all(cone_margin(p, b) <= CONTAINMENT_TOL for p in cone.constraints)
+    return bool(cone_contains_stack(cone, b.mean[None], b.cov[None])[0])
 
 
 def cone_contains_stack(cone: BeliefCone, means, covs) -> np.ndarray:
-    """cone_contains for each belief of a stack: (k, n) means and
-    (k, n, n) covariances give a (k,) mask."""
-    inside = np.ones(means.shape[0], dtype=bool)
-    for p in cone.constraints:
-        inside &= _margin(p, means, covs) <= CONTAINMENT_TOL
-    return inside
-
-
-def region_from_predicates(preds) -> BeliefCone:
-    """Cone equal to the conjunction of the given predicates.
-
-    An empty list yields the whole belief space (always contains).
-    """
-    preds = tuple(preds)
-    if preds:
-        dim = preds[0].expr.dim
-        for p in preds:
-            if p.expr.dim != dim:
-                raise ValueError("predicates have mixed state dimensions")
-    return BeliefCone(preds)
+    """cone_contains for each belief of a stack: (B, n) means and
+    (B, n, n) covariances give a (B,) mask."""
+    return (_margins(cone, means, covs) <= CONTAINMENT_TOL).all(axis=1)

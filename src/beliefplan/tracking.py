@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief_rrt import InternalConsistencyError
 from .dynamics import (
     SwitchedSystem,
     SystemMode,
@@ -72,13 +73,24 @@ def track_step(
     control_domain: Polytope,
 ) -> np.ndarray:
     """u = ref_control - K_0 (mean - ref_mean), clamped coordinate-wise
-    into the control domain's bounding box."""
+    into the control domain's bounding box. A clamped control still
+    outside the domain (possible when the domain is not a box) is pulled
+    back along the segment toward ref_control, to its last point inside.
+    Raises InternalConsistencyError when ref_control is itself outside."""
     u = ref_control - gains.K_seq[0] @ (est.mean - ref_mean)
     lo, hi = control_domain.bounding_box()
     u = np.minimum(np.maximum(u, lo), hi)
-    if not polytope_contains(control_domain, u):
-        raise ValueError("clamped control left the control domain")
-    return u
+    if polytope_contains(control_domain, u):
+        return u
+    if not polytope_contains(control_domain, ref_control):
+        raise InternalConsistencyError(
+            f"reference control {ref_control} lies outside the control domain"
+        )
+    H, c = control_domain.H, control_domain.c
+    slack = -(H @ ref_control + c)
+    rise = H @ (u - ref_control)
+    t = np.min(slack[rise > 0] / rise[rise > 0], initial=1.0)
+    return ref_control + max(t, 0.0) * (u - ref_control)
 
 
 def simulate(

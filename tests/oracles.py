@@ -9,7 +9,7 @@ import numpy as np
 
 from beliefplan.dynamics import propagate_mlo
 from beliefplan.formula import And, Atomic, Or, Release, Until
-from beliefplan.gaussian import make_belief
+from beliefplan.gaussian import make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
     DiscretePredicate,
@@ -249,3 +249,28 @@ def list_rrt_extend(mode, belief, target_point, horizon, stay, control_domain, r
             best_dist = dist
             best = (u, tuple(beliefs))
     return best, exits
+
+
+# ---------------------------------------------------------------------------
+# Per-constraint references for the stacked cone and polytope arrays: one
+# constraint at one belief, or one halfspace at one point, at a time,
+# through the 1-D products whose bits the stacked arrays must reproduce.
+# ---------------------------------------------------------------------------
+
+def list_cone_margin(pred, mean, cov):
+    """h.mean + c + Phi^{-1}(1 - eps) sqrt(h' cov h); with eps = 0 it is
+    h.mean + c on a direction without variance and +inf otherwise."""
+    h = pred.expr.h
+    base = np.vecdot(mean, h) + pred.expr.c
+    q = max(np.vecdot(h @ cov, h), 0.0)
+    if pred.epsilon == 0.0:
+        return base if q == 0.0 else math.inf
+    return base + std_normal_quantile(1.0 - pred.epsilon) * np.sqrt(q)
+
+
+def list_cone_contains(cone, mean, cov):
+    return all(list_cone_margin(p, mean, cov) <= 1e-12 for p in cone.constraints)
+
+
+def list_polytope_contains(P, x):
+    return all(float(mu.h @ x + mu.c) <= 1e-12 for mu in P.halfspaces)

@@ -252,6 +252,40 @@ def test_load_vertices_hull_2d(tmp_path):
     assert not polytope_contains(P, [1.1, 0.0])
 
 
+def test_control_domain_without_zero_exits_numeric(tmp_path, capsys):
+    """A goal dwell applies u = 0, so the control domain must contain 0."""
+    doc = _base_doc()
+    doc["control_domain"] = {"box": [[-1.0, 1.0], [-1.0, -0.01]]}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, doc), "--validate-only"])
+    assert exc.value.code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "must contain 0" in err
+    assert "Traceback" not in err
+
+
+def test_triangle_control_domain_tracks_inside_the_domain(tmp_path, capsys):
+    """Feedback controls clamped to the triangle's bounding box leave the
+    triangle; tracking pulls them back, and the run completes."""
+    doc = _base_doc()
+    doc["control_domain"] = {"vertices": [[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]]}
+    doc["simulation"]["real_x0"] = [1.5, 2.0]
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", path, "--seed", "0", "--out", str(out)])
+    assert exc.value.code == EXIT_SOLUTION, capsys.readouterr().err
+    from beliefplan.geometry import polytope_contains
+
+    domain = load_problem(path)[0].system.control_domain
+    lines = (out / "simulation.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    cols = [header.index("control0"), header.index("control1")]
+    controls = [[float(row.split(",")[j]) for j in cols] for row in lines[2:-1]]
+    assert controls
+    assert all(polytope_contains(domain, u) for u in controls)
+
+
 # ---------------------------------------------------------------------------
 # run / exit codes
 # ---------------------------------------------------------------------------

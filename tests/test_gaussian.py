@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from beliefplan.gaussian import (
     BeliefState,
     InvalidCovarianceError,
-    cached_quantile,
     make_belief,
     std_normal_cdf,
     std_normal_quantile,
@@ -91,8 +90,3 @@ def test_quantile_domain_errors():
 @given(st.floats(min_value=1e-6, max_value=1 - 1e-6))
 def test_quantile_cdf_roundtrip(p):
     assert abs(std_normal_cdf(std_normal_quantile(p)) - p) <= 1e-9
-
-
-def test_cached_quantile_matches():
-    for p in (0.9, 0.95, 0.99, 0.999):
-        assert cached_quantile(p) == std_normal_quantile(p)

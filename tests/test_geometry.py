@@ -2,29 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from beliefplan.gaussian import make_belief, std_normal_quantile
+from beliefplan.gaussian import frozen_belief, make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
     DiscretePredicate,
     LinearExpression,
     Polytope,
     ProbabilisticLinearPredicate,
+    _margins,
     box_polytope,
     cone_contains,
+    cone_contains_stack,
     cone_margin,
-    eval_linear,
     polytope_contains,
     polytope_sample,
-    region_from_predicates,
 )
+from oracles import list_cone_contains, list_cone_margin, list_polytope_contains
 
 
-def test_eval_linear():
-    expr = LinearExpression([2.0, -1.0], 3.0)
-    assert eval_linear(expr, [1.0, 1.0]) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        eval_linear(expr, [1.0])
+def _pred(h, c, eps):
+    return ProbabilisticLinearPredicate(LinearExpression(h, c), eps)
 
 
 def test_linear_expression_validation():
@@ -108,7 +107,7 @@ def test_cone_contains_conjunction():
         ProbabilisticLinearPredicate(LinearExpression([1.0], -2.0), 0.05),
         ProbabilisticLinearPredicate(LinearExpression([-1.0], -2.0), 0.05),
     ]
-    cone = region_from_predicates(preds)
+    cone = BeliefCone(preds)
     tight = make_belief([0.0], [[1e-4]])
     wide = make_belief([0.0], [[4.0]])
     assert cone_contains(cone, tight)
@@ -117,13 +116,102 @@ def test_cone_contains_conjunction():
 
 def test_empty_cone_contains_everything():
     assert cone_contains(BeliefCone(), make_belief([100.0], [[50.0]]))
+    means = np.array([[100.0, -3.0], [0.0, 0.0]])
+    covs = np.array([50.0 * np.eye(2), np.zeros((2, 2))])
+    assert cone_contains_stack(BeliefCone(), means, covs).tolist() == [True, True]
 
 
-def test_region_from_predicates_dim_mismatch():
-    with pytest.raises(ValueError):
-        region_from_predicates(
-            [
-                ProbabilisticLinearPredicate(LinearExpression([1.0], 0.0), 0.1),
-                ProbabilisticLinearPredicate(LinearExpression([1.0, 0.0], 0.0), 0.1),
-            ]
-        )
+def test_belief_cone_rejects_mixed_dimensions():
+    with pytest.raises(ValueError, match="mixed state dimensions"):
+        BeliefCone((_pred([1.0], 0.0, 0.1), _pred([1.0, 0.0], 0.0, 0.1)))
+
+
+def test_compiled_arrays_are_read_only_stacks():
+    cone = BeliefCone((_pred([1.0, 2.0], -3.0, 0.05), _pred([0.0, -1.0], 0.5, 0.0)))
+    assert cone.H.tolist() == [[1.0, 2.0], [0.0, -1.0]]
+    assert cone.c.tolist() == [-3.0, 0.5]
+    assert cone.quantile.tolist() == [std_normal_quantile(0.95), math.inf]
+    P = box_polytope([(-1.0, 1.0), (0.0, 2.0)])
+    for a in (cone.H, cone.c, cone.quantile, P.H, P.c, *P.bounding_box()):
+        assert not a.flags.writeable
+
+
+def _random_cone(rng, n):
+    """0-4 rows, each general, zero (a constant constraint) or on one
+    axis; constants include c = 1e-12, the containment tolerance."""
+    preds = []
+    for _ in range(rng.integers(0, 5)):
+        kind = rng.integers(0, 3)
+        h = rng.normal(size=n) if kind == 0 else np.zeros(n)
+        if kind == 2:
+            h[rng.integers(n)] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        c = 1e-12 if kind == 1 and rng.random() < 0.5 else float(rng.normal())
+        eps = float(rng.choice([0.0, 0.5, rng.uniform(0.01, 0.5)]))
+        preds.append(_pred(h, c, eps))
+    return BeliefCone(tuple(preds))
+
+
+def _random_beliefs(rng, n, size):
+    """Means and PSD covariances; an axis is without variance with
+    probability 0.3, so axis rows there see zero variance."""
+    L = rng.normal(size=(size, n, n))
+    L[:, rng.random(n) < 0.3, :] = 0.0
+    return rng.normal(scale=2.0, size=(size, n)), L @ L.mT
+
+
+def test_margins_match_per_constraint_reference():
+    """Stacked margins are bit-equal to the per-constraint 1-D products,
+    and every verdict is equal, for one belief and for stacks."""
+    rng = np.random.default_rng(2016)
+    for _ in range(1500):
+        n = int(rng.integers(1, 5))
+        cone = _random_cone(rng, n)
+        means, covs = _random_beliefs(rng, n, int(rng.integers(1, 6)))
+        ref = np.array([
+            [list_cone_margin(p, mean, cov) for p in cone.constraints]
+            for mean, cov in zip(means, covs)
+        ]).reshape(len(means), len(cone.constraints))
+        assert np.array_equal(_margins(cone, means, covs), ref)
+        verdicts = [list_cone_contains(cone, mean, cov) for mean, cov in zip(means, covs)]
+        assert cone_contains_stack(cone, means, covs).tolist() == verdicts
+        b = frozen_belief(means[0], covs[0])
+        assert cone_contains(cone, b) == verdicts[0]
+        for p, r in zip(cone.constraints, ref[0]):
+            assert cone_margin(p, b) == r
+
+
+def test_containment_tolerance_is_inclusive():
+    b = make_belief([0.0, 0.0], [[0.0, 0.0], [0.0, 1.0]])
+    at_tol = BeliefCone((_pred([0.0, 0.0], 1e-12, 0.3), _pred([1.0, 0.0], 1e-12, 0.0)))
+    assert cone_contains(at_tol, b)
+    assert not cone_contains(BeliefCone((_pred([1.0, 0.0], 2e-12, 0.0),)), b)
+    P = Polytope((LinearExpression([1.0], 1e-12),))
+    assert polytope_contains(P, [0.0])
+    assert not polytope_contains(P, [1e-12])
+
+
+def _random_polytope(rng):
+    """A random box, or the hull of random points in 2 or 3 dimensions."""
+    if rng.random() < 0.5:
+        lo = rng.normal(size=int(rng.integers(1, 4)))
+        return box_polytope(list(zip(lo, lo + rng.uniform(0.0, 2.0, size=lo.size))))
+    pts = rng.normal(size=(8, int(rng.integers(2, 4))))
+    hull = ConvexHull(pts)
+    halfspaces = tuple(LinearExpression(eq[:-1], eq[-1]) for eq in hull.equations)
+    return Polytope(halfspaces, tuple(pts[hull.vertices]))
+
+
+def test_polytope_contains_matches_per_halfspace_reference():
+    """Vertices, points clamped to the bounding box and points around it
+    get the verdict of the halfspace-by-halfspace check."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        P = _random_polytope(rng)
+        lo, hi = P.bounding_box()
+        assert np.array_equal(lo, np.min(P.vertices, axis=0))
+        assert np.array_equal(hi, np.max(P.vertices, axis=0))
+        around = rng.uniform(lo - 0.5, hi + 0.5, size=(20, lo.size))
+        points = [*P.vertices, *np.clip(around, lo, hi), *around]
+        verdicts = [polytope_contains(P, x) for x in points]
+        assert verdicts == [list_polytope_contains(P, x) for x in points]
+        assert all(verdicts[: len(P.vertices)])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from beliefplan.belief_rrt import InternalConsistencyError
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.gaussian import make_belief
-from beliefplan.geometry import box_polytope
+from beliefplan.geometry import LinearExpression, Polytope, box_polytope, polytope_contains
 from beliefplan.synthesis import SolutionTrajectory
 from beliefplan.tracking import lqr_gains, simulate, track_step
 
@@ -68,6 +69,36 @@ def test_track_step_feedback_and_clamp():
     est_far = make_belief([10.0, -10.0], 0.01 * np.eye(2))
     u = track_step(g, ref_mean, ref_u, est_far, domain)
     assert np.allclose(u, [-1.0, 1.0])
+
+
+def _triangle():
+    """Hull of (-1, -1), (1, -1), (-1, 1): the box [-1, 1]^2 cut by u0 + u1 <= 0."""
+    halfspaces = (
+        LinearExpression([-1.0, 0.0], -1.0),
+        LinearExpression([0.0, -1.0], -1.0),
+        LinearExpression([1.0, 1.0], 0.0),
+    )
+    return Polytope(halfspaces, ([-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]))
+
+
+def test_track_step_pulls_back_into_a_non_box_domain():
+    g = lqr_gains(_mode(), 1, np.eye(2), np.eye(2), 0.05 * np.eye(2))
+    ref_mean = np.array([0.0, 0.0])
+    ref_u = np.array([0.2, -0.6])
+    est = make_belief([-10.0, -10.0], 0.01 * np.eye(2))
+    u = track_step(g, ref_mean, ref_u, est, _triangle())
+    # clamped to (1, 1), outside; pulled back along the segment to u0 + u1 = 0
+    assert polytope_contains(_triangle(), u)
+    assert u.sum() == pytest.approx(0.0, abs=1e-12)
+    t = (u - ref_u) / (np.array([1.0, 1.0]) - ref_u)
+    assert t[0] == pytest.approx(t[1]) and 0.0 <= t[0] <= 1.0
+
+
+def test_track_step_rejects_reference_control_outside_domain():
+    g = lqr_gains(_mode(), 1, np.eye(2), np.eye(2), 0.05 * np.eye(2))
+    est = make_belief([-10.0, -10.0], 0.01 * np.eye(2))
+    with pytest.raises(InternalConsistencyError):
+        track_step(g, np.zeros(2), np.array([0.9, 0.9]), est, _triangle())
 
 
 def _straight_reference(num_steps, observed=True):
