@@ -204,37 +204,41 @@ def rrt_extend(
 
     The candidates advance together as one stack, and the rows that
     left the stay cone are dropped after each step: exactly the beliefs
-    a candidate-by-candidate loop would compute are computed and checked."""
-    candidates = [polytope_sample(control_domain, rng) for _ in range(_NUM_RANDOM_CONTROLS)]
+    a candidate-by-candidate loop would compute are computed and checked.
+    The stack starts from one shared covariance. It stays one matrix,
+    predicted and checked once per step, unless the measurement noise
+    depends on the state; then it widens to one covariance per row."""
+    controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
     lo, hi = control_domain.bounding_box()
     reach = horizon * mode.B
     residual = target_point - belief.mean
     greedy, *_ = np.linalg.lstsq(reach, residual, rcond=None)
     greedy = _clamp_to_box(greedy, lo, hi)
     if polytope_contains(control_domain, greedy):
-        candidates.append(greedy)
+        controls = np.vstack([controls, greedy])
 
-    k = len(candidates)
-    controls = np.array(candidates)
+    k, n = len(controls), belief.dim
     alive = np.arange(k)
     means = np.repeat(belief.mean[None], k, axis=0)
-    covs = np.repeat(belief.cov[None], k, axis=0)
-    step_means = np.empty((horizon,) + means.shape)
-    step_covs = np.empty((horizon,) + covs.shape)
+    covs = belief.cov[None]
+    step_means = np.empty((horizon, k, n))
+    step_covs = np.empty((horizon, k, n, n))
     for t in range(horizon):
         means, covs = propagate_mlo_stack(mode, means, covs, controls[alive])
         step_means[t, alive] = means
         step_covs[t, alive] = covs
         inside = cone_contains_stack(stay, means, covs)
         if not inside.all():
-            alive, means, covs = alive[inside], means[inside], covs[inside]
+            alive, means = alive[inside], means[inside]
             if alive.size == 0:
                 return None
+            if len(covs) > 1:
+                covs = covs[inside]
     best = alive[np.argmin(_distances(means, target_point))]
     beliefs = tuple(
         frozen_belief(step_means[t, best], step_covs[t, best]) for t in range(horizon)
     )
-    return candidates[best], beliefs
+    return controls[best], beliefs
 
 
 def rrt_drain(tree: RrtTree, node_id: int, delta_drain: float) -> None:

@@ -364,9 +364,14 @@ def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
 
 def propagate_mlo_stack(mode: SystemMode, means, covs, us):
     """propagate_mlo for a stack of beliefs, one control per row:
-    returns the (k, n) means and the symmetrized (k, n, n) covariances.
-    Every predicted and updated belief passes make_belief's checks, and
-    each row equals propagate_mlo on that row bit for bit."""
+    returns the (k, n) means and the symmetrized covariances. Every
+    predicted and updated belief passes make_belief's checks, and each
+    row equals propagate_mlo on that row bit for bit.
+
+    The covariances are (k, n, n), or one (1, n, n) shared by every row.
+    A shared covariance stays shared, predicted, checked and updated
+    once, unless the noise depends on the state; then R(mean) widens it
+    to one covariance per row."""
     means, covs = _predict(mode, means, covs, us)
     covs = checked_cov(means, covs)
     if mode.obs_dim == 0:

@@ -150,19 +150,40 @@ def _stack_rows(obj, hs, cs) -> None:
 def polytope_contains(P: Polytope, x) -> bool:
     """Membership with absolute tolerance 1e-12 on each halfspace."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    return bool((np.vecdot(x, P.H) + P.c <= CONTAINMENT_TOL).all())
+    return bool(_inside(P, x))
 
 
-def polytope_sample(P: Polytope, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample via rejection from the vertex bounding box."""
+def _inside(P: Polytope, X: np.ndarray) -> np.ndarray:
+    """Membership of one point (m,) or of each row of (B, m) points."""
+    return (np.vecdot(X[..., None, :], P.H) + P.c <= CONTAINMENT_TOL).all(axis=-1)
+
+
+def polytope_sample(P: Polytope, rng: np.random.Generator, count: int | None = None):
+    """Uniform samples via rejection from the vertex bounding box: one
+    point (m,), or (count, m) points in the order they were accepted.
+
+    Each round draws only the samples still needed, and never more than
+    the rejection budget left, so the draws are exactly those of count
+    single samples taken one after another: a block of uniform draws
+    equals the same draws made one at a time. DegeneratePolytopeError
+    is raised after _MAX_REJECTIONS draws in a row without an acceptance.
+    """
     lo, hi = P.bounding_box()
-    for _ in range(_MAX_REJECTIONS):
-        x = rng.uniform(lo, hi)
-        if polytope_contains(P, x):
-            return x
-    raise DegeneratePolytopeError(
-        f"no sample accepted after {_MAX_REJECTIONS} rejections"
-    )
+    need = 1 if count is None else count
+    accepted = [np.empty((0, lo.size))]
+    misses = 0
+    while need:
+        X = rng.uniform(lo, hi, size=(min(need, _MAX_REJECTIONS - misses), lo.size))
+        hits = np.flatnonzero(_inside(P, X))
+        accepted.append(X[hits])
+        need -= hits.size
+        misses = X.shape[0] - 1 - hits[-1] if hits.size else misses + X.shape[0]
+        if misses >= _MAX_REJECTIONS:
+            raise DegeneratePolytopeError(
+                f"no sample accepted after {_MAX_REJECTIONS} rejections"
+            )
+    samples = np.concatenate(accepted)
+    return samples[0] if count is None else samples
 
 
 def box_polytope(bounds) -> Polytope:

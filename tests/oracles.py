@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beliefplan.dynamics import propagate_mlo
+from beliefplan.dynamics import SystemMode, propagate_mlo
 from beliefplan.formula import And, Atomic, Or, Release, Until
 from beliefplan.gaussian import make_belief, std_normal_quantile
 from beliefplan.geometry import (
@@ -17,7 +17,6 @@ from beliefplan.geometry import (
     ProbabilisticLinearPredicate,
     cone_contains,
     polytope_contains,
-    polytope_sample,
 )
 
 
@@ -148,6 +147,26 @@ def random_trace(rng, dim, num_modes, length):
     return Trace(tuple(beliefs), tuple(modes))
 
 
+def random_mode(rng, n, m, kind, process_noise):
+    """A random mode of the given kind. A third of the 2-D modes rotate
+    the state, so means can leave the stay cone and come back; one in
+    ten has B = 0, so every candidate ties on distance."""
+    A = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    if n == 2 and rng.random() < 1 / 3:
+        th = rng.uniform(0.3, 1.2)
+        A = 0.95 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    B = rng.normal(scale=0.5, size=(n, m)) if rng.random() < 0.9 else np.zeros((n, m))
+    W = 0.05 * rng.normal(size=(n, n)) if process_noise else np.zeros((n, n))
+    if kind == "lbs":
+        return SystemMode(A=A, B=B, W=W)
+    p = int(rng.integers(1, n + 1))
+    C = rng.normal(size=(p, n))
+    if kind == "polbs_linear":
+        L = rng.normal(scale=0.3, size=(p, p))
+        return SystemMode(A=A, B=B, W=W, C=C, noise=L + 0.3 * np.eye(p))
+    return SystemMode(A=A, B=B, W=W, C=C, noise="0.2*(1 - x0)^2 + 0.05")
+
+
 # ---------------------------------------------------------------------------
 # List-based reference RRT: one Python object per node, a loop over the
 # tree per selection and per drain, and one candidate control at a time
@@ -221,7 +240,7 @@ def list_rrt_extend(mode, belief, target_point, horizon, stay, control_domain, r
     final mean is closest to the target. Returns (best, exits): best is
     (control, step beliefs) or None, and exits[i] is the step at which
     candidate i left the stay cone (None if it stayed)."""
-    candidates = [polytope_sample(control_domain, rng) for _ in range(7)]
+    candidates = [list_polytope_sample(control_domain, rng)[0] for _ in range(7)]
     lo, hi = control_domain.bounding_box()
     greedy, *_ = np.linalg.lstsq(horizon * mode.B, target_point - belief.mean, rcond=None)
     greedy = np.minimum(np.maximum(greedy, lo), hi)
@@ -274,3 +293,15 @@ def list_cone_contains(cone, mean, cov):
 
 def list_polytope_contains(P, x):
     return all(float(mu.h @ x + mu.c) <= 1e-12 for mu in P.halfspaces)
+
+
+def list_polytope_sample(P, rng, budget=10 ** 6):
+    """One uniform draw at a time from the vertex bounding box until a
+    draw lies in the polytope. Returns (sample, draws made); the sample
+    is None once `budget` draws in a row were rejected."""
+    lo, hi = np.min(P.vertices, axis=0), np.max(P.vertices, axis=0)
+    for draw in range(1, budget + 1):
+        x = rng.uniform(lo, hi)
+        if list_polytope_contains(P, x):
+            return x, draw
+    return None, budget

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from beliefplan.dynamics import (
+    IllConditionedUpdateError,
     NoObservationError,
     ScalarExpression,
     SwitchedSystem,
@@ -10,10 +12,11 @@ from beliefplan.dynamics import (
     noise_cov,
     predict,
     propagate_mlo,
+    propagate_mlo_stack,
     sample_observation,
     step_truth,
 )
-from beliefplan.gaussian import make_belief
+from beliefplan.gaussian import InvalidCovarianceError, frozen_belief, make_belief
 from beliefplan.geometry import box_polytope
 
 
@@ -167,3 +170,53 @@ def test_switched_system_validation():
         SwitchedSystem((), box)
     with pytest.raises(ValueError):
         SwitchedSystem((m,), box_polytope([(-1, 1)]))
+
+
+def test_shared_covariance_stack_matches_propagate_mlo():
+    """Several means and controls from one shared (1, n, n) covariance,
+    over up to four steps: every row equals propagate_mlo bit for bit.
+    The covariance stays shared without observation or with constant
+    noise, and widens to one per row with state-dependent noise."""
+    rng = np.random.default_rng(41)
+    for trial in range(240):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 3))
+        kind = ("lbs", "polbs_linear", "polbs_nonlinear")[trial % 3]
+        mode = oracles.random_mode(rng, n, m, kind, process_noise=rng.random() < 0.5)
+        k = int(rng.integers(1, 9))
+        L = rng.normal(scale=0.2, size=(n, n))
+        cov = make_belief(np.zeros(n), L @ L.T).cov
+        means = rng.normal(size=(k, n))
+        covs = cov[None]
+        us = rng.uniform(-1.0, 1.0, size=(k, m))
+        refs = [frozen_belief(mean, cov) for mean in means]
+        for _ in range(int(rng.integers(1, 5))):
+            means, covs = propagate_mlo_stack(mode, means, covs, us)
+            refs = [propagate_mlo(mode, b, u) for b, u in zip(refs, us)]
+            assert covs.shape == ((k if kind == "polbs_nonlinear" else 1), n, n)
+            for i, ref in enumerate(refs):
+                assert np.array_equal(means[i], ref.mean), trial
+                assert np.array_equal(covs[i if len(covs) > 1 else 0], ref.cov), trial
+
+
+@pytest.mark.parametrize("kind", ["lbs", "polbs_linear", "polbs_nonlinear"])
+def test_shared_covariance_stack_rejects_a_non_finite_mean_row(kind):
+    mode = oracles.random_mode(np.random.default_rng(3), 2, 2, kind, process_noise=False)
+    means = np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
+    cov = 0.1 * np.eye(2)
+    with pytest.raises(InvalidCovarianceError, match="non-finite"):
+        propagate_mlo_stack(mode, means, cov[None], np.zeros((3, 2)))
+    with pytest.raises(InvalidCovarianceError, match="non-finite"):
+        propagate_mlo(mode, frozen_belief(means[1], cov), np.zeros(2))
+
+
+def test_shared_covariance_stack_rejects_a_singular_constant_noise():
+    """R = 0 observing x0, which carries no variance: the innovation
+    covariance is singular for every row of the shared covariance."""
+    mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=[[1.0, 0.0]], noise=[[0.0]])
+    cov = np.diag([0.0, 0.1])
+    means = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 3.0]])
+    with pytest.raises(IllConditionedUpdateError):
+        propagate_mlo_stack(mode, means, cov[None], np.ones((3, 2)))
+    with pytest.raises(IllConditionedUpdateError):
+        propagate_mlo(mode, frozen_belief(means[0], cov), np.ones(2))

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+import oracles
+from beliefplan import geometry
 from beliefplan.gaussian import frozen_belief, make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
+    DegeneratePolytopeError,
     DiscretePredicate,
     LinearExpression,
     Polytope,
@@ -215,3 +218,85 @@ def test_polytope_contains_matches_per_halfspace_reference():
         verdicts = [polytope_contains(P, x) for x in points]
         assert verdicts == [list_polytope_contains(P, x) for x in points]
         assert all(verdicts[: len(P.vertices)])
+
+
+def test_batched_sample_equals_sequential_single_draws():
+    """polytope_sample(P, rng, count) returns the samples, and leaves the
+    generator in the state, of count single samples taken in turn and of
+    the one-draw-at-a-time reference, on boxes and on 2-D/3-D hulls."""
+    rng = np.random.default_rng(23)
+    rejected = 0
+    for _ in range(200):
+        P = _random_polytope(rng)
+        count = int(rng.integers(0, 12))
+        seed = int(rng.integers(1 << 30))
+        r_batch, r_single, r_ref = (np.random.default_rng(seed) for _ in range(3))
+        batch = polytope_sample(P, r_batch, count)
+        singles = [polytope_sample(P, r_single) for _ in range(count)]
+        refs = [oracles.list_polytope_sample(P, r_ref) for _ in range(count)]
+        assert batch.shape == (count, P.dim)
+        assert np.array_equal(batch, np.reshape(singles, (count, P.dim)))
+        assert np.array_equal(batch, np.reshape([x for x, _ in refs], (count, P.dim)))
+        assert r_batch.bit_generator.state == r_single.bit_generator.state
+        assert r_batch.bit_generator.state == r_ref.bit_generator.state
+        rejected += sum(draws for _, draws in refs) > count
+    assert rejected > 50
+
+
+def _sliver():
+    """Triangle (0, 0), (1, 1), (1, 1 - 1e-9): a 5e-10 share of its
+    bounding box [0, 1]^2."""
+    d = 1e-9
+    halfspaces = (
+        LinearExpression([-1.0, 1.0], 0.0),
+        LinearExpression([1.0, 0.0], -1.0),
+        LinearExpression([1.0 - d, -1.0], 0.0),
+    )
+    return Polytope(halfspaces, (np.zeros(2), np.ones(2), np.array([1.0, 1.0 - d])))
+
+
+@pytest.mark.parametrize("count", [None, 1, 3, 50])
+def test_rejection_budget_counts_draws(monkeypatch, count):
+    """On a sliver the error comes after exactly _MAX_REJECTIONS draws,
+    whatever the number of samples asked for."""
+    monkeypatch.setattr(geometry, "_MAX_REJECTIONS", 20)
+    P = _sliver()
+    rng, r_ref = np.random.default_rng(9), np.random.default_rng(9)
+    with pytest.raises(DegeneratePolytopeError, match="after 20 rejections"):
+        polytope_sample(P, rng, count)
+    r_ref.uniform(*P.bounding_box(), size=(20, 2))
+    assert rng.bit_generator.state == r_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("budget", [1, 2, 3, 5])
+def test_rejection_budget_matches_sequential_reference(monkeypatch, budget):
+    """On a triangle that fills half its bounding box, a run of budget
+    rejections may end inside a round or span two: the batched sampler
+    raises exactly when the one-draw-at-a-time reference gives up, and
+    both leave the generator in the same state."""
+    monkeypatch.setattr(geometry, "_MAX_REJECTIONS", budget)
+    halfspaces = (
+        LinearExpression([-1.0, 0.0], 0.0),
+        LinearExpression([0.0, -1.0], 0.0),
+        LinearExpression([1.0, 1.0], -1.0),
+    )
+    P = Polytope(halfspaces, (np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    outcomes = {"raised": 0, "sampled": 0}
+    for seed in range(300):
+        count = 1 + seed % 9
+        rng, r_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        while len(expected) < count:
+            x, _ = oracles.list_polytope_sample(P, r_ref, budget)
+            if x is None:
+                break
+            expected.append(x)
+        if len(expected) < count:
+            with pytest.raises(DegeneratePolytopeError):
+                polytope_sample(P, rng, count)
+            outcomes["raised"] += 1
+        else:
+            assert np.array_equal(polytope_sample(P, rng, count), np.array(expected))
+            outcomes["sampled"] += 1
+        assert rng.bit_generator.state == r_ref.bit_generator.state
+    assert min(outcomes.values()) > 10

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 import oracles
 from beliefplan import belief_rrt, cli
@@ -26,6 +27,7 @@ from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
     BeliefCone,
     LinearExpression,
+    Polytope,
     ProbabilisticLinearPredicate,
     box_polytope,
     cone_contains,
@@ -217,26 +219,6 @@ def test_select_and_drain_match_list_reference():
     assert checked_select > 2000 and checked_drain == 300 and drained > 100
 
 
-def _random_mode(rng, n, m, kind, process_noise):
-    """A random mode of the given kind. A third of the 2-D modes rotate
-    the state, so means can leave the stay cone and come back; one in
-    ten has B = 0, so every candidate ties on distance."""
-    A = np.eye(n) + 0.1 * rng.normal(size=(n, n))
-    if n == 2 and rng.random() < 1 / 3:
-        th = rng.uniform(0.3, 1.2)
-        A = 0.95 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    B = rng.normal(scale=0.5, size=(n, m)) if rng.random() < 0.9 else np.zeros((n, m))
-    W = 0.05 * rng.normal(size=(n, n)) if process_noise else np.zeros((n, n))
-    if kind == "lbs":
-        return SystemMode(A=A, B=B, W=W)
-    p = int(rng.integers(1, n + 1))
-    C = rng.normal(size=(p, n))
-    if kind == "polbs_linear":
-        L = rng.normal(scale=0.3, size=(p, p))
-        return SystemMode(A=A, B=B, W=W, C=C, noise=L + 0.3 * np.eye(p))
-    return SystemMode(A=A, B=B, W=W, C=C, noise="0.2*(1 - x0)^2 + 0.05")
-
-
 def _same_extension(got, expected):
     if expected is None:
         return got is None
@@ -251,21 +233,36 @@ def _same_extension(got, expected):
     )
 
 
+def _hull_polytope(vertices):
+    hull = ConvexHull(np.array(vertices, dtype=float))
+    halfspaces = tuple(LinearExpression(eq[:-1], eq[-1]) for eq in hull.equations)
+    return Polytope(halfspaces, tuple(hull.points[hull.vertices]))
+
+
+_HEXAGON = [(np.cos(a), np.sin(a)) for a in 0.3 + np.arange(6) * np.pi / 3]
+_PLANAR_DOMAINS = (
+    box_polytope([(-1.0, 1.0)] * 2),
+    _hull_polytope([(-1.0, -1.0), (1.0, -0.5), (0.2, 1.0)]),
+    _hull_polytope(_HEXAGON),
+)
+
+
 def test_extend_matches_per_candidate_reference():
     """Random modes (identity and non-identity A, with and without
-    process noise, no observation, constant and state-dependent noise)
-    and random box cones: the stacked extension returns the reference's
-    control and step beliefs bit for bit and draws the same numbers."""
+    process noise, no observation, constant and state-dependent noise),
+    random box cones and box, triangle and hexagon control domains: the
+    stacked extension returns the reference's control and step beliefs
+    bit for bit and draws the same numbers, rejected draws included."""
     rng = np.random.default_rng(77)
-    seen = {"none": 0, "staggered": 0, "partial": 0, "kinds": set()}
+    seen = {"none": 0, "staggered": 0, "partial": 0, "rejected": 0, "kinds": set()}
     for trial in range(300):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
         kind = ("lbs", "polbs_linear", "polbs_nonlinear")[trial % 3]
-        mode = _random_mode(rng, n, m, kind, process_noise=rng.random() < 0.5)
+        mode = oracles.random_mode(rng, n, m, kind, process_noise=rng.random() < 0.5)
         if rng.random() < 0.3:
             mode = SystemMode(A=np.eye(n), B=mode.B, W=mode.W, C=mode.C, noise=mode.noise)
-        domain = box_polytope([(-1.0, 1.0)] * m)
+        domain = _PLANAR_DOMAINS[trial // 3 % 3] if m == 2 else box_polytope([(-1.0, 1.0)])
         L = rng.normal(scale=0.2, size=(n, n))
         start = make_belief(rng.normal(size=n), L @ L.T)
         half = rng.uniform(0.5, 4.0, size=n)
@@ -281,12 +278,16 @@ def test_extend_matches_per_candidate_reference():
         got = rrt_extend(mode, start, target, horizon, stay, domain, r_new)
         assert _same_extension(got, expected), trial
         assert r_new.bit_generator.state == r_ref.bit_generator.state
+        r_plain = np.random.default_rng(seed)
+        r_plain.uniform(*domain.bounding_box(), size=(7, m))
         dead = {e for e in exits if e is not None}
         seen["none"] += expected is None
         seen["partial"] += expected is not None and bool(dead)
         seen["staggered"] += len(dead) > 1
+        seen["rejected"] += r_plain.bit_generator.state != r_ref.bit_generator.state
         seen["kinds"].add(mode.kind)
     assert seen["none"] > 10 and seen["partial"] > 10 and seen["staggered"] > 10
+    assert seen["rejected"] > 30
     assert seen["kinds"] == {"lbs", "polbs_linear", "polbs_nonlinear"}
 
 
