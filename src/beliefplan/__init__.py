@@ -78,7 +78,6 @@ from .discrete_planner import (
 )
 from .belief_rrt import (
     InternalConsistencyError,
-    RrtNode,
     RrtParams,
     RrtTree,
     SegmentResult,

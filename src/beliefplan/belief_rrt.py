@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,8 +74,7 @@ class RrtTree:
     (N, n), covariance traces, active mask, parent (-1 at the root) and
     depth in steps, grown by doubling. Each node also keeps its end
     belief and its constant control (None at the root); the beliefs in
-    between are replayed on success. Iterating a tree yields RrtNode
-    views."""
+    between are replayed on success."""
 
     def __init__(self, root: BeliefState, capacity: int = 64):
         self.size = 0
@@ -111,23 +111,9 @@ class RrtTree:
         return self.size
 
     def __iter__(self):
-        return (RrtNode(self, i) for i in range(self.size))
-
-
-@dataclass(frozen=True)
-class RrtNode:
-    """Read-only view of one row of a tree."""
-
-    tree: RrtTree
-    node_id: int
-
-    @property
-    def belief(self) -> BeliefState:
-        return self.tree.beliefs[self.node_id]
-
-    @property
-    def active(self) -> bool:
-        return bool(self.tree.active[self.node_id])
+        """Each row's active flag, as `.active` (read by the benchmark's
+        trace counters)."""
+        return (SimpleNamespace(active=bool(a)) for a in self.active[: self.size])
 
 
 @dataclass(frozen=True)
@@ -199,7 +185,7 @@ def rrt_extend(
     """Try 8 constant controls (7 uniform, 1 greedy least-squares toward
     the target) for `horizon` steps each from `belief`; keep the survivor
     whose final mean is closest to the target, the first one on ties.
-    Returns (control, step beliefs) or None when every candidate leaves
+    Returns (control, end belief) or None when every candidate leaves
     the stay cone.
 
     The candidates advance together as one stack, and the rows that
@@ -217,16 +203,11 @@ def rrt_extend(
     if polytope_contains(control_domain, greedy):
         controls = np.vstack([controls, greedy])
 
-    k, n = len(controls), belief.dim
-    alive = np.arange(k)
-    means = np.repeat(belief.mean[None], k, axis=0)
+    alive = np.arange(len(controls))
+    means = np.repeat(belief.mean[None], len(controls), axis=0)
     covs = belief.cov[None]
-    step_means = np.empty((horizon, k, n))
-    step_covs = np.empty((horizon, k, n, n))
-    for t in range(horizon):
+    for _ in range(horizon):
         means, covs = propagate_mlo_stack(mode, means, covs, controls[alive])
-        step_means[t, alive] = means
-        step_covs[t, alive] = covs
         inside = cone_contains_stack(stay, means, covs)
         if not inside.all():
             alive, means = alive[inside], means[inside]
@@ -234,11 +215,9 @@ def rrt_extend(
                 return None
             if len(covs) > 1:
                 covs = covs[inside]
-    best = alive[np.argmin(_distances(means, target_point))]
-    beliefs = tuple(
-        frozen_belief(step_means[t, best], step_covs[t, best]) for t in range(horizon)
-    )
-    return controls[best], beliefs
+    best = int(np.argmin(_distances(means, target_point)))
+    cov = covs[best] if len(covs) > 1 else covs[0]
+    return controls[alive[best]], frozen_belief(means[best], cov)
 
 
 def rrt_drain(tree: RrtTree, node_id: int, delta_drain: float) -> None:
@@ -282,8 +261,8 @@ def _cone_mean_box(cone: BeliefCone, center: np.ndarray) -> tuple:
 def _dwell_in_goal(
     mode: SystemMode, belief: BeliefState, goal: BeliefCone, steps: int
 ):
-    """Zero-control dwell; returns the visited beliefs or None if the
-    goal cone breaks mid-dwell."""
+    """Zero-control dwell; returns the visited beliefs ([] for zero
+    steps) or None if the goal cone breaks mid-dwell."""
     u0 = np.zeros(mode.control_dim)
     out = []
     b = belief
@@ -322,6 +301,25 @@ def _reconstruct(mode: SystemMode, tree: RrtTree, node_id: int):
     return beliefs, controls
 
 
+def _goal_reached(mode: SystemMode, task: SegmentTask, tree: RrtTree, node_id: int):
+    """The success test for one node: its belief lies in the goal cone,
+    the zero-control dwell fits in the step budget and keeps the goal.
+    Returns the segment from the root through the dwell, or None."""
+    belief = tree.beliefs[node_id]
+    if not cone_contains(task.goal, belief):
+        return None
+    if tree.depth[node_id] + task.min_dwell_in_goal > task.max_total_steps:
+        return None
+    dwell = _dwell_in_goal(mode, belief, task.goal, task.min_dwell_in_goal)
+    if dwell is None:
+        return None
+    beliefs, controls = _reconstruct(mode, tree, node_id)
+    u0 = np.zeros(mode.control_dim)
+    return SegmentResult(
+        "success", tuple(beliefs + dwell), tuple(controls) + (u0,) * task.min_dwell_in_goal
+    )
+
+
 def solve_segment(
     sys: SwitchedSystem,
     task: SegmentTask,
@@ -334,29 +332,15 @@ def solve_segment(
     Runs until success, the iteration cap, or the wall-clock timeout.
     """
     mode = sys.modes[task.mode]
-    start_in_stay = cone_contains(task.stay, start)
-    start_in_goal = cone_contains(task.goal, start)
-    if not start_in_stay and not start_in_goal:
+    if not cone_contains(task.stay, start) and not cone_contains(task.goal, start):
         return SegmentResult("infeasible-start")
-
-    if start_in_goal:
-        if task.min_dwell_in_goal == 0:
-            return SegmentResult("success", (start,), ())
-        if task.min_dwell_in_goal <= task.max_total_steps:
-            dwell = _dwell_in_goal(mode, start, task.goal, task.min_dwell_in_goal)
-            if dwell is not None:
-                u0 = np.zeros(mode.control_dim)
-                return SegmentResult(
-                    "success",
-                    (start, *dwell),
-                    (u0,) * task.min_dwell_in_goal,
-                )
+    tree = RrtTree(start)
+    reached = _goal_reached(mode, task, tree, 0)
+    if reached is not None:
+        return reached
 
     goal_lo, goal_hi = _cone_mean_box(task.goal, start.mean)
     stay_lo, stay_hi = _cone_mean_box(task.stay, start.mean)
-
-    tree = RrtTree(start)
-
     deadline = (
         time.monotonic() + params.rrt_timeout
         if params.rrt_timeout is not None
@@ -383,24 +367,9 @@ def solve_segment(
         )
         if branch is None:
             continue
-        control, step_beliefs = branch
-        new = tree.add(step_beliefs[-1], node, control, steps)
+        control, end = branch
+        new = tree.add(end, node, control, steps)
         rrt_drain(tree, new, params.delta_drain)
-
-        if not cone_contains(task.goal, tree.beliefs[new]):
-            continue
-        if tree.depth[new] + task.min_dwell_in_goal > task.max_total_steps:
-            continue
-        dwell = (
-            []
-            if task.min_dwell_in_goal == 0
-            else _dwell_in_goal(mode, tree.beliefs[new], task.goal, task.min_dwell_in_goal)
-        )
-        if dwell is None:
-            continue
-        beliefs, controls = _reconstruct(mode, tree, new)
-        if dwell:
-            u0 = np.zeros(mode.control_dim)
-            beliefs.extend(dwell)
-            controls.extend([u0] * task.min_dwell_in_goal)
-        return SegmentResult("success", tuple(beliefs), tuple(controls))
+        reached = _goal_reached(mode, task, tree, new)
+        if reached is not None:
+            return reached

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import BeliefState
 from .geometry import (
     CONTAINMENT_TOL,
     BeliefCone,

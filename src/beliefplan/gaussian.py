@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -17,6 +18,7 @@ SYMMETRY_TOL = 1e-9
 EIGENVALUE_TOL = -1e-9
 _MAKE_SYMMETRY_TOL = 1e-6
 _SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 
 class DomainError(ValueError):
@@ -104,43 +106,8 @@ def std_normal_cdf(v: float) -> float:
     return 1.0 - 0.5 * math.erfc(v / _SQRT2)
 
 
-def _std_normal_pdf(v: float) -> float:
-    return math.exp(-0.5 * v * v) / math.sqrt(2.0 * math.pi)
-
-
-# Acklam's rational approximation for the inverse normal CDF (~1e-9
-# relative accuracy), refined below with one Halley step on the CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
 def std_normal_quantile(p: float) -> float:
     """Inverse CDF of the standard normal for p in (0, 1)."""
     if not (0.0 < p < 1.0):
         raise DomainError(f"std_normal_quantile requires p in (0, 1), got {p!r}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # One Halley refinement against the CDF.
-    e = std_normal_cdf(x) - p
-    u = e / _std_normal_pdf(x)
-    x = x - u / (1.0 + 0.5 * x * u)
-    return x
-
+    return _STD_NORMAL.inv_cdf(p)

@@ -18,12 +18,10 @@ import numpy as np
 from .belief_rrt import (
     InternalConsistencyError,
     RrtParams,
-    SegmentResult,
     SegmentTask,
     solve_segment,
 )
 from .discrete_planner import (
-    Abstraction,
     CounterexampleStore,
     DiscretePlan,
     abstract,

@@ -113,16 +113,14 @@ def test_extend_respects_stay_cone():
     rng = np.random.default_rng(0)
     out = rrt_extend(sys.modes[0], start, np.array([2.0, 2.5]), 5, stay, sys.control_domain, rng)
     assert out is not None
-    u, beliefs = out
-    assert len(beliefs) == 5
-    for b in beliefs:
-        assert cone_contains(stay, b)
-    # replaying the constant control reproduces the branch exactly
+    u, end = out
+    # replaying the constant control stays in the cone and ends exactly at `end`
     b = start
-    for bref in beliefs:
+    for _ in range(5):
         b = propagate_mlo(sys.modes[0], b, u)
-        assert np.array_equal(b.mean, bref.mean)
-        assert np.array_equal(b.cov, bref.cov)
+        assert cone_contains(stay, b)
+    assert np.array_equal(b.mean, end.mean)
+    assert np.array_equal(b.cov, end.cov)
 
 
 def test_extend_returns_none_when_boxed_in():
@@ -191,7 +189,7 @@ def test_select_and_drain_match_list_reference():
         grid = trial % 2 == 0
         tree, ref = _random_tree_pair(rng, size, grid)
         assert len(tree) == size
-        assert [node.active for node in tree] == [node.active for node in ref]
+        assert tree.active[:size].tolist() == [node.active for node in ref]
         for _ in range(10):
             sample = rng.integers(-4, 5, size=2) * 0.5 if grid else rng.uniform(-2, 2, size=2)
             delta = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
@@ -213,23 +211,22 @@ def test_select_and_drain_match_list_reference():
         before = sum(node.active for node in ref)
         oracles.list_rrt_drain(ref, ref[node_id], delta)
         rrt_drain(tree, node_id, delta)
-        assert [node.active for node in tree] == [node.active for node in ref]
+        assert tree.active[:size].tolist() == [node.active for node in ref]
         checked_drain += 1
         drained += before - sum(node.active for node in ref)
     assert checked_select > 2000 and checked_drain == 300 and drained > 100
 
 
 def _same_extension(got, expected):
+    """The control and end belief of rrt_extend against the reference's
+    control and last step belief, bit for bit."""
     if expected is None:
         return got is None
-    (u, beliefs), (u_ref, beliefs_ref) = got, expected
+    (u, end), (u_ref, beliefs_ref) = got, expected
     return (
         np.array_equal(u, u_ref)
-        and len(beliefs) == len(beliefs_ref)
-        and all(
-            np.array_equal(b.mean, r.mean) and np.array_equal(b.cov, r.cov)
-            for b, r in zip(beliefs, beliefs_ref)
-        )
+        and np.array_equal(end.mean, beliefs_ref[-1].mean)
+        and np.array_equal(end.cov, beliefs_ref[-1].cov)
     )
 
 
@@ -251,7 +248,7 @@ def test_extend_matches_per_candidate_reference():
     """Random modes (identity and non-identity A, with and without
     process noise, no observation, constant and state-dependent noise),
     random box cones and box, triangle and hexagon control domains: the
-    stacked extension returns the reference's control and step beliefs
+    stacked extension returns the reference's control and end belief
     bit for bit and draws the same numbers, rejected draws included."""
     rng = np.random.default_rng(77)
     seen = {"none": 0, "staggered": 0, "partial": 0, "rejected": 0, "kinds": set()}
@@ -392,14 +389,14 @@ def test_reconstruct_rejects_a_corrupted_node():
     mode = sys.modes[0]
     start = _belief([0.0, 2.5], 0.2)
     stay = _box_cone([(-1, 5), (-1, 4)], 0.01)
-    u, beliefs = rrt_extend(mode, start, np.array([2.0, 2.5]), 4, stay, sys.control_domain,
-                            np.random.default_rng(3))
+    u, end = rrt_extend(mode, start, np.array([2.0, 2.5]), 4, stay, sys.control_domain,
+                        np.random.default_rng(3))
     tree = RrtTree(start)
-    tree.add(beliefs[-1], 0, u, 4)
+    tree.add(end, 0, u, 4)
     replayed, controls = _reconstruct(mode, tree, 1)
     assert len(replayed) == 5 and len(controls) == 4
-    assert np.array_equal(replayed[-1].cov, beliefs[-1].cov)
-    tree.beliefs[1] = make_belief(np.nextafter(beliefs[-1].mean, np.inf), beliefs[-1].cov)
+    assert np.array_equal(replayed[-1].cov, end.cov)
+    tree.beliefs[1] = make_belief(np.nextafter(end.mean, np.inf), end.cov)
     with pytest.raises(InternalConsistencyError):
         _reconstruct(mode, tree, 1)
 
@@ -453,6 +450,55 @@ def test_solve_segment_immediate_goal_zero_dwell():
     result = solve_segment(sys, task, start, params, np.random.default_rng(0))
     assert result.ok
     assert result.num_steps == 0
+
+
+def test_solve_segment_start_in_goal_dwells_without_searching():
+    """A start in the goal passes the same goal test as every other
+    node: the result is the start and its zero-control dwell, and the
+    search draws no random numbers."""
+    sys = _lightdark_system()
+    mode = sys.modes[0]
+    stay = _box_cone([(-1, 5), (-1, 4)], 0.01)
+    task = SegmentTask(mode=0, stay=stay, goal=stay, min_dwell_in_goal=3, max_total_steps=10)
+    start = make_belief([0.0, 2.5], 0.1 * np.eye(2))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    result = solve_segment(sys, task, start, RrtParams(iteration_cap=10), rng)
+    assert rng.bit_generator.state == before
+    assert result.ok and result.beliefs[0] is start
+    assert len(result.beliefs) == 4 and len(result.controls) == 3
+    b = start
+    for got, u in zip(result.beliefs[1:], result.controls):
+        assert np.array_equal(u, np.zeros(2))
+        b = propagate_mlo(mode, b, np.zeros(2))
+        assert np.array_equal(got.mean, b.mean) and np.array_equal(got.cov, b.cov)
+
+
+def test_solve_segment_start_in_goal_without_dwell_budget_searches():
+    sys = _lightdark_system()
+    stay = _box_cone([(-1, 5), (-1, 4)], 0.01)
+    task = SegmentTask(mode=0, stay=stay, goal=stay, min_dwell_in_goal=5, max_total_steps=4)
+    start = make_belief([0.0, 2.5], 0.1 * np.eye(2))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    result = solve_segment(sys, task, start, RrtParams(iteration_cap=10), rng)
+    assert rng.bit_generator.state != before
+    assert result.status == "timeout"
+
+
+def test_solve_segment_start_in_goal_outside_stay_is_feasible():
+    sys = _lightdark_system()
+    task = SegmentTask(
+        mode=0,
+        stay=_box_cone([(10, 11), (10, 11)], 0.05),
+        goal=_box_cone([(-1, 5), (-1, 4)], 0.01),
+        min_dwell_in_goal=2,
+        max_total_steps=10,
+    )
+    start = make_belief([0.0, 2.5], 0.1 * np.eye(2))
+    result = solve_segment(sys, task, start, RrtParams(iteration_cap=10), np.random.default_rng(0))
+    assert result.status != "infeasible-start"
+    assert result.ok and result.num_steps == 2
 
 
 def test_solve_segment_reaches_goal():
