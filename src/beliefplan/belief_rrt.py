@@ -9,7 +9,11 @@ required number of further steps.
 
 The tree is a set of parallel arrays, so selection and draining are a
 few vector operations per iteration; an extension advances all of its
-control candidates as one stack of beliefs.
+control candidates as one stack of beliefs. Where the mode's MLO
+covariance reads neither the control nor the mean, every node at depth d
+carries the same covariance, so one table of covariances by depth
+serves the whole segment and each step of an extension is mean
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -20,13 +24,23 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .dynamics import SwitchedSystem, SystemMode, propagate_mlo, propagate_mlo_stack
+from .dynamics import (
+    SwitchedSystem,
+    SystemMode,
+    mlo_covariance,
+    mlo_mean_update,
+    predict_means,
+    propagate_mlo,
+    propagate_mlo_stack,
+)
 from .gaussian import BeliefState, frozen_belief, uncertainty_measure
 from .geometry import (
     BeliefCone,
     Polytope,
     cone_contains,
     cone_contains_stack,
+    cone_holds,
+    cone_spread,
     polytope_contains,
     polytope_sample,
 )
@@ -116,6 +130,34 @@ class RrtTree:
         return (SimpleNamespace(active=bool(a)) for a in self.active[: self.size])
 
 
+class CovarianceByDepth:
+    """The covariances of a segment tree by depth, for a mode whose MLO
+    covariance reads neither the control nor the mean (kind lbs or
+    polbs_linear). Row d holds what d stacked steps from the start
+    compute: the checked (1, n, n) covariance, the Kalman gain of its
+    update (None without observation) and the stay cone's spread at it.
+    Row 0 holds the start's covariance; the others are made on first
+    use, each from the row before by mlo_covariance."""
+
+    def __init__(self, mode: SystemMode, start_cov: np.ndarray, stay: BeliefCone):
+        self.mode = mode
+        self.stay = stay
+        cov = start_cov[None]
+        self.rows = [(cov, None, cone_spread(stay, cov))]
+
+    def __getitem__(self, depth: int) -> tuple:
+        while len(self.rows) <= depth:
+            cov, gain = mlo_covariance(self.mode, self.rows[-1][0])
+            self.rows.append((cov, gain, cone_spread(self.stay, cov)))
+        return self.rows[depth]
+
+
+def _depth_table(mode: SystemMode, cov: np.ndarray, stay: BeliefCone):
+    """A CovarianceByDepth from `cov`, or None where the noise depends
+    on the state and every belief needs its own covariance."""
+    return None if mode.kind == "polbs_nonlinear" else CovarianceByDepth(mode, cov, stay)
+
+
 @dataclass(frozen=True)
 class SegmentTask:
     """One plan segment packaged for the continuous layer."""
@@ -181,6 +223,8 @@ def rrt_extend(
     stay: BeliefCone,
     control_domain: Polytope,
     rng: np.random.Generator,
+    table: CovarianceByDepth | None = None,
+    depth: int = 0,
 ):
     """Try 8 constant controls (7 uniform, 1 greedy least-squares toward
     the target) for `horizon` steps each from `belief`; keep the survivor
@@ -191,9 +235,15 @@ def rrt_extend(
     The candidates advance together as one stack, and the rows that
     left the stay cone are dropped after each step: exactly the beliefs
     a candidate-by-candidate loop would compute are computed and checked.
-    The stack starts from one shared covariance. It stays one matrix,
-    predicted and checked once per step, unless the measurement noise
-    depends on the state; then it widens to one covariance per row."""
+    Unless the measurement noise depends on the state, every candidate
+    has after step t the covariance of row depth + t + 1 of a
+    CovarianceByDepth, so a step computes only the means and reads the
+    covariance, gain and stay spread from that row. `table` is the one
+    of the belief's tree, whose node at `depth` the belief is, or else
+    one made here from the belief. With state-dependent noise the stack
+    starts from one shared covariance and widens to one per row at the
+    first update.
+    """
     controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
     lo, hi = control_domain.bounding_box()
     reach = horizon * mode.B
@@ -206,9 +256,17 @@ def rrt_extend(
     alive = np.arange(len(controls))
     means = np.repeat(belief.mean[None], len(controls), axis=0)
     covs = belief.cov[None]
-    for _ in range(horizon):
-        means, covs = propagate_mlo_stack(mode, means, covs, controls[alive])
-        inside = cone_contains_stack(stay, means, covs)
+    if table is None:
+        table, depth = _depth_table(mode, belief.cov, stay), 0
+    for t in range(horizon):
+        if table is None:  # the noise depends on the state
+            means, covs = propagate_mlo_stack(mode, means, covs, controls[alive])
+            inside = cone_contains_stack(stay, means, covs)
+        else:
+            means = predict_means(mode, means, controls[alive])
+            covs, gain, spread = table[depth + t + 1]
+            means = mlo_mean_update(mode, means, gain)
+            inside = cone_holds(stay, means, spread)
         if not inside.all():
             alive, means = alive[inside], means[inside]
             if alive.size == 0:
@@ -330,11 +388,14 @@ def solve_segment(
     """Steer from `start` to the goal cone while the stay cone holds.
 
     Runs until success, the iteration cap, or the wall-clock timeout.
+    Unless the noise depends on the state, the extensions share one
+    CovarianceByDepth; the replay of a successful branch checks it.
     """
     mode = sys.modes[task.mode]
     if not cone_contains(task.stay, start) and not cone_contains(task.goal, start):
         return SegmentResult("infeasible-start")
     tree = RrtTree(start)
+    table = _depth_table(mode, start.cov, task.stay)
     reached = _goal_reached(mode, task, tree, 0)
     if reached is not None:
         return reached
@@ -363,7 +424,8 @@ def solve_segment(
         if tree.depth[node] + steps > task.max_total_steps:
             continue
         branch = rrt_extend(
-            mode, tree.beliefs[node], sample, steps, task.stay, sys.control_domain, rng
+            mode, tree.beliefs[node], sample, steps, task.stay, sys.control_domain, rng,
+            table, int(tree.depth[node]),
         )
         if branch is None:
             continue

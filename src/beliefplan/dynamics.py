@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import BeliefState, checked_cov, make_belief
+from .gaussian import BeliefState, checked_cov, checked_mean, make_belief
 from .geometry import Polytope, polytope_contains
 
 _CONDITION_LIMIT = 1e12
@@ -304,16 +304,13 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
 
 
-def _predict(mode: SystemMode, mean, cov, u):
-    """Unchecked prediction of one belief or a stack (one control per row)."""
-    return (
-        _mv(mode.A, mean) + _mv(mode.B, u),
-        mode.A @ cov @ mode.A.T + mode.W @ mode.W.T,
-    )
+def _predict_cov(mode: SystemMode, cov):
+    return mode.A @ cov @ mode.A.T + mode.W @ mode.W.T
 
 
-def _joseph(mode: SystemMode, mean, cov, y, R):
-    """Unchecked Joseph-form update of one belief or a stack."""
+def _gain(mode: SystemMode, cov, R):
+    """Kalman gain of one covariance or a stack, after the condition
+    test on the symmetrized innovation matrix."""
     C = mode.C
     S = C @ cov @ C.T + R
     S = 0.5 * (S + S.mT)
@@ -321,10 +318,22 @@ def _joseph(mode: SystemMode, mean, cov, y, R):
         raise IllConditionedUpdateError(
             f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
         )
-    K = np.linalg.solve(S, C @ cov).mT
-    mean = mean + _mv(K, y - _mv(C, mean))
-    IKC = np.eye(mode.state_dim) - K @ C
-    return mean, IKC @ cov @ IKC.mT + K @ R @ K.mT
+    return np.linalg.solve(S, C @ cov).mT
+
+
+def _joseph_cov(mode: SystemMode, cov, K, R):
+    IKC = np.eye(mode.state_dim) - K @ mode.C
+    return IKC @ cov @ IKC.mT + K @ R @ K.mT
+
+
+def _innovate(mode: SystemMode, mean, K, y):
+    return mean + _mv(K, y - _mv(mode.C, mean))
+
+
+def _joseph(mode: SystemMode, mean, cov, y, R):
+    """Unchecked Joseph-form update of one belief or a stack."""
+    K = _gain(mode, cov, R)
+    return _innovate(mode, mean, K, y), _joseph_cov(mode, cov, K, R)
 
 
 def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
@@ -336,7 +345,7 @@ def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
         )
     if b.dim != mode.state_dim:
         raise ValueError(f"belief dimension {b.dim} != {mode.state_dim}")
-    return make_belief(*_predict(mode, b.mean, b.cov, u))
+    return make_belief(predict_means(mode, b.mean, u), _predict_cov(mode, b.cov))
 
 
 def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
@@ -362,6 +371,43 @@ def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     return make_belief(*_joseph(mode, bp.mean, bp.cov, _mv(mode.C, bp.mean), R))
 
 
+def predict_means(mode: SystemMode, means, us):
+    """The predicted mean A m + B u of one belief, or of each row of a
+    (k, n) stack with one control per row, with make_belief's finite
+    check."""
+    return checked_mean(_mv(mode.A, means) + _mv(mode.B, us))
+
+
+def mlo_covariance(mode: SystemMode, covs, means=None):
+    """The covariance half of one MLO step: the predicted covariances,
+    checked; for an observed mode then the condition test, the Kalman
+    gain under R(means) and the Joseph-form covariance, checked.
+    Returns (covariances, gain), the gain None when p = 0.
+
+    covs is (k, n, n), or one (1, n, n) shared by every row. Only
+    state-dependent noise reads the predicted means, and its R(means)
+    widens a shared covariance to one per row; otherwise the result uses
+    neither the controls nor the means, so it is the same for every
+    belief that starts from the same covariance."""
+    covs = checked_cov(_predict_cov(mode, covs))
+    if mode.obs_dim == 0:
+        return covs, None
+    R = noise_cov(mode, means)
+    K = _gain(mode, covs, R)
+    return checked_cov(_joseph_cov(mode, covs, K, R)), K
+
+
+def mlo_mean_update(mode: SystemMode, means, gain):
+    """The zero-innovation Joseph mean step m + K (C m - C m) of a
+    stack of predicted means, checked; the means as they are when the
+    gain is None (p = 0). On finite means it changes no bit: C m - C m
+    is +0.0, and a predicted mean, a sum of matmul results, holds no
+    -0.0."""
+    if gain is None:
+        return means
+    return checked_mean(_innovate(mode, means, gain, _mv(mode.C, means)))
+
+
 def propagate_mlo_stack(mode: SystemMode, means, covs, us):
     """propagate_mlo for a stack of beliefs, one control per row:
     returns the (k, n) means and the symmetrized covariances. Every
@@ -372,13 +418,9 @@ def propagate_mlo_stack(mode: SystemMode, means, covs, us):
     A shared covariance stays shared, predicted, checked and updated
     once, unless the noise depends on the state; then R(mean) widens it
     to one covariance per row."""
-    means, covs = _predict(mode, means, covs, us)
-    covs = checked_cov(means, covs)
-    if mode.obs_dim == 0:
-        return means, covs
-    R = noise_cov(mode, means)
-    means, covs = _joseph(mode, means, covs, _mv(mode.C, means), R)
-    return means, checked_cov(means, covs)
+    means = predict_means(mode, means, us)
+    covs, gain = mlo_covariance(mode, covs, means)
+    return mlo_mean_update(mode, means, gain), covs
 
 
 def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:

@@ -60,14 +60,23 @@ def make_belief(mean, cov) -> BeliefState:
         raise InvalidCovarianceError(
             f"covariance shape {cov.shape} does not match mean dimension {n}"
         )
-    return frozen_belief(mean, checked_cov(mean, cov))
+    return frozen_belief(checked_mean(mean), checked_cov(cov))
 
 
-def checked_cov(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """The checks of make_belief on one belief, or on a stack of them
-    along a leading axis: finite entries, asymmetry at most 1e-6, no
-    eigenvalue below -1e-9. Returns the symmetrized covariance(s)."""
-    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+def checked_mean(mean: np.ndarray) -> np.ndarray:
+    """The mean check of make_belief on one mean, or on a stack of them:
+    finite entries. Returns the mean."""
+    if not np.isfinite(mean).all():
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    return mean
+
+
+def checked_cov(cov: np.ndarray) -> np.ndarray:
+    """The covariance checks of make_belief on one covariance, or on a
+    stack of them along a leading axis: finite entries, asymmetry at
+    most 1e-6, no eigenvalue below -1e-9. Returns the symmetrized
+    covariance(s)."""
+    if not np.isfinite(cov).all():
         raise InvalidCovarianceError("non-finite entries in belief state")
     asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
     if asym > _MAKE_SYMMETRY_TOL:
@@ -83,7 +92,7 @@ def checked_cov(mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 def frozen_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:
     """Belief state over read-only copies of a mean and a covariance
-    that already passed checked_cov."""
+    that already passed checked_mean and checked_cov."""
     mean = mean.copy()
     sym = sym.copy()
     mean.flags.writeable = False

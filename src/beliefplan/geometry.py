@@ -217,14 +217,27 @@ def _margins(cone: BeliefCone, means, covs) -> np.ndarray:
     (B, n, n) covariances, against each row of the cone. vecdot over
     rows and a stack of vector-matrix products give the same bits per
     row as the 1-D products of one constraint at one belief."""
+    return _spread_margins(cone, means, cone_spread(cone, covs))
+
+
+def _spread_margins(cone: BeliefCone, means, spread) -> np.ndarray:
+    if cone.H.shape[0] == 0:
+        return np.zeros((means.shape[0], 0))
+    return np.vecdot(means[:, None, :], cone.H) + cone.c + spread
+
+
+def cone_spread(cone: BeliefCone, covs) -> np.ndarray:
+    """(B, k) variance terms Phi^{-1}(1 - eps) sqrt(h^T cov h) of each
+    covariance of a (B, n, n) stack against each row of the cone: the
+    part of the margins that does not read the mean. A direction without
+    variance has none, also where eps = 0; otherwise an eps = 0 row's is
+    +inf."""
     H = cone.H
     if H.shape[0] == 0:
-        return np.zeros((means.shape[0], 0))
-    base = np.vecdot(means[:, None, :], H) + cone.c
+        return np.zeros((covs.shape[0], 0))
     q = np.vecdot((H[:, None, None, :] @ covs)[:, :, 0, :], H[:, None, :]).T
     q = np.maximum(q, 0.0)  # clip PSD rounding noise
-    # epsilon = 0 rows: +inf spread, or none on a zero-variance direction.
-    return base + np.where(q > 0.0, cone.quantile, 0.0) * np.sqrt(q)
+    return np.where(q > 0.0, cone.quantile, 0.0) * np.sqrt(q)
 
 
 def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
@@ -235,4 +248,10 @@ def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
 def cone_contains_stack(cone: BeliefCone, means, covs) -> np.ndarray:
     """cone_contains for each belief of a stack: (B, n) means and
     (B, n, n) covariances give a (B,) mask."""
-    return (_margins(cone, means, covs) <= CONTAINMENT_TOL).all(axis=1)
+    return cone_holds(cone, means, cone_spread(cone, covs))
+
+
+def cone_holds(cone: BeliefCone, means, spread) -> np.ndarray:
+    """cone_contains_stack from the (B, n) means and the cone_spread of
+    their covariances, (B, k) or one (1, k) row shared by every mean."""
+    return (_spread_margins(cone, means, spread) <= CONTAINMENT_TOL).all(axis=1)

@@ -1,7 +1,8 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and no module
+imports a private name from another module of the package.
 
-The package's `__init__.py` is left out: it imports names only to
-re-export them.
+The package's `__init__.py` is left out of the first check: it imports
+names only to re-export them.
 """
 
 import ast
@@ -10,7 +11,8 @@ import pathlib
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "beliefplan"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -35,3 +37,25 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """Names starting with an underscore that a relative import (from
+    .module or from .) binds."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_detects_a_private_import():
+    source = "from .dynamics import _mv, predict\nfrom . import _x as y\nfrom numpy import _z\n"
+    assert private_imports(source) == ["_mv (line 1)", "_x (line 2)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []

@@ -7,6 +7,7 @@ from scipy.spatial import ConvexHull
 import oracles
 from beliefplan import belief_rrt, cli
 from beliefplan.belief_rrt import (
+    CovarianceByDepth,
     InternalConsistencyError,
     RrtParams,
     RrtTree,
@@ -217,17 +218,22 @@ def test_select_and_drain_match_list_reference():
     assert checked_select > 2000 and checked_drain == 300 and drained > 100
 
 
+def _same_bits(a, b):
+    """Equal arrays with equal bits, so the sign of a zero counts."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_belief(a, b):
+    return _same_bits(a.mean, b.mean) and _same_bits(a.cov, b.cov)
+
+
 def _same_extension(got, expected):
     """The control and end belief of rrt_extend against the reference's
     control and last step belief, bit for bit."""
     if expected is None:
         return got is None
     (u, end), (u_ref, beliefs_ref) = got, expected
-    return (
-        np.array_equal(u, u_ref)
-        and np.array_equal(end.mean, beliefs_ref[-1].mean)
-        and np.array_equal(end.cov, beliefs_ref[-1].cov)
-    )
+    return _same_bits(u, u_ref) and _same_belief(end, beliefs_ref[-1])
 
 
 def _hull_polytope(vertices):
@@ -322,24 +328,109 @@ def test_extend_matches_reference_with_zero_epsilon_cones():
     assert outcomes == {True, False}
 
 
-def _ill_conditioned_system():
-    """Observing x0 with noise gain x1 while x0 carries no variance: the
-    innovation matrix is R = x1^2, singular exactly when x1 = 0. From
-    x1 = 1 with the control box [-1, 1]^2, only the greedy candidate,
-    clamped to u1 = -1 toward a target with x1 <= -3, lands there."""
+def test_table_extensions_match_reference_at_depth():
+    """Extensions chained from each end belief through one shared
+    CovarianceByDepth, so that each reads the rows below its depth:
+    random lbs and polbs_linear modes, identity and non-identity A, with
+    and without process noise. Each extension equals the per-candidate
+    reference started from the same belief, bit for bit, and draws the
+    same numbers."""
+    rng = np.random.default_rng(91)
+    seen = {"deep": 0, "none": 0, "kinds": set()}
+    for trial in range(160):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 3))
+        kind = ("lbs", "polbs_linear")[trial % 2]
+        mode = oracles.random_mode(rng, n, m, kind, process_noise=trial // 2 % 2 == 0)
+        if rng.random() < 0.3:
+            mode = SystemMode(A=np.eye(n), B=mode.B, W=mode.W, C=mode.C, noise=mode.noise)
+        L = rng.normal(scale=0.2, size=(n, n))
+        start = make_belief(rng.normal(size=n), L @ L.T)
+        stay = _box_cone(
+            [(c - w, c + w) for c, w in zip(start.mean, rng.uniform(1.0, 4.0, size=n))],
+            float(rng.choice([0.01, 0.05, 0.2])),
+        )
+        domain = _PLANAR_DOMAINS[trial // 4 % 3] if m == 2 else box_polytope([(-1.0, 1.0)])
+        table = CovarianceByDepth(mode, start.cov, stay)
+        belief, depth = start, 0
+        for link in range(4):
+            target = belief.mean + rng.normal(scale=2.0, size=n)
+            horizon = int(rng.integers(1, 7))
+            seed = int(rng.integers(1 << 30))
+            r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected, _ = oracles.list_rrt_extend(mode, belief, target, horizon, stay, domain, r_ref)
+            got = rrt_extend(mode, belief, target, horizon, stay, domain, r_new, table, depth)
+            assert _same_extension(got, expected), (trial, link)
+            assert r_new.bit_generator.state == r_ref.bit_generator.state
+            if got is None:
+                seen["none"] += 1
+                break
+            belief, depth = got[1], depth + horizon
+            seen["deep"] += link > 0
+        seen["kinds"].add(mode.kind)
+    assert seen["deep"] > 150 and seen["none"] > 10
+    assert seen["kinds"] == {"lbs", "polbs_linear"}
+
+
+def _table_system(kind):
+    """A planar mode without observation or observing x0 with constant
+    noise; process noise makes the covariance differ at every depth."""
+    observed = {"C": [[1.0, 0.0]], "noise": [[0.3]]} if kind == "polbs_linear" else {}
+    mode = SystemMode(A=[[1.0, 0.1], [0.0, 1.0]], B=0.25 * np.eye(2), W=0.2 * np.eye(2), **observed)
+    return SwitchedSystem((mode,), box_polytope([(-1.0, 1.0)] * 2))
+
+
+@pytest.mark.parametrize("kind", ["lbs", "polbs_linear"])
+def test_table_tree_replays_bit_for_bit(kind, monkeypatch):
+    """Every node of a capped search, whose extensions share one
+    CovarianceByDepth, holds the belief that propagate_mlo computes along
+    its branch from the root, bit for bit."""
+    sys = _table_system(kind)
+    mode = sys.modes[0]
+    assert mode.kind == kind
+    trees = []
+    drain = belief_rrt.rrt_drain
+
+    def capture(tree, node_id, delta_drain):
+        trees.append(tree)
+        return drain(tree, node_id, delta_drain)
+
+    monkeypatch.setattr(belief_rrt, "rrt_drain", capture)
+    task = SegmentTask(
+        mode=0,
+        stay=_box_cone([(-6.0, 6.0), (-6.0, 6.0)], 0.05),
+        goal=_box_cone([(10.0, 11.0), (-1.0, 1.0)], 0.05),  # out of reach
+        min_dwell_in_goal=0,
+        max_total_steps=40,
+    )
+    start = make_belief([-3.0, 0.5], 0.1 * np.eye(2))
+    params = RrtParams(iteration_cap=150, delta_near=2.0, min_num_of_steps=1, max_num_of_steps=4)
+    assert solve_segment(sys, task, start, params, np.random.default_rng(8)).status == "timeout"
+    tree = trees[-1]
+    replay = [tree.beliefs[0]]
+    for i in range(1, len(tree)):
+        b = replay[tree.parent[i]]
+        for _ in range(tree.depth[i] - tree.depth[tree.parent[i]]):
+            b = propagate_mlo(mode, b, tree.controls[i])
+        replay.append(b)
+        assert _same_belief(tree.beliefs[i], b), i
+    assert len(tree) > 100 and tree.depth[: len(tree)].max() >= 10
+
+
+def _ill_conditioned_system(noise):
+    """Observing x0 while x0 carries no variance, from x1 = 1 with the
+    control box [-1, 1]^2. With noise gain "x1" the innovation matrix is
+    R = x1^2, singular exactly when x1 = 0, and only the greedy
+    candidate, clamped to u1 = -1 toward a target with x1 <= -3, lands
+    there. With the constant gain [[0.0]] it is singular at every step
+    (and the segment's covariances come from a CovarianceByDepth)."""
     mode = SystemMode(
-        A=np.eye(2), B=np.eye(2), W=np.zeros((2, 2)), C=[[1.0, 0.0]], noise="x1",
+        A=np.eye(2), B=np.eye(2), W=np.zeros((2, 2)), C=[[1.0, 0.0]], noise=noise,
     )
     return SwitchedSystem((mode,), box_polytope([(-1, 1), (-1, 1)]))
 
 
-def test_one_ill_conditioned_candidate_aborts_the_segment():
-    sys = _ill_conditioned_system()
-    mode = sys.modes[0]
-    start = make_belief([0.0, 1.0], np.diag([0.0, 0.01]))
-    propagate_mlo(mode, start, [0.3, -0.7])  # a uniform candidate is well conditioned
-    with pytest.raises(IllConditionedUpdateError):
-        propagate_mlo(mode, start, [0.3, -1.0])  # the clamped greedy one is not
+def _ill_conditioned_solve(sys, start):
     task = SegmentTask(
         mode=0,
         stay=_box_cone([(-5, 5), (-5, 5)], 0.05),
@@ -352,12 +443,44 @@ def test_one_ill_conditioned_candidate_aborts_the_segment():
         solve_segment(sys, task, start, params, np.random.default_rng(0))
 
 
-def test_one_ill_conditioned_candidate_exits_numeric(tmp_path, capsys):
-    doc = {
+def test_one_ill_conditioned_candidate_aborts_the_segment():
+    sys = _ill_conditioned_system("x1")
+    mode = sys.modes[0]
+    start = make_belief([0.0, 1.0], np.diag([0.0, 0.01]))
+    propagate_mlo(mode, start, [0.3, -0.7])  # a uniform candidate is well conditioned
+    with pytest.raises(IllConditionedUpdateError):
+        propagate_mlo(mode, start, [0.3, -1.0])  # the clamped greedy one is not
+    _ill_conditioned_solve(sys, start)
+
+
+def test_ill_conditioned_constant_noise_aborts_the_segment():
+    sys = _ill_conditioned_system([[0.0]])
+    assert sys.modes[0].kind == "polbs_linear"
+    start = make_belief([0.0, 1.0], np.diag([0.0, 0.01]))
+    with pytest.raises(IllConditionedUpdateError):
+        propagate_mlo(sys.modes[0], start, [0.3, -0.7])
+    _ill_conditioned_solve(sys, start)
+
+
+def _assert_exits(tmp_path, capsys, doc, code, message):
+    """Running the CLI on the problem `doc` exits with `code`, and its
+    error output names `message` without a traceback."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _ill_conditioned_doc(noise):
+    return {
         "state_dim": 2,
         "control_dim": 2,
         "modes": [{"A": np.eye(2).tolist(), "B": np.eye(2).tolist(), "W": [[0.0, 0.0], [0.0, 0.0]],
-                   "C": [[1.0, 0.0]], "noise": "x1"}],
+                   "C": [[1.0, 0.0]], "noise": noise}],
         "control_domain": {"box": [[-1.0, 1.0], [-1.0, 1.0]]},
         "initial": {"mean": [0.0, 1.0], "cov": [[0.0, 0.0], [0.0, 0.01]]},
         "named_formulas": {
@@ -367,20 +490,23 @@ def test_one_ill_conditioned_candidate_exits_numeric(tmp_path, capsys):
         "formula": "(stay) U[0,20] G[0,2] (goal)",
         "planner": {"iteration_cap": 50, "goal_bias": 1.0, "k_max": 2},
     }
-    path = tmp_path / "ill.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--problem", str(path), "--out", str(tmp_path / "out")])
-    assert exc.value.code == cli.EXIT_NUMERIC
-    err = capsys.readouterr().err
-    assert "condition number" in err
-    assert "Traceback" not in err
 
 
-def _corrupting(frozen_belief):
-    """frozen_belief with the mean of every belief moved by one ulp."""
+def test_one_ill_conditioned_candidate_exits_numeric(tmp_path, capsys):
+    _assert_exits(tmp_path, capsys, _ill_conditioned_doc("x1"), cli.EXIT_NUMERIC, "condition number")
+
+
+def test_ill_conditioned_constant_noise_exits_numeric(tmp_path, capsys):
+    _assert_exits(tmp_path, capsys, _ill_conditioned_doc([[0.0]]), cli.EXIT_NUMERIC, "condition number")
+
+
+def _corrupting(frozen_belief, part="mean"):
+    """frozen_belief with the mean, or the covariance, of every belief
+    moved by one ulp."""
     def corrupt(mean, cov):
-        return frozen_belief(np.nextafter(mean, np.inf), cov)
+        if part == "mean":
+            return frozen_belief(np.nextafter(mean, np.inf), cov)
+        return frozen_belief(mean, np.nextafter(cov, np.inf))
     return corrupt
 
 
@@ -401,12 +527,11 @@ def test_reconstruct_rejects_a_corrupted_node():
         _reconstruct(mode, tree, 1)
 
 
-def test_corrupted_tree_exits_internal(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(belief_rrt, "frozen_belief", _corrupting(belief_rrt.frozen_belief))
-    doc = {
+def _small_doc(noise):
+    return {
         "state_dim": 1,
         "control_dim": 1,
-        "modes": [{"A": [[1.0]], "B": [[1.0]], "W": [[0.0]], "C": [[1.0]], "noise": "0.01"}],
+        "modes": [{"A": [[1.0]], "B": [[1.0]], "W": [[0.0]], "C": [[1.0]], "noise": noise}],
         "control_domain": {"box": [[-1.0, 1.0]]},
         "initial": {"mean": [0.0], "cov": [[0.01]]},
         "named_formulas": {
@@ -416,14 +541,19 @@ def test_corrupted_tree_exits_internal(tmp_path, monkeypatch, capsys):
         "formula": "(safe) U[0,20] G[0,5] (goal)",
         "planner": {"iteration_cap": 2000, "k_max": 3},
     }
-    path = tmp_path / "small.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["--problem", str(path), "--out", str(tmp_path / "out")])
-    assert exc.value.code == cli.EXIT_INTERNAL
-    err = capsys.readouterr().err
-    assert "does not reproduce" in err
-    assert "Traceback" not in err
+
+
+def test_corrupted_tree_exits_internal(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(belief_rrt, "frozen_belief", _corrupting(belief_rrt.frozen_belief))
+    _assert_exits(tmp_path, capsys, _small_doc("0.01"), cli.EXIT_INTERNAL, "does not reproduce")
+
+
+def test_corrupted_table_node_exits_internal(tmp_path, monkeypatch, capsys):
+    """Constant noise, so the segment's nodes take their covariance from
+    a CovarianceByDepth; a stored covariance one ulp off is caught by the
+    replay of the successful branch."""
+    monkeypatch.setattr(belief_rrt, "frozen_belief", _corrupting(belief_rrt.frozen_belief, "cov"))
+    _assert_exits(tmp_path, capsys, _small_doc([[0.1]]), cli.EXIT_INTERNAL, "does not reproduce")
 
 
 def test_solve_segment_infeasible_start():
