@@ -74,7 +74,6 @@ from .discrete_planner import (
     abstract,
     add_counterexample,
     bmc_next_candidate,
-    word_of,
 )
 from .belief_rrt import (
     InternalConsistencyError,
@@ -92,7 +91,6 @@ from .synthesis import (
     SolutionTrajectory,
     SynthesisResult,
     solve,
-    trajectory_query,
 )
 from .tracking import LqrGains, lqr_gains, simulate, track_step
 

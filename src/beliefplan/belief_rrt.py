@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .dynamics import (
+    IllConditionedUpdateError,
     SwitchedSystem,
     SystemMode,
     mlo_covariance,
@@ -33,14 +34,16 @@ from .dynamics import (
     propagate_mlo,
     propagate_mlo_stack,
 )
-from .gaussian import BeliefState, frozen_belief, uncertainty_measure
+from .gaussian import BeliefState, InvalidCovarianceError, frozen_belief, uncertainty_measure
 from .geometry import (
     BeliefCone,
     Polytope,
+    axis_bounds,
     cone_contains,
     cone_contains_stack,
     cone_holds,
     cone_spread,
+    mean_region_empty,
     polytope_contains,
     polytope_sample,
 )
@@ -180,6 +183,7 @@ class SegmentResult:
     status: str  # "success" | "timeout" | "infeasible-start"
     beliefs: tuple = ()
     controls: tuple = ()
+    proof: str | None = None  # "goal-empty": a timeout decided before any search
 
     @property
     def ok(self) -> bool:
@@ -300,16 +304,7 @@ def _cone_mean_box(cone: BeliefCone, center: np.ndarray) -> tuple:
     """Axis-aligned sampling box from the mean-space shadow of the cone
     (h.x + c <= 0 per constraint); unbounded directions are clipped to
     +-_BOX_CLIP around the center."""
-    n = center.shape[0]
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    axis_rows = np.count_nonzero(cone.H, axis=1) == 1  # others do not tighten the box
-    H = cone.H[axis_rows]
-    j = np.nonzero(H)[1]
-    h = H[H != 0]
-    bound = -cone.c[axis_rows] / h
-    np.minimum.at(hi, j[h > 0], bound[h > 0])
-    np.maximum.at(lo, j[h < 0], bound[h < 0])
+    lo, hi = axis_bounds(cone.H, cone.c, center.shape[0])
     lo = np.where(np.isfinite(lo), lo, center - _BOX_CLIP)
     hi = np.where(np.isfinite(hi), hi, center + _BOX_CLIP)
     hi = np.maximum(hi, lo)
@@ -378,6 +373,33 @@ def _goal_reached(mode: SystemMode, task: SegmentTask, tree: RrtTree, node_id: i
     )
 
 
+def _goal_empty(task: SegmentTask, table: CovarianceByDepth) -> bool:
+    """Whether no node below the root can pass the goal test, decided
+    from the table alone. A node at depth d passed the stay test at its
+    last step, at row d's covariance, and the goal test needs d <=
+    max_total_steps - min_dwell_in_goal; so if no mean lies in both the
+    goal and the stay cone at row d for every such d, the search cannot
+    succeed. The walk reads the rows the search could read, up to
+    max_total_steps, and stops early at the first row bit-equal to the
+    one before: every later row repeats it. A row whose computation
+    raises (or warns, where warnings are errors) gives no verdict; the
+    search raises it if it gets there."""
+    last_goal_depth = task.max_total_steps - task.min_dwell_in_goal
+    for depth in range(1, task.max_total_steps + 1):
+        try:
+            cov, _, stay_spread = table[depth]
+            goal_spread = cone_spread(task.goal, cov)
+        except (InvalidCovarianceError, IllConditionedUpdateError, RuntimeWarning):
+            return False
+        if depth <= last_goal_depth and not mean_region_empty(
+            (task.goal, task.stay), (goal_spread, stay_spread), cov.shape[-1]
+        ):
+            return False
+        if np.array_equal(cov, table[depth - 1][0]):
+            return True
+    return True
+
+
 def solve_segment(
     sys: SwitchedSystem,
     task: SegmentTask,
@@ -389,7 +411,10 @@ def solve_segment(
 
     Runs until success, the iteration cap, or the wall-clock timeout.
     Unless the noise depends on the state, the extensions share one
-    CovarianceByDepth; the replay of a successful branch checks it.
+    CovarianceByDepth; the replay of a successful branch checks it, and
+    a goal that the table proves empty at every depth ends the segment
+    as a "timeout" with proof "goal-empty" before a random number is
+    drawn.
     """
     mode = sys.modes[task.mode]
     if not cone_contains(task.stay, start) and not cone_contains(task.goal, start):
@@ -399,6 +424,8 @@ def solve_segment(
     reached = _goal_reached(mode, task, tree, 0)
     if reached is not None:
         return reached
+    if table is not None and _goal_empty(task, table):
+        return SegmentResult("timeout", proof="goal-empty")
 
     goal_lo, goal_hi = _cone_mean_box(task.goal, start.mean)
     stay_lo, stay_hi = _cone_mean_box(task.stay, start.mean)

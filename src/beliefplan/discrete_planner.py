@@ -134,20 +134,6 @@ def abstract(f, sys: SwitchedSystem) -> Abstraction:
     return Abstraction(atomics, num_modes)
 
 
-def word_of(plan: DiscretePlan, dwells) -> list:
-    """Per-step word induced by a dwell assignment: position t carries
-    the active segment's label and mode."""
-    dwells = [int(d) for d in dwells]
-    if len(dwells) != len(plan.segments):
-        raise ValueError("one dwell per segment required")
-    for seg, d in zip(plan.segments, dwells):
-        if not (seg.dwell_min <= d <= seg.dwell_max):
-            raise ValueError(
-                f"dwell {d} outside window [{seg.dwell_min}, {seg.dwell_max}]"
-            )
-    return signature_word(plan.signature(), dwells)
-
-
 def signature_word(signature, dwells) -> list:
     """Word of a (label, mode) signature held for the given dwells, with
     no window check: each pair is repeated for its dwell."""

@@ -240,6 +240,67 @@ def cone_spread(cone: BeliefCone, covs) -> np.ndarray:
     return np.where(q > 0.0, cone.quantile, 0.0) * np.sqrt(q)
 
 
+def axis_bounds(H: np.ndarray, offsets: np.ndarray, dim: int) -> tuple:
+    """Per-axis bounds (lo, hi) that the rows of H with one nonzero entry
+    put on x through h.x + offset <= 0; -inf and +inf where no row bounds
+    a side. Rows with other nonzero counts are ignored. The bounds are
+    not clamped: lo > hi on an axis where those rows admit no x."""
+    lo = np.full(dim, -np.inf)
+    hi = np.full(dim, np.inf)
+    axis_rows = np.count_nonzero(H, axis=1) == 1
+    H = H[axis_rows]
+    j = np.nonzero(H)[1]
+    h = H[H != 0]
+    bound = -offsets[axis_rows] / h
+    np.minimum.at(hi, j[h > 0], bound[h > 0])
+    np.maximum.at(lo, j[h < 0], bound[h < 0])
+    return lo, hi
+
+
+# A float mean passes a row when fl(h.m + c + spread) <= CONTAINMENT_TOL.
+# The roundings of that sum, and of an axis bound -(c + spread - tol)/h,
+# are a few ulps (about 1e-15 relative) of |h.m| + |c| + spread; along
+# an axis that two rows bound, |h.m| is at most the larger of them. A
+# region is called empty only when it is empty by CONTAINMENT_TOL plus
+# _EMPTY_RTOL times that scale, six orders of magnitude above the
+# rounding, so no float mean that a margin test accepts is ruled out.
+_EMPTY_RTOL = 1e-9
+# An infeasibility that HiGHS reports holds to its primal feasibility
+# tolerance (1e-7 by default) on the rows, here scaled to |h| = 1; the
+# LP's rows are loosened by ten times that as well, which also covers
+# the rounding of h.m, a few ulps of |h| |m|, for every |m| below 1e8.
+_LP_SLACK = 1e-6
+
+
+def mean_region_empty(cones, spreads, dim: int) -> bool:
+    """Whether no mean passes cone_holds against every cone with its
+    spread, one (1, k) cone_spread row per cone, by more than the
+    tolerance and rounding above. The axis rows decide first, as a
+    per-axis box; only rows with other nonzero counts need an LP, and
+    scipy's solver is imported then only."""
+    H = np.concatenate([cone.H.reshape(-1, dim) for cone in cones])
+    c = np.concatenate([cone.c for cone in cones])
+    spread = np.concatenate([s[0] for s in spreads])
+    if np.isinf(spread).any():  # an eps = 0 row with variance holds for no mean
+        return True
+    offsets = c + spread - CONTAINMENT_TOL
+    scale = np.abs(c) + spread + CONTAINMENT_TOL
+    lo, hi = axis_bounds(H, offsets, dim)
+    axis_rows = np.count_nonzero(H, axis=1) == 1
+    axis_scale = scale[axis_rows] / np.abs(H[axis_rows]).sum(axis=1)
+    if (lo - hi > _EMPTY_RTOL * np.max(axis_scale, initial=0.0)).any():
+        return True
+    if axis_rows.all():
+        return False
+    from scipy.optimize import linprog  # costs ~0.5 s; no shipped problem needs it
+
+    norm = np.linalg.norm(H, axis=1)
+    norm[norm == 0] = 1.0
+    b = (_EMPTY_RTOL * scale - offsets) / norm + _LP_SLACK
+    lp = linprog(np.zeros(dim), A_ub=H / norm[:, None], b_ub=b, bounds=(None, None), method="highs")
+    return lp.status == 2
+
+
 def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
     """Conjunction of cone_margin <= tol over all constraints."""
     return bool(cone_contains_stack(cone, b.mean[None], b.cov[None])[0])

@@ -69,20 +69,6 @@ class SolutionTrajectory(Trace):
         return len(self.modes)
 
 
-def trajectory_query(t: SolutionTrajectory, kind: str, k: int):
-    """mean/cov are defined for k <= T, control/action for k < T."""
-    T = t.num_steps
-    if kind in ("mean", "cov"):
-        if not 0 <= k <= T:
-            raise IndexError(f"{kind} index {k} outside [0, {T}]")
-        return t.beliefs[k].mean if kind == "mean" else t.beliefs[k].cov
-    if kind in ("control", "action"):
-        if not 0 <= k < T:
-            raise IndexError(f"{kind} index {k} outside [0, {T})")
-        return t.controls[k] if kind == "control" else t.modes[k]
-    raise ValueError(f"unknown query kind {kind!r}")
-
-
 @dataclass
 class SynthesisResult:
     trajectory: SolutionTrajectory | None
@@ -120,7 +106,7 @@ def _attempt_plan(
     problem: Problem, plan: DiscretePlan, params: RrtParams, rng
 ):
     """Chain segment RRT solves along the plan. Returns either
-    ("ok", trajectory) or ("fail", failing segment index, status)."""
+    ("ok", trajectory) or ("fail", failing segment index, status, proof)."""
     segs = plan.segments
     K = len(segs)
     cap = horizon(problem.formula) + 1
@@ -153,7 +139,7 @@ def _attempt_plan(
         )
         result = solve_segment(problem.system, task, beliefs[-1], params, rng)
         if not result.ok:
-            return ("fail", j, result.status)
+            return ("fail", j, result.status, result.proof)
         beliefs.extend(result.beliefs[1:])
         controls.extend(result.controls)
         modes.extend([seg.mode] * result.num_steps)
@@ -166,7 +152,7 @@ def _attempt_plan(
     dwells[-1] += 1
     word = signature_word(plan.signature(), dwells)
     if not monitor_word(problem.formula, word):
-        return ("fail", K - 1, "realized-dwell")
+        return ("fail", K - 1, "realized-dwell", None)
 
     trajectory = SolutionTrajectory(
         tuple(beliefs), tuple(modes), tuple(controls), tuple(boundaries[:-1])
@@ -195,19 +181,20 @@ def solve(
         iterations += 1
         outcome = _attempt_plan(problem, plan, params, rng)
         if outcome[0] == "fail":
-            _, j, status = outcome
+            _, j, status, proof = outcome
             prefix = plan.signature()[: j + 1]
             add_counterexample(cex, prefix)
-            log.append(
-                {
-                    "plan": [list(p) for p in plan.signature()],
-                    "windows": [
-                        [seg.dwell_min, seg.dwell_max] for seg in plan.segments
-                    ],
-                    "outcome": status,
-                    "failed_segment": j,
-                }
-            )
+            entry = {
+                "plan": [list(p) for p in plan.signature()],
+                "windows": [
+                    [seg.dwell_min, seg.dwell_max] for seg in plan.segments
+                ],
+                "outcome": status,
+                "failed_segment": j,
+            }
+            if proof is not None:
+                entry["proof"] = proof
+            log.append(entry)
             continue
         trajectory = outcome[1]
         _warn_on_uncertainty_growth(trajectory.beliefs)

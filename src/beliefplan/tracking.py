@@ -29,7 +29,7 @@ from .dynamics import (
 )
 from .gaussian import BeliefState
 from .geometry import Polytope, polytope_contains
-from .synthesis import SolutionTrajectory, trajectory_query
+from .synthesis import SolutionTrajectory
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def simulate(
             f"num_steps {num_steps} exceeds reference length {ref.num_steps}"
         )
     for k in range(num_steps):
-        if trajectory_query(ref, "action", k) not in gains:
+        if ref.modes[k] not in gains:
             raise ValueError(f"no LQR gains for mode {ref.modes[k]}")
 
     est = ref.beliefs[0]
@@ -126,13 +126,13 @@ def simulate(
     controls = []
     xs = [x]
     for k in range(num_steps):
-        mode_idx = trajectory_query(ref, "action", k)
+        mode_idx = ref.modes[k]
         mode = sys.modes[mode_idx]
         real_mode = real_sys.modes[mode_idx]
         u = track_step(
             gains[mode_idx],
-            trajectory_query(ref, "mean", k),
-            trajectory_query(ref, "control", k),
+            ref.beliefs[k].mean,
+            ref.controls[k],
             est,
             sys.control_domain,
         )

@@ -347,6 +347,44 @@ def _cli(args, tmp_path):
     )
 
 
+TRACK_REFERENCE = os.path.join(HERE, os.pardir, "bench", "track_reference.csv")
+DARKSWITCH = os.path.join(HERE, os.pardir, "bench", "darkswitch.json")
+
+
+def test_lightdark_trajectory_matches_the_track_reference(tmp_path):
+    """bench/track_reference.csv is documented as the CLI's
+    trajectory.csv for light-dark at seed 0; the CLI still writes it
+    byte for byte."""
+    r = _cli(["--problem", os.path.abspath(LIGHTDARK), "--seed", "0", "--no-simulation",
+              "--out", str(tmp_path / "out")], tmp_path)
+    assert r.returncode == 0, r.stderr
+    with open(TRACK_REFERENCE, "rb") as fh:
+        assert (tmp_path / "out" / "trajectory.csv").read_bytes() == fh.read()
+
+
+def test_shipped_problems_solve_without_the_lp_solver(tmp_path):
+    """The goal-emptiness proof imports scipy.optimize only for slanted
+    rows, which neither shipped problem has: the import would add about
+    half a second and much memory to every run."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from beliefplan.cli import load_problem\n"
+        "from beliefplan.synthesis import solve\n"
+        "for path in sys.argv[1:]:\n"
+        "    problem, params, k_max, seed, _ = load_problem(path)\n"
+        "    assert solve(problem, params, k_max, np.random.default_rng(seed)).ok, path\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    paths = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    r = subprocess.run(
+        [sys.executable, "-c", script, os.path.abspath(DARKSWITCH), os.path.abspath(LIGHTDARK)],
+        capture_output=True, text=True, cwd=str(tmp_path), env=env,
+    )
+    assert r.returncode == 0, r.stderr
+
+
 def test_exit_code_schema(tmp_path):
     doc = _small_doc()
     del doc["modes"]

@@ -15,7 +15,6 @@ from beliefplan.discrete_planner import (
     bmc_next_candidate,
     dwell_search,
     signature_word,
-    word_of,
 )
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.formula import (
@@ -93,10 +92,10 @@ def test_abstract_rejects_undeclared_mode():
         abstract(f, _system(num_modes=2))
 
 
-def test_word_of():
+def test_signature_word():
     a, b = _atomic("a"), _atomic("b")
     plan = DiscretePlan((PlanSegment(a, 0, 1, 3), PlanSegment(b, 1, 2, 4)))
-    word = word_of(plan, [2, 3])
+    word = signature_word(plan.signature(), [2, 3])
     assert word == [
         (frozenset({"a"}), 0),
         (frozenset({"a"}), 0),
@@ -104,10 +103,6 @@ def test_word_of():
         (frozenset({"b"}), 1),
         (frozenset({"b"}), 1),
     ]
-    with pytest.raises(ValueError):
-        word_of(plan, [4, 3])  # dwell outside window
-    with pytest.raises(ValueError):
-        word_of(plan, [2])
 
 
 def _first_candidate_oracle(abs_, f, excluded, k_max):

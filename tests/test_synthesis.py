@@ -6,12 +6,7 @@ from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.formula import Until, always, monitor, named, parse_formula
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import box_polytope
-from beliefplan.synthesis import (
-    Problem,
-    SolutionTrajectory,
-    solve,
-    trajectory_query,
-)
+from beliefplan.synthesis import Problem, solve
 
 
 def _simple_problem(formula_text, named_texts=(), noise="0.01", num_modes=1):
@@ -40,19 +35,6 @@ def test_problem_dimension_check():
     f = parse_formula("true", 2, 1)
     with pytest.raises(ValueError):
         Problem(sys, make_belief([0.0, 0.0], np.eye(2)), f)
-
-
-def test_trajectory_query_fenceposts():
-    b = make_belief([0.0], [[1.0]])
-    t = SolutionTrajectory((b, b, b), (0, 0), (np.zeros(1), np.zeros(1)), (0,))
-    assert trajectory_query(t, "mean", 2) is t.beliefs[2].mean
-    assert trajectory_query(t, "action", 1) == 0
-    with pytest.raises(IndexError):
-        trajectory_query(t, "control", 2)
-    with pytest.raises(IndexError):
-        trajectory_query(t, "mean", 3)
-    with pytest.raises(ValueError):
-        trajectory_query(t, "variance", 0)
 
 
 def test_solve_reach_and_hold():
