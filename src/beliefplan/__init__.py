@@ -49,8 +49,6 @@ from .formula import (
     named,
     parse_formula,
     top,
-    until,
-    release,
 )
 from .dynamics import (
     IllConditionedUpdateError,
@@ -61,7 +59,6 @@ from .dynamics import (
     noise_cov,
     predict,
     propagate_mlo,
-    propagate_mlo_stack,
     sample_observation,
     step_truth,
 )

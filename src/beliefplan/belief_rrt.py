@@ -29,10 +29,8 @@ from .dynamics import (
     SwitchedSystem,
     SystemMode,
     mlo_covariance,
-    mlo_mean_update,
     predict_means,
     propagate_mlo,
-    propagate_mlo_stack,
 )
 from .gaussian import BeliefState, InvalidCovarianceError, frozen_belief, uncertainty_measure
 from .geometry import (
@@ -40,7 +38,6 @@ from .geometry import (
     Polytope,
     axis_bounds,
     cone_contains,
-    cone_contains_stack,
     cone_holds,
     cone_spread,
     mean_region_empty,
@@ -137,21 +134,20 @@ class CovarianceByDepth:
     """The covariances of a segment tree by depth, for a mode whose MLO
     covariance reads neither the control nor the mean (kind lbs or
     polbs_linear). Row d holds what d stacked steps from the start
-    compute: the checked (1, n, n) covariance, the Kalman gain of its
-    update (None without observation) and the stay cone's spread at it.
-    Row 0 holds the start's covariance; the others are made on first
-    use, each from the row before by mlo_covariance."""
+    compute: the checked (1, n, n) covariance and the stay cone's spread
+    at it. Row 0 holds the start's covariance; the others are made on
+    first use, each from the row before by mlo_covariance."""
 
     def __init__(self, mode: SystemMode, start_cov: np.ndarray, stay: BeliefCone):
         self.mode = mode
         self.stay = stay
         cov = start_cov[None]
-        self.rows = [(cov, None, cone_spread(stay, cov))]
+        self.rows = [(cov, cone_spread(stay, cov))]
 
     def __getitem__(self, depth: int) -> tuple:
         while len(self.rows) <= depth:
-            cov, gain = mlo_covariance(self.mode, self.rows[-1][0])
-            self.rows.append((cov, gain, cone_spread(self.stay, cov)))
+            cov = mlo_covariance(self.mode, self.rows[-1][0])
+            self.rows.append((cov, cone_spread(self.stay, cov)))
         return self.rows[depth]
 
 
@@ -239,14 +235,14 @@ def rrt_extend(
     The candidates advance together as one stack, and the rows that
     left the stay cone are dropped after each step: exactly the beliefs
     a candidate-by-candidate loop would compute are computed and checked.
-    Unless the measurement noise depends on the state, every candidate
-    has after step t the covariance of row depth + t + 1 of a
-    CovarianceByDepth, so a step computes only the means and reads the
-    covariance, gain and stay spread from that row. `table` is the one
-    of the belief's tree, whose node at `depth` the belief is, or else
-    one made here from the belief. With state-dependent noise the stack
-    starts from one shared covariance and widens to one per row at the
-    first update.
+    A step's means are the predicted means (MLO). Unless the measurement
+    noise depends on the state, every candidate has after step t the
+    covariance of row depth + t + 1 of a CovarianceByDepth, and the step
+    reads the covariance and stay spread from that row. `table` is the
+    one of the belief's tree, whose node at `depth` the belief is, or
+    else one made here from the belief. With state-dependent noise the
+    stack starts from one shared covariance and widens to one per row at
+    the first update.
     """
     controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
     lo, hi = control_domain.bounding_box()
@@ -263,14 +259,13 @@ def rrt_extend(
     if table is None:
         table, depth = _depth_table(mode, belief.cov, stay), 0
     for t in range(horizon):
+        means = predict_means(mode, means, controls[alive])
         if table is None:  # the noise depends on the state
-            means, covs = propagate_mlo_stack(mode, means, covs, controls[alive])
-            inside = cone_contains_stack(stay, means, covs)
+            covs = mlo_covariance(mode, covs, means)
+            spread = cone_spread(stay, covs)
         else:
-            means = predict_means(mode, means, controls[alive])
-            covs, gain, spread = table[depth + t + 1]
-            means = mlo_mean_update(mode, means, gain)
-            inside = cone_holds(stay, means, spread)
+            covs, spread = table[depth + t + 1]
+        inside = cone_holds(stay, means, spread)
         if not inside.all():
             alive, means = alive[inside], means[inside]
             if alive.size == 0:
@@ -387,7 +382,7 @@ def _goal_empty(task: SegmentTask, table: CovarianceByDepth) -> bool:
     last_goal_depth = task.max_total_steps - task.min_dwell_in_goal
     for depth in range(1, task.max_total_steps + 1):
         try:
-            cov, _, stay_spread = table[depth]
+            cov, stay_spread = table[depth]
             goal_spread = cone_spread(task.goal, cov)
         except (InvalidCovarianceError, IllConditionedUpdateError, RuntimeWarning):
             return False

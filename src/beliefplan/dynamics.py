@@ -9,8 +9,9 @@ The measurement noise gain n is either a constant p-by-p matrix or a
 scalar expression in the state multiplied by the identity. A mode with
 no observation (p = 0) propagates open loop; otherwise planning uses
 the maximum-likelihood-observation assumption: the future observation
-equals its predicted mean, so the Kalman update has zero innovation and
-belief propagation is deterministic.
+equals its predicted mean, so the Kalman update has zero innovation:
+the planned mean is the predicted mean, only the covariance contracts,
+and belief propagation is deterministic.
 """
 
 from __future__ import annotations
@@ -308,9 +309,10 @@ def _predict_cov(mode: SystemMode, cov):
     return mode.A @ cov @ mode.A.T + mode.W @ mode.W.T
 
 
-def _gain(mode: SystemMode, cov, R):
-    """Kalman gain of one covariance or a stack, after the condition
-    test on the symmetrized innovation matrix."""
+def _update(mode: SystemMode, cov, R):
+    """Kalman gain and unchecked Joseph-form covariance of one
+    covariance or a stack, after the condition test on the symmetrized
+    innovation matrix."""
     C = mode.C
     S = C @ cov @ C.T + R
     S = 0.5 * (S + S.mT)
@@ -318,22 +320,16 @@ def _gain(mode: SystemMode, cov, R):
         raise IllConditionedUpdateError(
             f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
         )
-    return np.linalg.solve(S, C @ cov).mT
+    K = np.linalg.solve(S, C @ cov).mT
+    IKC = np.eye(mode.state_dim) - K @ C
+    return K, IKC @ cov @ IKC.mT + K @ R @ K.mT
 
 
-def _joseph_cov(mode: SystemMode, cov, K, R):
-    IKC = np.eye(mode.state_dim) - K @ mode.C
-    return IKC @ cov @ IKC.mT + K @ R @ K.mT
-
-
-def _innovate(mode: SystemMode, mean, K, y):
-    return mean + _mv(K, y - _mv(mode.C, mean))
-
-
-def _joseph(mode: SystemMode, mean, cov, y, R):
-    """Unchecked Joseph-form update of one belief or a stack."""
-    K = _gain(mode, cov, R)
-    return _innovate(mode, mean, K, y), _joseph_cov(mode, cov, K, R)
+def _mlo_cov(mode: SystemMode, covs, means):
+    """The unchecked covariance update of an MLO step of an observed
+    mode, from the checked predicted covariance(s), R read at the
+    predicted mean(s)."""
+    return _update(mode, covs, noise_cov(mode, means))[1]
 
 
 def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
@@ -357,7 +353,8 @@ def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
     if y.shape[0] != mode.obs_dim:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
     R = noise_cov(mode, b.mean)
-    return make_belief(*_joseph(mode, b.mean, b.cov, y, R))
+    K, cov = _update(mode, b.cov, R)
+    return make_belief(b.mean + K @ (y - mode.C @ b.mean), cov)
 
 
 def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
@@ -367,8 +364,7 @@ def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     bp = predict(mode, b, u)
     if mode.obs_dim == 0:
         return bp
-    R = noise_cov(mode, bp.mean)
-    return make_belief(*_joseph(mode, bp.mean, bp.cov, _mv(mode.C, bp.mean), R))
+    return make_belief(bp.mean, _mlo_cov(mode, bp.cov, bp.mean))
 
 
 def predict_means(mode: SystemMode, means, us):
@@ -379,10 +375,11 @@ def predict_means(mode: SystemMode, means, us):
 
 
 def mlo_covariance(mode: SystemMode, covs, means=None):
-    """The covariance half of one MLO step: the predicted covariances,
-    checked; for an observed mode then the condition test, the Kalman
-    gain under R(means) and the Joseph-form covariance, checked.
-    Returns (covariances, gain), the gain None when p = 0.
+    """The covariance of one MLO step, whose mean is predict_means'
+    predicted mean: the predicted covariances, checked; for an observed
+    mode then the condition test, the Kalman gain under R(means) and the
+    Joseph-form covariance, checked. Each row equals propagate_mlo's
+    covariance bit for bit.
 
     covs is (k, n, n), or one (1, n, n) shared by every row. Only
     state-dependent noise reads the predicted means, and its R(means)
@@ -390,37 +387,7 @@ def mlo_covariance(mode: SystemMode, covs, means=None):
     neither the controls nor the means, so it is the same for every
     belief that starts from the same covariance."""
     covs = checked_cov(_predict_cov(mode, covs))
-    if mode.obs_dim == 0:
-        return covs, None
-    R = noise_cov(mode, means)
-    K = _gain(mode, covs, R)
-    return checked_cov(_joseph_cov(mode, covs, K, R)), K
-
-
-def mlo_mean_update(mode: SystemMode, means, gain):
-    """The zero-innovation Joseph mean step m + K (C m - C m) of a
-    stack of predicted means, checked; the means as they are when the
-    gain is None (p = 0). On finite means it changes no bit: C m - C m
-    is +0.0, and a predicted mean, a sum of matmul results, holds no
-    -0.0."""
-    if gain is None:
-        return means
-    return checked_mean(_innovate(mode, means, gain, _mv(mode.C, means)))
-
-
-def propagate_mlo_stack(mode: SystemMode, means, covs, us):
-    """propagate_mlo for a stack of beliefs, one control per row:
-    returns the (k, n) means and the symmetrized covariances. Every
-    predicted and updated belief passes make_belief's checks, and each
-    row equals propagate_mlo on that row bit for bit.
-
-    The covariances are (k, n, n), or one (1, n, n) shared by every row.
-    A shared covariance stays shared, predicted, checked and updated
-    once, unless the noise depends on the state; then R(mean) widens it
-    to one covariance per row."""
-    means = predict_means(mode, means, us)
-    covs, gain = mlo_covariance(mode, covs, means)
-    return mlo_mean_update(mode, means, gain), covs
+    return covs if mode.obs_dim == 0 else checked_cov(_mlo_cov(mode, covs, means))
 
 
 def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:

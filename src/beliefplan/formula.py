@@ -144,14 +144,6 @@ def bottom(state_dim: int) -> Atomic:
     return Atomic(BeliefCone((pred,)), DiscretePredicate(frozenset()), "false")
 
 
-def until(left, a: int, b: int, right) -> Until:
-    return Until(left, right, int(a), int(b))
-
-
-def release(left, a: int, b: int, right) -> Release:
-    return Release(left, right, int(a), int(b))
-
-
 def always(a: int, b: int, f, state_dim: int | None = None) -> Release:
     """G[a,b] f == false R[a,b] f."""
     if state_dim is None:

@@ -180,21 +180,19 @@ def solve(
             return SynthesisResult(None, None, cex.as_list(), iterations, k_max, log)
         iterations += 1
         outcome = _attempt_plan(problem, plan, params, rng)
+        entry = {
+            "plan": [list(p) for p in plan.signature()],
+            "windows": [[seg.dwell_min, seg.dwell_max] for seg in plan.segments],
+            "outcome": "success",
+            "failed_segment": None,
+        }
+        log.append(entry)
         if outcome[0] == "fail":
             _, j, status, proof = outcome
-            prefix = plan.signature()[: j + 1]
-            add_counterexample(cex, prefix)
-            entry = {
-                "plan": [list(p) for p in plan.signature()],
-                "windows": [
-                    [seg.dwell_min, seg.dwell_max] for seg in plan.segments
-                ],
-                "outcome": status,
-                "failed_segment": j,
-            }
+            add_counterexample(cex, plan.signature()[: j + 1])
+            entry.update(outcome=status, failed_segment=j)
             if proof is not None:
                 entry["proof"] = proof
-            log.append(entry)
             continue
         trajectory = outcome[1]
         _warn_on_uncertainty_growth(trajectory.beliefs)
@@ -207,14 +205,4 @@ def solve(
                 "assembled trajectory failed the monitor; planner and "
                 "monitor disagree"
             )
-        log.append(
-            {
-                "plan": [list(p) for p in plan.signature()],
-                "windows": [
-                    [seg.dwell_min, seg.dwell_max] for seg in plan.segments
-                ],
-                "outcome": "success",
-                "failed_segment": None,
-            }
-        )
         return SynthesisResult(trajectory, plan, cex.as_list(), iterations, k_max, log)

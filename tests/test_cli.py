@@ -362,6 +362,23 @@ def test_lightdark_trajectory_matches_the_track_reference(tmp_path):
         assert (tmp_path / "out" / "trajectory.csv").read_bytes() == fh.read()
 
 
+DARKSWITCH_SEED3 = os.path.join(HERE, "data", "darkswitch_seed3")
+
+
+def test_darkswitch_outputs_match_the_golden_files(tmp_path):
+    """tests/data/darkswitch_seed3 holds the CLI's plan.json and
+    trajectory.csv for darkswitch at seed 3. Darkswitch is the only
+    shipped problem with a dark (lbs) mode, so these bytes pin the
+    covariance table: its rows decide the goal-empty proof of the dark
+    segment and the covariances of the steps in mode 0."""
+    r = _cli(["--problem", os.path.abspath(DARKSWITCH), "--seed", "3",
+              "--out", str(tmp_path / "out")], tmp_path)
+    assert r.returncode == 0, r.stderr
+    for name in ("plan.json", "trajectory.csv"):
+        with open(os.path.join(DARKSWITCH_SEED3, name), "rb") as fh:
+            assert (tmp_path / "out" / name).read_bytes() == fh.read(), name
+
+
 def test_shipped_problems_solve_without_the_lp_solver(tmp_path):
     """The goal-emptiness proof imports scipy.optimize only for slanted
     rows, which neither shipped problem has: the import would add about

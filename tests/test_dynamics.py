@@ -9,15 +9,17 @@ from beliefplan.dynamics import (
     SwitchedSystem,
     SystemMode,
     kalman_update,
+    mlo_covariance,
     noise_cov,
     predict,
+    predict_means,
     propagate_mlo,
-    propagate_mlo_stack,
     sample_observation,
     step_truth,
 )
+from beliefplan.belief_rrt import rrt_extend
 from beliefplan.gaussian import InvalidCovarianceError, frozen_belief, make_belief
-from beliefplan.geometry import box_polytope
+from beliefplan.geometry import BeliefCone, box_polytope
 
 
 def _lightdark_mode():
@@ -172,6 +174,13 @@ def test_switched_system_validation():
         SwitchedSystem((m,), box_polytope([(-1, 1)]))
 
 
+def _mlo_stack_step(mode, means, covs, us):
+    """One MLO step of a stack, as the segment RRT takes it: the
+    predicted means, then the covariances at them."""
+    means = predict_means(mode, means, us)
+    return means, mlo_covariance(mode, covs, means)
+
+
 def test_shared_covariance_stack_matches_propagate_mlo():
     """Several means and controls from one shared (1, n, n) covariance,
     over up to four steps: every row equals propagate_mlo bit for bit.
@@ -191,7 +200,7 @@ def test_shared_covariance_stack_matches_propagate_mlo():
         us = rng.uniform(-1.0, 1.0, size=(k, m))
         refs = [frozen_belief(mean, cov) for mean in means]
         for _ in range(int(rng.integers(1, 5))):
-            means, covs = propagate_mlo_stack(mode, means, covs, us)
+            means, covs = _mlo_stack_step(mode, means, covs, us)
             refs = [propagate_mlo(mode, b, u) for b, u in zip(refs, us)]
             assert covs.shape == ((k if kind == "polbs_nonlinear" else 1), n, n)
             for i, ref in enumerate(refs):
@@ -205,7 +214,7 @@ def test_shared_covariance_stack_rejects_a_non_finite_mean_row(kind):
     means = np.array([[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]])
     cov = 0.1 * np.eye(2)
     with pytest.raises(InvalidCovarianceError, match="non-finite"):
-        propagate_mlo_stack(mode, means, cov[None], np.zeros((3, 2)))
+        _mlo_stack_step(mode, means, cov[None], np.zeros((3, 2)))
     with pytest.raises(InvalidCovarianceError, match="non-finite"):
         propagate_mlo(mode, frozen_belief(means[1], cov), np.zeros(2))
 
@@ -217,6 +226,24 @@ def test_shared_covariance_stack_rejects_a_singular_constant_noise():
     cov = np.diag([0.0, 0.1])
     means = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 3.0]])
     with pytest.raises(IllConditionedUpdateError):
-        propagate_mlo_stack(mode, means, cov[None], np.ones((3, 2)))
+        _mlo_stack_step(mode, means, cov[None], np.ones((3, 2)))
     with pytest.raises(IllConditionedUpdateError):
         propagate_mlo(mode, frozen_belief(means[0], cov), np.ones(2))
+
+
+def test_mlo_mean_is_the_predicted_mean_where_c_m_overflows():
+    """Under MLO the planned mean is the predicted mean, also where the
+    predicted observation C m overflows: a zero-innovation update
+    m + K (C m - C m) would make it inf - inf = nan. propagate_mlo and
+    the segment RRT's step both keep the finite predicted mean."""
+    mode = SystemMode(np.eye(2), 0.25 * np.eye(2), np.zeros((2, 2)), C=[[1.0, 1.0]], noise=[[0.1]])
+    b = make_belief([1e308, 1e308], 0.1 * np.eye(2))
+    u = np.zeros(2)
+    assert np.array_equal(propagate_mlo(mode, b, u).mean, predict(mode, b, u).mean)
+    rng = np.random.default_rng(0)
+    branch = rrt_extend(mode, b, b.mean, 2, BeliefCone(), box_polytope([(-1, 1), (-1, 1)]), rng)
+    assert branch is not None
+    control, end = branch
+    ref = propagate_mlo(mode, propagate_mlo(mode, b, control), control)
+    assert np.array_equal(end.mean, ref.mean) and np.array_equal(end.cov, ref.cov)
+    assert np.array_equal(end.mean, b.mean)  # 1e308 absorbs 2 * 0.25 * |u| <= 0.5

@@ -105,7 +105,7 @@ def _grid_hits(sys, task, start, depth_rows):
     table = CovarianceByDepth(sys.modes[0], start.cov, task.stay)
     hits = []
     for d in depth_rows:
-        cov, _, stay_spread = table[d]
+        cov, stay_spread = table[d]
         inside = cone_holds(task.goal, grid, cone_spread(task.goal, cov))
         inside &= cone_holds(task.stay, grid, stay_spread)
         if inside.any():
@@ -268,7 +268,7 @@ def test_lp_prunes_a_slanted_goal_the_box_cannot_decide():
         ))
         task = SegmentTask(mode=0, stay=stay, goal=goal, min_dwell_in_goal=0, max_total_steps=10)
         table = CovarianceByDepth(sys.modes[0], start.cov, stay)
-        spreads = (cone_spread(goal, table[1][0]), table[1][2])
+        spreads = (cone_spread(goal, table[1][0]), table[1][1])
         H = np.concatenate([goal.H, stay.H])
         offsets = np.concatenate([goal.c + spreads[0][0], stay.c + spreads[1][0]])
         lo, hi = axis_bounds(H, offsets, 2)
