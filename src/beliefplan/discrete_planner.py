@@ -149,6 +149,27 @@ class WitnessDisagreementError(RuntimeError):
     ignored."""
 
 
+def _bisect_last_dwell(f, signature, rows, hi, d):
+    """min(hi, the least last dwell at which one of rows holds), by a
+    bisection that probes d < hi first. A row is probed at its room
+    when that is shorter, and holds there. Returns the dwell and the
+    rows that hold at it, or all rows when none holds below hi."""
+    lo = 0
+    while len(rows) and hi - lo > 1:
+        probe = rows.copy()
+        probe[:, -1] = np.minimum(d, rows[:, -1])
+        sat = np.concatenate([
+            monitor_dwells(f, signature, probe[s : s + CHUNK_ROWS])
+            for s in range(0, len(probe), CHUNK_ROWS)
+        ])
+        if sat.any():
+            hi, rows = d, rows[sat]
+        else:
+            lo = d
+        d = (lo + hi) // 2
+    return hi, rows
+
+
 def dwell_search(signature, f, cap):
     """Dwell vectors of a (label, mode) signature whose word, at most
     cap positions long, satisfies f: returns (witness, windows), the
@@ -161,9 +182,15 @@ def dwell_search(signature, f, cap):
     leading dwells p the satisfying last dwells form the interval
     [least(p), room(p)], room(p) = cap - sum(p), which is nonempty
     exactly when p + [room(p)] satisfies. One pass over every p in
-    lexicographic order finds the feasible ones, and one bisection over
-    all of them at once finds least(p). The witness and one vector
-    realizing each window end are confirmed by the word monitor.
+    lexicographic order finds the feasible ones. Segment i before the
+    last gets the range of p[i] over them, the last segment
+    [m, max room(p)] with m = min least(p), and the witness is
+    p0 + [least(p0)] for the first feasible p0. So least is bisected
+    twice only: on p0's row alone, then on the other rows together
+    below least(p0), keeping only the rows that hold at each dwell some
+    row holds at. The witness, a vector with last dwell m, and the
+    longest vector at each end of each column are confirmed by the
+    word monitor.
     """
     K = len(signature)
     leads = (p for p in itertools.product(range(1, cap), repeat=K - 1) if sum(p) < cap)
@@ -174,21 +201,13 @@ def dwell_search(signature, f, cap):
     if not feasible:
         return None
     longest = np.array(feasible)  # each feasible p with room(p)
-    fails = np.zeros(len(longest), dtype=np.int64)  # a last dwell known to fail (0: none)
-    least = longest[:, -1].copy()  # a last dwell known to hold
-    while (open_ := np.flatnonzero(least - fails > 1)).size:
-        rows = longest[open_].copy()
-        mid = (fails[open_] + least[open_]) // 2
-        rows[:, -1] = mid
-        sat = np.concatenate([
-            monitor_dwells(f, signature, rows[s : s + CHUNK_ROWS])
-            for s in range(0, len(rows), CHUNK_ROWS)
-        ])
-        least[open_[sat]] = mid[sat]
-        fails[open_[~sat]] = mid[~sat]
-    shortest = np.column_stack((longest[:, :-1], least))  # each feasible p with least(p)
-    # The first vector with the least dwell of segment 0 is the witness.
-    ends = {tuple(shortest[shortest[:, i].argmin()]) for i in range(K)}
+    room0 = longest[0, -1]
+    least0, _ = _bisect_last_dwell(f, signature, longest[:1], room0, room0 // 2)
+    witness = np.append(longest[0, :-1], least0)
+    m, held = _bisect_last_dwell(f, signature, longest[1:], least0, least0 - 1)
+    lowest = witness if m == least0 else np.append(held[0, :-1], m)
+    ends = {tuple(witness), tuple(lowest)}
+    ends |= {tuple(longest[longest[:, i].argmin()]) for i in range(K)}
     ends |= {tuple(longest[longest[:, i].argmax()]) for i in range(K)}
     for dwells in sorted(ends):
         if not monitor_word(f, signature_word(signature, dwells)):
@@ -196,9 +215,9 @@ def dwell_search(signature, f, cap):
                 f"dwells {[int(d) for d in dwells]} of {signature} pass the "
                 "batched search but fail the word monitor"
             )
-    witness = [int(d) for d in shortest[0]]
-    windows = [(int(lo), int(hi)) for lo, hi in zip(shortest.min(axis=0), longest.max(axis=0))]
-    return witness, windows
+    lows = np.append(longest[:, :-1].min(axis=0), m)
+    windows = [(int(lo), int(hi)) for lo, hi in zip(lows, longest.max(axis=0))]
+    return [int(d) for d in witness], windows
 
 
 def bmc_next_candidate(

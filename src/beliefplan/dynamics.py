@@ -61,6 +61,16 @@ class ScalarExpression:
             )
         return _eval_noise(self._ast, x)
 
+    def rows(self, x) -> np.ndarray:
+        """The value at each row of a (k, n) stack, bit for bit the
+        value __call__ gives for that row."""
+        if x.shape[-1] != self.dim:
+            raise ValueError(
+                f"expression over {self.dim} variables evaluated at points of "
+                f"dimension {x.shape[-1]}"
+            )
+        return _eval_noise_rows(self._ast, x)
+
     def __repr__(self):
         return f"ScalarExpression({self.text!r})"
 
@@ -158,6 +168,28 @@ def _eval_noise(node, x) -> float:
         return _eval_noise(node[1], x) ** node[2]
     left = _eval_noise(node[1], x)
     right = _eval_noise(node[2], x)
+    if tag == "+":
+        return left + right
+    if tag == "-":
+        return left - right
+    return left * right
+
+
+def _eval_noise_rows(node, x) -> np.ndarray:
+    """_eval_noise over every row of x in one walk. numpy's + - * and
+    negation round as Python floats do, but its array power can differ
+    from float ** int, already at exponent 2, so ^ stays per value."""
+    tag = node[0]
+    if tag == "num":
+        return np.full(len(x), node[1])
+    if tag == "var":
+        return x[:, node[1]]
+    if tag == "neg":
+        return -_eval_noise_rows(node[1], x)
+    if tag == "^":
+        return np.array([v ** node[2] for v in _eval_noise_rows(node[1], x).tolist()])
+    left = _eval_noise_rows(node[1], x)
+    right = _eval_noise_rows(node[2], x)
     if tag == "+":
         return left + right
     if tag == "-":
@@ -295,7 +327,7 @@ def noise_cov(mode: SystemMode, x) -> np.ndarray:
     if x.ndim == 1:
         n_val = mode.noise(x)
     else:
-        n_val = np.array([mode.noise(row) for row in x])[:, None, None]
+        n_val = mode.noise.rows(x)[:, None, None]
     return (n_val * n_val) * np.eye(p)
 
 
@@ -332,8 +364,9 @@ def _mlo_cov(mode: SystemMode, covs, means):
     return _update(mode, covs, noise_cov(mode, means))[1]
 
 
-def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
-    """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
+def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
+    """predict_means of one belief and control, after checking their
+    dimensions against the mode."""
     u = np.asarray(u, dtype=float).reshape(-1)
     if u.shape[0] != mode.control_dim:
         raise ValueError(
@@ -341,7 +374,12 @@ def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
         )
     if b.dim != mode.state_dim:
         raise ValueError(f"belief dimension {b.dim} != {mode.state_dim}")
-    return make_belief(predict_means(mode, b.mean, u), _predict_cov(mode, b.cov))
+    return predict_means(mode, b.mean, u)
+
+
+def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
+    """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
+    return make_belief(_predicted_mean(mode, b, u), _predict_cov(mode, b.cov))
 
 
 def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
@@ -361,10 +399,11 @@ def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Predict, then update assuming the maximum-likelihood observation
     y* = C mean' (zero innovation): the mean is the predicted mean and
     only the covariance contracts."""
-    bp = predict(mode, b, u)
-    if mode.obs_dim == 0:
-        return bp
-    return make_belief(bp.mean, _mlo_cov(mode, bp.cov, bp.mean))
+    mean = _predicted_mean(mode, b, u)
+    cov = _predict_cov(mode, b.cov)
+    if mode.obs_dim:
+        cov = _mlo_cov(mode, checked_cov(cov), mean)
+    return make_belief(mean, cov)
 
 
 def predict_means(mode: SystemMode, means, us):

@@ -379,6 +379,22 @@ def test_darkswitch_outputs_match_the_golden_files(tmp_path):
             assert (tmp_path / "out" / name).read_bytes() == fh.read(), name
 
 
+LIGHTDARK_LINEAR = os.path.join(HERE, "data", "lightdark_linear.json")
+
+
+def test_changing_covariance_table_outputs_match_the_golden_files(tmp_path):
+    """tests/data/lightdark_linear is light-dark with one constant-noise
+    (polbs_linear) mode and process noise W = 0.05 I, so each row of
+    its covariance table differs from the one before: these bytes pin
+    which row a step at a given depth reads."""
+    r = _cli(["--problem", os.path.abspath(LIGHTDARK_LINEAR), "--seed", "0",
+              "--out", str(tmp_path / "out")], tmp_path)
+    assert r.returncode == 0, r.stderr
+    for name in ("plan.json", "trajectory.csv"):
+        with open(os.path.join(HERE, "data", "lightdark_linear_seed0", name), "rb") as fh:
+            assert (tmp_path / "out" / name).read_bytes() == fh.read(), name
+
+
 def test_shipped_problems_solve_without_the_lp_solver(tmp_path):
     """The goal-emptiness proof imports scipy.optimize only for slanted
     rows, which neither shipped problem has: the import would add about

@@ -1,9 +1,11 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 from beliefplan import discrete_planner
+from beliefplan.cli import load_problem
 from beliefplan.discrete_planner import (
     Abstraction,
     CounterexampleStore,
@@ -37,6 +39,8 @@ from beliefplan.geometry import (
 )
 
 from oracles import random_formula
+
+LIGHTDARK = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "lightdark.json")
 
 
 def _atomic(name, modes=None):
@@ -240,9 +244,11 @@ def test_dwell_search_matches_exhaustive_enumeration():
     """The witness is the lexicographically first satisfying dwell
     vector and each window the least and greatest dwell of its segment
     over all of them, against every vector of at most cap positions,
-    for at least 400 random cases with 30 satisfiable ones per K."""
+    for at least 400 random cases with 30 satisfiable ones per K. At
+    least 5 of them have a last window starting below the witness's
+    last dwell, so the low end is not read off the witness."""
     rng = np.random.default_rng(2606)
-    cases, satisfiable = 0, {1: 0, 2: 0, 3: 0}
+    cases, satisfiable, below_witness = 0, {1: 0, 2: 0, 3: 0}, 0
     while cases < 400 or min(satisfiable.values()) < 30:
         f, signature = _random_case(rng)
         cap, K = horizon(f) + 1, len(signature)
@@ -258,8 +264,10 @@ def test_dwell_search_matches_exhaustive_enumeration():
             assert witness == sat[0].tolist()
             assert windows == list(zip(sat.min(axis=0).tolist(), sat.max(axis=0).tolist()))
             satisfiable[K] += 1
+            below_witness += windows[-1][0] < witness[-1]
         cases += 1
     assert cases < 3000
+    assert below_witness >= 5, below_witness
 
 
 def test_monitor_dwells_is_monotone_in_the_last_dwell():
@@ -305,6 +313,27 @@ def test_dwell_search_confirms_reported_vectors_with_word_monitor(monkeypatch):
     monkeypatch.setattr(discrete_planner, "monitor_word", lambda g, word: False)
     with pytest.raises(WitnessDisagreementError):
         dwell_search(signature, f, cap)
+
+
+def test_lightdark_dwell_search_bisects_two_rows(monkeypatch):
+    """On light-dark's [(free_space,0),(target,0)] (cap 281) the search
+    checks each of the 280 leading dwells once with its longest last
+    dwell, then bisects the least last dwell of two rows, not of every
+    feasible row: at most 2 x 280 + 9 rows reach monitor_dwells in all,
+    where a bisection of every feasible row passes 2,008."""
+    problem = load_problem(LIGHTDARK)[0]
+    cap = horizon(problem.formula) + 1
+    rows = []
+
+    def counting(f, signature, dwells):
+        rows.append(len(dwells))
+        return monitor_dwells(f, signature, dwells)
+
+    monkeypatch.setattr(discrete_planner, "monitor_dwells", counting)
+    found = dwell_search((("free_space", 0), ("target", 0)), problem.formula, cap)
+    assert cap == 281
+    assert found == ([1, 41], [(1, 240), (41, 280)])
+    assert sum(rows) <= 2 * 280 + 9, (sum(rows), len(rows))
 
 
 def test_bmc_exhaustion_returns_none():
