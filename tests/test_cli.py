@@ -362,6 +362,20 @@ def test_lightdark_trajectory_matches_the_track_reference(tmp_path):
         assert (tmp_path / "out" / "trajectory.csv").read_bytes() == fh.read()
 
 
+def test_lightdark_outputs_match_the_golden_files(tmp_path):
+    """tests/data/lightdark_seed0 holds the CLI's plan.json and
+    simulation.csv for light-dark at seed 0 (its trajectory.csv is
+    bench/track_reference.csv). simulation.csv is the only shipped
+    output that runs the one-state noise walk and the trace monitor's
+    verdict."""
+    r = _cli(["--problem", os.path.abspath(LIGHTDARK), "--seed", "0",
+              "--out", str(tmp_path / "out")], tmp_path)
+    assert r.returncode == 0, r.stderr
+    for name in ("plan.json", "simulation.csv"):
+        with open(os.path.join(HERE, "data", "lightdark_seed0", name), "rb") as fh:
+            assert (tmp_path / "out" / name).read_bytes() == fh.read(), name
+
+
 DARKSWITCH_SEED3 = os.path.join(HERE, "data", "darkswitch_seed3")
 
 
