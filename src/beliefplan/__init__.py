@@ -19,7 +19,6 @@ from .geometry import (
     ProbabilisticLinearPredicate,
     box_polytope,
     cone_contains,
-    cone_contains_stack,
     cone_margin,
     polytope_contains,
     polytope_sample,

@@ -151,12 +151,6 @@ class CovarianceByDepth:
         return self.rows[depth]
 
 
-def _depth_table(mode: SystemMode, cov: np.ndarray, stay: BeliefCone):
-    """A CovarianceByDepth from `cov`, or None where the noise depends
-    on the state and every belief needs its own covariance."""
-    return None if mode.kind == "polbs_nonlinear" else CovarianceByDepth(mode, cov, stay)
-
-
 @dataclass(frozen=True)
 class SegmentTask:
     """One plan segment packaged for the continuous layer."""
@@ -235,14 +229,12 @@ def rrt_extend(
     The candidates advance together as one stack, and the rows that
     left the stay cone are dropped after each step: exactly the beliefs
     a candidate-by-candidate loop would compute are computed and checked.
-    A step's means are the predicted means (MLO). Unless the measurement
-    noise depends on the state, every candidate has after step t the
-    covariance of row depth + t + 1 of a CovarianceByDepth, and the step
-    reads the covariance and stay spread from that row. `table` is the
-    one of the belief's tree, whose node at `depth` the belief is, or
-    else one made here from the belief. With state-dependent noise the
-    stack starts from one shared covariance and widens to one per row at
-    the first update.
+    A step's means are the predicted means (MLO). With a `table`, the
+    CovarianceByDepth of the belief's tree whose node at `depth` the
+    belief is, step t reads its covariance and stay spread from row
+    depth + t + 1. Without one, each step calls mlo_covariance: the
+    stack starts from one shared covariance, and state-dependent noise
+    widens it to one per row at the first update.
     """
     controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
     lo, hi = control_domain.bounding_box()
@@ -256,11 +248,9 @@ def rrt_extend(
     alive = np.arange(len(controls))
     means = np.repeat(belief.mean[None], len(controls), axis=0)
     covs = belief.cov[None]
-    if table is None:
-        table, depth = _depth_table(mode, belief.cov, stay), 0
     for t in range(horizon):
         means = predict_means(mode, means, controls[alive])
-        if table is None:  # the noise depends on the state
+        if table is None:
             covs = mlo_covariance(mode, covs, means)
             spread = cone_spread(stay, covs)
         else:
@@ -415,7 +405,8 @@ def solve_segment(
     if not cone_contains(task.stay, start) and not cone_contains(task.goal, start):
         return SegmentResult("infeasible-start")
     tree = RrtTree(start)
-    table = _depth_table(mode, start.cov, task.stay)
+    nonlinear = mode.kind == "polbs_nonlinear"  # then each belief has its own covariance
+    table = None if nonlinear else CovarianceByDepth(mode, start.cov, task.stay)
     reached = _goal_reached(mode, task, tree, 0)
     if reached is not None:
         return reached

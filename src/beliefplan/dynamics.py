@@ -52,24 +52,18 @@ class ScalarExpression:
         self.dim = dim
         self._ast = _parse_noise(text, dim)
 
-    def __call__(self, x) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise ValueError(
-                f"expression over {self.dim} variables evaluated at point of "
-                f"dimension {x.shape[0]}"
-            )
-        return _eval_noise(self._ast, x)
-
-    def rows(self, x) -> np.ndarray:
-        """The value at each row of a (k, n) stack, bit for bit the
-        value __call__ gives for that row."""
+    def __call__(self, x):
+        """The value at one state (n,), a Python float, or at each row of
+        a (k, n) stack, a (k,) array with the same bits per row."""
+        x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(
-                f"expression over {self.dim} variables evaluated at points of "
+                f"expression over {self.dim} variables evaluated at point of "
                 f"dimension {x.shape[-1]}"
             )
-        return _eval_noise_rows(self._ast, x)
+        if x.ndim == 1:
+            return _eval_noise(self._ast, x.tolist())
+        return np.broadcast_to(_eval_noise(self._ast, list(x.T)), len(x))
 
     def __repr__(self):
         return f"ScalarExpression({self.text!r})"
@@ -156,40 +150,26 @@ def _parse_noise(text: str, dim: int):
     return node
 
 
-def _eval_noise(node, x) -> float:
+def _eval_noise(node, x):
+    """The value of the AST where x[i] holds the value of variable i: a
+    Python float for one state, a column of values for a stack. numpy's
+    + - * and negation round as Python floats do, but its array power
+    can differ from float ** int, already at exponent 2, so ^ is
+    Python's per value."""
     tag = node[0]
     if tag == "num":
         return node[1]
     if tag == "var":
-        return float(x[node[1]])
+        return x[node[1]]
     if tag == "neg":
         return -_eval_noise(node[1], x)
     if tag == "^":
-        return _eval_noise(node[1], x) ** node[2]
+        base = _eval_noise(node[1], x)
+        if isinstance(base, float):
+            return base ** node[2]
+        return np.array([v ** node[2] for v in base.tolist()])
     left = _eval_noise(node[1], x)
     right = _eval_noise(node[2], x)
-    if tag == "+":
-        return left + right
-    if tag == "-":
-        return left - right
-    return left * right
-
-
-def _eval_noise_rows(node, x) -> np.ndarray:
-    """_eval_noise over every row of x in one walk. numpy's + - * and
-    negation round as Python floats do, but its array power can differ
-    from float ** int, already at exponent 2, so ^ stays per value."""
-    tag = node[0]
-    if tag == "num":
-        return np.full(len(x), node[1])
-    if tag == "var":
-        return x[:, node[1]]
-    if tag == "neg":
-        return -_eval_noise_rows(node[1], x)
-    if tag == "^":
-        return np.array([v ** node[2] for v in _eval_noise_rows(node[1], x).tolist()])
-    left = _eval_noise_rows(node[1], x)
-    right = _eval_noise_rows(node[2], x)
     if tag == "+":
         return left + right
     if tag == "-":
@@ -323,11 +303,9 @@ def noise_cov(mode: SystemMode, x) -> np.ndarray:
         raise NoObservationError("mode has no observation (p = 0)")
     if not isinstance(mode.noise, ScalarExpression):
         return mode.noise @ mode.noise.T
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        n_val = mode.noise(x)
-    else:
-        n_val = mode.noise.rows(x)[:, None, None]
+    n_val = mode.noise(x)
+    if isinstance(n_val, np.ndarray):  # one value per row of a stack
+        n_val = n_val[:, None, None]
     return (n_val * n_val) * np.eye(p)
 
 

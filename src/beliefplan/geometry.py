@@ -209,15 +209,8 @@ def cone_margin(pred: ProbabilisticLinearPredicate, b: BeliefState) -> float:
     direction h carries no variance, in which case the deterministic
     margin h.mean + c is returned.
     """
-    return float(_margins(BeliefCone((pred,)), b.mean[None], b.cov[None])[0, 0])
-
-
-def _margins(cone: BeliefCone, means, covs) -> np.ndarray:
-    """(B, k) margins of each belief of a stack, (B, n) means and
-    (B, n, n) covariances, against each row of the cone. vecdot over
-    rows and a stack of vector-matrix products give the same bits per
-    row as the 1-D products of one constraint at one belief."""
-    return _spread_margins(cone, means, cone_spread(cone, covs))
+    cone = BeliefCone((pred,))
+    return float(_spread_margins(cone, b.mean[None], cone_spread(cone, b.cov[None]))[0, 0])
 
 
 def _spread_margins(cone: BeliefCone, means, spread) -> np.ndarray:
@@ -303,16 +296,12 @@ def mean_region_empty(cones, spreads, dim: int) -> bool:
 
 def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
     """Conjunction of cone_margin <= tol over all constraints."""
-    return bool(cone_contains_stack(cone, b.mean[None], b.cov[None])[0])
-
-
-def cone_contains_stack(cone: BeliefCone, means, covs) -> np.ndarray:
-    """cone_contains for each belief of a stack: (B, n) means and
-    (B, n, n) covariances give a (B,) mask."""
-    return cone_holds(cone, means, cone_spread(cone, covs))
+    return bool(cone_holds(cone, b.mean[None], cone_spread(cone, b.cov[None]))[0])
 
 
 def cone_holds(cone: BeliefCone, means, spread) -> np.ndarray:
-    """cone_contains_stack from the (B, n) means and the cone_spread of
-    their covariances, (B, k) or one (1, k) row shared by every mean."""
+    """cone_contains for each of the (B, n) means, from the cone_spread
+    of their covariances: (B, k), or one (1, k) row shared by every
+    mean. Per row, the stacked products give the bits of one
+    constraint's 1-D products at one belief."""
     return (_spread_margins(cone, means, spread) <= CONTAINMENT_TOL).all(axis=1)

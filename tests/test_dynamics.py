@@ -72,25 +72,27 @@ def _random_noise_text(rng, depth):
 
 
 def test_scalar_expression_rows_match_per_row_calls_bit_for_bit():
-    """rows() on a (k, 2) stack gives, bit for bit, what __call__ gives
-    row by row, over 200,000 values in [-10, 10] and random expressions
+    """A call on a (k, 2) stack gives, bit for bit, what a call on each
+    row gives, over 200,000 values in [-10, 10] and random expressions
     with ^2, ^3, ^5 and unary minus, each on its own block of rows;
-    numpy's array power would differ for some of them."""
+    numpy's array power would differ for some of them. A call on one
+    row returns a Python float."""
     rng = np.random.default_rng(1306)
     texts = ["x0^2", "-x1^3", "(x0 - x1)^5"]
     texts += [_random_noise_text(rng, 3) for _ in range(7)]
     x = rng.uniform(-10.0, 10.0, size=(100_000, 2))
     for text, block in zip(texts, np.split(x, len(texts))):
         e = ScalarExpression(text, 2)
-        stacked = e.rows(block)
+        stacked = e(block)
         per_row = np.array([e(row) for row in block])
+        assert type(e(block[0])) is float
         assert stacked.shape == per_row.shape
         assert np.array_equal(stacked.view(np.int64), per_row.view(np.int64)), text
     lightdark = _lightdark_mode()
     per_row = np.array([noise_cov(lightdark, row) for row in block])
     assert np.array_equal(noise_cov(lightdark, block).view(np.int64), per_row.view(np.int64))
     with pytest.raises(ValueError):
-        ScalarExpression("x0", 1).rows(x)
+        ScalarExpression("x0", 1)(x)
 
 
 def test_scalar_expression_errors():

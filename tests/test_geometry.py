@@ -14,11 +14,12 @@ from beliefplan.geometry import (
     LinearExpression,
     Polytope,
     ProbabilisticLinearPredicate,
-    _margins,
+    _spread_margins,
     box_polytope,
     cone_contains,
-    cone_contains_stack,
+    cone_holds,
     cone_margin,
+    cone_spread,
     polytope_contains,
     polytope_sample,
 )
@@ -121,7 +122,8 @@ def test_empty_cone_contains_everything():
     assert cone_contains(BeliefCone(), make_belief([100.0], [[50.0]]))
     means = np.array([[100.0, -3.0], [0.0, 0.0]])
     covs = np.array([50.0 * np.eye(2), np.zeros((2, 2))])
-    assert cone_contains_stack(BeliefCone(), means, covs).tolist() == [True, True]
+    spread = cone_spread(BeliefCone(), covs)
+    assert cone_holds(BeliefCone(), means, spread).tolist() == [True, True]
 
 
 def test_belief_cone_rejects_mixed_dimensions():
@@ -174,9 +176,10 @@ def test_margins_match_per_constraint_reference():
             [list_cone_margin(p, mean, cov) for p in cone.constraints]
             for mean, cov in zip(means, covs)
         ]).reshape(len(means), len(cone.constraints))
-        assert np.array_equal(_margins(cone, means, covs), ref)
+        spread = cone_spread(cone, covs)
+        assert np.array_equal(_spread_margins(cone, means, spread), ref)
         verdicts = [list_cone_contains(cone, mean, cov) for mean, cov in zip(means, covs)]
-        assert cone_contains_stack(cone, means, covs).tolist() == verdicts
+        assert cone_holds(cone, means, spread).tolist() == verdicts
         b = frozen_belief(means[0], covs[0])
         assert cone_contains(cone, b) == verdicts[0]
         for p, r in zip(cone.constraints, ref[0]):
