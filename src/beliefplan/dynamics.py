@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .formula import MAX_NESTING
 from .gaussian import BeliefState, checked_cov, checked_mean, make_belief
 from .geometry import Polytope, polytope_contains
 
@@ -92,6 +93,7 @@ def _tokenize_noise(text: str):
 def _parse_noise(text: str, dim: int):
     tokens = _tokenize_noise(text)
     pos = [0]
+    depth = [0]  # open parentheses and unary minuses
 
     def peek():
         return tokens[pos[0]]
@@ -115,11 +117,19 @@ def _parse_noise(text: str, dim: int):
             node = ("*", node, factor())
         return node
 
+    def nested(parse):
+        depth[0] += 1
+        if depth[0] > MAX_NESTING:
+            raise ValueError(f"noise expression nests deeper than {MAX_NESTING} levels")
+        node = parse()
+        depth[0] -= 1
+        return node
+
     def factor():
         # Unary minus binds looser than ^: -x0^2 == -(x0^2).
         if peek() == ("op", "-"):
             advance()
-            return ("neg", factor())
+            return ("neg", nested(factor))
         node = base()
         if peek() == ("op", "^"):
             advance()
@@ -138,7 +148,7 @@ def _parse_noise(text: str, dim: int):
                 raise ValueError(f"x{value} out of range for dimension {dim}")
             return ("var", value)
         if (kind, value) == ("op", "("):
-            node = expr()
+            node = nested(expr)
             if advance() != ("op", ")"):
                 raise ValueError("unbalanced parenthesis in noise expression")
             return node
@@ -147,7 +157,20 @@ def _parse_noise(text: str, dim: int):
     node = expr()
     if peek() != ("end", None):
         raise ValueError(f"trailing input in noise expression: {text!r}")
+    if _noise_levels(node) > MAX_NESTING:  # a chain of n terms is n - 1 levels
+        raise ValueError(f"noise expression nests deeper than {MAX_NESTING} levels")
     return node
+
+
+def _noise_levels(node) -> int:
+    """Operator levels of a noise AST, 0 at a number or variable,
+    counted without recursion: a long sum is a deep left chain."""
+    deepest, stack = 0, [(node, 0)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        stack.extend((child, level + 1) for child in node[1:] if isinstance(child, tuple))
+    return deepest
 
 
 def _eval_noise(node, x):
@@ -262,7 +285,6 @@ class SwitchedSystem:
 
     modes: tuple
     control_domain: Polytope
-    sampling_period: float | None = None
 
     def __post_init__(self):
         modes = tuple(self.modes)

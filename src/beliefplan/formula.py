@@ -36,6 +36,13 @@ from .geometry import (
 )
 
 
+# The deepest nesting a formula or noise expression may have: open
+# parentheses and prefix operators while parsing, and operator levels of
+# the syntax tree once named formulas are substituted. Parsing recurses
+# a few frames per level and runs out of frames near 200.
+MAX_NESTING = 64
+
+
 class UnsupportedBoundError(ValueError):
     """Temporal bound is infinite or otherwise not representable."""
 
@@ -234,10 +241,6 @@ def _walk_atomics(f):
 # Atomic classification and labels
 # ---------------------------------------------------------------------------
 
-def is_trivially_true(a: Atomic) -> bool:
-    return not a.cone.constraints and a.modes is None
-
-
 def is_trivially_false(a: Atomic) -> bool:
     """Some constant constraint (a zero row of the cone) fails."""
     H, c = a.cone.H, a.cone.c
@@ -271,8 +274,8 @@ def atomic_propositions(f) -> list[Atomic]:
     seen: dict[str, Atomic] = {}
     order: list[Atomic] = []
     for a in _walk_atomics(f):
-        if is_trivially_true(a) or is_trivially_false(a):
-            continue
+        if (not a.cone.constraints and a.modes is None) or is_trivially_false(a):
+            continue  # constant: true or false everywhere
         label = atomic_label(a)
         if label in seen:
             if _atomic_key(seen[label]) != _atomic_key(a):
@@ -288,6 +291,17 @@ def atomic_propositions(f) -> list[Atomic]:
 # ---------------------------------------------------------------------------
 # Horizon
 # ---------------------------------------------------------------------------
+
+def _nesting(f, memo) -> int:
+    """Operator levels of f, 0 at an atomic; memoized by node, since
+    named formulas share subtrees."""
+    if isinstance(f, Atomic):
+        return 0
+    if id(f) not in memo:
+        children = f.children if isinstance(f, (And, Or)) else (f.left, f.right)
+        memo[id(f)] = 1 + max(_nesting(ch, memo) for ch in children)
+    return memo[id(f)]
+
 
 def horizon(f) -> int:
     """Number of steps beyond the evaluation index that the formula can
@@ -541,6 +555,13 @@ class _Parser:
         self.n = state_dim
         self.N = num_modes
         self.named = named or {}
+        self.depth = 0
+
+    def nest(self, tok: _Token):
+        """Count one more open level at tok; close it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"formula nests deeper than {MAX_NESTING} levels", tok)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -581,7 +602,9 @@ class _Parser:
         if tok.kind == "ident" and tok.value in ("G", "F"):
             self.next()
             a, b = self.parse_interval()
+            self.nest(tok)
             sub = self.parse_unary()
+            self.depth -= 1
             try:
                 if tok.value == "G":
                     return always(a, b, sub, state_dim=self.n)
@@ -615,8 +638,10 @@ class _Parser:
         tok = self.peek()
         if tok.value == "(":
             self.next()
+            self.nest(tok)
             inner = self.parse_binary()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.value == "true":
             self.next()
@@ -757,11 +782,14 @@ def parse_formula(text: str, state_dim: int, num_modes: int, named=None):
     """Parse a PrSTL formula in the text grammar.
 
     named maps formula names to already-built formulas; a bare NAME in
-    the text resolves against it.
+    the text resolves against it. A text or a resulting syntax tree that
+    nests deeper than MAX_NESTING levels raises FormulaSyntaxError.
     """
     parser = _Parser(_tokenize(text), state_dim, num_modes, named)
     result = parser.parse_binary()
     tok = parser.peek()
     if tok.kind != "eof":
         parser.error(f"unexpected trailing input {tok.value!r}", tok)
+    if _nesting(result, {}) > MAX_NESTING:
+        parser.error(f"formula nests deeper than {MAX_NESTING} levels", parser.tokens[0])
     return result

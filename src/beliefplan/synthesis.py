@@ -128,14 +128,12 @@ def _attempt_plan(
             goal = seg.atomic.cone
             min_dwell = max(seg.dwell_min - 1, 0)
             budget = min(seg.dwell_max - 1, remaining) if seg.dwell_max > 1 else 0
-        if j == K - 1 and budget == 0 and min_dwell == 0:
-            budget = 1  # zero-step success is still a valid outcome
         task = SegmentTask(
             mode=seg.mode,
             stay=seg.atomic.cone,
             goal=goal,
             min_dwell_in_goal=min_dwell,
-            max_total_steps=max(budget, 1),
+            max_total_steps=max(budget, 1),  # a zero-step success stays valid
         )
         result = solve_segment(problem.system, task, beliefs[-1], params, rng)
         if not result.ok:

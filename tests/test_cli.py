@@ -522,6 +522,44 @@ def test_exit_code_numeric_singular_lqr_R(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+# 1,200 named formulas, each F[0,1] of the one before: every text nests
+# two levels, the tree of the last one 1,200.
+_NAMED_CHAIN = {"n0": "F[0,1] (target)", **{f"n{i}": f"F[0,1] (n{i - 1})" for i in range(1, 1200)}}
+
+
+@pytest.mark.parametrize(
+    "field, text, code",
+    [
+        ("formula", "(" * 250 + "free_space" + ")" * 250 + " U[0,240] G[0,40] (target)",
+         EXIT_FORMULA),
+        ("formula", "G[0,1] " * 5000 + "(target)", EXIT_FORMULA),
+        ("named_formulas", "(free_space) U[0,240] (n1199)", EXIT_FORMULA),
+        ("noise", "(" * 5000 + "x0" + ")" * 5000, EXIT_NUMERIC),
+        ("noise", "-" * 5000 + "x0", EXIT_NUMERIC),
+        ("noise", " + ".join(["x0"] * 5000), EXIT_NUMERIC),
+    ],
+    ids=["parentheses", "prefixes", "named-chain", "noise-parentheses", "noise-minuses",
+         "noise-sum"],
+)
+@pytest.mark.parametrize("validate_only", [True, False])
+def test_deep_nesting_exits_with_a_one_line_message(tmp_path, field, text, code, validate_only):
+    """Nesting past MAX_NESTING ends at load with its exit code and one
+    line on stderr, never with a RecursionError from the parsers, the
+    noise walk, horizon or the monitors."""
+    doc = _base_doc()
+    if field == "noise":
+        doc["modes"][0]["noise"] = text
+    else:
+        doc["formula"] = text
+    if field == "named_formulas":
+        doc["named_formulas"].update(_NAMED_CHAIN)
+    args = ["--problem", _write(tmp_path, doc), "--out", str(tmp_path / "out"),
+            "--no-simulation", "--iteration-cap", "5"]
+    r = _cli(args + ["--validate-only"] * validate_only, tmp_path)
+    assert r.returncode == code, r.stderr
+    assert r.stderr.count("\n") == 1 and "nests deeper than 64 levels" in r.stderr, r.stderr
+
+
 def test_exit_code_validate_ok(tmp_path):
     r = _cli(["--problem", _write(tmp_path, _small_doc()), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_SOLUTION, r.stderr

@@ -18,6 +18,7 @@ from beliefplan.dynamics import (
     step_truth,
 )
 from beliefplan.belief_rrt import rrt_extend
+from beliefplan.formula import MAX_NESTING
 from beliefplan.gaussian import InvalidCovarianceError, frozen_belief, make_belief
 from beliefplan.geometry import BeliefCone, box_polytope
 
@@ -104,6 +105,21 @@ def test_scalar_expression_errors():
         ScalarExpression("x0 $ 2", 1)
     with pytest.raises(ValueError):
         ScalarExpression("(x0", 1)
+
+
+def test_scalar_expression_nesting_bound():
+    """Parentheses, unary minuses and operator levels up to MAX_NESTING
+    parse; one level more is a ValueError, not a RecursionError."""
+    half = MAX_NESTING // 2
+    for depth, text in [
+        (MAX_NESTING, lambda d: "(" * d + "x0" + ")" * d),
+        (MAX_NESTING, lambda d: "-" * d + "x0"),
+        (MAX_NESTING + 1, lambda d: " + ".join(["x0"] * d)),  # d terms, d - 1 levels
+        (half, lambda d: "(" * half + "-" * d + "x0" + ")" * half),
+    ]:
+        assert abs(ScalarExpression(text(depth), 1)([2.0])) in (2.0, 2.0 * depth)
+        with pytest.raises(ValueError, match="nests deeper than"):
+            ScalarExpression(text(depth + 1), 1)
 
 
 def test_mode_kinds():

@@ -5,6 +5,7 @@ from beliefplan.formula import (
     And,
     Atomic,
     FormulaSyntaxError,
+    MAX_NESTING,
     InsufficientTraceError,
     NameCollisionError,
     Or,
@@ -398,6 +399,31 @@ def test_parse_named_resolution():
     f = parse_formula("F[0,5] goal", 1, 1, named={"goal": goal})
     assert isinstance(f, Until)
     assert f.right is goal
+
+
+def test_nesting_bound_counts_parentheses_prefixes_and_named_formulas():
+    """Nesting up to MAX_NESTING levels parses, one more level is a
+    FormulaSyntaxError: open parentheses and G/F prefixes while parsing,
+    and operator levels of the tree once named formulas are in."""
+    deepest = {
+        "parentheses": "(" * MAX_NESTING + "true" + ")" * MAX_NESTING,
+        "prefixes": "G[0,1] " * MAX_NESTING + "true",
+        "both": "F[0,1] (" * (MAX_NESTING // 2) + "true" + ")" * (MAX_NESTING // 2),
+    }
+    for text in deepest.values():
+        parse_formula(text, 1, 1)
+        for deeper in ("(" + text + ")", "G[0,1] " + text):
+            with pytest.raises(FormulaSyntaxError, match="nests deeper than"):
+                parse_formula(deeper, 1, 1)
+    chain = {"n0": top()}
+    for i in range(1, MAX_NESTING + 1):
+        chain[f"n{i}"] = parse_formula(f"F[0,1] (n{i - 1})", 1, 1, named=chain)
+    assert horizon(chain[f"n{MAX_NESTING}"]) == MAX_NESTING
+    last = f"n{MAX_NESTING}"
+    assert parse_formula(f"({last})", 1, 1, named=chain) is chain[last]
+    for deeper in (f"F[0,1] ({last})", f"true | ({last})"):
+        with pytest.raises(FormulaSyntaxError, match="nests deeper than"):
+            parse_formula(deeper, 1, 1, named=chain)
 
 
 def test_parse_errors_report_position():

@@ -1,5 +1,6 @@
-"""Every name a module imports is used in that module, and no module
-imports a private name from another module of the package.
+"""Every name a module imports is used in that module, no module
+imports a private name from another module of the package, and every
+private module-level name is read by its module.
 
 The package's `__init__.py` is left out of the first check: it imports
 names only to re-export them.
@@ -59,3 +60,47 @@ def test_detects_a_private_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def orphaned_private_names(source: str) -> list:
+    """Module-level functions, classes and constants named with one
+    leading underscore (not dunders) that no other statement of the
+    module reads: a function that only calls itself is orphaned too."""
+    tree = ast.parse(source)
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = stmt
+    reads = [
+        {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stmt in tree.body
+    ]
+    return sorted(
+        f"{name} (line {stmt.lineno})"
+        for name, stmt in defined.items()
+        if not any(name in r for other, r in zip(tree.body, reads) if other is not stmt)
+    )
+
+
+def test_detects_an_orphaned_private_name():
+    source = (
+        "_USED = 1\n_UNUSED = 2\n__dunder__ = 3\n"
+        "def _rec(n):\n    return _rec(n - 1) if n else _USED\n"
+        "class _Orphan:\n    pass\n"
+        "def public():\n    return _helper()\n"
+        "def _helper():\n    return 0\n"
+    )
+    assert orphaned_private_names(source) == ["_Orphan (line 6)", "_UNUSED (line 2)", "_rec (line 4)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_orphaned_private_names(path):
+    assert orphaned_private_names(path.read_text()) == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.formula import Until, always, monitor, named, parse_formula
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import box_polytope
-from beliefplan.synthesis import Problem, solve
+from beliefplan.synthesis import Problem, _warn_on_uncertainty_growth, solve
 
 
 def _simple_problem(formula_text, named_texts=(), noise="0.01", num_modes=1):
@@ -132,3 +134,20 @@ def test_segment_boundaries_consistent():
         a < b for a, b in zip(t.segment_boundaries, t.segment_boundaries[1:])
     )
     assert t.segment_boundaries[-1] <= t.num_steps
+
+
+def _beliefs_with_traces(traces):
+    return [make_belief([0.0], [[t]]) for t in traces]
+
+
+def test_uncertainty_growth_warns_after_50_growing_steps():
+    """The warning fires once the covariance trace has grown for 50
+    steps in a row; not after 49, nor when a flat step splits 50 growing
+    steps into two runs of 25."""
+    with pytest.warns(RuntimeWarning, match="grew for 50 consecutive steps"):
+        _warn_on_uncertainty_growth(_beliefs_with_traces(1.0 + np.arange(51)))
+    split = np.concatenate([1.0 + np.arange(26), 26.0 + np.arange(26)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _warn_on_uncertainty_growth(_beliefs_with_traces(1.0 + np.arange(50)))
+        _warn_on_uncertainty_growth(_beliefs_with_traces(split))
