@@ -111,15 +111,15 @@ def test_scalar_expression_nesting_bound():
     """Parentheses, unary minuses and operator levels up to MAX_NESTING
     parse; one level more is a ValueError, not a RecursionError."""
     half = MAX_NESTING // 2
-    for depth, text in [
-        (MAX_NESTING, lambda d: "(" * d + "x0" + ")" * d),
-        (MAX_NESTING, lambda d: "-" * d + "x0"),
-        (MAX_NESTING + 1, lambda d: " + ".join(["x0"] * d)),  # d terms, d - 1 levels
-        (half, lambda d: "(" * half + "-" * d + "x0" + ")" * half),
-    ]:
-        assert abs(ScalarExpression(text(depth), 1)([2.0])) in (2.0, 2.0 * depth)
+    for text in (
+        lambda d: "(" * d + "x0" + ")" * d,
+        lambda d: "-" * d + "x0",
+        lambda d: " + ".join(["x0"] * (d + 1)),  # d + 1 terms, d levels
+        lambda d: "(" * half + "-" * (d - half) + "x0" + ")" * half,
+    ):
+        assert ScalarExpression(text(MAX_NESTING), 1)([2.0]) in (2.0, 2.0 * (MAX_NESTING + 1))
         with pytest.raises(ValueError, match="nests deeper than"):
-            ScalarExpression(text(depth + 1), 1)
+            ScalarExpression(text(MAX_NESTING + 1), 1)
 
 
 def test_mode_kinds():

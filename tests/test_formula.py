@@ -5,8 +5,8 @@ from beliefplan.formula import (
     And,
     Atomic,
     FormulaSyntaxError,
-    MAX_NESTING,
     InsufficientTraceError,
+    MAX_NESTING,
     NameCollisionError,
     Or,
     Release,
