@@ -160,6 +160,15 @@ def _vertices_polytope(vertices: np.ndarray, path: str) -> Polytope:
     return Polytope(halfspaces, hull_vertices)
 
 
+def _parse_entry(text: str, path: str, n: int, num_modes: int, named: dict):
+    """parse_formula, with a formula error prefixed by its entry's path."""
+    try:
+        return parse_formula(text, n, num_modes, named)
+    except FormulaSyntaxError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def load_problem(path: str):
     """Parse and validate a problem file.
 
@@ -207,7 +216,7 @@ def load_problem(path: str):
     for fname, text in named_doc.items():
         if not isinstance(text, str):
             raise SchemaError(f"$.named_formulas.{fname}: expected a string")
-        parsed = parse_formula(text, n, len(modes), named)
+        parsed = _parse_entry(text, f"$.named_formulas.{fname}", n, len(modes), named)
         try:
             parsed = formula.named(parsed, fname)
         except ValueError:
@@ -217,7 +226,7 @@ def load_problem(path: str):
     formula_text = _require(doc, "formula", "$")
     if not isinstance(formula_text, str):
         raise SchemaError("$.formula: expected a string")
-    spec = parse_formula(formula_text, n, len(modes), named)
+    spec = _parse_entry(formula_text, "$.formula", n, len(modes), named)
 
     planner_doc = _require(doc, "planner", "$")
     if not isinstance(planner_doc, dict):

@@ -5,16 +5,22 @@ constraints plus a mode-set predicate, composed with and/or and the
 bounded temporal operators U[a,b] and R[a,b]. Always and eventually are
 derived: G[a,b] f == false R[a,b] f, F[a,b] f == true U[a,b] f.
 
+Named formulas share subtrees, so a formula is a DAG: one walk lists
+each distinct node once, children first, and the horizon, the nesting
+bound, the atomic propositions and the monitors are loops over that
+list, linear in the distinct nodes.
+
 One array evaluator serves every monitor. It maps a formula to its
 satisfaction at every position of a finite signal, with positions past
 the end counting as false (Maler & Nickovic, "Monitoring Temporal
-Properties of Continuous Signals", 2004). monitor_word() feeds it
-atomic arrays from word labels; monitor_dwells() feeds it a whole batch
-of run-length words at once, one row per dwell vector of a (label, mode)
-segment sequence; monitor() feeds it cone containment of each belief.
-A belief trace gets three-valued bounded semantics: a verdict is
-definite when it does not depend on time points beyond the end of the
-trace, otherwise monitor() raises InsufficientTraceError.
+Properties of Continuous Signals", 2004). One atomic rule, a state test
+masked by the arriving mode, feeds it; the state test reads word labels
+in monitor_word(), a batch of run-length words in monitor_dwells() (one
+row per dwell vector of a (label, mode) segment sequence), and cone
+containment of each belief in monitor(). A belief trace gets
+three-valued bounded semantics: monitor() evaluates the pessimistic and
+the optimistic completion of the trace in one pass, and a verdict is
+definite when the two agree; otherwise it raises InsufficientTraceError.
 Because the grammar has no negation, extending a trace can never turn a
 definite verdict around.
 """
@@ -122,9 +128,6 @@ class Release:
         _check_interval(self.a, self.b)
 
 
-Formula = Atomic | And | Or | Until | Release
-
-
 def _check_interval(a, b):
     if a != int(a) or b != int(b):
         raise UnsupportedBoundError(f"temporal bounds must be integers, got [{a}, {b}]")
@@ -151,10 +154,8 @@ def bottom(state_dim: int) -> Atomic:
     return Atomic(BeliefCone((pred,)), DiscretePredicate(frozenset()), "false")
 
 
-def always(a: int, b: int, f, state_dim: int | None = None) -> Release:
+def always(a: int, b: int, f, state_dim: int) -> Release:
     """G[a,b] f == false R[a,b] f."""
-    if state_dim is None:
-        state_dim = _infer_state_dim(f)
     return Release(bottom(state_dim), f, int(a), int(b))
 
 
@@ -163,7 +164,7 @@ def eventually(a: int, b: int, f) -> Until:
     return Until(top(), f, int(a), int(b))
 
 
-def conjunction(*children, name: str | None = None):
+def conjunction(*children):
     """Conjunction; a conjunction of atomics folds into a single Atomic
     (cone constraints concatenated, mode sets intersected)."""
     flat = []
@@ -185,13 +186,11 @@ def conjunction(*children, name: str | None = None):
                     if modes is None
                     else DiscretePredicate(modes.modes & ch.modes.modes)
                 )
-        return Atomic(BeliefCone(tuple(constraints)), modes, name)
-    if name is not None:
-        raise ValueError("only a purely atomic conjunction can carry a name")
+        return Atomic(BeliefCone(tuple(constraints)), modes)
     return And(tuple(flat))
 
 
-def disjunction(*children, name: str | None = None):
+def disjunction(*children):
     """Disjunction; mode-only atomics fold into one Atomic with the
     union of their mode sets."""
     flat = []
@@ -204,11 +203,9 @@ def disjunction(*children, name: str | None = None):
         raise ValueError("disjunction requires at least one operand")
     if all(isinstance(ch, Atomic) and not ch.cone.constraints for ch in flat):
         if any(ch.modes is None for ch in flat):
-            return Atomic(BeliefCone(), None, name)
+            return Atomic(BeliefCone(), None)
         union = frozenset().union(*(ch.modes.modes for ch in flat))
-        return Atomic(BeliefCone(), DiscretePredicate(union), name)
-    if name is not None:
-        raise ValueError("only a foldable disjunction can carry a name")
+        return Atomic(BeliefCone(), DiscretePredicate(union))
     return Or(tuple(flat))
 
 
@@ -219,22 +216,29 @@ def named(f, name: str):
     return Atomic(f.cone, f.modes, name)
 
 
-def _infer_state_dim(f) -> int:
-    for a in _walk_atomics(f):
-        if a.cone.constraints:
-            return a.cone.constraints[0].expr.dim
-    return 1
+def _children(node) -> tuple:
+    if isinstance(node, Atomic):
+        return ()
+    return node.children if isinstance(node, (And, Or)) else (node.left, node.right)
 
 
-def _walk_atomics(f):
-    if isinstance(f, Atomic):
-        yield f
-    elif isinstance(f, (And, Or)):
-        for ch in f.children:
-            yield from _walk_atomics(ch)
-    else:
-        yield from _walk_atomics(f.left)
-        yield from _walk_atomics(f.right)
+def _program(f) -> list:
+    """Each distinct node of f once (by id), children before parents, in
+    the order a left-to-right walk first finishes them. Named formulas
+    make f a DAG, so this is linear in its distinct nodes where a tree
+    walk can be exponential."""
+    order, seen = [], set()
+    stack = [(f, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            for ch in reversed(_children(node)):
+                stack.append((ch, False))
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +277,9 @@ def atomic_propositions(f) -> list[Atomic]:
     order. Raises NameCollisionError for distinct atomics with one name."""
     seen: dict[str, Atomic] = {}
     order: list[Atomic] = []
-    for a in _walk_atomics(f):
+    for a in _program(f):
+        if not isinstance(a, Atomic):
+            continue
         if (not a.cone.constraints and a.modes is None) or is_trivially_false(a):
             continue  # constant: true or false everywhere
         label = atomic_label(a)
@@ -292,29 +298,18 @@ def atomic_propositions(f) -> list[Atomic]:
 # Horizon
 # ---------------------------------------------------------------------------
 
-def _nesting(f, memo) -> int:
-    """Operator levels of f, 0 at an atomic; memoized by node, since
-    named formulas share subtrees."""
-    if isinstance(f, Atomic):
-        return 0
-    if id(f) not in memo:
-        children = f.children if isinstance(f, (And, Or)) else (f.left, f.right)
-        memo[id(f)] = 1 + max(_nesting(ch, memo) for ch in children)
-    return memo[id(f)]
-
-
 def horizon(f) -> int:
     """Number of steps beyond the evaluation index that the formula can
     reference."""
-    if isinstance(f, Atomic):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max(horizon(ch) for ch in f.children)
-    return f.b + max(horizon(f.left), horizon(f.right))
+    h = {}
+    for node in _program(f):
+        below = max((h[id(ch)] for ch in _children(node)), default=0)
+        h[id(node)] = below + node.b if isinstance(node, (Until, Release)) else below
+    return h[id(f)]
 
 
 # ---------------------------------------------------------------------------
-# Monitors: one array evaluator, two front ends
+# Monitors: one array evaluator, one atomic rule, three front ends
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -340,57 +335,54 @@ class Trace:
         return len(self.beliefs)
 
 
-def _sat(f, atom, memo) -> np.ndarray:
+def _sat(f, atom) -> np.ndarray:
     """Satisfaction of f at every position of a finite signal, as a
     Boolean array whose last axis is the position; leading axes batch
     independent signals. atom(a) gives an atomic's array; all arrays
     share one shape, and positions past the end count as false."""
-    key = id(f)
-    if key in memo:
-        return memo[key]
-    if isinstance(f, Atomic):
-        sat = atom(f)
-    elif isinstance(f, And):
-        sat = np.logical_and.reduce([_sat(ch, atom, memo) for ch in f.children])
-    elif isinstance(f, Or):
-        sat = np.logical_or.reduce([_sat(ch, atom, memo) for ch in f.children])
-    elif isinstance(f, (Until, Release)):
-        until = isinstance(f, Until)
-        left, right = _sat(f.left, atom, memo), _sat(f.right, atom, memo)
-        # A witness j in [k+a, k+b] needs `hit` at j while `guard` holds
-        # on [k+a, j) for U (left before right) or on [k+a, j] for R.
-        guard, hit = (left, right) if until else (right, left)
-        batch, L = guard.shape[:-1], guard.shape[-1]
-        k = np.arange(L, dtype=np.int32)
-        lo = np.minimum(k + f.a, L)
-        hi = np.minimum(k + f.b, L - 1)
-        # first_fail[..., j]: smallest index >= j where guard is false, else L
-        fails = np.concatenate(
-            (np.where(guard, np.int32(L), k), np.full(batch + (1,), L, np.int32)), axis=-1
-        )
-        first_fail = np.minimum.accumulate(fails[..., ::-1], axis=-1)[..., ::-1]
-        hits = np.zeros(batch + (L + 1,), np.int32)
-        np.cumsum(hit, axis=-1, dtype=np.int32, out=hits[..., 1:])
-        fail_lo = first_fail[..., lo]
-        last = np.maximum(np.minimum(hi, fail_lo - (not until)), lo - 1)
-        sat = np.take_along_axis(hits, last + 1, axis=-1) > hits[..., lo]
-        if not until:  # right holds on the whole window, inside the signal
-            sat |= fail_lo > k + f.b
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = sat
-    return sat
+    value = {}
+    for node in _program(f):
+        if isinstance(node, Atomic):
+            sat = atom(node)
+        elif isinstance(node, (And, Or)):
+            op = np.logical_and if isinstance(node, And) else np.logical_or
+            sat = op.reduce([value[id(ch)] for ch in node.children])
+        else:
+            until = isinstance(node, Until)
+            left, right = value[id(node.left)], value[id(node.right)]
+            # A witness j in [k+a, k+b] needs `hit` at j while `guard` holds
+            # on [k+a, j) for U (left before right) or on [k+a, j] for R.
+            guard, hit = (left, right) if until else (right, left)
+            batch, L = guard.shape[:-1], guard.shape[-1]
+            k = np.arange(L, dtype=np.int32)
+            lo = np.minimum(k + node.a, L)
+            hi = np.minimum(k + node.b, L - 1)
+            # first_fail[..., j]: smallest index >= j where guard is false, else L
+            fails = np.concatenate(
+                (np.where(guard, np.int32(L), k), np.full(batch + (1,), L, np.int32)), axis=-1
+            )
+            first_fail = np.minimum.accumulate(fails[..., ::-1], axis=-1)[..., ::-1]
+            hits = np.zeros(batch + (L + 1,), np.int32)
+            np.cumsum(hit, axis=-1, dtype=np.int32, out=hits[..., 1:])
+            fail_lo = first_fail[..., lo]
+            last = np.maximum(np.minimum(hi, fail_lo - (not until)), lo - 1)
+            sat = np.take_along_axis(hits, last + 1, axis=-1) > hits[..., lo]
+            if not until:  # right holds on the whole window, inside the signal
+                sat |= fail_lo > k + node.b
+        value[id(node)] = sat
+    return value[id(f)]
 
 
-def _atomic_sat(a: Atomic, holds, modes: np.ndarray) -> np.ndarray:
-    """Atomic array over len(modes) + 1 positions: holds(a) masked by
-    the mode arriving at each position k >= 1 (modes[k-1]); position 0
-    passes the mode test. A trivially false atomic is false everywhere."""
+def _atomic_sat(a: Atomic, truth, arrive: np.ndarray) -> np.ndarray:
+    """The atomic rule of every monitor: truth(a), the atomic's state
+    test as an array shaped like arrive, masked by the mode arriving at
+    each position (arrive; -1 where none arrives, which passes the mode
+    test). A trivially false atomic is false everywhere."""
     if is_trivially_false(a):
-        return np.zeros(len(modes) + 1, dtype=bool)
-    sat = holds(a)
+        return np.zeros(arrive.shape, dtype=bool)
+    sat = truth(a)
     if a.modes is not None:
-        sat = sat & np.concatenate(([True], np.isin(modes, list(a.modes.modes))))
+        sat = sat & ((arrive < 0) | np.isin(arrive, list(a.modes.modes)))
     return sat
 
 
@@ -406,28 +398,25 @@ def monitor(f, tr: Trace, k: int = 0) -> bool:
     if k < 0 or k >= n:
         raise ValueError(f"evaluation index {k} outside trace")
     need = k + horizon(f) + 1
-    modes = np.asarray(tr.modes, dtype=np.int64)
-    cones = {}
+    arrive = np.array((-1, *tr.modes), dtype=np.int64)
+    # Both completions in one pass: past the end of the trace every
+    # atomic reads false in row 0 (pessimistic) and true in row 1.
+    missing = np.repeat([[False], [True]], max(need - n, 0), axis=1)
 
-    def holds(a):
+    def truth(a):
         return np.fromiter((cone_contains(a.cone, b) for b in tr.beliefs), bool, n)
 
-    def verdict(missing: bool) -> bool:
-        def atom(a):
-            if id(a) not in cones:
-                cones[id(a)] = _atomic_sat(a, holds, modes)
-            return np.append(cones[id(a)], np.full(max(need - n, 0), missing))
+    def atom(a):
+        sat = _atomic_sat(a, truth, arrive)
+        return np.concatenate((np.broadcast_to(sat, (2, n)), missing), axis=1)
 
-        return bool(_sat(f, atom, {})[k])
-
-    strong = verdict(False)
-    if n >= need or strong:
-        return strong
-    if not verdict(True):
-        return False
+    # Without negation the pessimistic verdict implies the optimistic one.
+    strong, weak = _sat(f, atom)[:, k]
+    if strong == weak:
+        return bool(strong)
     raise InsufficientTraceError(
         f"trace of length {n} cannot decide a formula of "
-        f"horizon {horizon(f)} at index {k}"
+        f"horizon {need - k - 1} at index {k}"
     )
 
 
@@ -445,15 +434,15 @@ def monitor_word(f, word) -> bool:
     if not word:
         raise ValueError("word must be nonempty")
     labels = [frozenset(ls) for ls, _ in word]
-    modes = np.array([int(m) for _, m in word[:-1]], dtype=np.int64)
+    arrive = np.array([-1] + [int(m) for _, m in word[:-1]], dtype=np.int64)
 
-    def holds(a):
+    def truth(a):
         if not a.cone.H.any():  # no constraint reads the state
             return np.ones(len(labels), dtype=bool)
         label = atomic_label(a)
         return np.fromiter((label in ls for ls in labels), bool, len(labels))
 
-    return bool(_sat(f, lambda a: _atomic_sat(a, holds, modes), {})[0])
+    return bool(_sat(f, lambda a: _atomic_sat(a, truth, arrive))[0])
 
 
 def monitor_dwells(f, signature, dwells) -> np.ndarray:
@@ -477,27 +466,21 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
     B, K = dwells.shape
     ends = np.cumsum(dwells, axis=1, dtype=np.int32)
     L = max(horizon(f) + 1, int(ends[:, -1].max()))
-    # seg[b, p]: segment active at position p of row b, K past the end;
-    # prev[b, p]: segment at p - 1, whose mode the atomic rule reads
-    # (K at position 0, which passes the mode test).
+    # seg[b, p]: segment active at position p of row b, K past the end.
     seg = (ends[:, None, :] <= np.arange(L, dtype=np.int32)[:, None]).sum(
         axis=2, dtype=np.int32
     )
-    prev = np.concatenate((np.full((B, 1), K, np.int32), seg[:, :-1]), axis=1)
     labels = [label for label, _ in signature]
-    modes = [int(m) for _, m in signature]
+    # prev[b, p]: segment at p - 1, whose mode arrives at p; K at position
+    # 0 (and past the end, where the word is false), where none arrives.
+    prev = np.concatenate((np.full((B, 1), K, np.int32), seg[:, :-1]), axis=1)
+    arrive = np.array([int(m) for _, m in signature] + [-1], dtype=np.int64)[prev]
 
-    def atom(a):
-        if is_trivially_false(a):
-            return np.zeros((B, L), dtype=bool)
+    def truth(a):
         label = atomic_label(a) if a.cone.H.any() else None
-        truth = np.array([label is None or label == lb for lb in labels] + [False])
-        allowed = np.array(
-            [a.modes is None or m in a.modes.modes for m in modes] + [True]
-        )
-        return truth[seg] & allowed[prev]
+        return np.array([label is None or label == lb for lb in labels] + [False])[seg]
 
-    return _sat(f, atom, {})[:, 0]
+    return _sat(f, lambda a: _atomic_sat(a, truth, arrive))[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +773,9 @@ def parse_formula(text: str, state_dim: int, num_modes: int, named=None):
     tok = parser.peek()
     if tok.kind != "eof":
         parser.error(f"unexpected trailing input {tok.value!r}", tok)
-    if _nesting(result, {}) > MAX_NESTING:
+    levels = {}  # operator levels below each node, 0 at an atomic
+    for node in _program(result):
+        levels[id(node)] = max((1 + levels[id(ch)] for ch in _children(node)), default=0)
+    if levels[id(result)] > MAX_NESTING:
         parser.error(f"formula nests deeper than {MAX_NESTING} levels", parser.tokens[0])
     return result

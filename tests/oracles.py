@@ -8,7 +8,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from beliefplan.dynamics import SystemMode, propagate_mlo
-from beliefplan.formula import And, Atomic, Or, Release, Until
+from beliefplan.formula import (
+    And,
+    Atomic,
+    NameCollisionError,
+    Or,
+    Release,
+    Until,
+    atomic_label,
+    bottom,
+    is_trivially_false,
+    top,
+)
 from beliefplan.gaussian import make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
@@ -87,6 +98,73 @@ def oracle_monitor(f, trace, k):
                 return True
         return False
     raise TypeError(f)
+
+
+def oracle_horizon(f):
+    """The horizon by recursion over the syntax tree: a subtree shared
+    by named formulas is walked once per occurrence."""
+    if isinstance(f, Atomic):
+        return 0
+    if isinstance(f, (And, Or)):
+        return max(oracle_horizon(ch) for ch in f.children)
+    return f.b + max(oracle_horizon(f.left), oracle_horizon(f.right))
+
+
+def oracle_walk_atomics(f):
+    """Every atomic occurrence of the syntax tree, left to right."""
+    if isinstance(f, Atomic):
+        yield f
+    elif isinstance(f, (And, Or)):
+        for ch in f.children:
+            yield from oracle_walk_atomics(ch)
+    else:
+        yield from oracle_walk_atomics(f.left)
+        yield from oracle_walk_atomics(f.right)
+
+
+def oracle_atomic_propositions(f):
+    """Non-constant atomics of the tree walk, deduplicated by label in
+    first-occurrence order; a label on two distinct atomics raises
+    NameCollisionError. The labelling rule is the package's own: the
+    walk is what this reference checks."""
+    def key(a):
+        preds = sorted((tuple(p.expr.h), p.expr.c, p.epsilon) for p in a.cone.constraints)
+        return preds, a.modes
+
+    seen, order = {}, []
+    for a in oracle_walk_atomics(f):
+        if (not a.cone.constraints and a.modes is None) or is_trivially_false(a):
+            continue
+        label = atomic_label(a)
+        if label not in seen:
+            seen[label] = a
+            order.append(a)
+        elif key(seen[label]) != key(a):
+            raise NameCollisionError(f"two distinct atomic propositions share the name {label!r}")
+    return order
+
+
+def random_dag(rng, dim, num_modes, size):
+    """A random formula of `size` operator nodes, each taking its
+    children from every node built before it, so subtrees are shared as
+    named formulas share them. The leaves include true, false, equal
+    copies of named atomics and a distinct atomic reusing a name."""
+    leaves = [random_atomic(rng, dim, num_modes, name=f"p{i}") for i in range(3)]
+    leaves += [Atomic(a.cone, a.modes, a.name) for a in leaves]
+    leaves += [random_atomic(rng, dim, num_modes), top(), bottom(dim)]
+    leaves.append(random_atomic(rng, dim, num_modes, name="p0"))
+    pool = [leaves[i] for i in rng.permutation(len(leaves))[:4]]
+    for _ in range(size):
+        kind = rng.integers(0, 4)
+        if kind in (0, 1):
+            children = tuple(pool[i] for i in rng.integers(0, len(pool), rng.integers(2, 4)))
+            pool.append(And(children) if kind == 0 else Or(children))
+        else:
+            left, right = (pool[i] for i in rng.integers(0, len(pool), 2))
+            a = int(rng.integers(0, 3))
+            node = Until if kind == 2 else Release
+            pool.append(node(left, right, a, a + int(rng.integers(1, 4))))
+    return pool[-1]
 
 
 def random_atomic(rng, dim, num_modes, name=None):

@@ -335,15 +335,17 @@ def test_run_no_solution(tmp_path):
     assert not (out / "trajectory.csv").exists()
 
 
-def _cli(args, tmp_path):
+def _cli(args, tmp_path, timeout=300):
     # The child runs in tmp_path, where a relative PYTHONPATH such as "src"
     # no longer resolves, so put the absolute src directory first.  Empty
     # entries are dropped: they would add the child's cwd to sys.path.
+    # A child still running after `timeout` seconds fails the test with
+    # subprocess.TimeoutExpired instead of hanging the suite.
     paths = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     return subprocess.run(
         [sys.executable, "-m", "beliefplan.cli", *args],
-        capture_output=True, text=True, cwd=str(tmp_path), env=env,
+        capture_output=True, text=True, cwd=str(tmp_path), env=env, timeout=timeout,
     )
 
 
@@ -507,6 +509,21 @@ def test_exit_code_formula(tmp_path):
     assert r.returncode == EXIT_FORMULA, r.stderr
 
 
+@pytest.mark.parametrize(
+    "entry, path",
+    [("named_formulas", "$.named_formulas.extra: "), ("formula", "$.formula: ")],
+)
+def test_formula_error_names_its_entry(tmp_path, entry, path):
+    doc = _small_doc()
+    if entry == "named_formulas":
+        doc["named_formulas"]["extra"] = "(safe) U[0,3] nowhere"
+    else:
+        doc["formula"] = "(safe) U[0,3] nowhere"
+    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_FORMULA, r.stderr
+    assert r.stderr == f"formula error: {path}unknown formula name 'nowhere' (line 1, column 15)\n"
+
+
 def test_exit_code_numeric(tmp_path):
     doc = _small_doc()
     doc["initial"]["mean"] = [0.0, 0.0]
@@ -558,6 +575,22 @@ def test_deep_nesting_exits_with_a_one_line_message(tmp_path, field, text, code,
     r = _cli(args + ["--validate-only"] * validate_only, tmp_path)
     assert r.returncode == code, r.stderr
     assert r.stderr.count("\n") == 1 and "nests deeper than 64 levels" in r.stderr, r.stderr
+
+
+def test_named_chain_plans_in_linear_time(tmp_path):
+    """Twenty named formulas, each using the one before twice, make a
+    syntax tree of over 2**20 leaves on some 60 distinct nodes. A walk of
+    the tree did not finish this run in a minute; a walk of the distinct
+    nodes takes well under a second."""
+    doc = _base_doc()
+    doc["named_formulas"]["n0"] = "target"
+    for i in range(1, 21):
+        doc["named_formulas"][f"n{i}"] = f"(n{i - 1}) & (true U[0,1] n{i - 1})"
+    doc["formula"] = "(free_space) U[0,240] (n20)"
+    args = ["--problem", _write(tmp_path, doc), "--out", str(tmp_path / "out"),
+            "--no-simulation", "--iteration-cap", "5"]
+    r = _cli(args, tmp_path, timeout=60)
+    assert r.returncode == EXIT_NO_SOLUTION, r.stderr
 
 
 def test_exit_code_validate_ok(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,16 @@ from beliefplan.geometry import (
     ProbabilisticLinearPredicate,
 )
 
-from oracles import oracle_atomic, oracle_monitor, random_formula, random_trace
+from oracles import (
+    oracle_atomic,
+    oracle_atomic_propositions,
+    oracle_horizon,
+    oracle_monitor,
+    oracle_walk_atomics,
+    random_dag,
+    random_formula,
+    random_trace,
+)
 
 
 def _atomic(h, c, eps, modes=None, name=None):
@@ -117,6 +128,41 @@ def test_atomic_propositions_skips_constants():
     a = _atomic([1.0], 0.0, 0.1, name="a")
     f = Until(top(), Release(bottom(1), a, 0, 2), 0, 3)
     assert [atomic_label(x) for x in atomic_propositions(f)] == ["a"]
+
+
+def test_dag_walks_match_the_tree_walk_references():
+    """On formulas with shared subtrees, horizon and atomic_propositions
+    (its order, and which label collision it reports) equal the
+    recursive tree-walk references."""
+    rng = np.random.default_rng(15)
+    shared = 0
+    for _ in range(1000):
+        f = random_dag(rng, 2, 3, size=int(rng.integers(1, 9)))
+        assert horizon(f) == oracle_horizon(f)
+        try:
+            expected = oracle_atomic_propositions(f)
+        except NameCollisionError as exc:
+            with pytest.raises(NameCollisionError, match=re.escape(str(exc))):
+                atomic_propositions(f)
+        else:
+            got = atomic_propositions(f)
+            assert len(got) == len(expected)
+            assert all(g is e for g, e in zip(got, expected))
+        atomics = list(oracle_walk_atomics(f))
+        shared += len({id(a) for a in atomics}) < len(atomics)
+    assert shared > 500
+
+
+def test_named_chain_walks_in_linear_time():
+    """A chain of named formulas, each using the one before twice, has a
+    syntax tree of over 2**30 leaves; its 91 distinct nodes are walked once."""
+    chain = {"n0": parse_formula("P(x0 <= 0) >= 0.9", 1, 1)}
+    for i in range(1, 31):
+        chain[f"n{i}"] = parse_formula(f"(n{i - 1}) & (true U[0,1] n{i - 1})", 1, 1, chain)
+    f = chain["n30"]
+    assert horizon(f) == 30
+    assert [a is chain["n0"] for a in atomic_propositions(f)] == [True]
+    assert monitor_word(f, [(frozenset({atomic_label(chain["n0"])}), 0)] * 31) is True
 
 
 # ---------------------------------------------------------------------------
