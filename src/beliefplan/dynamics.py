@@ -16,13 +16,15 @@ and belief propagation is deterministic.
 
 from __future__ import annotations
 
+import functools
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .formula import MAX_NESTING
-from .gaussian import BeliefState, checked_cov, checked_mean, make_belief
+from .gaussian import BeliefState, checked_cov, checked_mean, make_belief, symmetric_eigenvalues
 from .geometry import Polytope, polytope_contains
 
 _CONDITION_LIMIT = 1e12
@@ -328,7 +330,15 @@ def noise_cov(mode: SystemMode, x) -> np.ndarray:
     n_val = mode.noise(x)
     if isinstance(n_val, np.ndarray):  # one value per row of a stack
         n_val = n_val[:, None, None]
-    return (n_val * n_val) * np.eye(p)
+    return (n_val * n_val) * _identity(p)
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """One read-only n-by-n identity, shared by every call."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -348,13 +358,27 @@ def _update(mode: SystemMode, cov, R):
     C = mode.C
     S = C @ cov @ C.T + R
     S = 0.5 * (S + S.mT)
-    if (np.linalg.cond(S) > _CONDITION_LIMIT).any():
+    if _ill_conditioned(S):
         raise IllConditionedUpdateError(
             f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
         )
     K = np.linalg.solve(S, C @ cov).mT
-    IKC = np.eye(mode.state_dim) - K @ C
+    IKC = _identity(mode.state_dim) - K @ C
     return K, IKC @ cov @ IKC.mT + K @ R @ K.mT
+
+
+def _ill_conditioned(S) -> bool:
+    """Whether a symmetric matrix, or any of a stack, has a non-finite
+    entry or a condition number max|eig| / min|eig| above the limit
+    (infinite where min|eig| = 0)."""
+    if S.shape[-1] > 2 and not np.isfinite(S).all():
+        return True
+    for eigs in symmetric_eigenvalues(S):
+        mags = sorted(map(abs, eigs))
+        small, large = mags[0], mags[-1]
+        if not (math.isfinite(large) and 0.0 < small and large <= _CONDITION_LIMIT * small):
+            return True
+    return False
 
 
 def _mlo_cov(mode: SystemMode, covs, means):
@@ -437,7 +461,7 @@ def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np
     x_true = np.asarray(x_true, dtype=float).reshape(-1)
     v = rng.standard_normal(p)
     if isinstance(mode.noise, ScalarExpression):
-        gain = mode.noise(x_true) * np.eye(p)
+        gain = mode.noise(x_true) * _identity(p)
     else:
         gain = mode.noise
     return mode.C @ x_true + gain @ v

@@ -2,8 +2,8 @@
 
 Everything downstream (chance constraints, Kalman filtering, cone
 membership) goes through the functions in this module, so tolerances
-are pinned here: covariance symmetry 1e-9 absolute, eigenvalues allowed
-down to -1e-9, CDF/quantile round-trip 1e-9.
+are pinned here: covariance asymmetry up to 1e-6 absolute, eigenvalues
+allowed down to -1e-9, CDF/quantile round-trip 1e-9.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-SYMMETRY_TOL = 1e-9
 EIGENVALUE_TOL = -1e-9
 _MAKE_SYMMETRY_TOL = 1e-6
 _SQRT2 = math.sqrt(2.0)
@@ -74,20 +73,45 @@ def checked_mean(mean: np.ndarray) -> np.ndarray:
 def checked_cov(cov: np.ndarray) -> np.ndarray:
     """The covariance checks of make_belief on one covariance, or on a
     stack of them along a leading axis: finite entries, asymmetry at
-    most 1e-6, no eigenvalue below -1e-9. Returns the symmetrized
-    covariance(s)."""
-    if not np.isfinite(cov).all():
-        raise InvalidCovarianceError("non-finite entries in belief state")
-    asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+    most 1e-6, no eigenvalue below -1e-9, each over the whole stack in
+    that order. Returns the symmetrized covariance(s)."""
+    n = cov.shape[-1]
+    if n <= 2:  # on Python floats, as symmetric_eigenvalues works at this size
+        flat = cov.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
+            raise InvalidCovarianceError("non-finite entries in belief state")
+        pairs = zip(flat[1::4], flat[2::4]) if n == 2 else ()
+        asym = max((abs(b - c) for b, c in pairs), default=0.0)
+    else:
+        if not np.isfinite(cov).all():
+            raise InvalidCovarianceError("non-finite entries in belief state")
+        asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
     if asym > _MAKE_SYMMETRY_TOL:
         raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
     sym = 0.5 * (cov + cov.mT)
-    eigs = np.linalg.eigvalsh(sym)
-    if eigs.size and eigs[..., 0].min() < EIGENVALUE_TOL:
-        raise InvalidCovarianceError(
-            f"covariance has negative eigenvalue {eigs[..., 0].min():g}"
-        )
+    smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
+    if smallest < EIGENVALUE_TOL:
+        raise InvalidCovarianceError(f"covariance has negative eigenvalue {smallest:g}")
     return sym
+
+
+def symmetric_eigenvalues(sym: np.ndarray) -> list:
+    """The eigenvalues of each matrix of a symmetric (..., n, n) stack,
+    ascending, as one list of Python floats per matrix in stack order.
+    Up to n = 2 in closed form, (a+d)/2 -/+ hypot((a-d)/2, b): there
+    they may differ from LAPACK's by a rounding of about 1e-16 times the
+    matrix norm, and a non-finite entry gives a non-finite eigenvalue.
+    Beyond n = 2 one eigvalsh call, on finite entries only."""
+    n = sym.shape[-1]
+    if n > 2:
+        return np.linalg.eigvalsh(sym).reshape(-1, n).tolist()
+    if n < 2:
+        return [[a] for a in sym.ravel().tolist()]
+    eigs = []
+    for a, b, _, d in sym.reshape(-1, 4).tolist():
+        mid, radius = (a + d) / 2, math.hypot((a - d) / 2, b)
+        eigs.append([mid - radius, mid + radius])
+    return eigs
 
 
 def frozen_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:

@@ -162,11 +162,12 @@ def solve(
     problem: Problem,
     params: RrtParams,
     k_max: int = 6,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SynthesisResult:
     """Alternate BMC proposals and RRT feasibility checks until a
-    trajectory passes the monitor or the candidate space is exhausted."""
-    rng = rng if rng is not None else np.random.default_rng()
+    trajectory passes the monitor or the candidate space is exhausted.
+    `rng` seeds every RRT segment, so a solve is reproducible."""
     abs_ = abstract(problem.formula, problem.system)
     cex = CounterexampleStore()
     iterations = 0

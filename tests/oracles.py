@@ -20,7 +20,7 @@ from beliefplan.formula import (
     is_trivially_false,
     top,
 )
-from beliefplan.gaussian import make_belief, std_normal_quantile
+from beliefplan.gaussian import InvalidCovarianceError, make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
     DiscretePredicate,
@@ -51,6 +51,41 @@ def oracle_cone_margin(pred, b):
     if pred.epsilon == 0 and spread == 0.0:
         return float(pred.expr.h @ b.mean + pred.expr.c)
     return float(pred.expr.h @ b.mean + pred.expr.c) + q * spread
+
+
+def oracle_checked_cov(cov):
+    """make_belief's covariance checks through LAPACK: finite entries,
+    then the largest |cov - cov^T| at most 1e-6, then the smallest
+    np.linalg.eigvalsh eigenvalue of the symmetrized covariance(s) at
+    least -1e-9, each over the whole stack. Returns the symmetrized
+    covariance(s) or raises InvalidCovarianceError."""
+    if not np.isfinite(cov).all():
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+    if asym > 1e-6:
+        raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
+    sym = 0.5 * (cov + cov.mT)
+    eigs = np.linalg.eigvalsh(sym)
+    if eigs.size and eigs[..., 0].min() < -1e-9:
+        raise InvalidCovarianceError(f"covariance has negative eigenvalue {eigs[..., 0].min():g}")
+    return sym
+
+
+def oracle_ill_conditioned(S):
+    """The condition test of a symmetric innovation matrix, or of any
+    of a stack, through np.linalg.cond (an SVD): condition number above
+    1e12, infinite for a singular matrix."""
+    return bool((np.linalg.cond(S) > 1e12).any())
+
+
+def matrix_with_eigenvalues(rng, eigenvalues):
+    """A symmetric matrix Q diag(eigenvalues) Q^T under a random
+    rotation Q; its eigenvalues carry a rounding of about 1e-16 times
+    its norm."""
+    n = len(eigenvalues)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    M = (Q * eigenvalues) @ Q.T
+    return 0.5 * (M + M.T)
 
 
 def oracle_atomic(atomic, trace, k):

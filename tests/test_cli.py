@@ -422,7 +422,7 @@ def test_shipped_problems_solve_without_the_lp_solver(tmp_path):
         "from beliefplan.synthesis import solve\n"
         "for path in sys.argv[1:]:\n"
         "    problem, params, k_max, seed, _ = load_problem(path)\n"
-        "    assert solve(problem, params, k_max, np.random.default_rng(seed)).ok, path\n"
+        "    assert solve(problem, params, k_max, rng=np.random.default_rng(seed)).ok, path\n"
         "assert 'scipy.optimize' not in sys.modules\n"
     )
     paths = [SRC, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
@@ -432,6 +432,22 @@ def test_shipped_problems_solve_without_the_lp_solver(tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=env,
     )
     assert r.returncode == 0, r.stderr
+
+
+def test_overflowing_noise_exits_numeric_without_a_traceback(tmp_path):
+    """A noise gain whose square overflows makes R = inf * I with NaN off
+    the diagonal (inf * 0): the condition test rejects the non-finite
+    innovation matrix, so the run exits 4 with one numeric-error line.
+    In a subprocess, because under pytest the overflow warning would
+    raise first."""
+    with open(LIGHTDARK) as fh:
+        doc = json.load(fh)
+    doc["modes"][0]["noise"] = "(5 - x0)^230"
+    r = _cli(["--problem", _write(tmp_path, doc), "--seed", "0", "--out", str(tmp_path / "out")],
+             tmp_path)
+    assert r.returncode == EXIT_NUMERIC, r.stderr
+    assert "numeric error: " in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_exit_code_schema(tmp_path):

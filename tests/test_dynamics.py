@@ -8,6 +8,7 @@ from beliefplan.dynamics import (
     ScalarExpression,
     SwitchedSystem,
     SystemMode,
+    _update,
     kalman_update,
     mlo_covariance,
     noise_cov,
@@ -302,3 +303,66 @@ def test_mlo_mean_is_the_predicted_mean_where_c_m_overflows():
     ref = propagate_mlo(mode, propagate_mlo(mode, b, control), control)
     assert np.array_equal(end.mean, ref.mean) and np.array_equal(end.cov, ref.cov)
     assert np.array_equal(end.mean, b.mean)  # 1e308 absorbs 2 * 0.25 * |u| <= 0.5
+
+
+def _near_condition_limit(rng, n):
+    """A symmetric n-by-n matrix, of either sign per eigenvalue, whose
+    condition number lies within 1% of 1e12; a 1-by-1 one is zero, or a
+    number of any magnitude (condition number 1)."""
+    if n == 1:
+        return np.array([[0.0 if rng.random() < 0.3 else rng.choice([-1, 1]) * 10 ** rng.uniform(-300, 300)]])
+    s = 10 ** rng.uniform(-3, 3)
+    small = s / (1e12 * (1 + rng.uniform(-1, 1) * 1e-2))
+    eigs = np.array([small, *rng.uniform(small, s, n - 2), s]) * rng.choice([-1.0, 1.0], n)
+    return oracles.matrix_with_eigenvalues(rng, eigs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_condition_verdicts_match_cond_outside_the_rounding_band(n):
+    """The condition test of _update against np.linalg.cond on random
+    stacks straddling 1e12 (C = I, R = 0, so the innovation matrix is
+    the covariance): the verdicts differ only where a matrix of the
+    stack has |cond / 1e12 - 1| <= 1e-3."""
+    rng = np.random.default_rng(10 + n)
+    mode = SystemMode(np.eye(n), np.eye(n), np.zeros((n, n)), C=np.eye(n), noise=np.zeros((n, n)))
+    R = np.zeros((n, n))
+    outcomes = {"ill": 0, "well": 0, "differ": 0}
+    for _ in range(2000):
+        stack = np.array([_near_condition_limit(rng, n) for _ in range(rng.integers(1, 4))])
+        try:
+            _update(mode, stack, R)
+            ill = False
+        except IllConditionedUpdateError as exc:
+            assert str(exc) == "innovation covariance condition number exceeds 1e+12"
+            ill = True
+        if ill != oracles.oracle_ill_conditioned(stack):
+            outcomes["differ"] += 1
+            assert (np.abs(np.linalg.cond(stack) / 1e12 - 1) <= 1e-3).any()
+        outcomes["ill" if ill else "well"] += 1
+    assert outcomes["ill"] > 500 and outcomes["well"] > 500, outcomes
+
+
+@pytest.mark.parametrize("cov", [np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]]], ids=["zero", "rank-1"])
+def test_singular_innovation_matrix_is_ill_conditioned(cov):
+    """R = 0 and C = I make the innovation matrix the covariance: zero,
+    or of rank 1 with eigenvalues 0 and 5."""
+    mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=np.zeros((2, 2)))
+    with pytest.raises(IllConditionedUpdateError):
+        kalman_update(mode, make_belief([0.0, 0.0], cov), [0.0, 0.0])
+    with pytest.raises(IllConditionedUpdateError):
+        propagate_mlo(mode, make_belief([0.0, 0.0], cov), [0.0, 0.0])
+
+
+def test_three_dimensional_condition_verdicts_are_unchanged():
+    """A 3-D belief observed through C = I: a condition number of 1e6
+    passes, 1e15 and a singular innovation matrix fail, as with
+    np.linalg.cond, with the same message."""
+    mode = SystemMode(np.eye(3), np.eye(3), np.zeros((3, 3)), C=np.eye(3), noise=np.zeros((3, 3)))
+    for diag, ill in (([1.0, 1e-3, 1e-6], False), ([1.0, 1e-3, 1e-15], True), ([1.0, 0.5, 0.0], True)):
+        assert oracles.oracle_ill_conditioned(np.diag(diag)) == ill
+        b = make_belief(np.zeros(3), np.diag(diag))
+        if ill:
+            with pytest.raises(IllConditionedUpdateError, match="condition number exceeds 1e"):
+                kalman_update(mode, b, np.zeros(3))
+        else:
+            kalman_update(mode, b, np.zeros(3))

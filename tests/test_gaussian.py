@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from beliefplan.gaussian import (
+    EIGENVALUE_TOL,
     BeliefState,
     InvalidCovarianceError,
+    checked_cov,
     make_belief,
     std_normal_cdf,
     std_normal_quantile,
@@ -36,6 +39,73 @@ def test_make_belief_rejects_gross_asymmetry():
 def test_make_belief_rejects_negative_eigenvalue():
     with pytest.raises(InvalidCovarianceError):
         make_belief([0.0], [[-1e-3]])
+
+
+def _verdict(check, cov):
+    """The covariance a check returns, or the message it raises."""
+    try:
+        return check(cov)
+    except InvalidCovarianceError as exc:
+        return str(exc)
+
+
+def _near_eigenvalue_tol(rng, n):
+    """A symmetric n-by-n matrix of norm s whose smallest eigenvalue
+    lies within 1e-14 s of EIGENVALUE_TOL."""
+    s = 10 ** rng.uniform(-2, 2)
+    low = EIGENVALUE_TOL + rng.uniform(-1, 1) * 1e-14 * s
+    if n == 1:
+        return np.array([[low]])
+    return oracles.matrix_with_eigenvalues(rng, [low, *rng.uniform(0, s, n - 2), s])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_psd_verdicts_match_eigvalsh_outside_the_rounding_band(n):
+    """checked_cov against the eigvalsh reference on random stacks whose
+    smallest eigenvalues straddle -1e-9: the verdicts differ only where
+    a matrix of the stack has |lambda_min + 1e-9| <= 1e-15 ||S||, and
+    beyond n = 2, which uses eigvalsh itself, never."""
+    rng = np.random.default_rng(n)
+    outcomes = {"accepted": 0, "rejected": 0, "differ": 0}
+    for _ in range(2000):
+        stack = np.array([_near_eigenvalue_tol(rng, n) for _ in range(rng.integers(1, 4))])
+        mine, ref = _verdict(checked_cov, stack), _verdict(oracles.oracle_checked_cov, stack)
+        if isinstance(mine, str) != isinstance(ref, str):
+            outcomes["differ"] += 1
+            lams = np.linalg.eigvalsh(stack)
+            assert n == 2 and (np.abs(lams[:, 0] + 1e-9) <= 1e-15 * np.abs(lams).max(axis=1)).any()
+        elif isinstance(mine, str):
+            outcomes["rejected"] += 1
+            assert mine.startswith("covariance has negative eigenvalue")
+        else:
+            outcomes["accepted"] += 1
+            assert np.array_equal(mine, ref)
+    assert outcomes["accepted"] > 500 and outcomes["rejected"] > 500, outcomes
+
+
+def test_non_finite_row_is_reported_before_an_earlier_asymmetric_row():
+    stack = np.array([[[1.0, 0.5], [0.1, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+    with pytest.raises(InvalidCovarianceError, match="non-finite"):
+        checked_cov(stack)
+
+
+def test_three_dimensional_verdicts_and_messages_are_unchanged():
+    """Beyond 2-by-2 the checks still run on numpy and eigvalsh: the same
+    covariance or the same message as the reference, for each kind of
+    failure and a stack that mixes them."""
+    good = np.diag([1.0, 0.5, 0.1])
+    asym = good + np.triu(np.full((3, 3), 1e-3), 1)
+    negative = np.diag([1.0, -1e-3, 0.1])
+    nonfinite = np.diag([1.0, np.inf, 0.1])
+    cases = [good, asym, negative, nonfinite, np.stack([good, negative, asym]),
+             np.stack([asym, nonfinite]), np.zeros((0, 3, 3))]
+    for cov in cases:
+        mine, ref = _verdict(checked_cov, cov), _verdict(oracles.oracle_checked_cov, cov)
+        if isinstance(ref, str):
+            assert mine == ref
+        else:
+            assert np.array_equal(mine, ref)
+    assert _verdict(checked_cov, np.stack([good, negative, asym])).startswith("covariance asymmetry")
 
 
 def test_belief_arrays_read_only():

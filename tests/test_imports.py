@@ -1,6 +1,7 @@
 """Every name a module imports is used in that module, no module
-imports a private name from another module of the package, and every
-private module-level name is read by its module.
+imports a private name from another module of the package, every
+private module-level name is read by its module, and every upper-case
+public constant is read somewhere in src/, tests/ or bench/.
 
 The package's `__init__.py` is left out of the first check: it imports
 names only to re-export them.
@@ -11,9 +12,11 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "beliefplan"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "beliefplan"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+READERS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -104,3 +107,44 @@ def test_detects_an_orphaned_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_orphaned_private_names(path):
     assert orphaned_private_names(path.read_text()) == []
+
+
+def names_read(source: str) -> set:
+    """Names an expression of the source reads: loaded names and the
+    attribute names of attribute accesses."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def orphaned_public_constants(source: str, read: set) -> list:
+    """Upper-case names without a leading underscore that the source
+    assigns at module level and that are not in `read`."""
+    defined = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for t in targets:
+                if isinstance(t, ast.Name) and t.id.isupper() and not t.id.startswith("_"):
+                    defined[t.id] = stmt.lineno
+    return sorted(f"{name} (line {line})" for name, line in defined.items() if name not in read)
+
+
+def test_detects_an_orphaned_public_constant():
+    source = "USED = 1\nUNUSED = 2\n_PRIVATE = 3\nlower = 4\nATTR: int = 5\n"
+    read = names_read("print(USED, module.ATTR)\nUNUSED = USED\n")
+    assert orphaned_public_constants(source, read) == ["UNUSED (line 2)"]
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    return set().union(*(names_read(p.read_text()) for p in READERS))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_orphaned_public_constants(path, read_anywhere):
+    assert orphaned_public_constants(path.read_text(), read_anywhere) == []

@@ -57,6 +57,16 @@ def test_solve_reach_and_hold():
     assert res.candidate_log[-1]["outcome"] == "success"
 
 
+def test_solve_needs_a_seeded_generator_by_keyword():
+    """No unseeded fallback: a solve without rng=, or with it passed by
+    position, is refused before any search."""
+    problem = _simple_problem("G[0,10] (safe)", named_texts=[("safe", "P(x0 <= 1) >= 0.95")])
+    with pytest.raises(TypeError):
+        solve(problem, _params(), 2)
+    with pytest.raises(TypeError):
+        solve(problem, _params(), 2, np.random.default_rng(0))
+
+
 def test_solve_trajectory_satisfies_monitor_always_formula():
     problem = _simple_problem(
         "G[0,10] (safe)",
