@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formula import MAX_NESTING
-from .gaussian import BeliefState, checked_cov, checked_mean, make_belief, symmetric_eigenvalues
+from .gaussian import (
+    BeliefState,
+    checked_cov,
+    checked_mean,
+    eigenvalues_2x2,
+    make_belief,
+    symmetric_eigenvalues,
+)
 from .geometry import Polytope, polytope_contains
 
 _CONDITION_LIMIT = 1e12
@@ -321,16 +328,19 @@ class SwitchedSystem:
 
 def noise_cov(mode: SystemMode, x) -> np.ndarray:
     """Measurement covariance R(x) = n(x) n(x)^T, at one state or at
-    each row of a stack of states."""
+    each row of a stack of states. A gain that overflows gives a
+    non-finite R without a numpy warning; the condition test of the
+    update then rejects it."""
     p = mode.obs_dim
     if p == 0:
         raise NoObservationError("mode has no observation (p = 0)")
-    if not isinstance(mode.noise, ScalarExpression):
-        return mode.noise @ mode.noise.T
-    n_val = mode.noise(x)
-    if isinstance(n_val, np.ndarray):  # one value per row of a stack
-        n_val = n_val[:, None, None]
-    return (n_val * n_val) * _identity(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not isinstance(mode.noise, ScalarExpression):
+            return mode.noise @ mode.noise.T
+        n_val = mode.noise(x)
+        if isinstance(n_val, np.ndarray):  # one value per row of a stack
+            n_val = n_val[:, None, None]
+        return (n_val * n_val) * _identity(p)
 
 
 @functools.cache
@@ -358,27 +368,102 @@ def _update(mode: SystemMode, cov, R):
     C = mode.C
     S = C @ cov @ C.T + R
     S = 0.5 * (S + S.mT)
-    if _ill_conditioned(S):
-        raise IllConditionedUpdateError(
-            f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
-        )
+    if S.shape[-1] > 2 and not np.isfinite(S).all():  # eigvalsh needs finite entries
+        raise _condition_error(False)
+    if any(map(_ill_conditioned, symmetric_eigenvalues(S))):
+        raise _condition_error(np.isfinite(S).all())
     K = np.linalg.solve(S, C @ cov).mT
     IKC = _identity(mode.state_dim) - K @ C
     return K, IKC @ cov @ IKC.mT + K @ R @ K.mT
 
 
-def _ill_conditioned(S) -> bool:
-    """Whether a symmetric matrix, or any of a stack, has a non-finite
-    entry or a condition number max|eig| / min|eig| above the limit
-    (infinite where min|eig| = 0)."""
-    if S.shape[-1] > 2 and not np.isfinite(S).all():
-        return True
-    for eigs in symmetric_eigenvalues(S):
-        mags = sorted(map(abs, eigs))
-        small, large = mags[0], mags[-1]
-        if not (math.isfinite(large) and 0.0 < small and large <= _CONDITION_LIMIT * small):
-            return True
-    return False
+def _ill_conditioned(eigs) -> bool:
+    """Whether the eigenvalues of a symmetric matrix give a condition
+    number max|eig| / min|eig| above the limit (infinite where
+    min|eig| = 0), or one is not finite, as a non-finite entry makes
+    one of them."""
+    mags = sorted(map(abs, eigs))
+    small, large = mags[0], mags[-1]
+    return not (math.isfinite(large) and 0.0 < small and large <= _CONDITION_LIMIT * small)
+
+
+def _condition_error(finite) -> IllConditionedUpdateError:
+    """The error of an innovation matrix that fails the condition test:
+    its non-finite entries, or else its condition number."""
+    if not finite:
+        return IllConditionedUpdateError("non-finite entries in innovation covariance")
+    return IllConditionedUpdateError(
+        f"innovation covariance condition number exceeds {_CONDITION_LIMIT:g}"
+    )
+
+
+# The filter step of a mode with n = p = 2 (every shipped problem) on
+# Python floats, each 2-by-2 matrix a row-major 4-tuple. numpy's 2-by-2
+# matmul goes through BLAS, which may fuse a multiply and an add, so these
+# products can differ from the array path's in the last bit; the planner's
+# MLO step keeps the array path and its bits.
+
+def _closed_form(mode: SystemMode) -> bool:
+    return mode.state_dim == 2 and mode.obs_dim == 2
+
+
+def _mul(x, y):
+    """x y."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _mul_t(x, y):
+    """x y^T."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * f, a * g + b * h, c * e + d * f, c * g + d * h)
+
+
+def _add(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+
+
+def _predict_cov_2x2(mode: SystemMode, P):
+    """A P A^T + W W^T."""
+    A = mode.A.ravel().tolist()
+    W = mode.W.ravel().tolist()
+    return _add(_mul_t(_mul(A, P), A), _mul_t(W, W))
+
+
+def _kalman_update_2x2(mode: SystemMode, b: BeliefState, y):
+    """kalman_update's mean and Joseph-form covariance, after the
+    condition test of _update on the symmetrized innovation matrix S.
+    The gain solves against S scaled by its largest entry, so that no
+    determinant under- or overflows where np.linalg.solve would not."""
+    (m0, m1), P = b.mean.tolist(), b.cov.ravel().tolist()
+    C = mode.C.ravel().tolist()
+    if isinstance(mode.noise, ScalarExpression):
+        gain = mode.noise(b.mean)
+        R = (gain * gain, 0.0, 0.0, gain * gain)
+    else:
+        N = mode.noise.ravel().tolist()
+        R = _mul_t(N, N)
+    CP = _mul(C, P)
+    s00, s01, s10, s11 = _add(_mul_t(CP, C), R)
+    s00, s01, s11 = 0.5 * (s00 + s00), 0.5 * (s01 + s10), 0.5 * (s11 + s11)
+    if _ill_conditioned(eigenvalues_2x2(s00, s01, s11)):
+        raise _condition_error(all(map(math.isfinite, (s00, s01, s11))))
+    scale = max(abs(s00), abs(s01), abs(s11))
+    e00, e01, e11 = s00 / scale, s01 / scale, s11 / scale
+    det = e00 * e11 - e01 * e01
+    x00, x01, x10, x11 = _mul((e11, -e01, -e01, e00), CP)  # adj(S / scale) C P
+    # K = (S^-1 C P)^T
+    K = (x00 / scale / det, x10 / scale / det, x01 / scale / det, x11 / scale / det)
+    k00, k01, k10, k11 = _mul(K, C)
+    IKC = (1.0 - k00, -k01, -k10, 1.0 - k11)
+    cov = _add(_mul_t(_mul(IKC, P), IKC), _mul_t(_mul(K, R), K))
+    c00, c01, c10, c11 = C
+    k00, k01, k10, k11 = K
+    y0, y1 = y
+    v0, v1 = y0 - (c00 * m0 + c01 * m1), y1 - (c10 * m0 + c11 * m1)
+    return [m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1)], [cov[:2], cov[2:]]
 
 
 def _mlo_cov(mode: SystemMode, covs, means):
@@ -403,7 +488,11 @@ def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
 
 def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
-    return make_belief(_predicted_mean(mode, b, u), _predict_cov(mode, b.cov))
+    mean = _predicted_mean(mode, b, u)
+    if _closed_form(mode):
+        cov = _predict_cov_2x2(mode, b.cov.ravel().tolist())
+        return make_belief(mean, [cov[:2], cov[2:]])
+    return make_belief(mean, _predict_cov(mode, b.cov))
 
 
 def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
@@ -414,6 +503,8 @@ def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != mode.obs_dim:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
+    if _closed_form(mode):
+        return make_belief(*_kalman_update_2x2(mode, b, y.tolist()))
     R = noise_cov(mode, b.mean)
     K, cov = _update(mode, b.cov, R)
     return make_belief(b.mean + K @ (y - mode.C @ b.mean), cov)

@@ -59,13 +59,16 @@ def make_belief(mean, cov) -> BeliefState:
         raise InvalidCovarianceError(
             f"covariance shape {cov.shape} does not match mean dimension {n}"
         )
-    return frozen_belief(checked_mean(mean), checked_cov(cov))
+    if n > 2:
+        return frozen_belief(checked_mean(mean), checked_cov(cov))
+    # checked_cov builds a fresh covariance at this size
+    return _read_only_belief(checked_mean(mean).copy(), checked_cov(cov))
 
 
 def checked_mean(mean: np.ndarray) -> np.ndarray:
     """The mean check of make_belief on one mean, or on a stack of them:
-    finite entries. Returns the mean."""
-    if not np.isfinite(mean).all():
+    finite entries, on Python floats for one mean. Returns the mean."""
+    if not (all(map(math.isfinite, mean.tolist())) if mean.ndim == 1 else np.isfinite(mean).all()):
         raise InvalidCovarianceError("non-finite entries in belief state")
     return mean
 
@@ -76,52 +79,75 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
     most 1e-6, no eigenvalue below -1e-9, each over the whole stack in
     that order. Returns the symmetrized covariance(s)."""
     n = cov.shape[-1]
-    if n <= 2:  # on Python floats, as symmetric_eigenvalues works at this size
-        flat = cov.ravel().tolist()
-        if not all(map(math.isfinite, flat)):
-            raise InvalidCovarianceError("non-finite entries in belief state")
-        pairs = zip(flat[1::4], flat[2::4]) if n == 2 else ()
-        asym = max((abs(b - c) for b, c in pairs), default=0.0)
+    small = n <= 2  # on Python floats, as symmetric_eigenvalues works at this size
+    flat = cov.ravel().tolist() if small else None
+    if not (all(map(math.isfinite, flat)) if small else np.isfinite(cov).all()):
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    if small:
+        sym, asym, smallest = _symmetrized_small(flat, n)
     else:
-        if not np.isfinite(cov).all():
-            raise InvalidCovarianceError("non-finite entries in belief state")
         asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+        sym = 0.5 * (cov + cov.mT)
+        smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
     if asym > _MAKE_SYMMETRY_TOL:
         raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
-    sym = 0.5 * (cov + cov.mT)
-    smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
     if smallest < EIGENVALUE_TOL:
         raise InvalidCovarianceError(f"covariance has negative eigenvalue {smallest:g}")
-    return sym
+    return np.array(sym).reshape(cov.shape) if small else sym
+
+
+def _symmetrized_small(flat: list, n: int):
+    """The symmetrized entries 0.5 (S + S^T) of a stack of n-by-n
+    matrices, n <= 2, from their row-major entries, with numpy's
+    rounding (so the same bits), the largest |S - S^T| and the smallest
+    eigenvalue, as Python floats."""
+    if n < 2:
+        sym = [0.5 * (a + a) for a in flat]
+        return sym, 0.0, min(sym, default=0.0)
+    sym, lows, asym = [], [], 0.0
+    entries = iter(flat)
+    for a, b, c, d in zip(entries, entries, entries, entries):
+        asym = max(asym, abs(b - c))
+        a, b, d = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
+        sym += (a, b, b, d)
+        lows.append(eigenvalues_2x2(a, b, d)[0])
+    return sym, asym, min(lows, default=0.0)
 
 
 def symmetric_eigenvalues(sym: np.ndarray) -> list:
     """The eigenvalues of each matrix of a symmetric (..., n, n) stack,
     ascending, as one list of Python floats per matrix in stack order.
-    Up to n = 2 in closed form, (a+d)/2 -/+ hypot((a-d)/2, b): there
-    they may differ from LAPACK's by a rounding of about 1e-16 times the
-    matrix norm, and a non-finite entry gives a non-finite eigenvalue.
-    Beyond n = 2 one eigvalsh call, on finite entries only."""
+    Up to n = 2 in closed form (eigenvalues_2x2). Beyond n = 2 one
+    eigvalsh call, on finite entries only."""
     n = sym.shape[-1]
     if n > 2:
         return np.linalg.eigvalsh(sym).reshape(-1, n).tolist()
     if n < 2:
         return [[a] for a in sym.ravel().tolist()]
-    eigs = []
-    for a, b, _, d in sym.reshape(-1, 4).tolist():
-        mid, radius = (a + d) / 2, math.hypot((a - d) / 2, b)
-        eigs.append([mid - radius, mid + radius])
-    return eigs
+    return [eigenvalues_2x2(a, b, d) for a, b, _, d in sym.reshape(-1, 4).tolist()]
+
+
+def eigenvalues_2x2(a: float, b: float, d: float) -> list:
+    """The eigenvalues of the symmetric [[a, b], [b, d]], ascending:
+    (a+d)/2 -/+ hypot((a-d)/2, b). They may differ from LAPACK's by a
+    rounding of about 1e-16 times the matrix norm, and a non-finite
+    entry gives a non-finite eigenvalue."""
+    mid, radius = (a + d) / 2, math.hypot((a - d) / 2, b)
+    return [mid - radius, mid + radius]
 
 
 def frozen_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:
     """Belief state over read-only copies of a mean and a covariance
     that already passed checked_mean and checked_cov."""
-    mean = mean.copy()
-    sym = sym.copy()
-    mean.flags.writeable = False
-    sym.flags.writeable = False
-    return BeliefState(mean=mean, cov=sym)
+    return _read_only_belief(mean.copy(), sym.copy())
+
+
+def _read_only_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:
+    """Belief state over a checked mean and covariance that no one else
+    holds, flagged read-only in place."""
+    mean.setflags(write=False)
+    sym.setflags(write=False)
+    return BeliefState(mean, sym)
 
 
 def uncertainty_measure(b: BeliefState) -> float:

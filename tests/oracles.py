@@ -7,7 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from beliefplan.dynamics import SystemMode, propagate_mlo
+from beliefplan.dynamics import (
+    IllConditionedUpdateError,
+    ScalarExpression,
+    SystemMode,
+    propagate_mlo,
+)
 from beliefplan.formula import (
     And,
     Atomic,
@@ -20,7 +25,12 @@ from beliefplan.formula import (
     is_trivially_false,
     top,
 )
-from beliefplan.gaussian import InvalidCovarianceError, make_belief, std_normal_quantile
+from beliefplan.gaussian import (
+    BeliefState,
+    InvalidCovarianceError,
+    make_belief,
+    std_normal_quantile,
+)
 from beliefplan.geometry import (
     BeliefCone,
     DiscretePredicate,
@@ -76,6 +86,101 @@ def oracle_ill_conditioned(S):
     of a stack, through np.linalg.cond (an SVD): condition number above
     1e12, infinite for a singular matrix."""
     return bool((np.linalg.cond(S) > 1e12).any())
+
+
+# ---------------------------------------------------------------------------
+# The filter step on numpy arrays, as the package computed it before its
+# float paths for n <= 2: make_belief, predict and kalman_update. Their
+# results are the bit-for-bit reference where the float path keeps the
+# arithmetic, and the tolerance reference where it does not.
+# ---------------------------------------------------------------------------
+
+def oracle_symmetrized_cov(cov):
+    """make_belief's covariance checks on one covariance or a stack, with
+    verdicts on Python floats up to n = 2, (a+d)/2 -/+ hypot((a-d)/2, b),
+    and numpy's symmetrization 0.5 (S + S^T). Returns it, or raises
+    InvalidCovarianceError."""
+    n = cov.shape[-1]
+    if n <= 2:
+        flat = cov.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
+            raise InvalidCovarianceError("non-finite entries in belief state")
+        pairs = zip(flat[1::4], flat[2::4]) if n == 2 else ()
+        asym = max((abs(b - c) for b, c in pairs), default=0.0)
+    else:
+        if not np.isfinite(cov).all():
+            raise InvalidCovarianceError("non-finite entries in belief state")
+        asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+    if asym > 1e-6:
+        raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
+    sym = 0.5 * (cov + cov.mT)
+    if n > 2:
+        lows = np.linalg.eigvalsh(sym).reshape(-1, n)[:, 0].tolist()
+    elif n < 2:
+        lows = sym.ravel().tolist()
+    else:
+        rows = sym.reshape(-1, 4).tolist()
+        lows = [(a + d) / 2 - math.hypot((a - d) / 2, b) for a, b, _, d in rows]
+    smallest = min(lows, default=0.0)
+    if smallest < -1e-9:
+        raise InvalidCovarianceError(f"covariance has negative eigenvalue {smallest:g}")
+    return sym
+
+
+def oracle_make_belief(mean, cov):
+    """make_belief with numpy's finite check of the mean and
+    oracle_symmetrized_cov, over read-only copies."""
+    mean = np.asarray(mean, dtype=float).reshape(-1)
+    cov = np.asarray(cov, dtype=float)
+    n = mean.shape[0]
+    if cov.shape != (n, n):
+        raise InvalidCovarianceError(
+            f"covariance shape {cov.shape} does not match mean dimension {n}"
+        )
+    if not np.isfinite(mean).all():
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    mean, sym = mean.copy(), oracle_symmetrized_cov(cov).copy()
+    mean.flags.writeable = False
+    sym.flags.writeable = False
+    return BeliefState(mean=mean, cov=sym)
+
+
+def oracle_predict(mode, b, u):
+    """mean' = A mean + B u, cov' = A cov A^T + W W^T, through matmul."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != mode.control_dim:
+        raise ValueError(f"control dimension {u.shape[0]} != {mode.control_dim}")
+    if b.dim != mode.state_dim:
+        raise ValueError(f"belief dimension {b.dim} != {mode.state_dim}")
+    mean = mode.A @ b.mean + mode.B @ u
+    if not np.isfinite(mean).all():
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    return oracle_make_belief(mean, mode.A @ b.cov @ mode.A.T + mode.W @ mode.W.T)
+
+
+def oracle_kalman_update(mode, b, y):
+    """The Kalman update with R read at the mean: the innovation matrix
+    S = C P C^T + R, symmetrized, then the condition test (non-finite
+    entries, or np.linalg.cond above 1e12), the gain by np.linalg.solve
+    and the Joseph-form covariance."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    C, n = mode.C, mode.state_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(mode.noise, ScalarExpression):
+            gain = mode.noise(b.mean)
+            R = (gain * gain) * np.eye(mode.obs_dim)
+        else:
+            R = mode.noise @ mode.noise.T
+    S = C @ b.cov @ C.T + R
+    S = 0.5 * (S + S.mT)
+    if not np.isfinite(S).all():
+        raise IllConditionedUpdateError("non-finite entries in innovation covariance")
+    if oracle_ill_conditioned(S):
+        raise IllConditionedUpdateError("innovation covariance condition number exceeds 1e+12")
+    K = np.linalg.solve(S, C @ b.cov).mT
+    IKC = np.eye(n) - K @ C
+    cov = IKC @ b.cov @ IKC.mT + K @ R @ K.mT
+    return oracle_make_belief(b.mean + K @ (y - C @ b.mean), cov)
 
 
 def matrix_with_eigenvalues(rng, eigenvalues):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -366,3 +368,164 @@ def test_three_dimensional_condition_verdicts_are_unchanged():
                 kalman_update(mode, b, np.zeros(3))
         else:
             kalman_update(mode, b, np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# The filter step of a mode with n = p = 2, on Python floats
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _random_filter_case(rng):
+    """A random n = p = 2 mode, belief, control and observation: A a
+    contracting rotation or a perturbed identity, W != 0, a general C,
+    constant or state-dependent noise, and a covariance of scale 1e-6 to
+    1e6. One case in four is C = I, R = 0 and A = I, W = 0 instead,
+    with a covariance whose condition number lies within 1% of 1e12, so
+    that the condition test decides it."""
+    if rng.random() < 0.25:
+        mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=np.zeros((2, 2)))
+        s = 10 ** rng.uniform(-6, 6)
+        cov = oracles.matrix_with_eigenvalues(rng, [s / (1e12 * (1 + rng.uniform(-1, 1) * 1e-2)), s])
+    else:
+        if rng.random() < 0.5:
+            th = rng.uniform(-np.pi, np.pi)
+            A = rng.uniform(0.5, 1.0) * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+        else:
+            A = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
+        W = 10 ** rng.uniform(-3, 0) * rng.normal(size=(2, 2))
+        if rng.random() < 0.5:
+            noise = 10 ** rng.uniform(-3, 0) * (rng.normal(size=(2, 2)) + 2 * np.eye(2))
+        else:
+            noise = "0.1*(5 - x0)^2 + 0.001"
+        B, C = rng.normal(scale=0.5, size=(2, 2)), rng.normal(size=(2, 2))
+        mode = SystemMode(A, B, W, C=C, noise=noise)
+        L = rng.normal(size=(2, 2))
+        cov = 10 ** rng.uniform(-6, 6) * (L @ L.T + 1e-3 * np.eye(2))
+    b = make_belief(rng.normal(scale=3.0, size=2), cov)
+    return mode, b, rng.uniform(-1.0, 1.0, size=2), rng.normal(scale=3.0, size=2)
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except IllConditionedUpdateError as exc:
+        return str(exc)
+
+
+def test_closed_form_filter_matches_the_numpy_reference():
+    """predict and kalman_update of n = p = 2 modes against the numpy
+    bodies they replace, on 3,000 random cases. The predicted mean is
+    the same bits and the predicted covariance within 8 eps of its
+    largest entry. Both updates round a solve against S = C P C^T + R,
+    whose error grows with cond(S): the covariances differ by at most
+    16 eps cond(S) of the largest prior or posterior entry, the means by
+    64 eps cond(S) of the largest prior or posterior entry. The worst
+    measured over 30,000 such cases were 3.3 eps, 2.1 eps cond(S) and
+    9.9 eps cond(S). The verdicts and messages agree outside
+    |cond(S) / 1e12 - 1| <= 1e-3."""
+    rng = np.random.default_rng(2)
+    outcomes = {"updated": 0, "ill": 0, "differ": 0}
+    for _ in range(3000):
+        mode, b, u, y = _random_filter_case(rng)
+        mine, ref = predict(mode, b, u), oracles.oracle_predict(mode, b, u)
+        assert np.array_equal(mine.mean, ref.mean)
+        assert np.abs(mine.cov - ref.cov).max() <= 8 * _EPS * np.abs(ref.cov).max()
+        prior = ref
+        mine = _outcome(kalman_update, mode, prior, y)
+        ref = _outcome(oracles.oracle_kalman_update, mode, prior, y)
+        S = mode.C @ prior.cov @ mode.C.T + noise_cov(mode, prior.mean)
+        cond = np.linalg.cond(S)
+        if isinstance(mine, str) != isinstance(ref, str):
+            outcomes["differ"] += 1
+            assert abs(cond / 1e12 - 1) <= 1e-3
+        elif isinstance(mine, str):
+            outcomes["ill"] += 1
+            assert mine == ref
+        else:
+            outcomes["updated"] += 1
+            cov_scale = max(np.abs(prior.cov).max(), np.abs(ref.cov).max())
+            mean_scale = max(np.abs(prior.mean).max(), np.abs(ref.mean).max())
+            assert np.abs(mine.cov - ref.cov).max() <= 16 * _EPS * cond * cov_scale
+            assert np.abs(mine.mean - ref.mean).max() <= 64 * _EPS * cond * mean_scale
+    assert outcomes["updated"] > 2000 and outcomes["ill"] > 200, outcomes
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_closed_form_gain_where_the_determinant_under_or_overflows(scale):
+    """S of order 1e-200 or 1e200 has a determinant of order 1e-400 or
+    1e400, which underflows to 0 or overflows to inf. Scaled by its
+    largest entry, the closed form still solves it, as np.linalg.solve
+    does, within a few eps of the reference."""
+    noise = math.sqrt(scale) * np.array([[1.0, 0.2], [0.0, 1.5]])
+    mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=noise)
+    b = make_belief([1.0, -2.0], scale * np.array([[2.0, 0.3], [0.3, 1.0]]))
+    S = b.cov + noise @ noise.T
+    assert float(S[0, 0]) * float(S[1, 1]) == (0.0 if scale < 1 else math.inf)
+    mine = kalman_update(mode, b, [1.5, -1.0])
+    ref = oracles.oracle_kalman_update(mode, b, [1.5, -1.0])
+    K = np.linalg.solve(S, b.cov).mT
+    assert np.allclose(ref.mean, b.mean + K @ (np.array([1.5, -1.0]) - b.mean), rtol=1e-14, atol=0)
+    assert np.abs(mine.mean - ref.mean).max() <= 8 * _EPS * np.abs(ref.mean).max()
+    assert np.abs(mine.cov - ref.cov).max() <= 8 * _EPS * np.abs(ref.cov).max()
+
+
+@pytest.mark.parametrize(
+    "cov, message",
+    [(np.zeros((2, 2)), "condition number exceeds 1e+12"),
+     ([[1.0, 2.0], [2.0, 4.0]], "condition number exceeds 1e+12")],
+    ids=["zero", "rank-1"],
+)
+def test_closed_form_singular_innovation_matrix(cov, message):
+    """C = I and R = 0 make S the covariance: zero, or singular of rank 1.
+    The closed form raises the reference's error with its message and
+    never divides by the zero determinant."""
+    mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=np.zeros((2, 2)))
+    b = make_belief([0.0, 0.0], cov)
+    expected = "innovation covariance " + message
+    assert _outcome(kalman_update, mode, b, [1.0, 1.0]) == expected
+    assert _outcome(oracles.oracle_kalman_update, mode, b, [1.0, 1.0]) == expected
+
+
+@pytest.mark.parametrize("constant", [False, True], ids=["state-dependent", "constant"])
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 1), (3, 3), (1, 1)])
+def test_non_finite_innovation_matrix_is_named(n, p, constant):
+    """A noise gain x0^2 of 1e200, or a constant gain 1e200 I, squares to
+    R = inf I, and inf * 0 puts NaN off its diagonal on the numpy path:
+    both paths raise the non-finite message, not the condition number,
+    and numpy warns of nothing (warnings are errors under pytest)."""
+    C = np.eye(p, n)
+    noise = 1e200 * np.eye(p) if constant else "x0^2"
+    mode = SystemMode(np.eye(n), np.eye(n), np.zeros((n, n)), C=C, noise=noise)
+    b = make_belief(np.r_[1.0 if constant else 1e100, np.zeros(n - 1)], 0.1 * np.eye(n))
+    expected = "non-finite entries in innovation covariance"
+    assert _outcome(kalman_update, mode, b, np.zeros(p)) == expected
+    assert _outcome(oracles.oracle_kalman_update, mode, b, np.zeros(p)) == expected
+    with pytest.raises(IllConditionedUpdateError, match=expected):
+        propagate_mlo(mode, b, np.zeros(n))
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (3, 3), (3, 1), (2, 1), (2, 0), (3, 0)])
+def test_other_shapes_keep_the_numpy_bits(n, p):
+    """Outside n = p = 2, predict and kalman_update keep the numpy path:
+    the same bits as the reference on random modes with A != I, W != 0
+    and constant or state-dependent noise."""
+    rng = np.random.default_rng(10 * n + p)
+    for trial in range(200):
+        A = np.eye(n) + 0.3 * rng.normal(size=(n, n))
+        W = 0.1 * rng.normal(size=(n, n))
+        C = rng.normal(size=(p, n)) if p else None
+        noise = None
+        if p:
+            noise = "0.1*(5 - x0)^2 + 0.001" if trial % 2 else rng.normal(size=(p, p)) + 2 * np.eye(p)
+        mode = SystemMode(A, rng.normal(size=(n, 2)), W, C=C, noise=noise)
+        L = rng.normal(size=(n, n))
+        b = make_belief(rng.normal(size=n), 10 ** rng.uniform(-3, 3) * (L @ L.T + 1e-3 * np.eye(n)))
+        u = rng.uniform(-1.0, 1.0, size=2)
+        mine, ref = predict(mode, b, u), oracles.oracle_predict(mode, b, u)
+        assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
+        if p:
+            y = rng.normal(size=p)
+            mine, ref = kalman_update(mode, b, y), oracles.oracle_kalman_update(mode, b, y)
+            assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()

@@ -108,6 +108,96 @@ def test_three_dimensional_verdicts_and_messages_are_unchanged():
     assert _verdict(checked_cov, np.stack([good, negative, asym])).startswith("covariance asymmetry")
 
 
+def _built(make, mean, cov):
+    """What a belief constructor makes of its input: the exception class
+    and message, or the dtype, shape and bytes of both arrays, whether
+    each is read-only and whether either shares memory with the input."""
+    try:
+        b = make(mean, cov)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = [a for a in (mean, cov) if isinstance(a, np.ndarray)]
+    return [(x.dtype, x.shape, x.tobytes(), x.flags.writeable,
+             any(np.shares_memory(x, a) for a in arrays)) for x in (b.mean, b.cov)]
+
+
+def _make_belief_inputs(rng):
+    """Fixed edge cases, then random 1-by-1, 2-by-2 and 3-by-3 inputs
+    near the asymmetry and eigenvalue limits."""
+    nan, inf = math.nan, math.inf
+    below = np.nextafter(EIGENVALUE_TOL, -1.0)
+    yield from [
+        ([-0.0, 0.0], [[-0.0, 0.0], [-0.0, -0.0]]),
+        ([-0.0], [[-0.0]]),
+        ([1, 2], [[1, 0], [0, 1]]),
+        (np.float32([1.5, 2.5]), np.float32([[1.0, 0.25], [0.25, 1.0]])),
+        ([0.0, 0.0], [[1.0, 1e-6], [0.0, 1.0]]),  # asymmetry exactly at the limit
+        ([0.0, 0.0], [[1.0, np.nextafter(1e-6, 1.0)], [0.0, 1.0]]),
+        ([0.0, 0.0], [[EIGENVALUE_TOL, 0.0], [0.0, 1.0]]),
+        ([0.0, 0.0], [[below, 0.0], [0.0, 1.0]]),
+        ([0.0], [[EIGENVALUE_TOL]]),
+        ([0.0], [[below]]),
+        ([nan, 0.0], 0.1 * np.eye(2)),
+        ([0.0, -inf], 0.1 * np.eye(2)),
+        ([inf], [[1.0]]),
+        ([0.0, 0.0], [[1.0, nan], [nan, 1.0]]),
+        ([0.0, 0.0], [[inf, 0.0], [0.0, 1.0]]),
+        ([nan, 0.0], [[1.0, 0.5], [0.1, 1.0]]),  # non-finite mean before asymmetry
+        ([0.0, 0.0], [[1.0, 0.5], [0.1, nan]]),  # non-finite covariance before asymmetry
+        ([0.0, 0.0], [[1.0, 0.5], [0.1, -1.0]]),  # asymmetry before the eigenvalue
+        ([0.0, 0.0], [[1.7e308, 0.0], [0.0, 1.0]]),  # 0.5 (a + a) overflows
+        ([0.0, 0.0], [[1.0]]),
+        ([0.0], np.eye(2)),
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], np.ones((1, 2, 2))),
+        ([[0.0, 1.0]], np.eye(2)),
+        (0.5, [[2.0]]),
+        ([], np.zeros((0, 0))),
+        (np.zeros(3), np.diag([1.0, 0.5, below])),
+    ]
+    for _ in range(3000):
+        n = int(rng.integers(1, 4))
+        mean = rng.normal(size=n)
+        lows = EIGENVALUE_TOL * (1 + rng.uniform(-1, 1, size=n) * 1e-3)
+        eigs = np.where(rng.random(n) < 0.5, lows, rng.uniform(0, 2, n))
+        skew = rng.choice([0.0, 1.0, -1.0]) * 1e-6 * (1 + rng.uniform(-1e-9, 1e-9))
+        cov = oracles.matrix_with_eigenvalues(rng, eigs) + np.triu(np.full((n, n), skew), 1)
+        if rng.random() < 0.05:
+            mean[rng.integers(n)] = rng.choice([math.nan, math.inf, -math.inf])
+        yield mean, cov
+
+
+def test_make_belief_matches_the_numpy_reference_bit_for_bit():
+    """make_belief, on Python floats up to n = 2, against the numpy
+    reference: the same exception class and message, or the same bytes
+    in fresh read-only arrays, on edge cases and on 3,000 random inputs
+    at the asymmetry and eigenvalue limits."""
+    outcomes = {"built": 0, "raised": 0}
+    for mean, cov in _make_belief_inputs(np.random.default_rng(19)):
+        mine = _built(make_belief, mean, cov)
+        with np.errstate(over="ignore"):  # Python floats overflow without a warning
+            assert mine == _built(oracles.oracle_make_belief, mean, cov), (mean, cov)
+        outcomes["raised" if isinstance(mine, tuple) else "built"] += 1
+    assert outcomes["built"] > 1000 and outcomes["raised"] > 1000, outcomes
+
+
+def test_checked_cov_keeps_the_numpy_bits_on_stacks():
+    """checked_cov on stacks of 1-by-1 and 2-by-2 covariances, as the
+    planner's MLO step calls it, against the numpy reference: the same
+    symmetrized bytes or the same message."""
+    rng = np.random.default_rng(23)
+    for _ in range(1000):
+        n, k = int(rng.integers(1, 3)), int(rng.integers(0, 5))
+        stack = np.array([oracles.matrix_with_eigenvalues(rng, rng.uniform(-1e-8, 1.0, n))
+                          for _ in range(k)]).reshape(k, n, n)
+        stack += rng.choice([0.0, 1e-6, 1e-5]) * np.triu(rng.random((k, n, n)), 1)
+        mine, ref = _verdict(checked_cov, stack), _verdict(oracles.oracle_symmetrized_cov, stack)
+        if isinstance(ref, str):
+            assert mine == ref
+        else:
+            assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+
+
 def test_belief_arrays_read_only():
     b = make_belief([1.0], [[1.0]])
     with pytest.raises(ValueError):

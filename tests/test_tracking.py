@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from beliefplan import dynamics, tracking
 from beliefplan.belief_rrt import InternalConsistencyError
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.gaussian import make_belief
@@ -184,3 +185,29 @@ def test_simulate_deterministic_given_seed():
     assert all(
         np.array_equal(a.mean, b.mean) for a, b in zip(t1.beliefs, t2.beliefs)
     )
+
+
+def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
+    """bench/run.py times the filter by replacing kalman_update in
+    tracking's namespace and make_belief in dynamics' namespace. One
+    simulate of an observed mode must call each through those names:
+    kalman_update once per step, make_belief twice (predict, then the
+    update)."""
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    sys, ref = _straight_reference(12, observed=True)
+    gains = {0: lqr_gains(sys.modes[0], 5, np.eye(2), np.eye(2), 0.05 * np.eye(2))}
+    count(tracking, "kalman_update")
+    count(dynamics, "make_belief")
+    simulate(sys, sys, ref, [0.1, -0.1], 12, gains, np.random.default_rng(0))
+    assert calls == {"kalman_update": 12, "make_belief": 24}
