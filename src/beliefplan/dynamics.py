@@ -334,13 +334,22 @@ def noise_cov(mode: SystemMode, x) -> np.ndarray:
     p = mode.obs_dim
     if p == 0:
         raise NoObservationError("mode has no observation (p = 0)")
+    scalar = isinstance(mode.noise, ScalarExpression)
+    if scalar and np.ndim(x) == 1:  # on Python floats, which warn on nothing
+        return np.array(_scalar_noise_cov(mode.noise(x), p)).reshape(p, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not isinstance(mode.noise, ScalarExpression):
+        if not scalar:
             return mode.noise @ mode.noise.T
-        n_val = mode.noise(x)
-        if isinstance(n_val, np.ndarray):  # one value per row of a stack
-            n_val = n_val[:, None, None]
-        return (n_val * n_val) * _identity(p)
+        gain = mode.noise(x)  # one value per row of a stack
+        return (gain * gain)[:, None, None] * _identity(p)
+
+
+def _scalar_noise_cov(gain: float, p: int) -> list:
+    """The row-major entries of R = gain^2 I_p at one state, on Python
+    floats with the bits of numpy's gain^2 * I_p: gain^2 * 0.0 off the
+    diagonal, so NaN there for an infinite gain."""
+    g2 = gain * gain
+    return [g2] + ([g2 * 0.0] * p + [g2]) * (p - 1)  # I_p: a one, then p zeros and a one
 
 
 @functools.cache
@@ -439,12 +448,10 @@ def _kalman_update_2x2(mode: SystemMode, b: BeliefState, y):
     determinant under- or overflows where np.linalg.solve would not."""
     (m0, m1), P = b.mean.tolist(), b.cov.ravel().tolist()
     C = mode.C.ravel().tolist()
-    if isinstance(mode.noise, ScalarExpression):
-        gain = mode.noise(b.mean)
-        R = (gain * gain, 0.0, 0.0, gain * gain)
+    if isinstance(mode.noise, ScalarExpression):  # noise_cov's entries
+        R = _scalar_noise_cov(mode.noise(b.mean), 2)
     else:
-        N = mode.noise.ravel().tolist()
-        R = _mul_t(N, N)
+        R = noise_cov(mode, b.mean).ravel().tolist()
     CP = _mul(C, P)
     s00, s01, s10, s11 = _add(_mul_t(CP, C), R)
     s00, s01, s11 = 0.5 * (s00 + s00), 0.5 * (s01 + s10), 0.5 * (s11 + s11)

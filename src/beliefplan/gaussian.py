@@ -59,9 +59,7 @@ def make_belief(mean, cov) -> BeliefState:
         raise InvalidCovarianceError(
             f"covariance shape {cov.shape} does not match mean dimension {n}"
         )
-    if n > 2:
-        return frozen_belief(checked_mean(mean), checked_cov(cov))
-    # checked_cov builds a fresh covariance at this size
+    # checked_cov builds a fresh covariance
     return _read_only_belief(checked_mean(mean).copy(), checked_cov(cov))
 
 
@@ -75,19 +73,25 @@ def checked_mean(mean: np.ndarray) -> np.ndarray:
 
 def checked_cov(cov: np.ndarray) -> np.ndarray:
     """The covariance checks of make_belief on one covariance, or on a
-    stack of them along a leading axis: finite entries, asymmetry at
-    most 1e-6, no eigenvalue below -1e-9, each over the whole stack in
-    that order. Returns the symmetrized covariance(s)."""
+    stack of them along a leading axis: finite entries, before and after
+    the symmetrization (an entry above about 9e307 overflows it),
+    asymmetry at most 1e-6, no eigenvalue below -1e-9, each over the
+    whole stack in that order. Returns the symmetrized covariance(s)."""
     n = cov.shape[-1]
     small = n <= 2  # on Python floats, as symmetric_eigenvalues works at this size
-    flat = cov.ravel().tolist() if small else None
-    if not (all(map(math.isfinite, flat)) if small else np.isfinite(cov).all()):
-        raise InvalidCovarianceError("non-finite entries in belief state")
     if small:
-        sym, asym, smallest = _symmetrized_small(flat, n)
+        # a non-finite entry makes a non-finite symmetrized one
+        sym, asym, smallest = _symmetrized_small(cov.ravel().tolist(), n)
+        finite = all(map(math.isfinite, sym))
     else:
+        finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
+        if finite:
+            sym = 0.5 * (cov + cov.mT)
+            finite = np.isfinite(sym).all()
+    if not finite:
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    if not small:
         asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
-        sym = 0.5 * (cov + cov.mT)
         smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
     if asym > _MAKE_SYMMETRY_TOL:
         raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")

@@ -145,7 +145,6 @@ def _make_belief_inputs(rng):
         ([nan, 0.0], [[1.0, 0.5], [0.1, 1.0]]),  # non-finite mean before asymmetry
         ([0.0, 0.0], [[1.0, 0.5], [0.1, nan]]),  # non-finite covariance before asymmetry
         ([0.0, 0.0], [[1.0, 0.5], [0.1, -1.0]]),  # asymmetry before the eigenvalue
-        ([0.0, 0.0], [[1.7e308, 0.0], [0.0, 1.0]]),  # 0.5 (a + a) overflows
         ([0.0, 0.0], [[1.0]]),
         ([0.0], np.eye(2)),
         ([0.0, 0.0], [1.0, 1.0]),
@@ -175,10 +174,29 @@ def test_make_belief_matches_the_numpy_reference_bit_for_bit():
     outcomes = {"built": 0, "raised": 0}
     for mean, cov in _make_belief_inputs(np.random.default_rng(19)):
         mine = _built(make_belief, mean, cov)
-        with np.errstate(over="ignore"):  # Python floats overflow without a warning
-            assert mine == _built(oracles.oracle_make_belief, mean, cov), (mean, cov)
+        assert mine == _built(oracles.oracle_make_belief, mean, cov), (mean, cov)
         outcomes["raised" if isinstance(mine, tuple) else "built"] += 1
     assert outcomes["built"] > 1000 and outcomes["raised"] > 1000, outcomes
+
+
+@pytest.mark.parametrize("cov", [
+    [[1.7e308]],
+    [[1.7e308, 0.0], [0.0, 1.0]],
+    [[1.0, 1.7e308], [1.7e308, 1.0]],  # 0.5 (b + c) overflows
+    np.diag([1.0, 1.0, 1.7e308]),
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.7e308]]],
+])
+def test_an_overflowing_symmetrization_is_non_finite(cov):
+    """An entry whose symmetrized value overflows, alone or in a stack,
+    fails the finite check rather than giving a covariance that holds
+    inf, at every size."""
+    cov = np.array(cov)
+    with np.errstate(over="ignore"):  # numpy's sum warns beyond n = 2
+        with pytest.raises(InvalidCovarianceError, match="^non-finite entries in belief state$"):
+            checked_cov(cov)
+        if cov.ndim == 2:
+            with pytest.raises(InvalidCovarianceError, match="^non-finite entries in belief state$"):
+                make_belief(np.zeros(len(cov)), cov)
 
 
 def test_checked_cov_keeps_the_numpy_bits_on_stacks():
