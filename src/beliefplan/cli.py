@@ -355,9 +355,8 @@ def _cov_columns(n: int):
     return diag + off
 
 
-def _write_trajectory_csv(path, trajectory):
+def _write_trajectory_csv(path, trajectory, m: int):
     n = trajectory.beliefs[0].dim
-    m = trajectory.controls[0].shape[0] if trajectory.controls else 0
     cov_cols = _cov_columns(n)
     header = (
         ["k", "mode"]
@@ -380,9 +379,8 @@ def _write_trajectory_csv(path, trajectory):
             fh.write(",".join(row) + "\n")
 
 
-def _write_simulation_csv(path, est, xs, satisfied: bool):
+def _write_simulation_csv(path, est, xs, satisfied: bool, m: int):
     n = est.beliefs[0].dim
-    m = est.controls[0].shape[0] if est.controls else 0
     diag = [(i, i) for i in range(n)]
     header = (
         ["k"]
@@ -467,7 +465,8 @@ def run(argv=None) -> int:
         return EXIT_NO_SOLUTION
 
     trajectory = result.trajectory
-    _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), trajectory)
+    m = problem.system.control_dim  # the control columns, even of a plan with no steps
+    _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), trajectory, m)
     log.info("solution with %d steps", trajectory.num_steps)
 
     if sim is not None and not args.no_simulation:
@@ -491,7 +490,7 @@ def run(argv=None) -> int:
             satisfied = formula.monitor(problem.formula, est, 0)
         except formula.InsufficientTraceError:
             satisfied = False
-        _write_simulation_csv(os.path.join(args.out, "simulation.csv"), est, xs, satisfied)
+        _write_simulation_csv(os.path.join(args.out, "simulation.csv"), est, xs, satisfied, m)
     return EXIT_SOLUTION
 
 

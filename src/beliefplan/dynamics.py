@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .formula import MAX_NESTING
+from .formula import parse_noise
 from .gaussian import (
     BeliefState,
     checked_cov,
@@ -49,18 +48,14 @@ class IllConditionedUpdateError(RuntimeError):
 # Scalar noise expressions: numbers, x0..x{n-1}, + - *, ^INT, parentheses
 # ---------------------------------------------------------------------------
 
-_NOISE_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\.\d*|\.\d+|\d+)|(?P<var>x\d+)|(?P<op>[()+\-*^]))"
-)
-
-
 class ScalarExpression:
-    """Compiled scalar polynomial expression over the state vector."""
+    """Compiled scalar polynomial expression over the state vector; the
+    text is parsed by formula.parse_noise."""
 
     def __init__(self, text: str, dim: int):
         self.text = text
         self.dim = dim
-        self._ast = _parse_noise(text, dim)
+        self._ast = parse_noise(text, dim)
 
     def __call__(self, x):
         """The value at one state (n,), a Python float, or at each row of
@@ -79,109 +74,6 @@ class ScalarExpression:
         return f"ScalarExpression({self.text!r})"
 
 
-def _tokenize_noise(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _NOISE_TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"bad character in noise expression: {text[pos:]!r}")
-            break
-        if m.lastgroup == "number":
-            tokens.append(("num", float(m.group("number"))))
-        elif m.lastgroup == "var":
-            tokens.append(("var", int(m.group("var")[1:])))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
-
-
-def _parse_noise(text: str, dim: int):
-    tokens = _tokenize_noise(text)
-    pos = [0]
-    depth = [0]  # open parentheses and unary minuses
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek() == ("op", "+") or peek() == ("op", "-"):
-            op = advance()[1]
-            node = (op, node, term())
-        return node
-
-    def term():
-        node = factor()
-        while peek() == ("op", "*"):
-            advance()
-            node = ("*", node, factor())
-        return node
-
-    def nested(parse):
-        depth[0] += 1
-        if depth[0] > MAX_NESTING:
-            raise ValueError(f"noise expression nests deeper than {MAX_NESTING} levels")
-        node = parse()
-        depth[0] -= 1
-        return node
-
-    def factor():
-        # Unary minus binds looser than ^: -x0^2 == -(x0^2).
-        if peek() == ("op", "-"):
-            advance()
-            return ("neg", nested(factor))
-        node = base()
-        if peek() == ("op", "^"):
-            advance()
-            kind, value = advance()
-            if kind != "num" or value != int(value):
-                raise ValueError("exponent must be an integer literal")
-            node = ("^", node, int(value))
-        return node
-
-    def base():
-        kind, value = advance()
-        if kind == "num":
-            return ("num", value)
-        if kind == "var":
-            if value >= dim:
-                raise ValueError(f"x{value} out of range for dimension {dim}")
-            return ("var", value)
-        if (kind, value) == ("op", "("):
-            node = nested(expr)
-            if advance() != ("op", ")"):
-                raise ValueError("unbalanced parenthesis in noise expression")
-            return node
-        raise ValueError(f"unexpected token in noise expression: {value!r}")
-
-    node = expr()
-    if peek() != ("end", None):
-        raise ValueError(f"trailing input in noise expression: {text!r}")
-    if _noise_levels(node) > MAX_NESTING:  # a chain of n terms is n - 1 levels
-        raise ValueError(f"noise expression nests deeper than {MAX_NESTING} levels")
-    return node
-
-
-def _noise_levels(node) -> int:
-    """Operator levels of a noise AST, 0 at a number or variable,
-    counted without recursion: a long sum is a deep left chain."""
-    deepest, stack = 0, [(node, 0)]
-    while stack:
-        node, level = stack.pop()
-        deepest = max(deepest, level)
-        stack.extend((child, level + 1) for child in node[1:] if isinstance(child, tuple))
-    return deepest
-
-
 def _eval_noise(node, x):
     """The value of the AST where x[i] holds the value of variable i: a
     Python float for one state, a column of values for a stack. numpy's
@@ -198,8 +90,8 @@ def _eval_noise(node, x):
     if tag == "^":
         base = _eval_noise(node[1], x)
         if isinstance(base, float):
-            return base ** node[2]
-        return np.array([v ** node[2] for v in base.tolist()])
+            return _power(base, node[2])
+        return np.array([_power(v, node[2]) for v in base.tolist()])
     left = _eval_noise(node[1], x)
     right = _eval_noise(node[2], x)
     if tag == "+":
@@ -207,6 +99,15 @@ def _eval_noise(node, x):
     if tag == "-":
         return left - right
     return left * right
+
+
+def _power(v: float, k: int) -> float:
+    """v ** k for an exponent k >= 0, or the infinity of v ** k's sign
+    where float ** int raises OverflowError instead of returning it."""
+    try:
+        return v ** k
+    except OverflowError:
+        return math.copysign(math.inf, v) if k % 2 else math.inf
 
 
 # ---------------------------------------------------------------------------

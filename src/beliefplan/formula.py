@@ -1,4 +1,5 @@
-"""PrSTL abstract syntax, parser, horizon, and bounded-semantics monitor.
+"""PrSTL abstract syntax, parser, horizon, and bounded-semantics monitor;
+the same tokenizer and parser also read a mode's noise expression.
 
 The formula grammar is negation-free: atomics are conjunctions of chance
 constraints plus a mode-set predicate, composed with and/or and the
@@ -217,9 +218,15 @@ def named(f, name: str):
 
 
 def _children(node) -> tuple:
+    """The operands of a formula node, or of a noise expression node: a
+    tuple whose operands are the tuples after its tag."""
     if isinstance(node, Atomic):
         return ()
-    return node.children if isinstance(node, (And, Or)) else (node.left, node.right)
+    if isinstance(node, (And, Or)):
+        return node.children
+    if isinstance(node, tuple):
+        return tuple(ch for ch in node[1:] if isinstance(ch, tuple))
+    return (node.left, node.right)
 
 
 def _program(f) -> list:
@@ -239,6 +246,15 @@ def _program(f) -> list:
             for ch in reversed(_children(node)):
                 stack.append((ch, False))
     return order
+
+
+def _levels(root) -> int:
+    """Operator levels of a syntax tree, 0 at a leaf, counted without
+    recursion over its distinct nodes: a long sum is a deep left chain."""
+    levels = {}
+    for node in _program(root):
+        levels[id(node)] = max((1 + levels[id(ch)] for ch in _children(node)), default=0)
+    return levels[id(root)]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +508,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>==|>=|<=|[&|()\[\]{},+\-*])
+  | (?P<op>==|>=|<=|[&|()\[\]{},+\-*^])
     """,
     re.VERBOSE,
 )
@@ -532,19 +548,36 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, state_dim, num_modes, named):
+    """One cursor over the tokens of a formula or a noise expression
+    (language names it in the nesting error), with one nesting counter."""
+
+    def __init__(self, tokens, state_dim, num_modes=0, named=None, language="formula"):
         self.tokens = tokens
         self.pos = 0
         self.n = state_dim
         self.N = num_modes
         self.named = named or {}
         self.depth = 0
+        self.too_deep = f"{language} nests deeper than {MAX_NESTING} levels"
 
-    def nest(self, tok: _Token):
-        """Count one more open level at tok; close it with depth -= 1."""
+    def nested(self, tok: _Token, parse):
+        """parse(), one more open level deep, the level opened at tok."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            self.error(f"formula nests deeper than {MAX_NESTING} levels", tok)
+            self.error(self.too_deep, tok)
+        node = parse()
+        self.depth -= 1
+        return node
+
+    def finish(self, root):
+        """root, once the text ends here and its syntax tree nests at
+        most MAX_NESTING operator levels."""
+        tok = self.peek()
+        if tok.kind != "eof":
+            self.error(f"unexpected trailing input {tok.value!r}", tok)
+        if _levels(root) > MAX_NESTING:
+            self.error(self.too_deep, self.tokens[0])
+        return root
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -585,9 +618,7 @@ class _Parser:
         if tok.kind == "ident" and tok.value in ("G", "F"):
             self.next()
             a, b = self.parse_interval()
-            self.nest(tok)
-            sub = self.parse_unary()
-            self.depth -= 1
+            sub = self.nested(tok, self.parse_unary)
             try:
                 if tok.value == "G":
                     return always(a, b, sub, state_dim=self.n)
@@ -621,10 +652,8 @@ class _Parser:
         tok = self.peek()
         if tok.value == "(":
             self.next()
-            self.nest(tok)
-            inner = self.parse_binary()
+            inner = self.nested(tok, self.parse_binary)
             self.expect(")")
-            self.depth -= 1
             return inner
         if tok.value == "true":
             self.next()
@@ -748,6 +777,52 @@ class _Parser:
             return 1.0, self.parse_state_var()
         self.error(f"expected a term, found {tok.value!r}", tok)
 
+    # noise grammar: sum := product (("+"|"-") product)*
+    def parse_sum(self):
+        node = self.parse_product()
+        while self.peek().value in ("+", "-"):
+            node = (self.next().value, node, self.parse_product())
+        return node
+
+    # product := signed ("*" signed)*
+    def parse_product(self):
+        node = self.parse_signed()
+        while self.peek().value == "*":
+            self.next()
+            node = ("*", node, self.parse_signed())
+        return node
+
+    # signed := "-" signed | base ("^" INT)?, so -x0^2 is -(x0^2)
+    def parse_signed(self):
+        tok = self.peek()
+        if tok.value == "-":
+            self.next()
+            return ("neg", self.nested(tok, self.parse_signed))
+        node = self.parse_base()
+        if self.peek().value == "^":
+            self.next()
+            tok = self.next()
+            if tok.kind != "number" or not float(tok.value).is_integer():
+                self.error(f"exponent must be an integer literal, found {tok.value!r}", tok)
+            node = ("^", node, int(float(tok.value)))
+        return node
+
+    # base := NUMBER | x<i> | "(" sum ")"
+    def parse_base(self):
+        tok = self.peek()
+        if tok.value == "(":
+            self.next()
+            node = self.nested(tok, self.parse_sum)
+            self.expect(")")
+            return node
+        if tok.kind == "number":
+            self.next()
+            value = float(tok.value)
+            if not np.isfinite(value):
+                self.error(f"number {tok.value!r} is not finite", tok)
+            return ("num", value)
+        return ("var", self.parse_state_var())
+
     def parse_state_var(self) -> int:
         tok = self.next()
         m = re.fullmatch(r"x(\d+)", tok.value)
@@ -769,13 +844,13 @@ def parse_formula(text: str, state_dim: int, num_modes: int, named=None):
     nests deeper than MAX_NESTING levels raises FormulaSyntaxError.
     """
     parser = _Parser(_tokenize(text), state_dim, num_modes, named)
-    result = parser.parse_binary()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.error(f"unexpected trailing input {tok.value!r}", tok)
-    levels = {}  # operator levels below each node, 0 at an atomic
-    for node in _program(result):
-        levels[id(node)] = max((1 + levels[id(ch)] for ch in _children(node)), default=0)
-    if levels[id(result)] > MAX_NESTING:
-        parser.error(f"formula nests deeper than {MAX_NESTING} levels", parser.tokens[0])
-    return result
+    return parser.finish(parser.parse_binary())
+
+
+def parse_noise(text: str, dim: int):
+    """Parse a scalar noise expression over x0..x{dim-1} into its syntax
+    tree of tuples: ("num", float), ("var", i), ("neg", a), ("^", a, int)
+    and (op, a, b) for op in + - *. It shares the formula's tokens,
+    number syntax and nesting bound, and raises FormulaSyntaxError."""
+    parser = _Parser(_tokenize(text), dim, language="noise expression")
+    return parser.finish(parser.parse_sum())

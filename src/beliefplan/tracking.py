@@ -34,11 +34,9 @@ from .synthesis import SolutionTrajectory
 
 @dataclass(frozen=True)
 class LqrGains:
-    horizon: int
+    """K_seq[k]: the feedback gain k steps into the horizon."""
+
     K_seq: tuple
-    Q_final: np.ndarray
-    Q: np.ndarray
-    R: np.ndarray
 
 
 def lqr_gains(mode: SystemMode, h: int, Q_final, Q, R) -> LqrGains:
@@ -62,7 +60,7 @@ def lqr_gains(mode: SystemMode, h: int, Q_final, Q, R) -> LqrGains:
         P = Q + A.T @ P @ (A - B @ K)
         gains.append(K)
     gains.reverse()
-    return LqrGains(h, tuple(gains), Q_final, Q, R)
+    return LqrGains(tuple(gains))
 
 
 def track_step(

@@ -449,6 +449,42 @@ def test_overflowing_noise_exits_numeric_without_a_traceback(tmp_path):
     assert r.stderr.splitlines() == ["numeric error: non-finite entries in innovation covariance"]
 
 
+def test_overflowing_noise_power_exits_numeric_without_a_traceback(tmp_path):
+    """A noise power that float ** int cannot represent, (5 - x0)^500
+    near x0 = 0, is an infinite gain, not an OverflowError: the run
+    exits 4 with the same one line as a gain whose square overflows."""
+    with open(LIGHTDARK) as fh:
+        doc = json.load(fh)
+    doc["modes"][0]["noise"] = "(5 - x0)^500"
+    r = _cli(["--problem", _write(tmp_path, doc), "--seed", "0", "--out", str(tmp_path / "out")],
+             tmp_path)
+    assert r.returncode == EXIT_NUMERIC, r.stderr
+    assert r.stderr.splitlines() == ["numeric error: non-finite entries in innovation covariance"]
+
+
+def test_a_plan_without_steps_keeps_the_control_columns(tmp_path):
+    """When the initial belief already satisfies the formula the plan
+    has no steps; trajectory.csv and simulation.csv still carry one
+    control column per control dimension, empty on the last row, under
+    the headers of light-dark's golden files."""
+    doc = _base_doc()
+    doc["formula"] = "free_space"
+    out = tmp_path / "out"
+    assert run(["--problem", _write(tmp_path, doc), "--seed", "0", "--out", str(out)]) == 0
+    with open(TRACK_REFERENCE) as fh:
+        header = fh.readline()
+    assert (out / "trajectory.csv").read_text().splitlines() == [
+        header.rstrip("\n"), "0,,0,2.5,0.10000000000000001,0.10000000000000001,0,,",
+    ]
+    with open(os.path.join(HERE, "data", "lightdark_seed0", "simulation.csv")) as fh:
+        fh.readline()  # the golden run's own verdict
+        header = fh.readline()
+    assert (out / "simulation.csv").read_text().splitlines() == [
+        "# satisfied: 1", header.rstrip("\n"),
+        "0,0.5,2.75,0,2.5,0.10000000000000001,0.10000000000000001,,",
+    ]
+
+
 def test_exit_code_schema(tmp_path):
     doc = _small_doc()
     del doc["modes"]

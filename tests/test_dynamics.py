@@ -1,9 +1,12 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import oracles
+from beliefplan import cli
 from beliefplan.dynamics import (
     IllConditionedUpdateError,
     NoObservationError,
@@ -21,7 +24,7 @@ from beliefplan.dynamics import (
     step_truth,
 )
 from beliefplan.belief_rrt import rrt_extend
-from beliefplan.formula import MAX_NESTING
+from beliefplan.formula import MAX_NESTING, parse_noise
 from beliefplan.gaussian import InvalidCovarianceError, frozen_belief, make_belief
 from beliefplan.geometry import BeliefCone, box_polytope
 
@@ -123,6 +126,150 @@ def test_scalar_expression_nesting_bound():
         assert ScalarExpression(text(MAX_NESTING), 1)([2.0]) in (2.0, 2.0 * (MAX_NESTING + 1))
         with pytest.raises(ValueError, match="nests deeper than"):
             ScalarExpression(text(MAX_NESTING + 1), 1)
+
+
+_X0, _X1 = ("var", 0), ("var", 1)
+
+
+def _negs(k, node):
+    for _ in range(k):
+        node = ("neg", node)
+    return node
+
+
+def _sum(k):
+    """The left chain of x0 + x0 + ... with k + 1 terms, k levels."""
+    node = _X0
+    for _ in range(k):
+        node = ("+", node, _X0)
+    return node
+
+
+_LIGHTDARK_NOISE = ("+", ("*", ("num", 0.1), ("^", ("-", ("num", 5.0), _X0), 2)), ("num", 0.001))
+
+# Noise texts over light-dark's two state variables: the syntax tree of
+# an accepted text, or None for one that --validate-only rejects with
+# exit code 4, and for a deliberate difference from the noise parser
+# that preceded formula.parse_noise, that parser's verdict.
+NOISE_CORPUS = [
+    ("0.1*(5 - x0)^2 + 0.001", _LIGHTDARK_NOISE, None),
+    ("--x0", _negs(2, _X0), None),
+    ("- - -x1", _negs(3, _X1), None),
+    ("-x0^2", ("neg", ("^", _X0, 2)), None),
+    ("(-x0)^2", ("^", ("neg", _X0), 2), None),
+    ("2*-x0^2", ("*", ("num", 2.0), ("neg", ("^", _X0, 2))), None),
+    ("1 - -x1", ("-", ("num", 1.0), ("neg", _X1)), None),
+    ("x0 - x1 - 1", ("-", ("-", _X0, _X1), ("num", 1.0)), None),
+    ("x0^2.0", ("^", _X0, 2), None),
+    ("x0^0", ("^", _X0, 0), None),
+    ("5. * .5", ("*", ("num", 5.0), ("num", 0.5)), None),
+    ("x01", _X1, None),
+    ("\n x1\t", _X1, None),
+    ("(" * MAX_NESTING + "x0" + ")" * MAX_NESTING, _X0, None),
+    ("-" * MAX_NESTING + "x0", _negs(MAX_NESTING, _X0), None),
+    (" + ".join(["x0"] * (MAX_NESTING + 1)), _sum(MAX_NESTING), None),
+    ("x0^2.5", None, None),
+    ("x0^2^2", None, None),
+    ("x0^-2", None, None),
+    ("x0^x1", None, None),
+    ("2x0", None, None),
+    ("", None, None),
+    ("x9", None, None),
+    ("x", None, None),
+    ("+x0", None, None),
+    ("x0 $ 2", None, None),
+    ("(x0", None, None),
+    ("x0)", None, None),
+    ("(" * (MAX_NESTING + 1) + "x0" + ")" * (MAX_NESTING + 1), None, None),
+    ("-" * (MAX_NESTING + 1) + "x0", None, None),
+    (" + ".join(["x0"] * (MAX_NESTING + 2)), None, None),
+    # Exponent notation: one number syntax for formulas and noise.
+    ("1e-3", ("num", 0.001), "rejected: bad character"),
+    ("x0^1e1", ("^", _X0, 10), "rejected: bad character"),
+    # A number too large for a float is not finite.
+    ("9" * 400, None, "accepted as ('num', inf)"),
+    ("x0^" + "9" * 400, None, "OverflowError traceback, exit code 1"),
+    # Variables are ASCII identifiers, as in formulas.
+    ("x\u0661", None, "accepted as x1 (U+0661 is ARABIC-INDIC DIGIT ONE)"),
+]
+
+
+@pytest.mark.parametrize("text, tree, before", NOISE_CORPUS,
+                         ids=[f"{i}:{t[:12]!r}" for i, (t, _, _) in enumerate(NOISE_CORPUS)])
+def test_noise_corpus_keeps_its_verdicts(tmp_path, capsys, text, tree, before):
+    """Each text gets its pinned syntax tree, or exits 4 through
+    --validate-only with one line on stderr."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "problems", "lightdark.json")) as fh:
+        doc = json.load(fh)
+    doc["modes"][0]["noise"] = text
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--problem", str(path), "--validate-only"])
+    stderr = capsys.readouterr().err
+    if tree is None:
+        assert exit_.value.code == cli.EXIT_NUMERIC
+        assert stderr.startswith("numeric error: $.modes[0]: ") and stderr.count("\n") == 1, stderr
+        with pytest.raises(ValueError):
+            parse_noise(text, 2)
+    else:
+        assert exit_.value.code == cli.EXIT_SOLUTION, stderr
+        assert parse_noise(text, 2) == tree
+
+
+def _python_noise_text(rng, n, depth):
+    """A random noise text whose numbers all carry a decimal point, so
+    that Python evaluates it on floats once ^ is read as **."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return f"x{rng.integers(n)}"
+        return f"{rng.uniform(0.0, 3.0):.3f}"
+    kind = int(rng.integers(6))
+    sub = _python_noise_text(rng, n, depth - 1)
+    if kind == 0:
+        return f"({sub})^{rng.integers(5)}"
+    if kind == 1:
+        return "-" * int(rng.integers(1, 4)) + sub
+    if kind == 2:
+        return f"({sub})"
+    op = "+-*"[kind - 3]
+    return f"{sub} {op} {_python_noise_text(rng, n, depth - 1)}"
+
+
+def test_noise_expressions_match_pythons_own_evaluation():
+    """Python's grammar gives ** the same place as ^ here: above unary
+    minus, which binds above * and then binary + and -, each left
+    associative, and a float ** int per value. So Python's eval of each
+    generated text with ^ read as ** is an independent oracle: at one
+    state and at each row of a stack the values agree bit for bit."""
+    rng = np.random.default_rng(2020)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        text = _python_noise_text(rng, n, 4)
+        xs = rng.uniform(-3.0, 3.0, size=(8, n))
+        code = compile(text.replace("^", "**"), "<noise>", "eval")
+        want = np.array([eval(code, {f"x{i}": v for i, v in enumerate(row)})
+                         for row in xs.tolist()], dtype=float)
+        e = ScalarExpression(text, n)
+        one = np.array([e(row) for row in xs])
+        assert np.array_equal(one.view(np.int64), want.view(np.int64)), text
+        assert np.array_equal(np.asarray(e(xs)).view(np.int64), want.view(np.int64)), text
+
+
+def test_an_overflowing_power_is_a_signed_infinity():
+    """Where float ** int raises OverflowError, ^ gives the infinity of
+    the power's sign, at one state and at each row of a stack, bit for
+    bit the same."""
+    xs = np.array([[0.0], [10.0], [5.0], [4.0], [-1e300]])
+    for text, want in (
+        ("(5 - x0)^500", [math.inf, math.inf, 0.0, 1.0, math.inf]),
+        ("(5 - x0)^501", [math.inf, -math.inf, 0.0, 1.0, math.inf]),
+        ("-x0^3", [-0.0, -1000.0, -125.0, -64.0, math.inf]),
+    ):
+        e = ScalarExpression(text, 1)
+        one = np.array([e(row) for row in xs])
+        assert np.array_equal(one.view(np.int64), np.array(want).view(np.int64)), text
+        assert np.array_equal(np.asarray(e(xs)).view(np.int64), one.view(np.int64)), text
 
 
 def test_mode_kinds():
