@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,7 +119,9 @@ class SystemMode:
     """One location of the switched system.
 
     noise is a constant p-by-p matrix, a ScalarExpression (times the
-    identity), or None when there is no observation.
+    identity), or None when there is no observation. Construction
+    compiles closed_form: for n = p = 2, the row-major float tuples
+    (A, W, C) of the filter step on Python floats, else None.
     """
 
     A: np.ndarray
@@ -127,6 +129,7 @@ class SystemMode:
     W: np.ndarray
     C: np.ndarray | None = None
     noise: object = None
+    closed_form: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -165,6 +168,10 @@ class SystemMode:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "noise", noise)
+        closed = None
+        if n == 2 and C is not None and C.shape[0] == 2:
+            closed = tuple(tuple(M.ravel().tolist()) for M in (A, W, C))
+        object.__setattr__(self, "closed_form", closed)
 
     @property
     def state_dim(self) -> int:
@@ -313,10 +320,6 @@ def _condition_error(finite) -> IllConditionedUpdateError:
 # products can differ from the array path's in the last bit; the planner's
 # MLO step keeps the array path and its bits.
 
-def _closed_form(mode: SystemMode) -> bool:
-    return mode.state_dim == 2 and mode.obs_dim == 2
-
-
 def _mul(x, y):
     """x y."""
     a, b, c, d = x
@@ -337,8 +340,7 @@ def _add(x, y):
 
 def _predict_cov_2x2(mode: SystemMode, P):
     """A P A^T + W W^T."""
-    A = mode.A.ravel().tolist()
-    W = mode.W.ravel().tolist()
+    A, W, _ = mode.closed_form
     return _add(_mul_t(_mul(A, P), A), _mul_t(W, W))
 
 
@@ -348,9 +350,9 @@ def _kalman_update_2x2(mode: SystemMode, b: BeliefState, y):
     The gain solves against S scaled by its largest entry, so that no
     determinant under- or overflows where np.linalg.solve would not."""
     (m0, m1), P = b.mean.tolist(), b.cov.ravel().tolist()
-    C = mode.C.ravel().tolist()
+    C = mode.closed_form[2]
     if isinstance(mode.noise, ScalarExpression):  # noise_cov's entries
-        R = _scalar_noise_cov(mode.noise(b.mean), 2)
+        R = _scalar_noise_cov(_eval_noise(mode.noise._ast, (m0, m1)), 2)
     else:
         R = noise_cov(mode, b.mean).ravel().tolist()
     CP = _mul(C, P)
@@ -371,7 +373,7 @@ def _kalman_update_2x2(mode: SystemMode, b: BeliefState, y):
     k00, k01, k10, k11 = K
     y0, y1 = y
     v0, v1 = y0 - (c00 * m0 + c01 * m1), y1 - (c10 * m0 + c11 * m1)
-    return [m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1)], [cov[:2], cov[2:]]
+    return (m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1)), (cov[:2], cov[2:])
 
 
 def _mlo_cov(mode: SystemMode, covs, means):
@@ -397,9 +399,9 @@ def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
 def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
     mean = _predicted_mean(mode, b, u)
-    if _closed_form(mode):
+    if mode.closed_form:
         cov = _predict_cov_2x2(mode, b.cov.ravel().tolist())
-        return make_belief(mean, [cov[:2], cov[2:]])
+        return make_belief(mean.tolist(), (cov[:2], cov[2:]))
     return make_belief(mean, _predict_cov(mode, b.cov))
 
 
@@ -411,7 +413,7 @@ def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != mode.obs_dim:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
-    if _closed_form(mode):
+    if mode.closed_form:
         return make_belief(*_kalman_update_2x2(mode, b, y.tolist()))
     R = noise_cov(mode, b.mean)
     K, cov = _update(mode, b.cov, R)

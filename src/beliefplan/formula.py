@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gaussian import BeliefState
 from .geometry import (
     CONTAINMENT_TOL,
     BeliefCone,
@@ -419,8 +420,10 @@ def monitor(f, tr: Trace, k: int = 0) -> bool:
     # atomic reads false in row 0 (pessimistic) and true in row 1.
     missing = np.repeat([[False], [True]], max(need - n, 0), axis=1)
 
+    beliefs = BeliefState(np.array([b.mean for b in tr.beliefs]), np.array([b.cov for b in tr.beliefs]))
+
     def truth(a):
-        return np.fromiter((cone_contains(a.cone, b) for b in tr.beliefs), bool, n)
+        return cone_contains(a.cone, beliefs)
 
     def atom(a):
         sat = _atomic_sat(a, truth, arrive)

@@ -16,6 +16,7 @@ import numpy as np
 
 EIGENVALUE_TOL = -1e-9
 _MAKE_SYMMETRY_TOL = 1e-6
+_SEQUENCES = (list, tuple)
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
@@ -34,7 +35,8 @@ class BeliefState:
 
     Construct through :func:`make_belief`, which symmetrizes and
     validates the covariance. Instances are immutable; the underlying
-    arrays are flagged read-only.
+    arrays are flagged read-only. The trace monitor also stacks checked
+    beliefs into one, mean (T, n) and cov (T, n, n), for cone_contains.
     """
 
     mean: np.ndarray
@@ -42,7 +44,7 @@ class BeliefState:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
 
 def make_belief(mean, cov) -> BeliefState:
@@ -51,7 +53,18 @@ def make_belief(mean, cov) -> BeliefState:
     The covariance is symmetrized as (S + S^T)/2 before validation.
     Raises InvalidCovarianceError for asymmetry beyond 1e-6 or an
     eigenvalue below -1e-9.
+
+    A mean given as a list or tuple of n <= 2 floats, with the
+    covariance as n such rows (as the closed-form filter step gives
+    them), goes through the same checks on its Python floats, without a
+    round trip through numpy, and gives the same bits.
     """
+    flat = _small_entries(mean, cov)
+    if flat is not None:
+        n = len(mean)
+        return _read_only_belief(
+            checked_mean(np.array(mean)), np.array(_checked_small(flat, n)).reshape(n, n)
+        )
     mean = np.asarray(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
@@ -61,6 +74,26 @@ def make_belief(mean, cov) -> BeliefState:
         )
     # checked_cov builds a fresh covariance
     return _read_only_belief(checked_mean(mean).copy(), checked_cov(cov))
+
+
+def _small_entries(mean, cov):
+    """The row-major entries of cov, when mean is a list or tuple of
+    1 <= n <= 2 Python floats and cov n lists or tuples of n Python
+    floats; None for any other input."""
+    if type(mean) not in _SEQUENCES or type(cov) not in _SEQUENCES:
+        return None
+    n = len(mean)
+    if not 0 < n == len(cov) <= 2:
+        return None
+    flat = []
+    for row in cov:
+        if type(row) not in _SEQUENCES or len(row) != n:
+            return None
+        flat += row
+    for v in (*mean, *flat):
+        if type(v) is not float:
+            return None
+    return flat
 
 
 def checked_mean(mean: np.ndarray) -> np.ndarray:
@@ -78,26 +111,38 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
     asymmetry at most 1e-6, no eigenvalue below -1e-9, each over the
     whole stack in that order. Returns the symmetrized covariance(s)."""
     n = cov.shape[-1]
-    small = n <= 2  # on Python floats, as symmetric_eigenvalues works at this size
-    if small:
-        # a non-finite entry makes a non-finite symmetrized one
-        sym, asym, smallest = _symmetrized_small(cov.ravel().tolist(), n)
-        finite = all(map(math.isfinite, sym))
-    else:
-        finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
-        if finite:
-            sym = 0.5 * (cov + cov.mT)
-            finite = np.isfinite(sym).all()
+    if n <= 2:  # on Python floats, as symmetric_eigenvalues works at this size
+        return np.array(_checked_small(cov.ravel().tolist(), n)).reshape(cov.shape)
+    finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
+    if finite:
+        sym = 0.5 * (cov + cov.mT)
+        finite = np.isfinite(sym).all()
     if not finite:
         raise InvalidCovarianceError("non-finite entries in belief state")
-    if not small:
-        asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
-        smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
+    asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+    smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
+    _check_limits(asym, smallest)
+    return sym
+
+
+def _checked_small(flat: list, n: int) -> list:
+    """checked_cov's checks on the row-major entries of a stack of
+    n-by-n matrices, n <= 2, as Python floats. Returns the symmetrized
+    entries."""
+    # a non-finite entry makes a non-finite symmetrized one
+    sym, asym, smallest = _symmetrized_small(flat, n)
+    if not all(map(math.isfinite, sym)):
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    _check_limits(asym, smallest)
+    return sym
+
+
+def _check_limits(asym: float, smallest: float) -> None:
+    """The asymmetry check, then the eigenvalue check."""
     if asym > _MAKE_SYMMETRY_TOL:
         raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
     if smallest < EIGENVALUE_TOL:
         raise InvalidCovarianceError(f"covariance has negative eigenvalue {smallest:g}")
-    return np.array(sym).reshape(cov.shape) if small else sym
 
 
 def _symmetrized_small(flat: list, n: int):
@@ -108,14 +153,17 @@ def _symmetrized_small(flat: list, n: int):
     if n < 2:
         sym = [0.5 * (a + a) for a in flat]
         return sym, 0.0, min(sym, default=0.0)
-    sym, lows, asym = [], [], 0.0
-    entries = iter(flat)
-    for a, b, c, d in zip(entries, entries, entries, entries):
-        asym = max(asym, abs(b - c))
+    sym, asym, smallest = [], 0.0, math.inf
+    for i in range(0, len(flat), 4):
+        a, b, c, d = flat[i:i + 4]
+        if abs(b - c) > asym:
+            asym = abs(b - c)
         a, b, d = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
         sym += (a, b, b, d)
-        lows.append(eigenvalues_2x2(a, b, d)[0])
-    return sym, asym, min(lows, default=0.0)
+        low = eigenvalues_2x2(a, b, d)[0]
+        if low < smallest:
+            smallest = low
+    return sym, asym, smallest if sym else 0.0
 
 
 def symmetric_eigenvalues(sym: np.ndarray) -> list:

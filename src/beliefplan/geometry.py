@@ -79,13 +79,16 @@ class Polytope:
     """Intersection of closed halfspaces, with optional vertex list.
 
     Construction stacks the halfspaces into read-only H (k, m) and c
-    (k,), and keeps the vertex bounding box as box = (lo, hi)."""
+    (k,), keeps the vertex bounding box as box = (lo, hi), and sets
+    is_box when the halfspaces are exactly that box's faces, x_j <= hi_j
+    and -x_j <= -lo_j, so that every point of the box lies inside."""
 
     halfspaces: tuple
     vertices: tuple | None = None
     H: np.ndarray = field(init=False, repr=False, compare=False)
     c: np.ndarray = field(init=False, repr=False, compare=False)
     box: tuple | None = field(init=False, repr=False, compare=False)
+    is_box: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hs = tuple(self.halfspaces)
@@ -101,6 +104,7 @@ class Polytope:
             object.__setattr__(self, "vertices", vs)
             box = (_read_only(np.min(vs, axis=0)), _read_only(np.max(vs, axis=0)))
         object.__setattr__(self, "box", box)
+        object.__setattr__(self, "is_box", box is not None and _has_box_faces(self.H, self.c, *box))
 
     @property
     def dim(self) -> int:
@@ -134,6 +138,14 @@ class BeliefCone:
         _stack_rows(self, [p.expr.h for p in preds], [p.expr.c for p in preds])
         q = [std_normal_quantile(1.0 - p.epsilon) if p.epsilon else math.inf for p in preds]
         object.__setattr__(self, "quantile", _read_only(np.array(q, dtype=float)))
+
+
+def _has_box_faces(H: np.ndarray, c: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the rows h.x + c <= 0, as a set, are the faces of the box
+    [lo, hi]: x_j - hi_j <= 0 and -x_j + lo_j <= 0 for every axis j."""
+    eye = np.eye(lo.size)
+    faces = zip(np.concatenate((eye, -eye)).tolist(), np.concatenate((-hi, lo)).tolist())
+    return {(*h, ci) for h, ci in zip(H.tolist(), c.tolist())} == {(*h, ci) for h, ci in faces}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -294,9 +306,15 @@ def mean_region_empty(cones, spreads, dim: int) -> bool:
     return lp.status == 2
 
 
-def cone_contains(cone: BeliefCone, b: BeliefState) -> bool:
-    """Conjunction of cone_margin <= tol over all constraints."""
-    return bool(cone_holds(cone, b.mean[None], cone_spread(cone, b.cov[None]))[0])
+def cone_contains(cone: BeliefCone, b: BeliefState):
+    """Conjunction of cone_margin <= tol over all constraints: a bool for
+    one belief, or a (B,) Boolean array for beliefs stacked as (B, n)
+    means and (B, n, n) covariances, each entry with the bits of the
+    one-belief test."""
+    one = b.mean.ndim == 1
+    means, covs = (b.mean[None], b.cov[None]) if one else (b.mean, b.cov)
+    holds = cone_holds(cone, means, cone_spread(cone, covs))
+    return bool(holds[0]) if one else holds
 
 
 def cone_holds(cone: BeliefCone, means, spread) -> np.ndarray:

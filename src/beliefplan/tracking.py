@@ -71,14 +71,15 @@ def track_step(
     control_domain: Polytope,
 ) -> np.ndarray:
     """u = ref_control - K_0 (mean - ref_mean), clamped coordinate-wise
-    into the control domain's bounding box. A clamped control still
-    outside the domain (possible when the domain is not a box) is pulled
-    back along the segment toward ref_control, to its last point inside.
-    Raises InternalConsistencyError when ref_control is itself outside."""
+    into the control domain's bounding box, which lies inside a domain
+    that is_box. A clamped control still outside the domain (possible
+    when the domain is not a box) is pulled back along the segment
+    toward ref_control, to its last point inside. Raises
+    InternalConsistencyError when ref_control is itself outside."""
     u = ref_control - gains.K_seq[0] @ (est.mean - ref_mean)
     lo, hi = control_domain.bounding_box()
     u = np.minimum(np.maximum(u, lo), hi)
-    if polytope_contains(control_domain, u):
+    if control_domain.is_box or polytope_contains(control_domain, u):
         return u
     if not polytope_contains(control_domain, ref_control):
         raise InternalConsistencyError(

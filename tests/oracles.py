@@ -2,6 +2,7 @@
 package. Deliberately naive: direct transcriptions of the defining
 equations, no sharing of code with the implementation under test."""
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -98,8 +99,8 @@ def oracle_ill_conditioned(S):
 def oracle_symmetrized_cov(cov):
     """make_belief's covariance checks on one covariance or a stack, with
     verdicts on Python floats up to n = 2, (a+d)/2 -/+ hypot((a-d)/2, b),
-    and numpy's symmetrization 0.5 (S + S^T). Returns it, or raises
-    InvalidCovarianceError."""
+    and numpy's symmetrization 0.5 (S + S^T), which must be finite too.
+    Returns it, or raises InvalidCovarianceError."""
     n = cov.shape[-1]
     if n <= 2:
         flat = cov.ravel().tolist()
@@ -111,9 +112,12 @@ def oracle_symmetrized_cov(cov):
         if not np.isfinite(cov).all():
             raise InvalidCovarianceError("non-finite entries in belief state")
         asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (cov + cov.mT)
+    if not np.isfinite(sym).all():  # an entry above about 9e307 overflows the sum
+        raise InvalidCovarianceError("non-finite entries in belief state")
     if asym > 1e-6:
         raise InvalidCovarianceError(f"covariance asymmetry {asym:g} exceeds 1e-6")
-    sym = 0.5 * (cov + cov.mT)
     if n > 2:
         lows = np.linalg.eigvalsh(sym).reshape(-1, n)[:, 0].tolist()
     elif n < 2:
@@ -307,27 +311,28 @@ def random_dag(rng, dim, num_modes, size):
     return pool[-1]
 
 
-def random_atomic(rng, dim, num_modes, name=None):
+def random_atomic(rng, dim, num_modes, name=None, edge_cases=False):
     """Small random atomic: 0-2 chance constraints plus an optional
-    mode-set predicate."""
+    mode-set predicate. With edge_cases, a quarter of the constraints
+    have epsilon = 0, and an atomic without constraints (the empty cone)
+    is kept, with or without a mode set."""
     preds = []
     for _ in range(rng.integers(0, 3)):
         h = rng.normal(size=dim).round(2)
         if not np.any(h):
             h[0] = 1.0
-        preds.append(
-            ProbabilisticLinearPredicate(
-                LinearExpression(h, float(rng.normal(scale=2.0))),
-                float(rng.uniform(0.01, 0.5)),
-            )
-        )
+        expr = LinearExpression(h, float(rng.normal(scale=2.0)))
+        eps = float(rng.uniform(0.01, 0.5))
+        if edge_cases and rng.random() < 0.25:
+            eps = 0.0
+        preds.append(ProbabilisticLinearPredicate(expr, eps))
     modes = None
     if rng.random() < 0.5:
         size = int(rng.integers(1, num_modes + 1))
         modes = DiscretePredicate(
             frozenset(int(m) for m in rng.choice(num_modes, size=size, replace=False))
         )
-    if not preds and modes is None:
+    if not preds and modes is None and not edge_cases:
         preds.append(
             ProbabilisticLinearPredicate(
                 LinearExpression(np.ones(dim), float(rng.normal())), 0.1
@@ -336,30 +341,38 @@ def random_atomic(rng, dim, num_modes, name=None):
     return Atomic(BeliefCone(tuple(preds)), modes, name)
 
 
-def random_formula(rng, dim, num_modes, depth):
+def random_formula(rng, dim, num_modes, depth, edge_cases=False):
+    """A random formula tree over random_atomic leaves."""
     if depth == 0 or rng.random() < 0.3:
-        return random_atomic(rng, dim, num_modes)
+        return random_atomic(rng, dim, num_modes, edge_cases=edge_cases)
     kind = rng.integers(0, 4)
     if kind in (0, 1):
         children = tuple(
-            random_formula(rng, dim, num_modes, depth - 1)
+            random_formula(rng, dim, num_modes, depth - 1, edge_cases)
             for _ in range(rng.integers(2, 4))
         )
         return And(children) if kind == 0 else Or(children)
     a = int(rng.integers(0, 3))
     b = a + int(rng.integers(1, 4))
-    left = random_formula(rng, dim, num_modes, depth - 1)
-    right = random_formula(rng, dim, num_modes, depth - 1)
+    left = random_formula(rng, dim, num_modes, depth - 1, edge_cases)
+    right = random_formula(rng, dim, num_modes, depth - 1, edge_cases)
     return Until(left, right, a, b) if kind == 2 else Release(left, right, a, b)
 
 
-def random_trace(rng, dim, num_modes, length):
+def random_trace(rng, dim, num_modes, length, edge_cases=False):
+    """Random beliefs and modes. With edge_cases, a third of the axes of
+    each covariance carry no variance, so epsilon = 0 rows along them
+    have finite margins."""
     from beliefplan.formula import Trace
 
     beliefs = []
     for _ in range(length):
         mean = rng.normal(scale=2.0, size=dim)
         L = rng.normal(scale=0.5, size=(dim, dim))
+        if edge_cases:
+            L[rng.random(dim) < 1 / 3] = 0.0
+            beliefs.append(make_belief(mean, L @ L.T))
+            continue
         beliefs.append(make_belief(mean, L @ L.T + 1e-6 * np.eye(dim)))
     modes = [int(m) for m in rng.integers(0, num_modes, size=length - 1)]
     return Trace(tuple(beliefs), tuple(modes))
@@ -523,3 +536,39 @@ def list_polytope_sample(P, rng, budget=10 ** 6):
         if list_polytope_contains(P, x):
             return x, draw
     return None, budget
+
+
+def read_trajectory_csv(path):
+    """A CLI trajectory.csv (values printed with %.17g, so they
+    round-trip exactly) read back as a SolutionTrajectory."""
+    from beliefplan.synthesis import SolutionTrajectory
+
+    beliefs, modes, controls = [], [], []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            c01 = float(row["cov01"])
+            cov = [[float(row["cov00"]), c01], [c01, float(row["cov11"])]]
+            beliefs.append(make_belief([float(row["mean0"]), float(row["mean1"])], cov))
+            if row["mode"] != "":
+                modes.append(int(row["mode"]))
+                controls.append(np.array([float(row["control0"]), float(row["control1"])]))
+    return SolutionTrajectory(tuple(beliefs), tuple(modes), tuple(controls), (0,))
+
+
+def contains_always_track_step(K, ref_mean, ref_control, mean, domain):
+    """track_step as written before the box flag: the clamped control is
+    always tested with polytope_contains, then pulled back toward
+    ref_control when outside."""
+    from beliefplan.belief_rrt import InternalConsistencyError
+
+    u = ref_control - K @ (mean - ref_mean)
+    lo, hi = domain.bounding_box()
+    u = np.minimum(np.maximum(u, lo), hi)
+    if polytope_contains(domain, u):
+        return u
+    if not polytope_contains(domain, ref_control):
+        raise InternalConsistencyError("reference control outside the control domain")
+    slack = -(domain.H @ ref_control + domain.c)
+    rise = domain.H @ (u - ref_control)
+    t = np.min(slack[rise > 0] / rise[rise > 0], initial=1.0)
+    return ref_control + max(t, 0.0) * (u - ref_control)

@@ -1,8 +1,11 @@
+import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from beliefplan import cli, formula
 from beliefplan.formula import (
     And,
     Atomic,
@@ -22,6 +25,7 @@ from beliefplan.formula import (
     disjunction,
     eventually,
     horizon,
+    is_trivially_false,
     monitor,
     monitor_dwells,
     monitor_word,
@@ -36,9 +40,11 @@ from beliefplan.geometry import (
     DiscretePredicate,
     LinearExpression,
     ProbabilisticLinearPredicate,
+    cone_contains,
 )
 
 from oracles import (
+    list_cone_contains,
     oracle_atomic,
     oracle_atomic_propositions,
     oracle_horizon,
@@ -47,7 +53,10 @@ from oracles import (
     random_dag,
     random_formula,
     random_trace,
+    read_trajectory_csv,
 )
+
+HERE = os.path.dirname(os.path.abspath(__file__))
 
 
 def _atomic(h, c, eps, modes=None, name=None):
@@ -250,6 +259,74 @@ def test_monitor_definite_verdicts_extension_stable():
             assert verdict == monitor(f, tr, 0)
             checked += 1
     assert checked > 50
+
+
+def _stacked_monitor_calls(monkeypatch, f, tr):
+    """monitor's outcome on tr (None for InsufficientTraceError) and its
+    cone_contains calls, each checked against list_cone_contains at
+    every belief of the trace."""
+    calls = []
+
+    def recording(cone, b):
+        truths = cone_contains(cone, b)
+        calls.append(truths.tolist())
+        assert calls[-1] == [list_cone_contains(cone, m, c) for m, c in zip(b.mean, b.cov)]
+        return truths
+
+    with monkeypatch.context() as m:
+        m.setattr(formula, "cone_contains", recording)
+        try:
+            verdict = monitor(f, tr, 0)
+        except InsufficientTraceError:
+            verdict = None
+    return verdict, len(calls)
+
+
+def test_stacked_monitor_matches_the_oracle_and_per_belief_truths(monkeypatch):
+    """The trace monitor makes one cone_contains call per atomic over the
+    stacked trace, whose truths equal list_cone_contains at each belief.
+    On random formulas with epsilon = 0 rows, empty cones and mode sets,
+    over beliefs with variance-free axes, a full-length trace's verdict
+    equals the brute-force oracle's; on shorter traces a definite verdict
+    equals the oracle's on a random full-length extension."""
+    rng = np.random.default_rng(2016)
+    outcomes = Counter()
+    for _ in range(600):
+        dim, num_modes = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        f = random_formula(rng, dim, num_modes, int(rng.integers(0, 4)), edge_cases=True)
+        h = horizon(f)
+        if h + 1 > 12:
+            continue
+        tr = random_trace(rng, dim, num_modes, h + 1, edge_cases=True)
+        cut = int(rng.integers(1, h + 2))
+        prefix = Trace(tr.beliefs[:cut], tr.modes[: cut - 1])
+        verdict, calls = _stacked_monitor_calls(monkeypatch, f, prefix)
+        atomics = [a for a in oracle_walk_atomics(f) if not is_trivially_false(a)]
+        assert calls == len(atomics)
+        if verdict is None:
+            outcomes["insufficient"] += 1
+            continue
+        assert verdict == oracle_monitor(f, tr, 0)
+        outcomes["full" if cut == h + 1 else "definite"] += 1
+    assert min(outcomes.values()) > 30 and len(outcomes) == 3, outcomes
+
+
+def test_stacked_monitor_on_a_plan_through_a_dark_mode(monkeypatch):
+    """The darkswitch plan at seed 3 dwells in the dark mode 0 (no
+    observation) and is shorter than its formula's horizon. On every
+    prefix the monitor makes one cone_contains call per atomic, with the
+    truths of list_cone_contains at each belief; short prefixes are
+    undecided and the whole plan satisfies the formula."""
+    problem = cli.load_problem(os.path.join(HERE, os.pardir, "bench", "darkswitch.json"))[0]
+    plan = read_trajectory_csv(os.path.join(HERE, "data", "darkswitch_seed3", "trajectory.csv"))
+    assert 0 in plan.modes and len(plan) < horizon(problem.formula) + 1
+    outcomes = Counter()
+    for cut in range(1, len(plan) + 1):
+        prefix = Trace(plan.beliefs[:cut], plan.modes[: cut - 1])
+        verdict, calls = _stacked_monitor_calls(monkeypatch, problem.formula, prefix)
+        assert calls == 2
+        outcomes[verdict] += 1
+    assert verdict is True and outcomes[None] > 0, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,14 @@ def _make_belief_inputs(rng):
         ([nan, 0.0], [[1.0, 0.5], [0.1, 1.0]]),  # non-finite mean before asymmetry
         ([0.0, 0.0], [[1.0, 0.5], [0.1, nan]]),  # non-finite covariance before asymmetry
         ([0.0, 0.0], [[1.0, 0.5], [0.1, -1.0]]),  # asymmetry before the eigenvalue
+        ([0.0, 0.0], [[1.0, np.nextafter(1e-6, 0.0)], [0.0, 1.0]]),
+        ([0.0, 0.0], [[np.nextafter(EIGENVALUE_TOL, 0.0), 0.0], [0.0, 1.0]]),
+        ([0.0], [[np.nextafter(EIGENVALUE_TOL, 0.0)]]),
+        ([0.0, 0.0], [[1.7e308, 0.0], [0.0, 1.0]]),  # the symmetrization overflows
+        ([0.0, 0.0], [[1.0, 1.7e308], [1.7e308, 1.0]]),
+        ([0.0], [[1.7e308]]),
+        ([nan, 0.0], [[1.7e308, 0.0], [0.0, 1.0]]),  # non-finite mean before overflow
+        ([0.0, 0.0], [[1.7e308, 0.5], [0.1, -1.0]]),  # overflow before asymmetry
         ([0.0, 0.0], [[1.0]]),
         ([0.0], np.eye(2)),
         ([0.0, 0.0], [1.0, 1.0]),
@@ -166,17 +174,32 @@ def _make_belief_inputs(rng):
         yield mean, cov
 
 
+def _nested(a: np.ndarray, seq):
+    """The array as nested lists or tuples (seq) of Python scalars."""
+    return seq(_nested(row, seq) for row in a) if a.ndim else a.item()
+
+
+def _forms(mean, cov):
+    """The input as arrays, as nested lists and as nested tuples."""
+    mean, cov = np.asarray(mean), np.asarray(cov)
+    return [(mean, cov)] + [(_nested(mean, seq), _nested(cov, seq)) for seq in (list, tuple)]
+
+
 def test_make_belief_matches_the_numpy_reference_bit_for_bit():
     """make_belief, on Python floats up to n = 2, against the numpy
     reference: the same exception class and message, or the same bytes
-    in fresh read-only arrays, on edge cases and on 3,000 random inputs
-    at the asymmetry and eigenvalue limits."""
+    in fresh read-only arrays, on edge cases (non-finite entries, an
+    overflowing symmetrization, asymmetry and eigenvalue at their limits
+    and one ulp either side, and each check's order against the next)
+    and on 3,000 random inputs at the asymmetry and eigenvalue limits,
+    each given as arrays, as lists and as tuples."""
     outcomes = {"built": 0, "raised": 0}
-    for mean, cov in _make_belief_inputs(np.random.default_rng(19)):
-        mine = _built(make_belief, mean, cov)
-        assert mine == _built(oracles.oracle_make_belief, mean, cov), (mean, cov)
-        outcomes["raised" if isinstance(mine, tuple) else "built"] += 1
-    assert outcomes["built"] > 1000 and outcomes["raised"] > 1000, outcomes
+    for inputs in _make_belief_inputs(np.random.default_rng(19)):
+        for mean, cov in [inputs, *_forms(*inputs)]:
+            mine = _built(make_belief, mean, cov)
+            assert mine == _built(oracles.oracle_make_belief, mean, cov), (mean, cov)
+            outcomes["raised" if isinstance(mine, tuple) else "built"] += 1
+    assert outcomes["built"] > 4000 and outcomes["raised"] > 4000, outcomes
 
 
 @pytest.mark.parametrize("cov", [

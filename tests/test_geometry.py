@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 
 import oracles
 from beliefplan import geometry
-from beliefplan.gaussian import frozen_belief, make_belief, std_normal_quantile
+from beliefplan.gaussian import BeliefState, frozen_belief, make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
     DegeneratePolytopeError,
@@ -166,7 +166,8 @@ def _random_beliefs(rng, n, size):
 
 def test_margins_match_per_constraint_reference():
     """Stacked margins are bit-equal to the per-constraint 1-D products,
-    and every verdict is equal, for one belief and for stacks."""
+    and every verdict is equal, for one belief and for stacks; a (B, n)
+    stack of beliefs gets the one-belief cone_contains verdict per row."""
     rng = np.random.default_rng(2016)
     for _ in range(1500):
         n = int(rng.integers(1, 5))
@@ -182,6 +183,9 @@ def test_margins_match_per_constraint_reference():
         assert cone_holds(cone, means, spread).tolist() == verdicts
         b = frozen_belief(means[0], covs[0])
         assert cone_contains(cone, b) == verdicts[0]
+        stacked = cone_contains(cone, BeliefState(means, covs))
+        assert stacked.shape == (len(means),) and stacked.tolist() == verdicts
+        assert verdicts == [cone_contains(cone, frozen_belief(m, c)) for m, c in zip(means, covs)]
         for p, r in zip(cone.constraints, ref[0]):
             assert cone_margin(p, b) == r
 

@@ -1,13 +1,27 @@
+import hashlib
+import importlib
+import os
+
 import numpy as np
 import pytest
 
-from beliefplan import dynamics, tracking
+from beliefplan import cli, dynamics, formula, tracking
 from beliefplan.belief_rrt import InternalConsistencyError
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.gaussian import make_belief
-from beliefplan.geometry import LinearExpression, Polytope, box_polytope, polytope_contains
+from beliefplan.geometry import (
+    LinearExpression,
+    Polytope,
+    box_polytope,
+    polytope_contains,
+    polytope_sample,
+)
 from beliefplan.synthesis import SolutionTrajectory
 from beliefplan.tracking import lqr_gains, simulate, track_step
+from oracles import contains_always_track_step, read_trajectory_csv
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.join(HERE, os.pardir)
 
 
 def _mode(A=None, B=None, W=None, observed=False):
@@ -100,6 +114,58 @@ def test_track_step_rejects_reference_control_outside_domain():
     est = make_belief([-10.0, -10.0], 0.01 * np.eye(2))
     with pytest.raises(InternalConsistencyError):
         track_step(g, np.zeros(2), np.array([0.9, 0.9]), est, _triangle())
+
+
+def _square(halfspaces):
+    return Polytope(tuple(LinearExpression(h, c) for h, c in halfspaces),
+                    ([-1.0, -1.0], [-1.0, 1.0], [1.0, -1.0], [1.0, 1.0]))
+
+
+DOMAINS = {
+    "box_polytope": (box_polytope([(-1.0, 0.5), (-0.25, 2.0)]), True),
+    # the faces of [-1, 1]^2 in another order, one of them twice
+    "box_by_vertices": (_square([([0.0, -1.0], -1.0), ([1.0, 0.0], -1.0), ([-1.0, 0.0], -1.0),
+                                 ([0.0, 1.0], -1.0), ([1.0, 0.0], -1.0)]), True),
+    "triangle": (_triangle(), False),
+    "rotated_square": (Polytope(tuple(LinearExpression(h, -1.0) for h in
+                                      ([1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0])),
+                                ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0])), False),
+    # [-1, 1]^2 with its row x0 <= 1 written as 2 x0 <= 2
+    "scaled_row_box": (_square([([2.0, 0.0], -2.0), ([-1.0, 0.0], -1.0), ([0.0, 1.0], -1.0),
+                                ([0.0, -1.0], -1.0)]), False),
+}
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args).tobytes()
+    except InternalConsistencyError:
+        return "outside"
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+def test_box_flag_keeps_the_track_step_of_a_contains_always_reference(name):
+    """A domain is_box when its halfspaces are exactly the faces of its
+    vertex box; then track_step skips the membership test of the clamped
+    control. On every domain track_step gives the bits, or the error, of
+    the reference that always makes the test, on random estimates whose
+    feedback control leaves the box, and on reference controls inside
+    and outside the domain."""
+    domain, is_box = DOMAINS[name]
+    assert domain.is_box is is_box
+    rng = np.random.default_rng(11)
+    g = lqr_gains(_mode(), 1, np.eye(2), np.eye(2), 0.05 * np.eye(2))
+    outcomes = set()
+    for _ in range(400):
+        ref_mean = rng.normal(size=2)
+        ref_u = polytope_sample(domain, rng) if rng.random() < 0.9 else rng.uniform(-2, 2, 2)
+        est = make_belief(ref_mean + rng.normal(scale=rng.choice([0.05, 2.0]), size=2), 0.01 * np.eye(2))
+        mine = _outcome(track_step, g, ref_mean, ref_u, est, domain)
+        ref = _outcome(contains_always_track_step, g.K_seq[0], ref_mean, ref_u, est.mean, domain)
+        assert mine == ref
+        u = ref_u - g.K_seq[0] @ (est.mean - ref_mean)
+        outcomes.add("outside" if mine == "outside" else polytope_contains(domain, u))
+    assert {False, True} <= outcomes
 
 
 def _straight_reference(num_steps, observed=True):
@@ -211,3 +277,83 @@ def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
     count(dynamics, "make_belief")
     simulate(sys, sys, ref, [0.1, -0.1], 12, gains, np.random.default_rng(0))
     assert calls == {"kalman_update": 12, "make_belief": 24}
+
+
+LIGHTDARK = os.path.join(ROOT, "problems", "lightdark.json")
+# bench/track_reference.csv is the CLI's trajectory.csv for light-dark at seed 0.
+TRACK_REFERENCE = os.path.join(ROOT, "bench", "track_reference.csv")
+
+
+def _light_dark_executions(count, seed=2):
+    """count LQR-tracked executions of the light-dark seed-0 plan, as the
+    benchmark's track workload runs them: execution i draws its initial
+    state from the initial belief, then its noise, from
+    default_rng([seed, i]). Yields each estimated trajectory with the
+    monitor's verdict (None for InsufficientTraceError)."""
+    problem, _, _, _, sim = cli.load_problem(LIGHTDARK)
+    ref = read_trajectory_csv(TRACK_REFERENCE)
+    gains = {i: lqr_gains(m, sim.lqr_horizon, sim.Q_final, sim.Q, sim.R)
+             for i, m in enumerate(problem.system.modes)}
+    init = problem.initial_belief
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        x0 = init.mean + np.linalg.cholesky(init.cov) @ rng.standard_normal(init.dim)
+        est, _xs = tracking.simulate(
+            problem.system, sim.real_system, ref, x0, ref.num_steps, gains, rng
+        )
+        try:
+            verdict = formula.monitor(problem.formula, est, 0)
+        except formula.InsufficientTraceError:
+            verdict = None
+        yield est, verdict
+
+
+def _expected_track_hooks():
+    """EXPECTED_HOOKS["track"] of bench/run.py, read from its source
+    without importing the benchmark or writing beside it."""
+    path = os.path.join(ROOT, "bench", "run.py")
+    with open(path) as fh:
+        code = compile(fh.read(), path, "exec")
+    namespace = {"__name__": "bench_run", "__file__": path}
+    exec(code, namespace)
+    return namespace["EXPECTED_HOOKS"]["track"]
+
+
+def test_one_tracked_execution_fires_every_expected_track_hook(monkeypatch):
+    """The benchmark's traced track run fails when one of its expected
+    hooks is missing or never called. Each of them, a module attribute
+    in the namespace of the module that calls it, exists and is called
+    during one load of the problem, one simulate and one monitor."""
+    calls = {}
+    for target in _expected_track_hooks():
+        module_name, attr = target.rsplit(".", 1)
+        module = importlib.import_module(module_name)
+        inner = getattr(module, attr)
+        assert callable(inner), target
+        calls[target] = 0
+
+        def counted(*args, _target=target, _inner=inner, **kwargs):
+            calls[_target] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+    list(_light_dark_executions(1))
+    assert calls and all(calls.values()), calls
+
+
+def test_tracked_execution_bits_are_pinned():
+    """SHA-256 over the estimated means and covariances and the verdicts
+    of 12 tracked light-dark executions (9 satisfied, 3 undecided on the
+    plan's length): a change to the filter step, the feedback control or
+    the monitor that moves one bit changes it. The value was recorded
+    before the stacked trace monitor and make_belief's float path, which
+    kept every bit."""
+    digest = hashlib.sha256()
+    verdicts = []
+    for est, verdict in _light_dark_executions(12):
+        digest.update(np.array([b.mean for b in est.beliefs]).tobytes())
+        digest.update(np.array([b.cov for b in est.beliefs]).tobytes())
+        digest.update(repr(verdict).encode())
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 9 and verdicts.count(None) == 3
+    assert digest.hexdigest() == "f5ff24355623be9722dca844f2402cf7727bc256f86c1c79f69b93913f279009"
