@@ -32,7 +32,7 @@ from .dynamics import (
     predict_means,
     propagate_mlo,
 )
-from .gaussian import BeliefState, InvalidCovarianceError, frozen_belief, uncertainty_measure
+from .gaussian import BeliefState, InvalidCovarianceError, make_belief, uncertainty_measure
 from .geometry import (
     BeliefCone,
     Polytope,
@@ -264,7 +264,7 @@ def rrt_extend(
                 covs = covs[inside]
     best = int(np.argmin(_distances(means, target_point)))
     cov = covs[best] if len(covs) > 1 else covs[0]
-    return controls[alive[best]], frozen_belief(means[best], cov)
+    return controls[alive[best]], make_belief(means[best], cov)
 
 
 def rrt_drain(tree: RrtTree, node_id: int, delta_drain: float) -> None:

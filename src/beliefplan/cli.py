@@ -473,7 +473,8 @@ def run(argv=None) -> int:
         num_steps = sim.num_steps if sim.num_steps is not None else trajectory.num_steps
         num_steps = min(num_steps, trajectory.num_steps)
         # Costs or a real system large enough to overflow would otherwise
-        # run on as inf and nan until some later check trips.
+        # run on as inf and nan until some later check trips; an infinite
+        # observation gain trips the estimate's finite check.
         try:
             with np.errstate(over="raise", invalid="raise"):
                 gains = {
@@ -484,7 +485,7 @@ def run(argv=None) -> int:
                     problem.system, sim.real_system, trajectory, sim.real_x0,
                     num_steps, gains, rng,
                 )
-        except (OverflowError, FloatingPointError) as exc:
+        except (OverflowError, FloatingPointError, InvalidCovarianceError) as exc:
             raise NumericError(f"$.simulation: the tracked execution failed numerically ({exc})")
         try:
             satisfied = formula.monitor(problem.formula, est, 0)

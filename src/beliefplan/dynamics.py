@@ -401,7 +401,7 @@ def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     mean = _predicted_mean(mode, b, u)
     if mode.closed_form:
         cov = _predict_cov_2x2(mode, b.cov.ravel().tolist())
-        return make_belief(mean.tolist(), (cov[:2], cov[2:]))
+        return make_belief(mean, (cov[:2], cov[2:]))
     return make_belief(mean, _predict_cov(mode, b.cov))
 
 
@@ -455,17 +455,16 @@ def mlo_covariance(mode: SystemMode, covs, means=None):
 
 
 def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:
-    """Draw y = C x + n(x) v, v ~ N(0, I_p)."""
+    """Draw y = C x + n(x) v, v ~ N(0, I_p); a scalar gain multiplies v
+    directly, with the bits of n(x) I_p v for a finite gain."""
     p = mode.obs_dim
     if p == 0:
         raise NoObservationError("mode has no observation (p = 0)")
     x_true = np.asarray(x_true, dtype=float).reshape(-1)
     v = rng.standard_normal(p)
     if isinstance(mode.noise, ScalarExpression):
-        gain = mode.noise(x_true) * _identity(p)
-    else:
-        gain = mode.noise
-    return mode.C @ x_true + gain @ v
+        return mode.C @ x_true + mode.noise(x_true) * v
+    return mode.C @ x_true + mode.noise @ v
 
 
 def step_truth(mode: SystemMode, x_true, u, rng: np.random.Generator) -> np.ndarray:

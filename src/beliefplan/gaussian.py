@@ -16,7 +16,6 @@ import numpy as np
 
 EIGENVALUE_TOL = -1e-9
 _MAKE_SYMMETRY_TOL = 1e-6
-_SEQUENCES = (list, tuple)
 _SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
@@ -33,10 +32,11 @@ class InvalidCovarianceError(ValueError):
 class BeliefState:
     """Gaussian state estimate: mean vector and covariance matrix.
 
-    Construct through :func:`make_belief`, which symmetrizes and
-    validates the covariance. Instances are immutable; the underlying
-    arrays are flagged read-only. The trace monitor also stacks checked
-    beliefs into one, mean (T, n) and cov (T, n, n), for cone_contains.
+    Construct through :func:`make_belief`, the one constructor that
+    checks: it copies the mean, symmetrizes and validates the covariance
+    and flags both arrays read-only. The package's one other instance
+    is the trace monitor's stack of checked beliefs, mean (T, n) and cov
+    (T, n, n), for cone_contains.
     """
 
     mean: np.ndarray
@@ -48,52 +48,24 @@ class BeliefState:
 
 
 def make_belief(mean, cov) -> BeliefState:
-    """Build a validated belief state.
+    """Build a validated belief state over read-only copies of a mean
+    and a covariance, given as arrays or as nested lists or tuples.
 
     The covariance is symmetrized as (S + S^T)/2 before validation.
-    Raises InvalidCovarianceError for asymmetry beyond 1e-6 or an
-    eigenvalue below -1e-9.
-
-    A mean given as a list or tuple of n <= 2 floats, with the
-    covariance as n such rows (as the closed-form filter step gives
-    them), goes through the same checks on its Python floats, without a
-    round trip through numpy, and gives the same bits.
+    Raises InvalidCovarianceError for a non-finite entry, asymmetry
+    beyond 1e-6 or an eigenvalue below -1e-9.
     """
-    flat = _small_entries(mean, cov)
-    if flat is not None:
-        n = len(mean)
-        return _read_only_belief(
-            checked_mean(np.array(mean)), np.array(_checked_small(flat, n)).reshape(n, n)
-        )
-    mean = np.asarray(mean, dtype=float).reshape(-1)
+    mean = np.array(mean, dtype=float).reshape(-1)
     cov = np.asarray(cov, dtype=float)
     n = mean.shape[0]
     if cov.shape != (n, n):
         raise InvalidCovarianceError(
             f"covariance shape {cov.shape} does not match mean dimension {n}"
         )
-    # checked_cov builds a fresh covariance
-    return _read_only_belief(checked_mean(mean).copy(), checked_cov(cov))
-
-
-def _small_entries(mean, cov):
-    """The row-major entries of cov, when mean is a list or tuple of
-    1 <= n <= 2 Python floats and cov n lists or tuples of n Python
-    floats; None for any other input."""
-    if type(mean) not in _SEQUENCES or type(cov) not in _SEQUENCES:
-        return None
-    n = len(mean)
-    if not 0 < n == len(cov) <= 2:
-        return None
-    flat = []
-    for row in cov:
-        if type(row) not in _SEQUENCES or len(row) != n:
-            return None
-        flat += row
-    for v in (*mean, *flat):
-        if type(v) is not float:
-            return None
-    return flat
+    mean, sym = checked_mean(mean), checked_cov(cov)  # checked_cov builds a fresh covariance
+    mean.setflags(write=False)
+    sym.setflags(write=False)
+    return BeliefState(mean, sym)
 
 
 def checked_mean(mean: np.ndarray) -> np.ndarray:
@@ -112,27 +84,21 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
     whole stack in that order. Returns the symmetrized covariance(s)."""
     n = cov.shape[-1]
     if n <= 2:  # on Python floats, as symmetric_eigenvalues works at this size
-        return np.array(_checked_small(cov.ravel().tolist(), n)).reshape(cov.shape)
+        sym, asym, smallest = _symmetrized_small(cov.ravel().tolist(), n)
+        # a non-finite entry makes a non-finite symmetrized one
+        if not all(map(math.isfinite, sym)):
+            raise InvalidCovarianceError("non-finite entries in belief state")
+        _check_limits(asym, smallest)
+        return np.array(sym).reshape(cov.shape)
     finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
     if finite:
-        sym = 0.5 * (cov + cov.mT)
+        with np.errstate(over="ignore"):  # an overflow fails a check below
+            sym = 0.5 * (cov + cov.mT)
+            asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
         finite = np.isfinite(sym).all()
     if not finite:
         raise InvalidCovarianceError("non-finite entries in belief state")
-    asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
     smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
-    _check_limits(asym, smallest)
-    return sym
-
-
-def _checked_small(flat: list, n: int) -> list:
-    """checked_cov's checks on the row-major entries of a stack of
-    n-by-n matrices, n <= 2, as Python floats. Returns the symmetrized
-    entries."""
-    # a non-finite entry makes a non-finite symmetrized one
-    sym, asym, smallest = _symmetrized_small(flat, n)
-    if not all(map(math.isfinite, sym)):
-        raise InvalidCovarianceError("non-finite entries in belief state")
     _check_limits(asym, smallest)
     return sym
 
@@ -186,20 +152,6 @@ def eigenvalues_2x2(a: float, b: float, d: float) -> list:
     entry gives a non-finite eigenvalue."""
     mid, radius = (a + d) / 2, math.hypot((a - d) / 2, b)
     return [mid - radius, mid + radius]
-
-
-def frozen_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:
-    """Belief state over read-only copies of a mean and a covariance
-    that already passed checked_mean and checked_cov."""
-    return _read_only_belief(mean.copy(), sym.copy())
-
-
-def _read_only_belief(mean: np.ndarray, sym: np.ndarray) -> BeliefState:
-    """Belief state over a checked mean and covariance that no one else
-    holds, flagged read-only in place."""
-    mean.setflags(write=False)
-    sym.setflags(write=False)
-    return BeliefState(mean, sym)
 
 
 def uncertainty_measure(b: BeliefState) -> float:

@@ -90,10 +90,11 @@ def oracle_ill_conditioned(S):
 
 
 # ---------------------------------------------------------------------------
-# The filter step on numpy arrays, as the package computed it before its
-# float paths for n <= 2: make_belief, predict and kalman_update. Their
-# results are the bit-for-bit reference where the float path keeps the
-# arithmetic, and the tolerance reference where it does not.
+# The filter step on numpy arrays, as the package computed it before it
+# moved to Python floats for n <= 2: make_belief's checks, predict and
+# kalman_update. Their results are the bit-for-bit reference where the
+# float arithmetic keeps numpy's, and the tolerance reference where it
+# does not.
 # ---------------------------------------------------------------------------
 
 def oracle_symmetrized_cov(cov):

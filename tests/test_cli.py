@@ -575,11 +575,45 @@ def test_formula_error_names_its_entry(tmp_path, entry, path):
     assert r.stderr == f"formula error: {path}unknown formula name 'nowhere' (line 1, column 15)\n"
 
 
-def test_exit_code_numeric(tmp_path):
+def _small_doc_3d():
+    """_small_doc with two more states, which nothing observes or moves."""
+    doc = _small_doc()
+    eye = np.eye(3).tolist()
+    mode = {"A": eye, "B": [[1.0], [0.0], [0.0]], "W": np.zeros((3, 3)).tolist()}
+    doc["state_dim"] = 3
+    doc["modes"] = [dict(mode, C=[[1.0, 0.0, 0.0]], noise="0.01")]
+    doc["initial"] = {"mean": [0.0, 0.0, 0.0], "cov": (0.01 * np.eye(3)).tolist()}
+    doc["simulation"]["real_modes"] = [mode]
+    doc["simulation"]["real_x0"] = [0.05, 0.0, 0.0]
+    doc["simulation"]["lqr"].update(Q_final=eye, Q=eye)
+    return doc
+
+
+def _numeric_cases():
+    """Problems that end with exit 4, each with whether only its
+    validation runs and the one line it prints."""
     doc = _small_doc()
     doc["initial"]["mean"] = [0.0, 0.0]
-    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
-    assert r.returncode == EXIT_NUMERIC, r.stderr
+    yield doc, True, "$.initial.mean: expected shape (1,), got (2,)"
+    doc = _small_doc_3d()
+    doc["initial"]["cov"][2][2] = 1.7e308  # numpy's symmetrization overflows
+    yield doc, True, "$.initial.cov: non-finite entries in belief state"
+    # light-dark's gain 0.1 (5 - x0)^2 + 0.001 is infinite at the true
+    # state, which the estimate does not follow
+    doc = _base_doc()
+    doc["simulation"]["real_x0"] = [1e160, 2.75]
+    yield doc, False, ("$.simulation: the tracked execution failed numerically "
+                       "(non-finite entries in belief state)")
+
+
+def test_exit_code_numeric(tmp_path):
+    """Exit 4 with exactly one line on stderr: no numpy warning, no
+    traceback."""
+    for doc, validate_only, message in _numeric_cases():
+        args = ["--problem", _write(tmp_path, doc), "--out", str(tmp_path / "out")]
+        r = _cli(args + ["--validate-only"] * validate_only, tmp_path)
+        assert r.returncode == EXIT_NUMERIC, r.stderr
+        assert r.stderr == f"numeric error: {message}\n"
 
 
 def test_exit_code_numeric_singular_lqr_R(tmp_path):

@@ -25,7 +25,7 @@ from beliefplan.dynamics import (
 )
 from beliefplan.belief_rrt import rrt_extend
 from beliefplan.formula import MAX_NESTING, parse_noise
-from beliefplan.gaussian import InvalidCovarianceError, frozen_belief, make_belief
+from beliefplan.gaussian import BeliefState, InvalidCovarianceError, make_belief
 from beliefplan.geometry import BeliefCone, box_polytope
 
 
@@ -422,7 +422,7 @@ def test_shared_covariance_stack_matches_propagate_mlo():
         means = rng.normal(size=(k, n))
         covs = cov[None]
         us = rng.uniform(-1.0, 1.0, size=(k, m))
-        refs = [frozen_belief(mean, cov) for mean in means]
+        refs = [make_belief(mean, cov) for mean in means]
         for _ in range(int(rng.integers(1, 5))):
             means, covs = _mlo_stack_step(mode, means, covs, us)
             refs = [propagate_mlo(mode, b, u) for b, u in zip(refs, us)]
@@ -440,7 +440,7 @@ def test_shared_covariance_stack_rejects_a_non_finite_mean_row(kind):
     with pytest.raises(InvalidCovarianceError, match="non-finite"):
         _mlo_stack_step(mode, means, cov[None], np.zeros((3, 2)))
     with pytest.raises(InvalidCovarianceError, match="non-finite"):
-        propagate_mlo(mode, frozen_belief(means[1], cov), np.zeros(2))
+        propagate_mlo(mode, BeliefState(means[1], cov), np.zeros(2))  # unchecked: NaN in the mean
 
 
 def test_shared_covariance_stack_rejects_a_singular_constant_noise():
@@ -452,7 +452,7 @@ def test_shared_covariance_stack_rejects_a_singular_constant_noise():
     with pytest.raises(IllConditionedUpdateError):
         _mlo_stack_step(mode, means, cov[None], np.ones((3, 2)))
     with pytest.raises(IllConditionedUpdateError):
-        propagate_mlo(mode, frozen_belief(means[0], cov), np.ones(2))
+        propagate_mlo(mode, make_belief(means[0], cov), np.ones(2))
 
 
 def test_mlo_mean_is_the_predicted_mean_where_c_m_overflows():

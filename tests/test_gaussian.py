@@ -186,13 +186,14 @@ def _forms(mean, cov):
 
 
 def test_make_belief_matches_the_numpy_reference_bit_for_bit():
-    """make_belief, on Python floats up to n = 2, against the numpy
-    reference: the same exception class and message, or the same bytes
-    in fresh read-only arrays, on edge cases (non-finite entries, an
-    overflowing symmetrization, asymmetry and eigenvalue at their limits
-    and one ulp either side, and each check's order against the next)
-    and on 3,000 random inputs at the asymmetry and eigenvalue limits,
-    each given as arrays, as lists and as tuples."""
+    """make_belief, whose checks run on Python floats up to n = 2,
+    against the numpy reference: the same exception class and message,
+    or the same bytes in fresh read-only arrays, on edge cases
+    (non-finite entries, an overflowing symmetrization, asymmetry and
+    eigenvalue at their limits and one ulp either side, and each check's
+    order against the next) and on 3,000 random inputs at the asymmetry
+    and eigenvalue limits, each given as arrays, as lists and as
+    tuples."""
     outcomes = {"built": 0, "raised": 0}
     for inputs in _make_belief_inputs(np.random.default_rng(19)):
         for mean, cov in [inputs, *_forms(*inputs)]:
@@ -212,14 +213,24 @@ def test_make_belief_matches_the_numpy_reference_bit_for_bit():
 def test_an_overflowing_symmetrization_is_non_finite(cov):
     """An entry whose symmetrized value overflows, alone or in a stack,
     fails the finite check rather than giving a covariance that holds
-    inf, at every size."""
+    inf, at every size, without a numpy warning."""
     cov = np.array(cov)
-    with np.errstate(over="ignore"):  # numpy's sum warns beyond n = 2
+    with pytest.raises(InvalidCovarianceError, match="^non-finite entries in belief state$"):
+        checked_cov(cov)
+    if cov.ndim == 2:
         with pytest.raises(InvalidCovarianceError, match="^non-finite entries in belief state$"):
-            checked_cov(cov)
-        if cov.ndim == 2:
-            with pytest.raises(InvalidCovarianceError, match="^non-finite entries in belief state$"):
-                make_belief(np.zeros(len(cov)), cov)
+            make_belief(np.zeros(len(cov)), cov)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_overflowing_asymmetry_is_reported_as_asymmetry(n):
+    """Entries +-1.7e308 opposite each other symmetrize to 0 but their
+    difference overflows: the asymmetry check fails on inf, on Python
+    floats and through numpy alike, without a numpy warning."""
+    cov = np.eye(n)
+    cov[0, 1], cov[1, 0] = 1.7e308, -1.7e308
+    with pytest.raises(InvalidCovarianceError, match="^covariance asymmetry inf exceeds 1e-6$"):
+        make_belief(np.zeros(n), cov)
 
 
 def test_checked_cov_keeps_the_numpy_bits_on_stacks():

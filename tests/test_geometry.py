@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 
 import oracles
 from beliefplan import geometry
-from beliefplan.gaussian import BeliefState, frozen_belief, make_belief, std_normal_quantile
+from beliefplan.gaussian import BeliefState, make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
     DegeneratePolytopeError,
@@ -181,11 +181,11 @@ def test_margins_match_per_constraint_reference():
         assert np.array_equal(_spread_margins(cone, means, spread), ref)
         verdicts = [list_cone_contains(cone, mean, cov) for mean, cov in zip(means, covs)]
         assert cone_holds(cone, means, spread).tolist() == verdicts
-        b = frozen_belief(means[0], covs[0])
+        b = make_belief(means[0], covs[0])
         assert cone_contains(cone, b) == verdicts[0]
         stacked = cone_contains(cone, BeliefState(means, covs))
         assert stacked.shape == (len(means),) and stacked.tolist() == verdicts
-        assert verdicts == [cone_contains(cone, frozen_belief(m, c)) for m, c in zip(means, covs)]
+        assert verdicts == [cone_contains(cone, make_belief(m, c)) for m, c in zip(means, covs)]
         for p, r in zip(cone.constraints, ref[0]):
             assert cone_margin(p, b) == r
 

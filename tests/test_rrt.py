@@ -503,13 +503,13 @@ def test_ill_conditioned_constant_noise_exits_numeric(tmp_path, capsys):
     _assert_exits(tmp_path, capsys, _ill_conditioned_doc([[0.0]]), cli.EXIT_NUMERIC, "condition number")
 
 
-def _corrupting(frozen_belief, part="mean"):
-    """frozen_belief with the mean, or the covariance, of every belief
+def _corrupting(make_belief, part="mean"):
+    """make_belief with the mean, or the covariance, of every belief
     moved by one ulp."""
     def corrupt(mean, cov):
         if part == "mean":
-            return frozen_belief(np.nextafter(mean, np.inf), cov)
-        return frozen_belief(mean, np.nextafter(cov, np.inf))
+            return make_belief(np.nextafter(mean, np.inf), cov)
+        return make_belief(mean, np.nextafter(cov, np.inf))
     return corrupt
 
 
@@ -547,7 +547,7 @@ def _small_doc(noise):
 
 
 def test_corrupted_tree_exits_internal(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(belief_rrt, "frozen_belief", _corrupting(belief_rrt.frozen_belief))
+    monkeypatch.setattr(belief_rrt, "make_belief", _corrupting(belief_rrt.make_belief))
     _assert_exits(tmp_path, capsys, _small_doc("0.01"), cli.EXIT_INTERNAL, "does not reproduce")
 
 
@@ -555,7 +555,7 @@ def test_corrupted_table_node_exits_internal(tmp_path, monkeypatch, capsys):
     """Constant noise, so the segment's nodes take their covariance from
     a CovarianceByDepth; a stored covariance one ulp off is caught by the
     replay of the successful branch."""
-    monkeypatch.setattr(belief_rrt, "frozen_belief", _corrupting(belief_rrt.frozen_belief, "cov"))
+    monkeypatch.setattr(belief_rrt, "make_belief", _corrupting(belief_rrt.make_belief, "cov"))
     _assert_exits(tmp_path, capsys, _small_doc([[0.1]]), cli.EXIT_INTERNAL, "does not reproduce")
 
 

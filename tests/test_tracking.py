@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from beliefplan import cli, dynamics, formula, tracking
+from beliefplan import cli, dynamics, formula, synthesis, tracking
 from beliefplan.belief_rrt import InternalConsistencyError
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.gaussian import make_belief
@@ -308,24 +308,22 @@ def _light_dark_executions(count, seed=2):
         yield est, verdict
 
 
-def _expected_track_hooks():
-    """EXPECTED_HOOKS["track"] of bench/run.py, read from its source
+def _expected_hooks(workload):
+    """EXPECTED_HOOKS[workload] of bench/run.py, read from its source
     without importing the benchmark or writing beside it."""
     path = os.path.join(ROOT, "bench", "run.py")
     with open(path) as fh:
         code = compile(fh.read(), path, "exec")
     namespace = {"__name__": "bench_run", "__file__": path}
     exec(code, namespace)
-    return namespace["EXPECTED_HOOKS"]["track"]
+    return namespace["EXPECTED_HOOKS"][workload]
 
 
-def test_one_tracked_execution_fires_every_expected_track_hook(monkeypatch):
-    """The benchmark's traced track run fails when one of its expected
-    hooks is missing or never called. Each of them, a module attribute
-    in the namespace of the module that calls it, exists and is called
-    during one load of the problem, one simulate and one monitor."""
+def _count_hook_calls(monkeypatch, targets) -> dict:
+    """Wrap each module attribute named in targets, in the namespace of
+    the module that calls it, with a counter; returns the counts."""
     calls = {}
-    for target in _expected_track_hooks():
+    for target in targets:
         module_name, attr = target.rsplit(".", 1)
         module = importlib.import_module(module_name)
         inner = getattr(module, attr)
@@ -337,8 +335,33 @@ def test_one_tracked_execution_fires_every_expected_track_hook(monkeypatch):
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_one_tracked_execution_fires_every_expected_track_hook(monkeypatch):
+    """The benchmark's traced track run fails when one of its expected
+    hooks is missing or never called. Each of them, a module attribute
+    in the namespace of the module that calls it, exists and is called
+    during one load of the problem, one simulate and one monitor."""
+    calls = _count_hook_calls(monkeypatch, _expected_hooks("track"))
     list(_light_dark_executions(1))
-    assert calls and all(calls.values()), calls
+    assert calls and all(calls.values()), [t for t, n in calls.items() if not n]
+
+
+DARKSWITCH = os.path.join(ROOT, "bench", "darkswitch.json")
+
+
+@pytest.mark.parametrize("workload, path", [("lightdark", LIGHTDARK), ("darkswitch", DARKSWITCH)])
+def test_one_solve_fires_every_expected_plan_hook(monkeypatch, tmp_path, workload, path):
+    """The same guard for the benchmark's plan workloads, whose traced
+    runs load the problem and solve it, light-dark after one in-process
+    CLI run: each expected hook is called during one of each."""
+    calls = _count_hook_calls(monkeypatch, _expected_hooks(workload))
+    if workload == "lightdark":
+        assert cli.run(["--problem", path, "--out", str(tmp_path), "--seed", "0"]) == 0
+    problem, params, k_max, _, _ = cli.load_problem(path)
+    assert synthesis.solve(problem, params, k_max=k_max, rng=np.random.default_rng(0)).ok
+    assert calls and all(calls.values()), [t for t, n in calls.items() if not n]
 
 
 def test_tracked_execution_bits_are_pinned():
@@ -346,8 +369,8 @@ def test_tracked_execution_bits_are_pinned():
     of 12 tracked light-dark executions (9 satisfied, 3 undecided on the
     plan's length): a change to the filter step, the feedback control or
     the monitor that moves one bit changes it. The value was recorded
-    before the stacked trace monitor and make_belief's float path, which
-    kept every bit."""
+    before the stacked trace monitor and the checks of make_belief on
+    Python floats, which kept every bit."""
     digest = hashlib.sha256()
     verdicts = []
     for est, verdict in _light_dark_executions(12):
