@@ -9,11 +9,10 @@ required number of further steps.
 
 The tree is a set of parallel arrays, so selection and draining are a
 few vector operations per iteration; an extension advances all of its
-control candidates as one stack of beliefs. Where the mode's MLO
-covariance reads neither the control nor the mean, every node at depth d
-carries the same covariance, so one table of covariances by depth
-serves the whole segment and each step of an extension is mean
-arithmetic only.
+control candidates as one stack of beliefs, and each step of it takes
+its covariances from mlo_covariance. Before the search, a segment whose
+MLO covariance reads neither the control nor the mean is checked for a
+goal that no node can reach (the linear stage of the pipeline).
 """
 
 from __future__ import annotations
@@ -130,27 +129,6 @@ class RrtTree:
         return (SimpleNamespace(active=bool(a)) for a in self.active[: self.size])
 
 
-class CovarianceByDepth:
-    """The covariances of a segment tree by depth, for a mode whose MLO
-    covariance reads neither the control nor the mean (kind lbs or
-    polbs_linear). Row d holds what d stacked steps from the start
-    compute: the checked (1, n, n) covariance and the stay cone's spread
-    at it. Row 0 holds the start's covariance; the others are made on
-    first use, each from the row before by mlo_covariance."""
-
-    def __init__(self, mode: SystemMode, start_cov: np.ndarray, stay: BeliefCone):
-        self.mode = mode
-        self.stay = stay
-        cov = start_cov[None]
-        self.rows = [(cov, cone_spread(stay, cov))]
-
-    def __getitem__(self, depth: int) -> tuple:
-        while len(self.rows) <= depth:
-            cov = mlo_covariance(self.mode, self.rows[-1][0])
-            self.rows.append((cov, cone_spread(self.stay, cov)))
-        return self.rows[depth]
-
-
 @dataclass(frozen=True)
 class SegmentTask:
     """One plan segment packaged for the continuous layer."""
@@ -210,15 +188,8 @@ def _clamp_to_box(u: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def rrt_extend(
-    mode: SystemMode,
-    belief: BeliefState,
-    target_point: np.ndarray,
-    horizon: int,
-    stay: BeliefCone,
-    control_domain: Polytope,
-    rng: np.random.Generator,
-    table: CovarianceByDepth | None = None,
-    depth: int = 0,
+    mode: SystemMode, belief: BeliefState, target_point: np.ndarray, horizon: int,
+    stay: BeliefCone, control_domain: Polytope, rng: np.random.Generator,
 ):
     """Try 8 constant controls (7 uniform, 1 greedy least-squares toward
     the target) for `horizon` steps each from `belief`; keep the survivor
@@ -229,12 +200,10 @@ def rrt_extend(
     The candidates advance together as one stack, and the rows that
     left the stay cone are dropped after each step: exactly the beliefs
     a candidate-by-candidate loop would compute are computed and checked.
-    A step's means are the predicted means (MLO). With a `table`, the
-    CovarianceByDepth of the belief's tree whose node at `depth` the
-    belief is, step t reads its covariance and stay spread from row
-    depth + t + 1. Without one, each step calls mlo_covariance: the
-    stack starts from one shared covariance, and state-dependent noise
-    widens it to one per row at the first update.
+    A step's means are the predicted means (MLO) and its covariances
+    come from mlo_covariance: the stack starts from one shared
+    covariance, and state-dependent noise widens it to one per row at
+    the first update.
     """
     controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
     lo, hi = control_domain.bounding_box()
@@ -248,14 +217,10 @@ def rrt_extend(
     alive = np.arange(len(controls))
     means = np.repeat(belief.mean[None], len(controls), axis=0)
     covs = belief.cov[None]
-    for t in range(horizon):
+    for _ in range(horizon):
         means = predict_means(mode, means, controls[alive])
-        if table is None:
-            covs = mlo_covariance(mode, covs, means)
-            spread = cone_spread(stay, covs)
-        else:
-            covs, spread = table[depth + t + 1]
-        inside = cone_holds(stay, means, spread)
+        covs = mlo_covariance(mode, covs, means)
+        inside = cone_holds(stay, means, cone_spread(stay, covs))
         if not inside.all():
             alive, means = alive[inside], means[inside]
             if alive.size == 0:
@@ -358,33 +323,36 @@ def _goal_reached(mode: SystemMode, task: SegmentTask, tree: RrtTree, node_id: i
     )
 
 
-def _goal_empty(task: SegmentTask, table: CovarianceByDepth) -> bool:
-    """Whether no node below the root can pass the goal test, decided
-    from the table alone. A node at depth d passed the stay test at its
-    last step, at row d's covariance, and the goal test needs d <=
-    max_total_steps - min_dwell_in_goal; so if no mean lies in both the
-    goal and the stay cone at row d for every such d, the search cannot
-    succeed. The walk reads the rows the search could read, up to
-    max_total_steps, and stops early at the first row bit-equal to the
-    one before: every later row repeats it. A row whose computation
-    raises (or warns, where warnings are errors) gives no verdict; the
-    search raises it if it gets there."""
+def _goal_empty(mode: SystemMode, task: SegmentTask, cov: np.ndarray) -> bool:
+    """Whether no node below the root can pass the goal test, for a mode
+    whose MLO covariance reads neither the control nor the mean: every
+    node at depth d then carries the covariance of d steps from `cov`,
+    and passed the stay test at it. The goal test needs d <=
+    max_total_steps - min_dwell_in_goal, so if no mean lies in both the
+    goal and the stay cone at each such d, the search cannot succeed.
+    The walk steps up to max_total_steps and stops early at the first
+    covariance bit-equal to the one before, which every later one
+    repeats. A step that raises gives no verdict; the search raises it
+    if it gets there."""
     last_goal_depth = task.max_total_steps - task.min_dwell_in_goal
+    covs = cov[None]
     for depth in range(1, task.max_total_steps + 1):
         try:
-            cov, stay_spread = table[depth]
-            goal_spread = cone_spread(task.goal, cov)
-        except (InvalidCovarianceError, IllConditionedUpdateError, RuntimeWarning):
+            before, covs = covs, mlo_covariance(mode, covs)
+            spreads = (cone_spread(task.goal, covs), cone_spread(task.stay, covs))
+        except (InvalidCovarianceError, IllConditionedUpdateError):
             return False
         if depth <= last_goal_depth and not mean_region_empty(
-            (task.goal, task.stay), (goal_spread, stay_spread), cov.shape[-1]
+            (task.goal, task.stay), spreads, covs.shape[-1]
         ):
             return False
-        if np.array_equal(cov, table[depth - 1][0]):
+        if np.array_equal(covs, before):
             return True
     return True
 
 
+# Overflows become non-finite entries, which the belief checks report.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_segment(
     sys: SwitchedSystem,
     task: SegmentTask,
@@ -395,22 +363,18 @@ def solve_segment(
     """Steer from `start` to the goal cone while the stay cone holds.
 
     Runs until success, the iteration cap, or the wall-clock timeout.
-    Unless the noise depends on the state, the extensions share one
-    CovarianceByDepth; the replay of a successful branch checks it, and
-    a goal that the table proves empty at every depth ends the segment
-    as a "timeout" with proof "goal-empty" before a random number is
-    drawn.
+    Unless the noise depends on the state, a goal that _goal_empty
+    proves empty at every depth ends the segment as a "timeout" with
+    proof "goal-empty" before a random number is drawn.
     """
     mode = sys.modes[task.mode]
     if not cone_contains(task.stay, start) and not cone_contains(task.goal, start):
         return SegmentResult("infeasible-start")
     tree = RrtTree(start)
-    nonlinear = mode.kind == "polbs_nonlinear"  # then each belief has its own covariance
-    table = None if nonlinear else CovarianceByDepth(mode, start.cov, task.stay)
     reached = _goal_reached(mode, task, tree, 0)
     if reached is not None:
         return reached
-    if table is not None and _goal_empty(task, table):
+    if mode.kind != "polbs_nonlinear" and _goal_empty(mode, task, start.cov):
         return SegmentResult("timeout", proof="goal-empty")
 
     goal_lo, goal_hi = _cone_mean_box(task.goal, start.mean)
@@ -436,10 +400,8 @@ def solve_segment(
         steps = int(rng.integers(params.min_num_of_steps, params.max_num_of_steps + 1))
         if tree.depth[node] + steps > task.max_total_steps:
             continue
-        branch = rrt_extend(
-            mode, tree.beliefs[node], sample, steps, task.stay, sys.control_domain, rng,
-            table, int(tree.depth[node]),
-        )
+        branch = rrt_extend(mode, tree.beliefs[node], sample, steps, task.stay,
+                            sys.control_domain, rng)
         if branch is None:
             continue
         control, end = branch

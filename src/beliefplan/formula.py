@@ -50,6 +50,11 @@ from .geometry import (
 # a few frames per level and runs out of frames near 200.
 MAX_NESTING = 64
 
+# The longest horizon a formula may have, in steps, once named formulas
+# are substituted. The monitors keep horizon + 1 positions per word, as
+# int32 in _sat; the bound keeps a mistyped bound from exhausting memory.
+MAX_HORIZON = 10_000
+
 
 class UnsupportedBoundError(ValueError):
     """Temporal bound is infinite or otherwise not representable."""
@@ -574,12 +579,15 @@ class _Parser:
 
     def finish(self, root):
         """root, once the text ends here and its syntax tree nests at
-        most MAX_NESTING operator levels."""
+        most MAX_NESTING operator levels and reaches at most MAX_HORIZON
+        steps ahead."""
         tok = self.peek()
         if tok.kind != "eof":
             self.error(f"unexpected trailing input {tok.value!r}", tok)
         if _levels(root) > MAX_NESTING:
             self.error(self.too_deep, self.tokens[0])
+        if (steps := horizon(root)) > MAX_HORIZON:
+            self.error(f"horizon {steps} exceeds {MAX_HORIZON} steps", self.tokens[0])
         return root
 
     def peek(self) -> _Token:
@@ -844,7 +852,8 @@ def parse_formula(text: str, state_dim: int, num_modes: int, named=None):
 
     named maps formula names to already-built formulas; a bare NAME in
     the text resolves against it. A text or a resulting syntax tree that
-    nests deeper than MAX_NESTING levels raises FormulaSyntaxError.
+    nests deeper than MAX_NESTING levels, or whose horizon exceeds
+    MAX_HORIZON, raises FormulaSyntaxError.
     """
     parser = _Parser(_tokenize(text), state_dim, num_modes, named)
     return parser.finish(parser.parse_binary())

@@ -29,7 +29,7 @@ from beliefplan.cli import (
 )
 from beliefplan.discrete_planner import WitnessDisagreementError
 from beliefplan.dynamics import IllConditionedUpdateError
-from beliefplan.formula import FormulaSyntaxError
+from beliefplan.formula import MAX_HORIZON, FormulaSyntaxError
 from beliefplan.gaussian import DomainError
 from beliefplan.geometry import DegeneratePolytopeError
 from beliefplan.synthesis import InternalConsistencyError, solve
@@ -384,8 +384,8 @@ DARKSWITCH_SEED3 = os.path.join(HERE, "data", "darkswitch_seed3")
 def test_darkswitch_outputs_match_the_golden_files(tmp_path):
     """tests/data/darkswitch_seed3 holds the CLI's plan.json and
     trajectory.csv for darkswitch at seed 3. Darkswitch is the only
-    shipped problem with a dark (lbs) mode, so these bytes pin the
-    covariance table: its rows decide the goal-empty proof of the dark
+    shipped problem with a dark (lbs) mode, so these bytes pin its
+    covariances by depth: they decide the goal-empty proof of the dark
     segment and the covariances of the steps in mode 0."""
     r = _cli(["--problem", os.path.abspath(DARKSWITCH), "--seed", "3",
               "--out", str(tmp_path / "out")], tmp_path)
@@ -400,9 +400,9 @@ LIGHTDARK_LINEAR = os.path.join(HERE, "data", "lightdark_linear.json")
 
 def test_changing_covariance_table_outputs_match_the_golden_files(tmp_path):
     """tests/data/lightdark_linear is light-dark with one constant-noise
-    (polbs_linear) mode and process noise W = 0.05 I, so each row of
-    its covariance table differs from the one before: these bytes pin
-    which row a step at a given depth reads."""
+    (polbs_linear) mode and process noise W = 0.05 I, so the covariance
+    at each depth differs from the one before: these bytes pin the
+    covariance a step at a given depth takes."""
     r = _cli(["--problem", os.path.abspath(LIGHTDARK_LINEAR), "--seed", "0",
               "--out", str(tmp_path / "out")], tmp_path)
     assert r.returncode == 0, r.stderr
@@ -460,6 +460,20 @@ def test_overflowing_noise_power_exits_numeric_without_a_traceback(tmp_path):
              tmp_path)
     assert r.returncode == EXIT_NUMERIC, r.stderr
     assert r.stderr.splitlines() == ["numeric error: non-finite entries in innovation covariance"]
+
+
+def test_overflowing_dynamics_exits_numeric_without_a_warning(tmp_path):
+    """A = diag(1, 1e160) overflows the predicted covariance within two
+    steps: the planner's overflow becomes a non-finite entry that the
+    belief check reports, so the run exits 4 with one numeric-error line
+    and numpy warns of nothing. In a subprocess, so that stderr holds
+    everything the run prints."""
+    doc = _base_doc()
+    doc["modes"][0]["A"] = [[1.0, 0.0], [0.0, 1e160]]
+    r = _cli(["--problem", _write(tmp_path, doc), "--seed", "0", "--no-simulation",
+              "--out", str(tmp_path / "out")], tmp_path)
+    assert r.returncode == EXIT_NUMERIC, r.stderr
+    assert r.stderr.splitlines() == ["numeric error: non-finite entries in belief state"]
 
 
 def test_a_plan_without_steps_keeps_the_control_columns(tmp_path):
@@ -558,6 +572,34 @@ def test_exit_code_formula(tmp_path):
     doc["formula"] = "G[5,2] (safe)"
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_FORMULA, r.stderr
+
+
+@pytest.mark.parametrize(
+    "entry, bound, code",
+    [
+        ("formula", MAX_HORIZON - 40, EXIT_SOLUTION),
+        ("formula", MAX_HORIZON - 39, EXIT_FORMULA),
+        ("formula", 10**14, EXIT_FORMULA),
+        ("named_formulas", 2**31, EXIT_FORMULA),
+    ],
+)
+def test_a_horizon_past_the_bound_exits_formula_at_load(tmp_path, entry, bound, code):
+    """A formula whose horizon, named formulas substituted, exceeds
+    MAX_HORIZON ends at load with exit 3 and one line that names its
+    entry, before any monitor sizes an array by it; the horizon
+    MAX_HORIZON itself validates."""
+    doc = _base_doc()
+    text = f"(free_space) U[0,{bound}] G[0,40] (target)"
+    if entry == "named_formulas":
+        doc["named_formulas"]["far"], doc["formula"] = text, "far"
+        path = "$.named_formulas.far"
+    else:
+        doc["formula"], path = text, "$.formula"
+    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
+    assert r.returncode == code, r.stderr
+    if code == EXIT_FORMULA:
+        assert r.stderr == (f"formula error: {path}: horizon {bound + 40} exceeds "
+                            f"{MAX_HORIZON} steps (line 1, column 1)\n")
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """The goal-emptiness proof that solve_segment runs before its search,
-for modes whose covariance by depth is known in advance (lbs and
+for modes whose covariance at each depth is known in advance (lbs and
 polbs_linear)."""
 
 import warnings
@@ -12,13 +12,12 @@ import scipy.optimize
 import oracles
 from beliefplan import belief_rrt
 from beliefplan.belief_rrt import (
-    CovarianceByDepth,
     RrtParams,
     SegmentTask,
     _goal_empty,
     solve_segment,
 )
-from beliefplan.dynamics import SwitchedSystem, SystemMode
+from beliefplan.dynamics import SwitchedSystem, SystemMode, mlo_covariance
 from beliefplan.gaussian import InvalidCovarianceError, make_belief
 from beliefplan.geometry import (
     CONTAINMENT_TOL,
@@ -98,16 +97,23 @@ def _grid(task, start, points):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
+def _covariances(mode, cov, depth):
+    """The (1, n, n) covariances of 0 to `depth` MLO steps from cov."""
+    rows = [cov[None]]
+    for _ in range(depth):
+        rows.append(mlo_covariance(mode, rows[-1]))
+    return rows
+
+
 def _grid_hits(sys, task, start, depth_rows):
     """Depths d at which some grid mean passes the goal and the stay
-    test at row d of a fresh table."""
+    test at the covariance of d steps from the start."""
     grid = _grid(task, start, (201, 61, 25)[start.dim - 1])
-    table = CovarianceByDepth(sys.modes[0], start.cov, task.stay)
+    rows = _covariances(sys.modes[0], start.cov, max(depth_rows, default=0))
     hits = []
     for d in depth_rows:
-        cov, stay_spread = table[d]
-        inside = cone_holds(task.goal, grid, cone_spread(task.goal, cov))
-        inside &= cone_holds(task.stay, grid, stay_spread)
+        inside = cone_holds(task.goal, grid, cone_spread(task.goal, rows[d]))
+        inside &= cone_holds(task.stay, grid, cone_spread(task.stay, rows[d]))
         if inside.any():
             hits.append(d)
     return hits
@@ -139,7 +145,7 @@ def test_proof_agrees_with_dense_enumeration_and_the_unpruned_search(monkeypatch
         infeasible.clear()
         with_proof = solve_segment(sys, task, start, params, r_proof)
         with monkeypatch.context() as patch:
-            patch.setattr(belief_rrt, "_goal_empty", lambda task, table: False)
+            patch.setattr(belief_rrt, "_goal_empty", lambda mode, task, cov: False)
             r_bare = np.random.default_rng(seed)
             bare = solve_segment(sys, task, start, params, r_bare)
         if with_proof.proof is not None:
@@ -160,17 +166,31 @@ def test_proof_agrees_with_dense_enumeration_and_the_unpruned_search(monkeypatch
     assert seen["kinds"] == {"lbs", "polbs_linear"}
 
 
-def test_grid_finds_the_means_the_walk_stops_at():
+def _counting_steps(monkeypatch):
+    """The covariances the walk computes, in order, as mlo_covariance
+    returns them to belief_rrt."""
+    steps = []
+
+    def counting(*args):
+        steps.append(mlo_covariance(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(belief_rrt, "mlo_covariance", counting)
+    return steps
+
+
+def test_grid_finds_the_means_the_walk_stops_at(monkeypatch):
     """The enumeration has teeth: where the walk stops at a depth with a
     mean in goal and stay, the grid finds one in most segments."""
     rng = np.random.default_rng(7)
+    steps = _counting_steps(monkeypatch)
     stopped, found = 0, 0
     for trial in range(60):
         sys, task, start = _random_segment(rng, trial)
-        table = CovarianceByDepth(sys.modes[0], start.cov, task.stay)
-        if _goal_empty(task, table):
+        steps.clear()
+        if _goal_empty(sys.modes[0], task, start.cov):
             continue
-        depth = len(table.rows) - 1
+        depth = len(steps)
         stopped += 1
         found += _grid_hits(sys, task, start, [depth]) == [depth]
     assert stopped >= 20 and found >= 0.8 * stopped
@@ -223,11 +243,11 @@ def test_a_region_within_the_tolerance_is_not_empty():
     assert not mean_region_empty((task.goal, task.stay), (np.zeros((1, 1)),) * 2, 1)
 
 
-def test_fixed_point_stop_after_a_repeated_row():
-    """A = diag(1, 0) without process noise: row 1 zeroes the second
-    variance and row 2 repeats it, so the walk reads rows 1 and 2 only,
-    though 50 steps are allowed. With process noise no row repeats and
-    the walk reads every row the search could, also those too deep for
+def test_fixed_point_stop_after_a_repeated_row(monkeypatch):
+    """A = diag(1, 0) without process noise: step 1 zeroes the second
+    variance and step 2 repeats it, so the walk takes two steps only,
+    though 50 are allowed. With process noise no covariance repeats and
+    the walk takes every step the search could, also those too deep for
     a node to dwell in the goal after."""
     mode = SystemMode(A=[[1.0, 0.0], [0.0, 0.0]], B=np.eye(2), W=np.zeros((2, 2)))
     task = SegmentTask(
@@ -238,16 +258,16 @@ def test_fixed_point_stop_after_a_repeated_row():
         max_total_steps=50,
     )
     start = make_belief([0.0, 0.0], 0.1 * np.eye(2))
-    table = CovarianceByDepth(mode, start.cov, task.stay)
-    assert _goal_empty(task, table)
-    assert len(table.rows) == 3
-    assert np.array_equal(table.rows[2][0], table.rows[1][0])
-    assert not np.array_equal(table.rows[1][0], table.rows[0][0])
+    steps = _counting_steps(monkeypatch)
+    assert _goal_empty(mode, task, start.cov)
+    assert len(steps) == 2
+    assert np.array_equal(steps[1], steps[0])
+    assert not np.array_equal(steps[0], start.cov[None])
     noisy = SystemMode(A=mode.A, B=mode.B, W=0.01 * np.eye(2))
-    table = CovarianceByDepth(noisy, start.cov, task.stay)
+    steps.clear()
     task = replace(task, min_dwell_in_goal=5)
-    assert _goal_empty(task, table)
-    assert len(table.rows) == task.max_total_steps + 1
+    assert _goal_empty(noisy, task, start.cov)
+    assert len(steps) == task.max_total_steps
 
 
 def test_lp_prunes_a_slanted_goal_the_box_cannot_decide():
@@ -267,8 +287,8 @@ def test_lp_prunes_a_slanted_goal_the_box_cannot_decide():
             _row([-1.0, -1.0], total, 0.05),
         ))
         task = SegmentTask(mode=0, stay=stay, goal=goal, min_dwell_in_goal=0, max_total_steps=10)
-        table = CovarianceByDepth(sys.modes[0], start.cov, stay)
-        spreads = (cone_spread(goal, table[1][0]), table[1][1])
+        cov = mlo_covariance(sys.modes[0], start.cov[None])
+        spreads = (cone_spread(goal, cov), cone_spread(stay, cov))
         H = np.concatenate([goal.H, stay.H])
         offsets = np.concatenate([goal.c + spreads[0][0], stay.c + spreads[1][0]])
         lo, hi = axis_bounds(H, offsets, 2)
@@ -278,7 +298,7 @@ def test_lp_prunes_a_slanted_goal_the_box_cannot_decide():
 
 
 def _overflowing_segment(goal_lo, eps):
-    """x1's variance grows by 1e200 a step, so row 2's covariance
+    """x1's variance grows by 1e200 a step, so the covariance of depth 2
     overflows; the stay cone and the goal x0 in [goal_lo, 1] read x0
     only, whose variance stays 0.01."""
     mode = SystemMode(A=[[1.0, 0.0], [0.0, 1e100]], B=[[1.0], [0.0]], W=np.zeros((2, 2)))
@@ -296,12 +316,11 @@ def _overflowing_segment(goal_lo, eps):
 
 def test_covariance_overflow_past_the_goal_depth_still_succeeds():
     """The goal is reached at depth 1, where the walk stops with no
-    verdict, so the search succeeds before any row overflows, as it
-    does without the proof."""
+    verdict, so the search succeeds before any covariance overflows, as
+    it does without the proof."""
     sys, task, start = _overflowing_segment(0.3, 0.5)  # eps = 0.5: no spread
-    table = CovarianceByDepth(sys.modes[0], start.cov, task.stay)
     with np.errstate(over="ignore"), pytest.raises(InvalidCovarianceError):
-        table[2]
+        _covariances(sys.modes[0], start.cov, 2)
     params = RrtParams(iteration_cap=5, goal_bias=1.0)
     result = solve_segment(sys, task, start, params, np.random.default_rng(0))
     assert result.ok and result.num_steps == 1 and result.proof is None
@@ -309,21 +328,24 @@ def test_covariance_overflow_past_the_goal_depth_still_succeeds():
 
 @pytest.mark.parametrize("warnings_as", ["ignored", "errors"])
 def test_a_row_that_raises_ends_the_walk_without_a_verdict(warnings_as):
-    """A goal that no mean reaches at any depth, but row 2 overflows:
-    the walk gives no verdict, and the search raises row 2's error when
-    it extends to depth 2, InvalidCovarianceError where numpy's overflow
-    warning is ignored and the warning itself where warnings are errors."""
+    """A goal that no mean reaches at any depth, but the covariance of
+    depth 2 overflows: the walk gives no verdict, and the search raises
+    InvalidCovarianceError when it extends to depth 2. numpy warns of
+    nothing, whether the caller ignores its overflows or has it warn
+    with warnings turned into errors."""
     sys, task, start = _overflowing_segment(0.99, 0.05)
     spreads = (cone_spread(task.goal, start.cov[None]), cone_spread(task.stay, start.cov[None]))
     assert mean_region_empty((task.goal, task.stay), spreads, 2)
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
         if warnings_as == "ignored":
-            context, error = np.errstate(over="ignore"), InvalidCovarianceError
+            warnings.simplefilter("always")
+            context = np.errstate(over="ignore")
         else:
-            warnings.simplefilter("error", RuntimeWarning)
-            context, error = np.errstate(over="warn"), RuntimeWarning
-        with context, pytest.raises(error):
+            warnings.simplefilter("error")
+            context = np.errstate(over="warn")
+        with context, pytest.raises(InvalidCovarianceError):
             solve_segment(sys, task, start, RrtParams(iteration_cap=50), rng)
+    assert caught == []
     assert rng.bit_generator.state != before

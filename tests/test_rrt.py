@@ -7,7 +7,6 @@ from scipy.spatial import ConvexHull
 import oracles
 from beliefplan import belief_rrt, cli
 from beliefplan.belief_rrt import (
-    CovarianceByDepth,
     InternalConsistencyError,
     RrtParams,
     RrtTree,
@@ -328,13 +327,12 @@ def test_extend_matches_reference_with_zero_epsilon_cones():
     assert outcomes == {True, False}
 
 
-def test_table_extensions_match_reference_at_depth():
-    """Extensions chained from each end belief through one shared
-    CovarianceByDepth, so that each reads the rows below its depth:
-    random lbs and polbs_linear modes, identity and non-identity A, with
-    and without process noise. Each extension equals the per-candidate
-    reference started from the same belief, bit for bit, and draws the
-    same numbers."""
+def test_chained_extensions_match_reference_at_depth():
+    """Extensions chained from each end belief, so that each starts at
+    the depth the one before reached: random lbs and polbs_linear modes,
+    identity and non-identity A, with and without process noise. Each
+    extension equals the per-candidate reference started from the same
+    belief, bit for bit, and draws the same numbers."""
     rng = np.random.default_rng(91)
     seen = {"deep": 0, "none": 0, "kinds": set()}
     for trial in range(160):
@@ -351,7 +349,6 @@ def test_table_extensions_match_reference_at_depth():
             float(rng.choice([0.01, 0.05, 0.2])),
         )
         domain = _PLANAR_DOMAINS[trial // 4 % 3] if m == 2 else box_polytope([(-1.0, 1.0)])
-        table = CovarianceByDepth(mode, start.cov, stay)
         belief, depth = start, 0
         for link in range(4):
             target = belief.mean + rng.normal(scale=2.0, size=n)
@@ -359,7 +356,7 @@ def test_table_extensions_match_reference_at_depth():
             seed = int(rng.integers(1 << 30))
             r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
             expected, _ = oracles.list_rrt_extend(mode, belief, target, horizon, stay, domain, r_ref)
-            got = rrt_extend(mode, belief, target, horizon, stay, domain, r_new, table, depth)
+            got = rrt_extend(mode, belief, target, horizon, stay, domain, r_new)
             assert _same_extension(got, expected), (trial, link)
             assert r_new.bit_generator.state == r_ref.bit_generator.state
             if got is None:
@@ -382,9 +379,9 @@ def _table_system(kind):
 
 @pytest.mark.parametrize("kind", ["lbs", "polbs_linear"])
 def test_table_tree_replays_bit_for_bit(kind, monkeypatch):
-    """Every node of a capped search, whose extensions share one
-    CovarianceByDepth, holds the belief that propagate_mlo computes along
-    its branch from the root, bit for bit."""
+    """Every node of a capped search in a mode whose covariance reads
+    neither the control nor the mean holds the belief that propagate_mlo
+    computes along its branch from the root, bit for bit."""
     sys = _table_system(kind)
     mode = sys.modes[0]
     assert mode.kind == kind
@@ -426,7 +423,8 @@ def _ill_conditioned_system(noise):
     R = x1^2, singular exactly when x1 = 0, and only the greedy
     candidate, clamped to u1 = -1 toward a target with x1 <= -3, lands
     there. With the constant gain [[0.0]] it is singular at every step
-    (and the segment's covariances come from a CovarianceByDepth)."""
+    (the goal-emptiness proof then gives no verdict, and the search
+    raises)."""
     mode = SystemMode(
         A=np.eye(2), B=np.eye(2), W=np.zeros((2, 2)), C=[[1.0, 0.0]], noise=noise,
     )
@@ -552,9 +550,9 @@ def test_corrupted_tree_exits_internal(tmp_path, monkeypatch, capsys):
 
 
 def test_corrupted_table_node_exits_internal(tmp_path, monkeypatch, capsys):
-    """Constant noise, so the segment's nodes take their covariance from
-    a CovarianceByDepth; a stored covariance one ulp off is caught by the
-    replay of the successful branch."""
+    """Constant noise, so every node at one depth has one covariance; a
+    stored covariance one ulp off is caught by the replay of the
+    successful branch."""
     monkeypatch.setattr(belief_rrt, "make_belief", _corrupting(belief_rrt.make_belief, "cov"))
     _assert_exits(tmp_path, capsys, _small_doc([[0.1]]), cli.EXIT_INTERNAL, "does not reproduce")
 
