@@ -209,6 +209,8 @@ def rrt_extend(
     lo, hi = control_domain.bounding_box()
     reach = horizon * mode.B
     residual = target_point - belief.mean
+    if not (np.isfinite(reach).all() and np.isfinite(residual).all()):  # LAPACK would print
+        raise np.linalg.LinAlgError("the greedy control's least-squares problem has non-finite entries")
     greedy, *_ = np.linalg.lstsq(reach, residual, rcond=None)
     greedy = _clamp_to_box(greedy, lo, hi)
     if polytope_contains(control_domain, greedy):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -196,6 +197,9 @@ def load_problem(path: str):
     control_domain = _load_control_domain(
         _require(doc, "control_domain", "$"), "$.control_domain", m
     )
+    lo, hi = (bound.tolist() for bound in control_domain.bounding_box())
+    if not all(math.isfinite(h - l) for l, h in zip(lo, hi)):  # the planner samples this box
+        raise NumericError("$.control_domain: a side of the bounding box is not finite in length")
     try:
         system = SwitchedSystem(tuple(modes), control_domain)
     except ValueError as exc:
@@ -458,7 +462,10 @@ def run(argv=None) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     rng = np.random.default_rng(seed)
-    result = solve(problem, params, k_max=k_max, rng=rng)
+    try:
+        result = solve(problem, params, k_max=k_max, rng=rng)
+    except (np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
+        raise NumericError(f"the planner failed numerically ({exc})")
     _write_plan_json(os.path.join(args.out, "plan.json"), result)
     if not result.ok:
         log.info("no solution after %d CEGIS iterations", result.iterations)

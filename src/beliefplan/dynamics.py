@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,8 @@ from .formula import parse_noise
 from .gaussian import (
     BeliefState,
     checked_cov,
+    checked_covs_2x2,
     checked_mean,
-    eigenvalues_2x2,
     make_belief,
     symmetric_eigenvalues,
 )
@@ -50,12 +51,14 @@ class IllConditionedUpdateError(RuntimeError):
 
 class ScalarExpression:
     """Compiled scalar polynomial expression over the state vector; the
-    text is parsed by formula.parse_noise."""
+    text is parsed by formula.parse_noise, then compiled once into
+    `evaluate`, which takes x with x[i] the value of variable i: Python
+    floats give a Python float, columns of values a column."""
 
     def __init__(self, text: str, dim: int):
         self.text = text
         self.dim = dim
-        self._ast = parse_noise(text, dim)
+        self.evaluate = _compile_noise(parse_noise(text, dim))
 
     def __call__(self, x):
         """The value at one state (n,), a Python float, or at each row of
@@ -67,38 +70,42 @@ class ScalarExpression:
                 f"dimension {x.shape[-1]}"
             )
         if x.ndim == 1:
-            return _eval_noise(self._ast, x.tolist())
-        return np.broadcast_to(_eval_noise(self._ast, list(x.T)), len(x))
+            return self.evaluate(x.tolist())
+        return np.broadcast_to(self.evaluate(list(x.T)), len(x))
 
     def __repr__(self):
         return f"ScalarExpression({self.text!r})"
 
 
-def _eval_noise(node, x):
-    """The value of the AST where x[i] holds the value of variable i: a
-    Python float for one state, a column of values for a stack. numpy's
-    + - * and negation round as Python floats do, but its array power
-    can differ from float ** int, already at exponent 2, so ^ is
-    Python's per value."""
+def _compile_noise(node):
+    """The syntax tree of parse_noise as one closure per node (its depth
+    is bounded by MAX_NESTING). numpy's + - * and negation round as
+    Python floats do, but its array power can differ from float ** int,
+    already at exponent 2, so ^ is Python's per value."""
     tag = node[0]
     if tag == "num":
-        return node[1]
+        value = node[1]
+        return lambda x: value
     if tag == "var":
-        return x[node[1]]
+        return operator.itemgetter(node[1])
+    a = _compile_noise(node[1])
     if tag == "neg":
-        return -_eval_noise(node[1], x)
+        return lambda x: -a(x)
     if tag == "^":
-        base = _eval_noise(node[1], x)
-        if isinstance(base, float):
-            return _power(base, node[2])
-        return np.array([_power(v, node[2]) for v in base.tolist()])
-    left = _eval_noise(node[1], x)
-    right = _eval_noise(node[2], x)
+        k = node[2]
+
+        def power(x):
+            base = a(x)
+            if isinstance(base, float):
+                return _power(base, k)
+            return np.array([_power(v, k) for v in base.tolist()])
+        return power
+    b = _compile_noise(node[2])
     if tag == "+":
-        return left + right
+        return lambda x: a(x) + b(x)
     if tag == "-":
-        return left - right
-    return left * right
+        return lambda x: a(x) - b(x)
+    return lambda x: a(x) * b(x)
 
 
 def _power(v: float, k: int) -> float:
@@ -121,7 +128,8 @@ class SystemMode:
     noise is a constant p-by-p matrix, a ScalarExpression (times the
     identity), or None when there is no observation. Construction
     compiles closed_form: for n = p = 2, the row-major float tuples
-    (A, W, C) of the filter step on Python floats, else None.
+    (A, W W^T, C, R) of the covariance step on Python floats, R None for
+    a ScalarExpression, else None.
     """
 
     A: np.ndarray
@@ -170,7 +178,10 @@ class SystemMode:
         object.__setattr__(self, "noise", noise)
         closed = None
         if n == 2 and C is not None and C.shape[0] == 2:
-            closed = tuple(tuple(M.ravel().tolist()) for M in (A, W, C))
+            w0, w1, w2, w3 = W.ravel().tolist()
+            WW = (w0 * w0 + w1 * w1, w0 * w2 + w1 * w3, w2 * w0 + w3 * w1, w2 * w2 + w3 * w3)
+            R = None if isinstance(noise, ScalarExpression) else tuple(noise_cov(self, None).ravel().tolist())
+            closed = (tuple(A.ravel().tolist()), WW, tuple(C.ravel().tolist()), R)
         object.__setattr__(self, "closed_form", closed)
 
     @property
@@ -287,20 +298,19 @@ def _update(mode: SystemMode, cov, R):
     S = 0.5 * (S + S.mT)
     if S.shape[-1] > 2 and not np.isfinite(S).all():  # eigvalsh needs finite entries
         raise _condition_error(False)
-    if any(map(_ill_conditioned, symmetric_eigenvalues(S))):
+    mags = (sorted(map(abs, eigs)) for eigs in symmetric_eigenvalues(S))
+    if any(_ill_conditioned(m[0], m[-1]) for m in mags):
         raise _condition_error(np.isfinite(S).all())
     K = np.linalg.solve(S, C @ cov).mT
     IKC = _identity(mode.state_dim) - K @ C
     return K, IKC @ cov @ IKC.mT + K @ R @ K.mT
 
 
-def _ill_conditioned(eigs) -> bool:
-    """Whether the eigenvalues of a symmetric matrix give a condition
-    number max|eig| / min|eig| above the limit (infinite where
-    min|eig| = 0), or one is not finite, as a non-finite entry makes
-    one of them."""
-    mags = sorted(map(abs, eigs))
-    small, large = mags[0], mags[-1]
+def _ill_conditioned(small: float, large: float) -> bool:
+    """Whether the smallest and largest eigenvalue magnitudes of a
+    symmetric matrix give a condition number large / small above the
+    limit (infinite where small = 0), or one is not finite, as a
+    non-finite entry makes one of them."""
     return not (math.isfinite(large) and 0.0 < small and large <= _CONDITION_LIMIT * small)
 
 
@@ -314,73 +324,70 @@ def _condition_error(finite) -> IllConditionedUpdateError:
     )
 
 
-# The filter step of a mode with n = p = 2 (every shipped problem) on
-# Python floats, each 2-by-2 matrix a row-major 4-tuple. numpy's 2-by-2
-# matmul goes through BLAS, which may fuse a multiply and an add, so these
-# products can differ from the array path's in the last bit; the planner's
-# MLO step keeps the array path and its bits.
+# The covariance step of a mode with n = p = 2 (every shipped problem),
+# one body for the filter and the MLO step, on Python floats: 2-by-2
+# matrices as their row-major entries, a stack of them as one flat list
+# read four at a time. numpy's 2-by-2 matmul goes through BLAS, which may
+# fuse a multiply and an add, so these products can differ from the array
+# path's in the last bit.
 
-def _mul(x, y):
-    """x y."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def _mul_t(x, y):
-    """x y^T."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * f, a * g + b * h, c * e + d * f, c * g + d * h)
+def _predict_covs_2x2(mode: SystemMode, covs: list) -> list:
+    """A P A^T + W W^T of each P: the entries of the products M = A P,
+    then M A^T + W W^T."""
+    (a0, a1, a2, a3), (w0, w1, w2, w3), _, _ = mode.closed_form
+    out, rows = [], iter(covs)
+    for p0, p1, p2, p3 in zip(rows, rows, rows, rows):
+        m0, m1, m2, m3 = a0 * p0 + a1 * p2, a0 * p1 + a1 * p3, a2 * p0 + a3 * p2, a2 * p1 + a3 * p3
+        out += (m0 * a0 + m1 * a1 + w0, m0 * a2 + m1 * a3 + w1, m2 * a0 + m3 * a1 + w2, m2 * a2 + m3 * a3 + w3)
+    return out
 
 
-def _add(x, y):
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
-def _predict_cov_2x2(mode: SystemMode, P):
-    """A P A^T + W W^T."""
-    A, W, _ = mode.closed_form
-    return _add(_mul_t(_mul(A, P), A), _mul_t(W, W))
-
-
-def _kalman_update_2x2(mode: SystemMode, b: BeliefState, y):
-    """kalman_update's mean and Joseph-form covariance, after the
-    condition test of _update on the symmetrized innovation matrix S.
-    The gain solves against S scaled by its largest entry, so that no
-    determinant under- or overflows where np.linalg.solve would not."""
-    (m0, m1), P = b.mean.tolist(), b.cov.ravel().tolist()
-    C = mode.closed_form[2]
-    if isinstance(mode.noise, ScalarExpression):  # noise_cov's entries
-        R = _scalar_noise_cov(_eval_noise(mode.noise._ast, (m0, m1)), 2)
+def _update_2x2(mode: SystemMode, covs: list, means):
+    """_update on Python floats, phase by phase over the rows: S for
+    every row, with R read at each of the means (one shared prior then
+    widens to one per mean), then the condition test over all of them,
+    then each row's gain and covariance, returned as the list of gains
+    (row-major K) and the covariances. The gain solves against S scaled
+    by its largest entry, so no determinant under- or overflows where
+    np.linalg.solve would not."""
+    _, _, (c0, c1, c2, c3), R = mode.closed_form
+    rows = iter(covs)
+    Ps = list(zip(rows, rows, rows, rows))
+    if R is None:
+        g2s = [g * g for g in map(mode.noise.evaluate, means)]
+        Rs = [(g2, g2 * 0.0, g2 * 0.0, g2) for g2 in g2s]  # _scalar_noise_cov's entries
+        Ps = Ps * len(Rs) if len(Ps) == 1 else Ps
     else:
-        R = noise_cov(mode, b.mean).ravel().tolist()
-    CP = _mul(C, P)
-    s00, s01, s10, s11 = _add(_mul_t(CP, C), R)
-    s00, s01, s11 = 0.5 * (s00 + s00), 0.5 * (s01 + s10), 0.5 * (s11 + s11)
-    if _ill_conditioned(eigenvalues_2x2(s00, s01, s11)):
-        raise _condition_error(all(map(math.isfinite, (s00, s01, s11))))
-    scale = max(abs(s00), abs(s01), abs(s11))
-    e00, e01, e11 = s00 / scale, s01 / scale, s11 / scale
-    det = e00 * e11 - e01 * e01
-    x00, x01, x10, x11 = _mul((e11, -e01, -e01, e00), CP)  # adj(S / scale) C P
-    # K = (S^-1 C P)^T
-    K = (x00 / scale / det, x10 / scale / det, x01 / scale / det, x11 / scale / det)
-    k00, k01, k10, k11 = _mul(K, C)
-    IKC = (1.0 - k00, -k01, -k10, 1.0 - k11)
-    cov = _add(_mul_t(_mul(IKC, P), IKC), _mul_t(_mul(K, R), K))
-    c00, c01, c10, c11 = C
-    k00, k01, k10, k11 = K
-    y0, y1 = y
-    v0, v1 = y0 - (c00 * m0 + c01 * m1), y1 - (c10 * m0 + c11 * m1)
-    return (m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1)), (cov[:2], cov[2:])
-
-
-def _mlo_cov(mode: SystemMode, covs, means):
-    """The unchecked covariance update of an MLO step of an observed
-    mode, from the checked predicted covariance(s), R read at the
-    predicted mean(s)."""
-    return _update(mode, covs, noise_cov(mode, means))[1]
+        Rs = [R] * len(Ps)
+    Ss, ill = [], False
+    for (p0, p1, p2, p3), (r0, r1, r2, r3) in zip(Ps, Rs):
+        q0, q1, q2, q3 = c0 * p0 + c1 * p2, c0 * p1 + c1 * p3, c2 * p0 + c3 * p2, c2 * p1 + c3 * p3  # C P
+        s0, s1 = q0 * c0 + q1 * c1 + r0, q0 * c2 + q1 * c3 + r1
+        s2, s3 = q2 * c0 + q3 * c1 + r2, q2 * c2 + q3 * c3 + r3
+        s00, s01, s11 = 0.5 * (s0 + s0), 0.5 * (s1 + s2), 0.5 * (s3 + s3)
+        # |eigenvalues_2x2(s00, s01, s11)| are |mid -+ radius|, that is |mid| -+ radius
+        mid, radius = abs((s00 + s11) / 2), math.hypot((s00 - s11) / 2, s01)
+        ill = ill or _ill_conditioned(abs(mid - radius), mid + radius)
+        Ss.append((s00, s01, s11, q0, q1, q2, q3))
+    if ill:
+        raise _condition_error(all(math.isfinite(v) for S in Ss for v in S[:3]))
+    Ks, out = [], []
+    for (p0, p1, p2, p3), (r0, r1, r2, r3), (s00, s01, s11, q0, q1, q2, q3) in zip(Ps, Rs, Ss):
+        scale = max(abs(s00), abs(s01), abs(s11))
+        e00, e01, e11 = s00 / scale, s01 / scale, s11 / scale
+        det, e10 = e00 * e11 - e01 * e01, -e01
+        # K = (S^-1 C P)^T, from adj(S / scale) C P
+        k0, k2 = (e11 * q0 + e10 * q2) / scale / det, (e11 * q1 + e10 * q3) / scale / det
+        k1, k3 = (e10 * q0 + e00 * q2) / scale / det, (e10 * q1 + e00 * q3) / scale / det
+        i0, i1 = 1.0 - (k0 * c0 + k1 * c2), -(k0 * c1 + k1 * c3)  # I - K C
+        i2, i3 = -(k2 * c0 + k3 * c2), 1.0 - (k2 * c1 + k3 * c3)
+        m0, m1, m2, m3 = i0 * p0 + i1 * p2, i0 * p1 + i1 * p3, i2 * p0 + i3 * p2, i2 * p1 + i3 * p3
+        n0, n1, n2, n3 = k0 * r0 + k1 * r2, k0 * r1 + k1 * r3, k2 * r0 + k3 * r2, k2 * r1 + k3 * r3
+        Ks.append((k0, k1, k2, k3))
+        out += (  # (I - K C) P (I - K C)^T + K R K^T
+            m0 * i0 + m1 * i1 + (n0 * k0 + n1 * k1), m0 * i2 + m1 * i3 + (n0 * k2 + n1 * k3),
+            m2 * i0 + m3 * i1 + (n2 * k0 + n3 * k1), m2 * i2 + m3 * i3 + (n2 * k2 + n3 * k3))
+    return Ks, out
 
 
 def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
@@ -400,7 +407,7 @@ def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
     mean = _predicted_mean(mode, b, u)
     if mode.closed_form:
-        cov = _predict_cov_2x2(mode, b.cov.ravel().tolist())
+        cov = _predict_covs_2x2(mode, b.cov.ravel().tolist())
         return make_belief(mean, (cov[:2], cov[2:]))
     return make_belief(mean, _predict_cov(mode, b.cov))
 
@@ -414,21 +421,24 @@ def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
     if y.shape[0] != mode.obs_dim:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
     if mode.closed_form:
-        return make_belief(*_kalman_update_2x2(mode, b, y.tolist()))
-    R = noise_cov(mode, b.mean)
-    K, cov = _update(mode, b.cov, R)
+        m0, m1 = b.mean.tolist()
+        (K,), cov = _update_2x2(mode, b.cov.ravel().tolist(), [(m0, m1)])
+        c00, c01, c10, c11 = mode.closed_form[2]
+        k00, k01, k10, k11 = K
+        y0, y1 = y.tolist()
+        v0, v1 = y0 - (c00 * m0 + c01 * m1), y1 - (c10 * m0 + c11 * m1)
+        mean = (m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1))
+        return make_belief(mean, (cov[:2], cov[2:]))
+    K, cov = _update(mode, b.cov, noise_cov(mode, b.mean))
     return make_belief(b.mean + K @ (y - mode.C @ b.mean), cov)
 
 
 def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Predict, then update assuming the maximum-likelihood observation
     y* = C mean' (zero innovation): the mean is the predicted mean and
-    only the covariance contracts."""
+    only the covariance contracts, as mlo_covariance computes it."""
     mean = _predicted_mean(mode, b, u)
-    cov = _predict_cov(mode, b.cov)
-    if mode.obs_dim:
-        cov = _mlo_cov(mode, checked_cov(cov), mean)
-    return make_belief(mean, cov)
+    return make_belief(mean, mlo_covariance(mode, b.cov[None], mean[None])[0])
 
 
 def predict_means(mode: SystemMode, means, us):
@@ -442,16 +452,21 @@ def mlo_covariance(mode: SystemMode, covs, means=None):
     """The covariance of one MLO step, whose mean is predict_means'
     predicted mean: the predicted covariances, checked; for an observed
     mode then the condition test, the Kalman gain under R(means) and the
-    Joseph-form covariance, checked. Each row equals propagate_mlo's
-    covariance bit for bit.
+    Joseph-form covariance, checked. Each check covers the whole stack
+    before the next phase starts; for n = p = 2 each phase runs on
+    Python floats, row by row.
 
     covs is (k, n, n), or one (1, n, n) shared by every row. Only
     state-dependent noise reads the predicted means, and its R(means)
     widens a shared covariance to one per row; otherwise the result uses
     neither the controls nor the means, so it is the same for every
     belief that starts from the same covariance."""
-    covs = checked_cov(_predict_cov(mode, covs))
-    return covs if mode.obs_dim == 0 else checked_cov(_mlo_cov(mode, covs, means))
+    if not mode.closed_form:
+        covs = checked_cov(_predict_cov(mode, covs))
+        return covs if mode.obs_dim == 0 else checked_cov(_update(mode, covs, noise_cov(mode, means))[1])
+    priors = checked_covs_2x2(_predict_covs_2x2(mode, covs.ravel().tolist()))
+    _, covs = _update_2x2(mode, priors, None if means is None else means.tolist())
+    return np.array(checked_covs_2x2(covs)).reshape(-1, 2, 2)
 
 
 def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:

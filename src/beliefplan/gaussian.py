@@ -83,12 +83,13 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
     asymmetry at most 1e-6, no eigenvalue below -1e-9, each over the
     whole stack in that order. Returns the symmetrized covariance(s)."""
     n = cov.shape[-1]
-    if n <= 2:  # on Python floats, as symmetric_eigenvalues works at this size
-        sym, asym, smallest = _symmetrized_small(cov.ravel().tolist(), n)
-        # a non-finite entry makes a non-finite symmetrized one
+    if n == 2:
+        return np.array(checked_covs_2x2(cov.ravel().tolist())).reshape(cov.shape)
+    if n < 2:  # on Python floats, with numpy's rounding
+        sym = [0.5 * (a + a) for a in cov.ravel().tolist()]
         if not all(map(math.isfinite, sym)):
             raise InvalidCovarianceError("non-finite entries in belief state")
-        _check_limits(asym, smallest)
+        _check_limits(0.0, min(sym, default=0.0))
         return np.array(sym).reshape(cov.shape)
     finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
     if finite:
@@ -111,25 +112,25 @@ def _check_limits(asym: float, smallest: float) -> None:
         raise InvalidCovarianceError(f"covariance has negative eigenvalue {smallest:g}")
 
 
-def _symmetrized_small(flat: list, n: int):
-    """The symmetrized entries 0.5 (S + S^T) of a stack of n-by-n
-    matrices, n <= 2, from their row-major entries, with numpy's
-    rounding (so the same bits), the largest |S - S^T| and the smallest
-    eigenvalue, as Python floats."""
-    if n < 2:
-        sym = [0.5 * (a + a) for a in flat]
-        return sym, 0.0, min(sym, default=0.0)
+def checked_covs_2x2(flat: list) -> list:
+    """checked_cov on 2-by-2 covariances given by their row-major
+    entries, one flat list of Python floats, with numpy's rounding (so
+    the same bits and verdicts): returns the symmetrized entries."""
     sym, asym, smallest = [], 0.0, math.inf
-    for i in range(0, len(flat), 4):
-        a, b, c, d = flat[i:i + 4]
+    rows = iter(flat)
+    for a, b, c, d in zip(rows, rows, rows, rows):
         if abs(b - c) > asym:
             asym = abs(b - c)
         a, b, d = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
         sym += (a, b, b, d)
-        low = eigenvalues_2x2(a, b, d)[0]
+        low = (a + d) / 2 - math.hypot((a - d) / 2, b)  # eigenvalues_2x2(a, b, d)[0]
         if low < smallest:
             smallest = low
-    return sym, asym, smallest if sym else 0.0
+    # a non-finite entry makes a non-finite symmetrized one
+    if not all(map(math.isfinite, sym)):
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    _check_limits(asym, smallest if sym else 0.0)
+    return sym
 
 
 def symmetric_eigenvalues(sym: np.ndarray) -> list:

@@ -97,7 +97,8 @@ class Polytope:
         box = None
         if self.vertices is not None:
             vs = tuple(np.asarray(v, dtype=float).reshape(-1) for v in self.vertices)
-            worst = (np.vecdot(np.stack(vs)[:, None, :], self.H) + self.c).max(axis=1)
+            with np.errstate(over="ignore"):  # +inf fails the check below, -inf passes
+                worst = (np.vecdot(np.stack(vs)[:, None, :], self.H) + self.c).max(axis=1)
             if np.any(worst > 1e-9):
                 i = worst.argmax()
                 raise ValueError(f"vertex {vs[i]} violates halfspace (residual {worst[i]:g})")

@@ -188,6 +188,35 @@ def oracle_kalman_update(mode, b, y):
     return oracle_make_belief(b.mean + K @ (y - C @ b.mean), cov)
 
 
+def oracle_mlo_covariance(mode, covs, means=None):
+    """mlo_covariance of an observed mode on numpy arrays, as the package
+    computed it before n = p = 2 moved to Python floats: the predicted
+    covariances A P A^T + W W^T through matmul, checked; R read at each
+    mean; S = C P C^T + R symmetrized; the condition test over the whole
+    stack (non-finite entries, or np.linalg.cond above 1e12); the gain by
+    np.linalg.solve and the Joseph-form covariance, checked. covs is
+    (k, n, n) or one shared (1, n, n); means is (k, n)."""
+    covs = oracle_symmetrized_cov(mode.A @ covs @ mode.A.T + mode.W @ mode.W.T)
+    C, n = mode.C, mode.state_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(mode.noise, ScalarExpression):
+            gain = mode.noise(means)
+            R = (gain * gain)[:, None, None] * np.eye(mode.obs_dim)
+        else:
+            R = mode.noise @ mode.noise.T
+    S = C @ covs @ C.T + R
+    S = 0.5 * (S + S.mT)
+    if not np.isfinite(S).all():
+        raise IllConditionedUpdateError("non-finite entries in innovation covariance")
+    if oracle_ill_conditioned(S):
+        raise IllConditionedUpdateError("innovation covariance condition number exceeds 1e+12")
+    with np.errstate(all="ignore"):  # a non-finite gain fails the check below
+        K = np.linalg.solve(S, C @ covs).mT
+        IKC = np.eye(n) - K @ C
+        cov = IKC @ covs @ IKC.mT + K @ R @ K.mT
+    return oracle_symmetrized_cov(cov)
+
+
 def matrix_with_eigenvalues(rng, eigenvalues):
     """A symmetric matrix Q diag(eigenvalues) Q^T under a random
     rotation Q; its eigenvalues carry a rounding of about 1e-16 times

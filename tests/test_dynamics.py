@@ -8,6 +8,7 @@ import pytest
 import oracles
 from beliefplan import cli
 from beliefplan.dynamics import (
+    _CONDITION_LIMIT,
     IllConditionedUpdateError,
     NoObservationError,
     ScalarExpression,
@@ -25,7 +26,7 @@ from beliefplan.dynamics import (
 )
 from beliefplan.belief_rrt import rrt_extend
 from beliefplan.formula import MAX_NESTING, parse_noise
-from beliefplan.gaussian import BeliefState, InvalidCovarianceError, make_belief
+from beliefplan.gaussian import EIGENVALUE_TOL, BeliefState, InvalidCovarianceError, make_belief
 from beliefplan.geometry import BeliefCone, box_polytope
 
 
@@ -619,6 +620,161 @@ def test_closed_form_filter_matches_the_numpy_reference():
             assert np.abs(mine.cov - ref.cov).max() <= 16 * _EPS * cond * cov_scale
             assert np.abs(mine.mean - ref.mean).max() <= 64 * _EPS * cond * mean_scale
     assert outcomes["updated"] > 2000 and outcomes["ill"] > 200, outcomes
+
+
+def _random_mlo_case(rng):
+    """A random n = p = 2 mode as in _random_filter_case, and a stack of
+    1 to 8 predicted means with one shared covariance or one per row;
+    in one case in four the mode is C = I, R = 0, A = I, W = 0 and the
+    covariances have condition numbers within 1% of 1e12."""
+    mode, b, _, _ = _random_filter_case(rng)
+    k = int(rng.integers(1, 9))
+    means = b.mean + rng.normal(scale=3.0, size=(k, 2))
+    if rng.random() < 0.5:
+        return mode, b.cov[None], means
+    if not mode.W.any():
+        s = 10 ** rng.uniform(-6, 6, size=k)
+        eigs = [[v / (1e12 * (1 + rng.uniform(-1, 1) * 1e-2)), v] for v in s]
+        return mode, np.array([oracles.matrix_with_eigenvalues(rng, e) for e in eigs]), means
+    L = rng.normal(size=(k, 2, 2))
+    scale = 10 ** rng.uniform(-6, 6, size=(k, 1, 1))
+    return mode, scale * (L @ L.mT + 1e-3 * np.eye(2)), means
+
+
+def _mlo_outcome(step, *args):
+    """The result of an MLO step, or the type and message of its error."""
+    try:
+        return step(*args)
+    except (IllConditionedUpdateError, InvalidCovarianceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _compare_mlo(mine, mode, covs, means):
+    """An outcome of the closed-form MLO step from covs and means against
+    oracles.oracle_mlo_covariance, with the bounds of
+    test_closed_form_filter_matches_the_numpy_reference taken per row:
+    each covariance within 16 eps cond(S) of the largest entry of that
+    row's predicted or posterior covariance. The verdicts and messages
+    agree unless some row has |cond(S) / 1e12 - 1| <= 1e-3. Returns
+    "updated", "raised" or "differ"."""
+    ref = _mlo_outcome(oracles.oracle_mlo_covariance, mode, covs, means)
+    prior = oracles.oracle_symmetrized_cov(mode.A @ covs @ mode.A.T + mode.W @ mode.W.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = mode.C @ prior @ mode.C.T + noise_cov(mode, means)
+    if isinstance(mine, tuple) or isinstance(ref, tuple):
+        if isinstance(mine, tuple) and isinstance(ref, tuple):
+            assert mine == ref
+            return "raised"
+        assert (np.abs(np.linalg.cond(S) / 1e12 - 1) <= 1e-3).any(), (mine, ref)
+        return "differ"
+    assert mine.shape == ref.shape == S.shape
+    for row, ref_row, prior_row, cond in zip(mine, ref, np.broadcast_to(prior, S.shape), np.linalg.cond(S)):
+        scale = max(np.abs(prior_row).max(), np.abs(ref_row).max())
+        assert np.abs(row - ref_row).max() <= 16 * _EPS * cond * scale
+    return "updated"
+
+
+def test_closed_form_mlo_step_matches_the_numpy_reference():
+    """mlo_covariance and propagate_mlo of n = p = 2 modes against the
+    numpy body they replace, on 3,000 random stacks of 1 to 8 rows with
+    A != I, W != 0, a general C, constant or state-dependent noise, and
+    shared or per-row covariances, and on stacks whose innovation
+    matrices straddle the condition limit. propagate_mlo keeps the
+    reference's predicted mean bit for bit."""
+    rng = np.random.default_rng(26)
+    outcomes = {"updated": 0, "raised": 0, "differ": 0}
+    for _ in range(3000):
+        mode, covs, means = _random_mlo_case(rng)
+        outcomes[_compare_mlo(_mlo_outcome(mlo_covariance, mode, covs, means), mode, covs, means)] += 1
+        b = make_belief(means[0], covs[0])
+        u = rng.uniform(-1.0, 1.0, size=2)
+        mean = mode.A @ b.mean + mode.B @ u
+        mine = _mlo_outcome(propagate_mlo, mode, b, u)
+        if not isinstance(mine, tuple):
+            assert np.array_equal(mine.mean, mean)
+            mine = mine.cov[None]
+        _compare_mlo(mine, mode, b.cov[None], mean[None])
+    assert outcomes["updated"] > 1500 and outcomes["raised"] > 200, outcomes
+
+
+def _exact_mode(C=np.eye(2), noise=np.zeros((2, 2))):
+    """A = I and W = 0, so that both paths predict the covariance
+    exactly and the thresholds are met by the values the test builds."""
+    return SystemMode(np.eye(2), 0.25 * np.eye(2), np.zeros((2, 2)), C=C, noise=noise)
+
+
+@pytest.mark.parametrize("low, verdict", [(-0.9e-9, None), (-1.1e-9, "negative eigenvalue -1.1e-09")])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_mlo_step_eigenvalue_threshold_anywhere_in_the_stack(low, verdict, row):
+    """A predicted covariance whose smallest eigenvalue lies just above
+    or just below EIGENVALUE_TOL, in the first, a middle or the last
+    row of a stack of five: both paths pass the stack, or both name the
+    eigenvalue, however the rows around it are updated."""
+    assert -1.1e-9 < EIGENVALUE_TOL < -0.9e-9
+    mode = _exact_mode(noise="0.1*(5 - x0)^2 + 0.001")
+    covs = np.array([np.diag([0.2, 0.1])] * 5)
+    covs[row] = np.diag([1.0, low])
+    means = np.linspace([0.0, 1.0], [4.0, 2.0], 5)
+    mine = _mlo_outcome(mlo_covariance, mode, covs, means)
+    ref = _mlo_outcome(oracles.oracle_mlo_covariance, mode, covs, means)
+    if verdict is None:
+        assert not isinstance(mine, tuple) and not isinstance(ref, tuple)
+    else:
+        assert mine == ref == ("InvalidCovarianceError", f"covariance has {verdict}")
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("factor, ill", [(0.99, False), (1.01, True)])
+def test_mlo_step_condition_threshold_anywhere_in_the_stack(row, factor, ill):
+    """C = I and R = 0 make each innovation matrix its covariance. One
+    row of seven has a condition number 1% below or above
+    _CONDITION_LIMIT, the others are well conditioned: both paths update
+    the stack, or both raise the condition-number error."""
+    mode = _exact_mode()
+    covs = np.array([np.diag([1.0, 0.5 + 0.1 * i]) for i in range(7)])
+    covs[row] = np.diag([1.0, 1.0 / (factor * _CONDITION_LIMIT)])
+    means = np.zeros((7, 2))
+    mine = _mlo_outcome(mlo_covariance, mode, covs, means)
+    ref = _mlo_outcome(oracles.oracle_mlo_covariance, mode, covs, means)
+    if ill:
+        expected = ("IllConditionedUpdateError", "innovation covariance condition number exceeds 1e+12")
+        assert mine == ref == expected
+    else:
+        assert np.abs(mine - ref).max() <= 16 * _EPS * 1e12
+    b = make_belief(means[row], covs[row])
+    assert isinstance(_mlo_outcome(propagate_mlo, mode, b, np.zeros(2)), tuple) == ill
+
+
+def test_mlo_step_non_finite_innovation_matrix_mid_stack_is_named():
+    """One row in the middle of a stack with a gain x0^2 that squares to
+    infinity, behind a singular but finite row: the whole stack fails
+    with the non-finite message on both paths, not with the condition
+    number of the row before it."""
+    mode = _exact_mode(noise="x0^2 + 0.01")
+    covs = np.array([np.diag([1.0, 0.0]), np.eye(2), np.eye(2), 0.5 * np.eye(2)])
+    means = np.array([[0.0, 0.0], [1.0, 1.0], [1e100, 0.0], [2.0, 1.0]])
+    expected = ("IllConditionedUpdateError", "non-finite entries in innovation covariance")
+    assert _mlo_outcome(mlo_covariance, mode, covs, means) == expected
+    assert _mlo_outcome(oracles.oracle_mlo_covariance, mode, covs, means) == expected
+
+
+def test_mlo_step_non_finite_gain_fails_the_covariance_check():
+    """C = 1e-310 I (subnormal), P = 1e307 I and a gain x0 read at x0 = 0
+    give a well-conditioned innovation matrix S = 1e-313 I whose gain
+    P C^T S^-1, about 1e310, overflows: both paths pass the condition
+    test and then reject the non-finite covariance, wherever the row
+    lies in the stack (the other rows, with R = I, update finitely), and
+    numpy warns of nothing."""
+    mode = _exact_mode(C=1e-310 * np.eye(2), noise="x0")
+    covs = np.array([np.eye(2), 1e307 * np.eye(2), np.eye(2)])
+    means = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+    expected = ("InvalidCovarianceError", "non-finite entries in belief state")
+    for rows in ([0, 1, 2], [1], [2, 1, 0]):
+        assert _mlo_outcome(mlo_covariance, mode, covs[rows], means[rows]) == expected
+        assert _mlo_outcome(oracles.oracle_mlo_covariance, mode, covs[rows], means[rows]) == expected
+    assert np.isfinite(mlo_covariance(mode, covs[[0, 2]], means[[0, 2]])).all()
+    b = make_belief([0.0, 0.0], covs[1])
+    assert _mlo_outcome(propagate_mlo, mode, b, np.zeros(2)) == expected
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])

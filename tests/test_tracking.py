@@ -280,7 +280,8 @@ def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
 
 
 LIGHTDARK = os.path.join(ROOT, "problems", "lightdark.json")
-# bench/track_reference.csv is the CLI's trajectory.csv for light-dark at seed 0.
+# bench/track_reference.csv is the CLI's trajectory.csv for light-dark at seed 0,
+# up to a few ulps in its covariance cells (see test_cli.py).
 TRACK_REFERENCE = os.path.join(ROOT, "bench", "track_reference.csv")
 
 
