@@ -8,11 +8,13 @@ goal cone and a zero-control dwell keeps the goal satisfied for the
 required number of further steps.
 
 The tree is a set of parallel arrays, so selection and draining are a
-few vector operations per iteration; an extension advances all of its
-control candidates as one stack of beliefs, and each step of it takes
-its covariances from mlo_covariance. Before the search, a segment whose
-MLO covariance reads neither the control nor the mean is checked for a
-goal that no node can reach (the linear stage of the pipeline).
+few vector operations per iteration. An extension computes the mean
+paths of all of its control candidates as one stack, then walks them
+nearest final mean first and gives covariances from mlo_covariance
+only to those it evaluates, until one stays in the cone. Before the
+search, a segment whose MLO covariance reads neither the control nor
+the mean is checked for a goal that no node can reach (the linear
+stage of the pipeline).
 """
 
 from __future__ import annotations
@@ -197,13 +199,15 @@ def rrt_extend(
     Returns (control, end belief) or None when every candidate leaves
     the stay cone.
 
-    The candidates advance together as one stack, and the rows that
-    left the stay cone are dropped after each step: exactly the beliefs
-    a candidate-by-candidate loop would compute are computed and checked.
-    A step's means are the predicted means (MLO) and its covariances
-    come from mlo_covariance: the stack starts from one shared
-    covariance, and state-dependent noise widens it to one per row at
-    the first update.
+    The MLO mean reads no covariance, so all mean paths come first, one
+    predict_means call per step over the stack. Then, nearest final mean
+    first (stable, so ties keep the lowest index), each candidate gets
+    its covariances over the whole horizon from mlo_covariance and one
+    stay test over all of its steps, until one stays at every step. A
+    numeric failure raises at any step of an evaluated candidate, also
+    past its exit from the cone; candidates ranked behind the kept one
+    are not evaluated. Unless the noise depends on the state, one
+    covariance walk serves every candidate.
     """
     controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
     lo, hi = control_domain.bounding_box()
@@ -216,22 +220,26 @@ def rrt_extend(
     if polytope_contains(control_domain, greedy):
         controls = np.vstack([controls, greedy])
 
-    alive = np.arange(len(controls))
-    means = np.repeat(belief.mean[None], len(controls), axis=0)
-    covs = belief.cov[None]
+    steps = [belief.mean]  # broadcast against the controls at the first step
     for _ in range(horizon):
-        means = predict_means(mode, means, controls[alive])
-        covs = mlo_covariance(mode, covs, means)
-        inside = cone_holds(stay, means, cone_spread(stay, covs))
-        if not inside.all():
-            alive, means = alive[inside], means[inside]
-            if alive.size == 0:
-                return None
-            if len(covs) > 1:
-                covs = covs[inside]
-    best = int(np.argmin(_distances(means, target_point)))
-    cov = covs[best] if len(covs) > 1 else covs[0]
-    return controls[alive[best]], make_belief(means[best], cov)
+        steps.append(predict_means(mode, steps[-1], controls))
+    paths = np.stack(steps[1:], axis=1)  # (candidates, horizon, n)
+    order = np.argsort(_distances(paths[:, -1], target_point), kind="stable")
+    shared = None if mode.kind == "polbs_nonlinear" else _covariances(mode, belief.cov, paths[0])
+    for i in order:
+        covs = shared if shared is not None else _covariances(mode, belief.cov, paths[i])
+        if cone_holds(stay, paths[i], cone_spread(stay, covs)).all():
+            return controls[i], make_belief(paths[i, -1], covs[-1])
+    return None
+
+
+def _covariances(mode: SystemMode, cov: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """The (horizon, n, n) MLO covariances from `cov` along one (horizon,
+    n) mean path, one mlo_covariance row per step."""
+    covs = [cov[None]]
+    for mean in path:
+        covs.append(mlo_covariance(mode, covs[-1], mean[None]))
+    return np.concatenate(covs[1:])
 
 
 def rrt_drain(tree: RrtTree, node_id: int, delta_drain: float) -> None:

@@ -153,7 +153,8 @@ def _vertices_polytope(vertices: np.ndarray, path: str) -> Polytope:
     try:
         hull = ConvexHull(vertices)
     except Exception as exc:
-        raise NumericError(f"{path}: convex hull failed ({exc})")
+        first = str(exc).strip().partition("\n")[0]  # qhull's report runs to several lines
+        raise NumericError(f"{path}: convex hull failed ({first})")
     halfspaces = tuple(
         LinearExpression(eq[:-1], eq[-1]) for eq in hull.equations
     )

@@ -498,9 +498,10 @@ def list_rrt_drain(tree, new_node, delta_drain):
 def list_rrt_extend(mode, belief, target_point, horizon, stay, control_domain, rng):
     """Try 8 constant controls (7 uniform, 1 greedy least-squares toward
     the target), each propagated on its own; keep the survivor whose
-    final mean is closest to the target. Returns (best, exits): best is
-    (control, step beliefs) or None, and exits[i] is the step at which
-    candidate i left the stay cone (None if it stayed)."""
+    final mean is closest to the target. Returns (best, exits,
+    candidates): best is (control, step beliefs) or None, exits[i] is
+    the step at which candidate i left the stay cone (None if it stayed)
+    and candidates[i] is its control."""
     candidates = [list_polytope_sample(control_domain, rng)[0] for _ in range(7)]
     lo, hi = control_domain.bounding_box()
     greedy, *_ = np.linalg.lstsq(horizon * mode.B, target_point - belief.mean, rcond=None)
@@ -528,7 +529,7 @@ def list_rrt_extend(mode, belief, target_point, horizon, stay, control_domain, r
         if best_dist is None or dist < best_dist:
             best_dist = dist
             best = (u, tuple(beliefs))
-    return best, exits
+    return best, exits, candidates
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ forces a detour toward the light to collapse uncertainty before holding
 the tight chance-constrained target box at the origin.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -46,6 +47,7 @@ from oracles import bisect_quantile, oracle_monitor, random_formula, random_trac
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LIGHTDARK = os.path.join(HERE, os.pardir, "problems", "lightdark.json")
+DARKSWITCH = os.path.join(HERE, os.pardir, "bench", "darkswitch.json")
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -318,3 +320,40 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         b = (outs[1] / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
     _report(10, "two identical CLI runs produced byte-identical outputs")
+
+
+def _solves_digest(results) -> str:
+    """SHA-256 over each solve's plan segments and candidate log (as
+    JSON), then its trajectory means, covariances and controls; a solve
+    without a solution adds its candidate log only."""
+    h = hashlib.sha256()
+    for r in results:
+        if not r.ok:
+            h.update(json.dumps({"log": r.candidate_log}, sort_keys=True).encode())
+            continue
+        t = r.trajectory
+        doc = {
+            "plan": [[s.label, s.mode, s.dwell_min, s.dwell_max] for s in r.plan.segments],
+            "log": r.candidate_log,
+        }
+        h.update(json.dumps(doc, sort_keys=True).encode())
+        h.update(np.array([b.mean for b in t.beliefs]).tobytes())
+        h.update(np.array([b.cov for b in t.beliefs]).tobytes())
+        h.update(np.array(t.controls).tobytes())
+    return h.hexdigest()
+
+
+# Digests of RRT seeds 0-4 as the problem files set them up: a change to
+# any decision of the segment RRT or of the plan search, or to any bit of
+# a planned belief, changes them.
+PINNED_SOLVES = {
+    "lightdark": "8138bdc5644684e9cda93738bbd5afb49923d43f5d20db27130f9c2d6e8dc824",
+    "darkswitch": "77a0a679d723418e8238260f9732685012bdcdd4c2973ee4ffee09abba19aefb",
+}
+
+
+def test_solves_of_seeds_0_to_4_are_pinned(solutions):
+    problem, params, k_max, _, _ = load_problem(DARKSWITCH)
+    darkswitch = [solve(problem, params, k_max=k_max, rng=np.random.default_rng(s)) for s in SEEDS]
+    assert _solves_digest(solutions[s] for s in SEEDS) == PINNED_SOLVES["lightdark"]
+    assert _solves_digest(darkswitch) == PINNED_SOLVES["darkswitch"]

@@ -252,6 +252,17 @@ def test_load_vertices_hull_2d(tmp_path):
     assert not polytope_contains(P, [1.1, 0.0])
 
 
+def test_a_hull_qhull_cannot_build_exits_numeric_with_one_line(tmp_path, capsys):
+    """qhull's report runs to several lines; the message keeps its first."""
+    doc = _base_doc()
+    doc["control_domain"] = {"vertices": [[-1e308, -1e308], [1e308, -1e308], [0, 1e308]]}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, doc), "--validate-only"])
+    assert exc.value.code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "convex hull failed (QH6006 qhull option error" in err, err
+
+
 def test_control_domain_without_zero_exits_numeric(tmp_path, capsys):
     """A goal dwell applies u = 0, so the control domain must contain 0."""
     doc = _base_doc()
@@ -911,3 +922,28 @@ def test_fuzzed_simulation_block_exits_with_documented_code(doc):
             cli.main(["--problem", path, "--out", os.path.join(tmp, "out")])
     assert exc.value.code in DOCUMENTED_EXIT_CODES, err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("section", ["modes", "control_domain", "initial"])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_planner_inputs_exit_with_one_line(section, data):
+    """A short planning run on mutated modes, control domain or initial
+    belief ends with a documented exit code and no traceback; an error
+    exit writes exactly one line to stderr, a solution or no solution
+    none."""
+    doc = data.draw(_mutated_lightdark(section=section))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        argv = ["--problem", path, "--out", os.path.join(tmp, "out"), "--no-simulation",
+                "--iteration-cap", "50", "--k-max", "2"]
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+    assert exc.value.code in DOCUMENTED_EXIT_CODES, err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (exc.value.code not in (EXIT_SOLUTION, EXIT_NO_SOLUTION)), lines

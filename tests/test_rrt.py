@@ -31,6 +31,7 @@ from beliefplan.geometry import (
     ProbabilisticLinearPredicate,
     box_polytope,
     cone_contains,
+    polytope_sample,
 )
 
 
@@ -253,10 +254,12 @@ def test_extend_matches_per_candidate_reference():
     """Random modes (identity and non-identity A, with and without
     process noise, no observation, constant and state-dependent noise),
     random box cones and box, triangle and hexagon control domains: the
-    stacked extension returns the reference's control and end belief
-    bit for bit and draws the same numbers, rejected draws included."""
+    extension returns the reference's control and end belief bit for
+    bit and draws the same numbers, rejected draws included. In more
+    than 10 trials the candidate with the nearest final mean leaves the
+    cone and a farther one is kept."""
     rng = np.random.default_rng(77)
-    seen = {"none": 0, "staggered": 0, "partial": 0, "rejected": 0, "kinds": set()}
+    seen = {"none": 0, "staggered": 0, "partial": 0, "rejected": 0, "behind": 0, "kinds": set()}
     for trial in range(300):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 3))
@@ -276,7 +279,7 @@ def test_extend_matches_per_candidate_reference():
         horizon = int(rng.integers(1, 9))
         seed = int(rng.integers(1 << 30))
         r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected, exits = oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, r_ref)
+        expected, exits, candidates = oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, r_ref)
         got = rrt_extend(mode, start, target, horizon, stay, domain, r_new)
         assert _same_extension(got, expected), trial
         assert r_new.bit_generator.state == r_ref.bit_generator.state
@@ -287,9 +290,16 @@ def test_extend_matches_per_candidate_reference():
         seen["partial"] += expected is not None and bool(dead)
         seen["staggered"] += len(dead) > 1
         seen["rejected"] += r_plain.bit_generator.state != r_ref.bit_generator.state
+        finals = []
+        for u in candidates:
+            m_final = start.mean
+            for _ in range(horizon):
+                m_final = mode.A @ m_final + mode.B @ u
+            finals.append(np.linalg.norm(m_final - target))
+        seen["behind"] += expected is not None and exits[int(np.argmin(finals))] is not None
         seen["kinds"].add(mode.kind)
     assert seen["none"] > 10 and seen["partial"] > 10 and seen["staggered"] > 10
-    assert seen["rejected"] > 30
+    assert seen["rejected"] > 30 and seen["behind"] > 10
     assert seen["kinds"] == {"lbs", "polbs_linear", "polbs_nonlinear"}
 
 
@@ -317,7 +327,7 @@ def test_extend_matches_reference_with_zero_epsilon_cones():
         horizon = int(rng.integers(1, 9))
         seed = int(rng.integers(1 << 30))
         r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-        expected, _ = oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, r_ref)
+        expected, *_ = oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, r_ref)
         got = rrt_extend(mode, start, target, horizon, stay, domain, r_new)
         assert _same_extension(got, expected), trial
         assert r_new.bit_generator.state == r_ref.bit_generator.state
@@ -355,7 +365,7 @@ def test_chained_extensions_match_reference_at_depth():
             horizon = int(rng.integers(1, 7))
             seed = int(rng.integers(1 << 30))
             r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-            expected, _ = oracles.list_rrt_extend(mode, belief, target, horizon, stay, domain, r_ref)
+            expected, *_ = oracles.list_rrt_extend(mode, belief, target, horizon, stay, domain, r_ref)
             got = rrt_extend(mode, belief, target, horizon, stay, domain, r_new)
             assert _same_extension(got, expected), (trial, link)
             assert r_new.bit_generator.state == r_ref.bit_generator.state
@@ -461,6 +471,86 @@ def test_ill_conditioned_constant_noise_aborts_the_segment():
     with pytest.raises(IllConditionedUpdateError):
         propagate_mlo(sys.modes[0], start, [0.3, -0.7])
     _ill_conditioned_solve(sys, start)
+
+
+def test_a_failing_candidate_behind_a_survivor_is_not_evaluated():
+    """The square of the noise gain 1 + x1^400 overflows where
+    |x1| > 2.43, so a candidate whose third step gets there raises, but
+    it ranks behind the greedy candidate, whose final mean is at the
+    target: the extension keeps the greedy control without evaluating
+    the farther ones, and its end belief is the propagate_mlo replay of
+    that control. The per-candidate reference, which propagates every
+    candidate, raises."""
+    mode = SystemMode(A=np.eye(2), B=np.eye(2), W=np.zeros((2, 2)), C=np.eye(2), noise="1 + x1^400")
+    domain = box_polytope([(-1, 1), (-1, 1)])
+    start = make_belief([0.0, 0.0], 0.01 * np.eye(2))
+    stay = _box_cone([(-10, 10), (-10, 10)], 0.05)
+    target, horizon = np.array([0.0, 0.3]), 3
+    failing = [u for u in polytope_sample(domain, np.random.default_rng(0), 7) if abs(u[1]) > 0.85]
+    assert failing
+    b = start
+    with pytest.raises(IllConditionedUpdateError):
+        for _ in range(horizon):
+            b = propagate_mlo(mode, b, failing[0])
+    with pytest.raises(IllConditionedUpdateError):
+        oracles.list_rrt_extend(mode, start, target, horizon, stay, domain, np.random.default_rng(0))
+    u, end = rrt_extend(mode, start, target, horizon, stay, domain, np.random.default_rng(0))
+    assert np.allclose(u, [0.0, 0.1])
+    b = start
+    for _ in range(horizon):
+        b = propagate_mlo(mode, b, u)
+    assert _same_belief(end, b)
+
+
+@pytest.mark.parametrize("box, B", [
+    ([(0.3, 0.3), (-0.2, -0.2)], np.eye(2)),  # one point: every candidate is one control
+    ([(0.3, 0.3), (-1.0, 1.0)], [[1.0, 0.0], [0.0, 0.0]]),  # u1 moves no mean
+])
+def test_tied_candidates_keep_the_lowest_index(box, B):
+    """Where every candidate's final mean is the same, the extension
+    keeps candidate 0, the first uniform draw, as the per-candidate
+    reference does, bit for bit."""
+    mode = SystemMode(A=np.eye(2), B=B, W=np.zeros((2, 2)), C=np.eye(2), noise="0.1*(5 - x0)^2 + 0.001")
+    domain = box_polytope(box)
+    start = make_belief([0.0, 0.5], 0.1 * np.eye(2))
+    stay = _box_cone([(-5, 5), (-5, 5)], 0.05)
+    target = np.array([2.0, -1.0])
+    expected, exits, candidates = oracles.list_rrt_extend(
+        mode, start, target, 4, stay, domain, np.random.default_rng(3)
+    )
+    got = rrt_extend(mode, start, target, 4, stay, domain, np.random.default_rng(3))
+    assert len(candidates) == 8 and exits == [None] * 8
+    assert _same_extension(got, expected) and _same_bits(got[0], candidates[0])
+
+
+@pytest.mark.parametrize("kind", ["lbs", "polbs_linear"])
+def test_shared_covariance_walk_takes_at_most_horizon_steps(kind, monkeypatch):
+    """Without state-dependent noise one covariance walk serves every
+    candidate: an extension makes at most `horizon` mlo_covariance
+    calls, also where it evaluates several candidates."""
+    calls = {"cov": 0, "stay": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(belief_rrt, "mlo_covariance", counting("cov", belief_rrt.mlo_covariance))
+    monkeypatch.setattr(belief_rrt, "cone_holds", counting("stay", belief_rrt.cone_holds))
+    rng = np.random.default_rng(13)
+    several = 0
+    for trial in range(80):
+        mode = oracles.random_mode(rng, 2, 2, kind, process_noise=trial % 2 == 0)
+        start = make_belief(rng.normal(size=2), 0.05 * np.eye(2))
+        stay = _box_cone([(c - w, c + w) for c, w in zip(start.mean, rng.uniform(0.5, 3.0, size=2))], 0.05)
+        target = start.mean + rng.normal(scale=2.0, size=2)
+        horizon = int(rng.integers(1, 9))
+        calls.update(cov=0, stay=0)
+        rrt_extend(mode, start, target, horizon, stay, _PLANAR_DOMAINS[trial % 3], rng)
+        assert calls["cov"] <= horizon, trial
+        several += calls["stay"] > 1
+    assert several > 10
 
 
 def _assert_exits(tmp_path, capsys, doc, code, message):
