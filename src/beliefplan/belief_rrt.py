@@ -235,11 +235,11 @@ def rrt_extend(
 
 def _covariances(mode: SystemMode, cov: np.ndarray, path: np.ndarray) -> np.ndarray:
     """The (horizon, n, n) MLO covariances from `cov` along one (horizon,
-    n) mean path, one mlo_covariance row per step."""
-    covs = [cov[None]]
+    n) mean path, one mlo_covariance call per step."""
+    covs = [cov]
     for mean in path:
-        covs.append(mlo_covariance(mode, covs[-1], mean[None]))
-    return np.concatenate(covs[1:])
+        covs.append(mlo_covariance(mode, covs[-1], mean))
+    return np.stack(covs[1:])
 
 
 def rrt_drain(tree: RrtTree, node_id: int, delta_drain: float) -> None:
@@ -345,18 +345,17 @@ def _goal_empty(mode: SystemMode, task: SegmentTask, cov: np.ndarray) -> bool:
     repeats. A step that raises gives no verdict; the search raises it
     if it gets there."""
     last_goal_depth = task.max_total_steps - task.min_dwell_in_goal
-    covs = cov[None]
     for depth in range(1, task.max_total_steps + 1):
         try:
-            before, covs = covs, mlo_covariance(mode, covs)
-            spreads = (cone_spread(task.goal, covs), cone_spread(task.stay, covs))
+            before, cov = cov, mlo_covariance(mode, cov)
+            spreads = (cone_spread(task.goal, cov[None]), cone_spread(task.stay, cov[None]))
         except (InvalidCovarianceError, IllConditionedUpdateError):
             return False
         if depth <= last_goal_depth and not mean_region_empty(
-            (task.goal, task.stay), spreads, covs.shape[-1]
+            (task.goal, task.stay), spreads, cov.shape[-1]
         ):
             return False
-        if np.array_equal(covs, before):
+        if np.array_equal(cov, before):
             return True
     return True
 

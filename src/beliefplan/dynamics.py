@@ -27,7 +27,7 @@ from .formula import parse_noise
 from .gaussian import (
     BeliefState,
     checked_cov,
-    checked_covs_2x2,
+    checked_cov_2x2,
     checked_mean,
     make_belief,
     symmetric_eigenvalues,
@@ -62,7 +62,8 @@ class ScalarExpression:
 
     def __call__(self, x):
         """The value at one state (n,), a Python float, or at each row of
-        a (k, n) stack, a (k,) array with the same bits per row."""
+        a (k, n) stack, a (k,) array with the same bits per row (the
+        form the tests' reference MLO step reads)."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(
@@ -246,21 +247,16 @@ class SwitchedSystem:
 # ---------------------------------------------------------------------------
 
 def noise_cov(mode: SystemMode, x) -> np.ndarray:
-    """Measurement covariance R(x) = n(x) n(x)^T, at one state or at
-    each row of a stack of states. A gain that overflows gives a
-    non-finite R without a numpy warning; the condition test of the
-    update then rejects it."""
+    """Measurement covariance R(x) = n(x) n(x)^T at one state x (n,). A
+    gain that overflows gives a non-finite R without a numpy warning;
+    the condition test of the update then rejects it."""
     p = mode.obs_dim
     if p == 0:
         raise NoObservationError("mode has no observation (p = 0)")
-    scalar = isinstance(mode.noise, ScalarExpression)
-    if scalar and np.ndim(x) == 1:  # on Python floats, which warn on nothing
+    if isinstance(mode.noise, ScalarExpression):  # on Python floats, which warn on nothing
         return np.array(_scalar_noise_cov(mode.noise(x), p)).reshape(p, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        if not scalar:
-            return mode.noise @ mode.noise.T
-        gain = mode.noise(x)  # one value per row of a stack
-        return (gain * gain)[:, None, None] * _identity(p)
+        return mode.noise @ mode.noise.T
 
 
 def _scalar_noise_cov(gain: float, p: int) -> list:
@@ -291,19 +287,19 @@ def _predict_cov(mode: SystemMode, cov):
 
 def _update(mode: SystemMode, cov, R):
     """Kalman gain and unchecked Joseph-form covariance of one
-    covariance or a stack, after the condition test on the symmetrized
-    innovation matrix."""
+    covariance, after the condition test on the symmetrized innovation
+    matrix."""
     C = mode.C
     S = C @ cov @ C.T + R
-    S = 0.5 * (S + S.mT)
+    S = 0.5 * (S + S.T)
     if S.shape[-1] > 2 and not np.isfinite(S).all():  # eigvalsh needs finite entries
         raise _condition_error(False)
-    mags = (sorted(map(abs, eigs)) for eigs in symmetric_eigenvalues(S))
-    if any(_ill_conditioned(m[0], m[-1]) for m in mags):
+    mags = sorted(map(abs, symmetric_eigenvalues(S)))
+    if _ill_conditioned(mags[0], mags[-1]):
         raise _condition_error(np.isfinite(S).all())
-    K = np.linalg.solve(S, C @ cov).mT
+    K = np.linalg.solve(S, C @ cov).T
     IKC = _identity(mode.state_dim) - K @ C
-    return K, IKC @ cov @ IKC.mT + K @ R @ K.mT
+    return K, IKC @ cov @ IKC.T + K @ R @ K.T
 
 
 def _ill_conditioned(small: float, large: float) -> bool:
@@ -325,69 +321,52 @@ def _condition_error(finite) -> IllConditionedUpdateError:
 
 
 # The covariance step of a mode with n = p = 2 (every shipped problem),
-# one body for the filter and the MLO step, on Python floats: 2-by-2
-# matrices as their row-major entries, a stack of them as one flat list
-# read four at a time. numpy's 2-by-2 matmul goes through BLAS, which may
-# fuse a multiply and an add, so these products can differ from the array
-# path's in the last bit.
+# one body for the filter and the MLO step, on Python floats: a 2-by-2
+# matrix as the tuple of its row-major entries. numpy's 2-by-2 matmul
+# goes through BLAS, which may fuse a multiply and an add, so these
+# products can differ from the array path's in the last bit.
 
-def _predict_covs_2x2(mode: SystemMode, covs: list) -> list:
-    """A P A^T + W W^T of each P: the entries of the products M = A P,
-    then M A^T + W W^T."""
+def _predict_cov_2x2(mode: SystemMode, P) -> tuple:
+    """A P A^T + W W^T: the entries of the product M = A P, then
+    M A^T + W W^T."""
     (a0, a1, a2, a3), (w0, w1, w2, w3), _, _ = mode.closed_form
-    out, rows = [], iter(covs)
-    for p0, p1, p2, p3 in zip(rows, rows, rows, rows):
-        m0, m1, m2, m3 = a0 * p0 + a1 * p2, a0 * p1 + a1 * p3, a2 * p0 + a3 * p2, a2 * p1 + a3 * p3
-        out += (m0 * a0 + m1 * a1 + w0, m0 * a2 + m1 * a3 + w1, m2 * a0 + m3 * a1 + w2, m2 * a2 + m3 * a3 + w3)
-    return out
+    p0, p1, p2, p3 = P
+    m0, m1, m2, m3 = a0 * p0 + a1 * p2, a0 * p1 + a1 * p3, a2 * p0 + a3 * p2, a2 * p1 + a3 * p3
+    return (m0 * a0 + m1 * a1 + w0, m0 * a2 + m1 * a3 + w1, m2 * a0 + m3 * a1 + w2, m2 * a2 + m3 * a3 + w3)
 
 
-def _update_2x2(mode: SystemMode, covs: list, means):
-    """_update on Python floats, phase by phase over the rows: S for
-    every row, with R read at each of the means (one shared prior then
-    widens to one per mean), then the condition test over all of them,
-    then each row's gain and covariance, returned as the list of gains
-    (row-major K) and the covariances. The gain solves against S scaled
-    by its largest entry, so no determinant under- or overflows where
-    np.linalg.solve would not."""
+def _update_2x2(mode: SystemMode, P, mean):
+    """_update on Python floats for one prior P, with a state-dependent
+    R read at `mean`: S, the condition test, then the gain K and the
+    Joseph-form covariance, returned as row-major 4-tuples. The gain
+    solves against S scaled by its largest entry, so no determinant
+    under- or overflows where np.linalg.solve would not."""
     _, _, (c0, c1, c2, c3), R = mode.closed_form
-    rows = iter(covs)
-    Ps = list(zip(rows, rows, rows, rows))
     if R is None:
-        g2s = [g * g for g in map(mode.noise.evaluate, means)]
-        Rs = [(g2, g2 * 0.0, g2 * 0.0, g2) for g2 in g2s]  # _scalar_noise_cov's entries
-        Ps = Ps * len(Rs) if len(Ps) == 1 else Ps
-    else:
-        Rs = [R] * len(Ps)
-    Ss, ill = [], False
-    for (p0, p1, p2, p3), (r0, r1, r2, r3) in zip(Ps, Rs):
-        q0, q1, q2, q3 = c0 * p0 + c1 * p2, c0 * p1 + c1 * p3, c2 * p0 + c3 * p2, c2 * p1 + c3 * p3  # C P
-        s0, s1 = q0 * c0 + q1 * c1 + r0, q0 * c2 + q1 * c3 + r1
-        s2, s3 = q2 * c0 + q3 * c1 + r2, q2 * c2 + q3 * c3 + r3
-        s00, s01, s11 = 0.5 * (s0 + s0), 0.5 * (s1 + s2), 0.5 * (s3 + s3)
-        # |eigenvalues_2x2(s00, s01, s11)| are |mid -+ radius|, that is |mid| -+ radius
-        mid, radius = abs((s00 + s11) / 2), math.hypot((s00 - s11) / 2, s01)
-        ill = ill or _ill_conditioned(abs(mid - radius), mid + radius)
-        Ss.append((s00, s01, s11, q0, q1, q2, q3))
-    if ill:
-        raise _condition_error(all(math.isfinite(v) for S in Ss for v in S[:3]))
-    Ks, out = [], []
-    for (p0, p1, p2, p3), (r0, r1, r2, r3), (s00, s01, s11, q0, q1, q2, q3) in zip(Ps, Rs, Ss):
-        scale = max(abs(s00), abs(s01), abs(s11))
-        e00, e01, e11 = s00 / scale, s01 / scale, s11 / scale
-        det, e10 = e00 * e11 - e01 * e01, -e01
-        # K = (S^-1 C P)^T, from adj(S / scale) C P
-        k0, k2 = (e11 * q0 + e10 * q2) / scale / det, (e11 * q1 + e10 * q3) / scale / det
-        k1, k3 = (e10 * q0 + e00 * q2) / scale / det, (e10 * q1 + e00 * q3) / scale / det
-        i0, i1 = 1.0 - (k0 * c0 + k1 * c2), -(k0 * c1 + k1 * c3)  # I - K C
-        i2, i3 = -(k2 * c0 + k3 * c2), 1.0 - (k2 * c1 + k3 * c3)
-        m0, m1, m2, m3 = i0 * p0 + i1 * p2, i0 * p1 + i1 * p3, i2 * p0 + i3 * p2, i2 * p1 + i3 * p3
-        n0, n1, n2, n3 = k0 * r0 + k1 * r2, k0 * r1 + k1 * r3, k2 * r0 + k3 * r2, k2 * r1 + k3 * r3
-        Ks.append((k0, k1, k2, k3))
-        out += (  # (I - K C) P (I - K C)^T + K R K^T
-            m0 * i0 + m1 * i1 + (n0 * k0 + n1 * k1), m0 * i2 + m1 * i3 + (n0 * k2 + n1 * k3),
-            m2 * i0 + m3 * i1 + (n2 * k0 + n3 * k1), m2 * i2 + m3 * i3 + (n2 * k2 + n3 * k3))
-    return Ks, out
+        R = _scalar_noise_cov(mode.noise.evaluate(mean), 2)
+    p0, p1, p2, p3 = P
+    r0, r1, r2, r3 = R
+    q0, q1, q2, q3 = c0 * p0 + c1 * p2, c0 * p1 + c1 * p3, c2 * p0 + c3 * p2, c2 * p1 + c3 * p3  # C P
+    s0, s1 = q0 * c0 + q1 * c1 + r0, q0 * c2 + q1 * c3 + r1
+    s2, s3 = q2 * c0 + q3 * c1 + r2, q2 * c2 + q3 * c3 + r3
+    s00, s01, s11 = 0.5 * (s0 + s0), 0.5 * (s1 + s2), 0.5 * (s3 + s3)
+    # |eigenvalues_2x2(s00, s01, s11)| are |mid -+ radius|, that is |mid| -+ radius
+    mid, radius = abs((s00 + s11) / 2), math.hypot((s00 - s11) / 2, s01)
+    if _ill_conditioned(abs(mid - radius), mid + radius):
+        raise _condition_error(all(map(math.isfinite, (s00, s01, s11))))
+    scale = max(abs(s00), abs(s01), abs(s11))
+    e00, e01, e11 = s00 / scale, s01 / scale, s11 / scale
+    det, e10 = e00 * e11 - e01 * e01, -e01
+    # K = (S^-1 C P)^T, from adj(S / scale) C P
+    k0, k2 = (e11 * q0 + e10 * q2) / scale / det, (e11 * q1 + e10 * q3) / scale / det
+    k1, k3 = (e10 * q0 + e00 * q2) / scale / det, (e10 * q1 + e00 * q3) / scale / det
+    i0, i1 = 1.0 - (k0 * c0 + k1 * c2), -(k0 * c1 + k1 * c3)  # I - K C
+    i2, i3 = -(k2 * c0 + k3 * c2), 1.0 - (k2 * c1 + k3 * c3)
+    m0, m1, m2, m3 = i0 * p0 + i1 * p2, i0 * p1 + i1 * p3, i2 * p0 + i3 * p2, i2 * p1 + i3 * p3
+    n0, n1, n2, n3 = k0 * r0 + k1 * r2, k0 * r1 + k1 * r3, k2 * r0 + k3 * r2, k2 * r1 + k3 * r3
+    return (k0, k1, k2, k3), (  # (I - K C) P (I - K C)^T + K R K^T
+        m0 * i0 + m1 * i1 + (n0 * k0 + n1 * k1), m0 * i2 + m1 * i3 + (n0 * k2 + n1 * k3),
+        m2 * i0 + m3 * i1 + (n2 * k0 + n3 * k1), m2 * i2 + m3 * i3 + (n2 * k2 + n3 * k3))
 
 
 def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
@@ -407,7 +386,7 @@ def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
     mean = _predicted_mean(mode, b, u)
     if mode.closed_form:
-        cov = _predict_covs_2x2(mode, b.cov.ravel().tolist())
+        cov = _predict_cov_2x2(mode, b.cov.ravel().tolist())
         return make_belief(mean, (cov[:2], cov[2:]))
     return make_belief(mean, _predict_cov(mode, b.cov))
 
@@ -422,9 +401,8 @@ def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
     if mode.closed_form:
         m0, m1 = b.mean.tolist()
-        (K,), cov = _update_2x2(mode, b.cov.ravel().tolist(), [(m0, m1)])
+        (k00, k01, k10, k11), cov = _update_2x2(mode, b.cov.ravel().tolist(), (m0, m1))
         c00, c01, c10, c11 = mode.closed_form[2]
-        k00, k01, k10, k11 = K
         y0, y1 = y.tolist()
         v0, v1 = y0 - (c00 * m0 + c01 * m1), y1 - (c10 * m0 + c11 * m1)
         mean = (m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1))
@@ -438,7 +416,7 @@ def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     y* = C mean' (zero innovation): the mean is the predicted mean and
     only the covariance contracts, as mlo_covariance computes it."""
     mean = _predicted_mean(mode, b, u)
-    return make_belief(mean, mlo_covariance(mode, b.cov[None], mean[None])[0])
+    return make_belief(mean, mlo_covariance(mode, b.cov, mean))
 
 
 def predict_means(mode: SystemMode, means, us):
@@ -448,25 +426,22 @@ def predict_means(mode: SystemMode, means, us):
     return checked_mean(_mv(mode.A, means) + _mv(mode.B, us))
 
 
-def mlo_covariance(mode: SystemMode, covs, means=None):
-    """The covariance of one MLO step, whose mean is predict_means'
-    predicted mean: the predicted covariances, checked; for an observed
-    mode then the condition test, the Kalman gain under R(means) and the
-    Joseph-form covariance, checked. Each check covers the whole stack
-    before the next phase starts; for n = p = 2 each phase runs on
-    Python floats, row by row.
+def mlo_covariance(mode: SystemMode, cov, mean=None):
+    """The (n, n) covariance of one MLO step from `cov`, whose mean is
+    predict_means' predicted mean `mean`: the predicted covariance,
+    checked; for an observed mode then the condition test, the Kalman
+    gain under R(mean) and the Joseph-form covariance, checked. For
+    n = p = 2 it runs on Python floats.
 
-    covs is (k, n, n), or one (1, n, n) shared by every row. Only
-    state-dependent noise reads the predicted means, and its R(means)
-    widens a shared covariance to one per row; otherwise the result uses
-    neither the controls nor the means, so it is the same for every
+    Only state-dependent noise reads the mean; otherwise the result
+    uses neither the control nor the mean, so it is the same for every
     belief that starts from the same covariance."""
     if not mode.closed_form:
-        covs = checked_cov(_predict_cov(mode, covs))
-        return covs if mode.obs_dim == 0 else checked_cov(_update(mode, covs, noise_cov(mode, means))[1])
-    priors = checked_covs_2x2(_predict_covs_2x2(mode, covs.ravel().tolist()))
-    _, covs = _update_2x2(mode, priors, None if means is None else means.tolist())
-    return np.array(checked_covs_2x2(covs)).reshape(-1, 2, 2)
+        cov = checked_cov(_predict_cov(mode, cov))
+        return cov if mode.obs_dim == 0 else checked_cov(_update(mode, cov, noise_cov(mode, mean))[1])
+    prior = checked_cov_2x2(_predict_cov_2x2(mode, cov.ravel().tolist()))
+    _, cov = _update_2x2(mode, prior, None if mean is None else mean.tolist())
+    return np.array(checked_cov_2x2(cov)).reshape(2, 2)
 
 
 def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:

@@ -77,14 +77,13 @@ def checked_mean(mean: np.ndarray) -> np.ndarray:
 
 
 def checked_cov(cov: np.ndarray) -> np.ndarray:
-    """The covariance checks of make_belief on one covariance, or on a
-    stack of them along a leading axis: finite entries, before and after
-    the symmetrization (an entry above about 9e307 overflows it),
-    asymmetry at most 1e-6, no eigenvalue below -1e-9, each over the
-    whole stack in that order. Returns the symmetrized covariance(s)."""
+    """The covariance checks of make_belief on one n-by-n covariance, in
+    this order: finite entries, before and after the symmetrization (an
+    entry above about 9e307 overflows it), asymmetry at most 1e-6, no
+    eigenvalue below -1e-9. Returns the symmetrized covariance."""
     n = cov.shape[-1]
     if n == 2:
-        return np.array(checked_covs_2x2(cov.ravel().tolist())).reshape(cov.shape)
+        return np.array(checked_cov_2x2(cov.ravel().tolist())).reshape(2, 2)
     if n < 2:  # on Python floats, with numpy's rounding
         sym = [0.5 * (a + a) for a in cov.ravel().tolist()]
         if not all(map(math.isfinite, sym)):
@@ -94,13 +93,12 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
     finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
     if finite:
         with np.errstate(over="ignore"):  # an overflow fails a check below
-            sym = 0.5 * (cov + cov.mT)
-            asym = np.abs(cov - cov.mT).max() if cov.size else 0.0
+            sym = 0.5 * (cov + cov.T)
+            asym = np.abs(cov - cov.T).max()
         finite = np.isfinite(sym).all()
     if not finite:
         raise InvalidCovarianceError("non-finite entries in belief state")
-    smallest = min((eigs[0] for eigs in symmetric_eigenvalues(sym)), default=0.0)
-    _check_limits(asym, smallest)
+    _check_limits(asym, symmetric_eigenvalues(sym)[0])
     return sym
 
 
@@ -112,38 +110,31 @@ def _check_limits(asym: float, smallest: float) -> None:
         raise InvalidCovarianceError(f"covariance has negative eigenvalue {smallest:g}")
 
 
-def checked_covs_2x2(flat: list) -> list:
-    """checked_cov on 2-by-2 covariances given by their row-major
-    entries, one flat list of Python floats, with numpy's rounding (so
-    the same bits and verdicts): returns the symmetrized entries."""
-    sym, asym, smallest = [], 0.0, math.inf
-    rows = iter(flat)
-    for a, b, c, d in zip(rows, rows, rows, rows):
-        if abs(b - c) > asym:
-            asym = abs(b - c)
-        a, b, d = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
-        sym += (a, b, b, d)
-        low = (a + d) / 2 - math.hypot((a - d) / 2, b)  # eigenvalues_2x2(a, b, d)[0]
-        if low < smallest:
-            smallest = low
+def checked_cov_2x2(P) -> tuple:
+    """checked_cov on one 2-by-2 covariance given by its row-major
+    entries, Python floats, with numpy's rounding (so the same bits and
+    verdicts): returns the symmetrized entries."""
+    a, b, c, d = P
+    asym = abs(b - c)
+    a, b, d = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
     # a non-finite entry makes a non-finite symmetrized one
-    if not all(map(math.isfinite, sym)):
+    if not all(map(math.isfinite, (a, b, d))):
         raise InvalidCovarianceError("non-finite entries in belief state")
-    _check_limits(asym, smallest if sym else 0.0)
-    return sym
+    _check_limits(asym, (a + d) / 2 - math.hypot((a - d) / 2, b))  # eigenvalues_2x2(a, b, d)[0]
+    return a, b, b, d
 
 
 def symmetric_eigenvalues(sym: np.ndarray) -> list:
-    """The eigenvalues of each matrix of a symmetric (..., n, n) stack,
-    ascending, as one list of Python floats per matrix in stack order.
-    Up to n = 2 in closed form (eigenvalues_2x2). Beyond n = 2 one
-    eigvalsh call, on finite entries only."""
+    """The eigenvalues of one symmetric n-by-n matrix, ascending, as a
+    list of Python floats. Up to n = 2 in closed form (eigenvalues_2x2);
+    beyond n = 2 by eigvalsh, on finite entries only."""
     n = sym.shape[-1]
     if n > 2:
-        return np.linalg.eigvalsh(sym).reshape(-1, n).tolist()
+        return np.linalg.eigvalsh(sym).tolist()
     if n < 2:
-        return [[a] for a in sym.ravel().tolist()]
-    return [eigenvalues_2x2(a, b, d) for a, b, _, d in sym.reshape(-1, 4).tolist()]
+        return sym.ravel().tolist()
+    a, b, _, d = sym.ravel().tolist()
+    return eigenvalues_2x2(a, b, d)
 
 
 def eigenvalues_2x2(a: float, b: float, d: float) -> list:

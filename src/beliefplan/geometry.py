@@ -319,8 +319,8 @@ def cone_contains(cone: BeliefCone, b: BeliefState):
 
 
 def cone_holds(cone: BeliefCone, means, spread) -> np.ndarray:
-    """cone_contains for each of the (B, n) means, from the cone_spread
-    of their covariances: (B, k), or one (1, k) row shared by every
+    """cone_contains for each of the (B, n) means, from the (B, k)
+    cone_spread of their covariances; one (1, k) row broadcasts to every
     mean. Per row, the stacked products give the bits of one
     constraint's 1-D products at one belief."""
     return (_spread_margins(cone, means, spread) <= CONTAINMENT_TOL).all(axis=1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from beliefplan import cli, discrete_planner
+from beliefplan import cli, discrete_planner, synthesis
 from beliefplan.cli import (
     EXIT_FORMULA,
     EXIT_INTERNAL,
@@ -640,6 +640,21 @@ def test_rejected_dwell_vector_exits_internal(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "fail the word monitor" in err
     assert "Traceback" not in err
+
+
+def test_rejected_realized_dwells_exit_no_solution(tmp_path, monkeypatch, capsys):
+    """A word monitor that rejects every candidate's realized dwells
+    leaves no plan: the run exits 1 without a traceback, and plan.json
+    logs those candidates as "realized-dwell"."""
+    monkeypatch.setattr(synthesis, "monitor_word", lambda f, word: False)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, _small_doc()), "--out", str(out), "--iteration-cap", "300"])
+    assert exc.value.code == EXIT_NO_SOLUTION
+    assert "Traceback" not in capsys.readouterr().err
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["status"] == "no-solution"
+    assert "realized-dwell" in [c["outcome"] for c in plan["candidates"]]
 
 
 def test_exit_code_formula(tmp_path):

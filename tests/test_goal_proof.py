@@ -98,8 +98,8 @@ def _grid(task, start, points):
 
 
 def _covariances(mode, cov, depth):
-    """The (1, n, n) covariances of 0 to `depth` MLO steps from cov."""
-    rows = [cov[None]]
+    """The covariances of 0 to `depth` MLO steps from cov."""
+    rows = [cov]
     for _ in range(depth):
         rows.append(mlo_covariance(mode, rows[-1]))
     return rows
@@ -112,8 +112,8 @@ def _grid_hits(sys, task, start, depth_rows):
     rows = _covariances(sys.modes[0], start.cov, max(depth_rows, default=0))
     hits = []
     for d in depth_rows:
-        inside = cone_holds(task.goal, grid, cone_spread(task.goal, rows[d]))
-        inside &= cone_holds(task.stay, grid, cone_spread(task.stay, rows[d]))
+        inside = cone_holds(task.goal, grid, cone_spread(task.goal, rows[d][None]))
+        inside &= cone_holds(task.stay, grid, cone_spread(task.stay, rows[d][None]))
         if inside.any():
             hits.append(d)
     return hits
@@ -262,7 +262,7 @@ def test_fixed_point_stop_after_a_repeated_row(monkeypatch):
     assert _goal_empty(mode, task, start.cov)
     assert len(steps) == 2
     assert np.array_equal(steps[1], steps[0])
-    assert not np.array_equal(steps[0], start.cov[None])
+    assert not np.array_equal(steps[0], start.cov)
     noisy = SystemMode(A=mode.A, B=mode.B, W=0.01 * np.eye(2))
     steps.clear()
     task = replace(task, min_dwell_in_goal=5)
@@ -287,7 +287,7 @@ def test_lp_prunes_a_slanted_goal_the_box_cannot_decide():
             _row([-1.0, -1.0], total, 0.05),
         ))
         task = SegmentTask(mode=0, stay=stay, goal=goal, min_dwell_in_goal=0, max_total_steps=10)
-        cov = mlo_covariance(sys.modes[0], start.cov[None])
+        cov = mlo_covariance(sys.modes[0], start.cov)[None]
         spreads = (cone_spread(goal, cov), cone_spread(stay, cov))
         H = np.concatenate([goal.H, stay.H])
         offsets = np.concatenate([goal.c + spreads[0][0], stay.c + spreads[1][0]])

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from beliefplan import synthesis
 from beliefplan.belief_rrt import RrtParams
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.formula import Until, always, monitor, named, parse_formula
@@ -110,6 +111,55 @@ def test_solve_records_counterexamples_and_continues():
     first = res.candidate_log[0]
     assert first["plan"] == [["goal", 0]]
     assert first["outcome"] == "infeasible-start"
+
+
+def test_rejected_realized_dwells_are_counterexamples(monkeypatch):
+    """The word monitor on a candidate's realized dwells, made to reject
+    them: every candidate whose segments all solve is logged as
+    "realized-dwell" at its last segment K - 1, and its full signature
+    becomes a counterexample; every other one fails at its first failing
+    segment. With nothing left to propose, solve ends with no plan."""
+    words, solved = [], []
+    solve_segment = synthesis.solve_segment
+
+    def reject(f, word):
+        words.append(word)
+        return False
+
+    def recording(*args):
+        result = solve_segment(*args)
+        solved.append(result.ok)
+        return result
+
+    monkeypatch.setattr(synthesis, "monitor_word", reject)
+    monkeypatch.setattr(synthesis, "solve_segment", recording)
+    problem = _simple_problem(
+        "(safe) U[0,20] G[0,5] (goal)",
+        named_texts=[
+            ("safe", "P(-x0 <= 1) >= 0.95 & P(x0 <= 6) >= 0.95"),
+            ("goal", "P(x0 - 5 <= 0.3) >= 0.9 & P(5 - x0 <= 0.3) >= 0.9"),
+        ],
+        num_modes=2,
+    )
+    res = solve(problem, _params(cap=300), k_max=3, rng=np.random.default_rng(0))
+    assert not res.ok and res.plan is None
+    counterexamples = [tuple(map(tuple, c)) for c in res.counterexamples]
+    rejected = 0
+    for entry in res.candidate_log:
+        signature = tuple(map(tuple, entry["plan"]))
+        assert signature[: entry["failed_segment"] + 1] in counterexamples
+        if entry["outcome"] == "realized-dwell":
+            K = len(signature)
+            assert entry["failed_segment"] == K - 1
+            assert solved[:K] == [True] * K
+            rejected += 1
+        else:
+            K = entry["failed_segment"] + 1
+            assert solved[:K] == [True] * (K - 1) + [False]
+        del solved[:K]
+    assert solved == []
+    assert len(words) == rejected == 8
+    assert {len(e["plan"]) for e in res.candidate_log if e["outcome"] == "realized-dwell"} == {2, 3}
 
 
 def test_solve_deterministic_given_seed():

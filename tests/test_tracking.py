@@ -1,9 +1,11 @@
 import hashlib
 import importlib
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chi2
 
 from beliefplan import cli, dynamics, formula, synthesis, tracking
 from beliefplan.belief_rrt import InternalConsistencyError
@@ -381,3 +383,74 @@ def test_tracked_execution_bits_are_pinned():
         verdicts.append(verdict)
     assert verdicts.count(True) == 9 and verdicts.count(None) == 3
     assert digest.hexdigest() == "f5ff24355623be9722dca844f2402cf7727bc256f86c1c79f69b93913f279009"
+
+
+LIGHTDARK_LINEAR = os.path.join(HERE, "data", "lightdark_linear.json")
+LIGHTDARK_LINEAR_PLAN = os.path.join(HERE, "data", "lightdark_linear_seed0", "trajectory.csv")
+
+
+def _tracked_runs(problem_path, plan_path, runs, seed):
+    """`runs` tracked executions of a plan against the planner's own
+    model, each from a true x0 drawn from the plan's initial belief:
+    the estimated means (K, T + 1, n) and covariances (K, T + 1, n, n)
+    and the true states (K, T + 1, n)."""
+    problem, *_ = cli.load_problem(problem_path)
+    ref = read_trajectory_csv(plan_path)
+    sys = problem.system
+    gains = {0: lqr_gains(sys.modes[0], 5, np.eye(2), np.eye(2), 0.05 * np.eye(2))}
+    rng = np.random.default_rng(seed)
+    start = ref.beliefs[0]
+    root = np.linalg.cholesky(start.cov)
+    means, covs, truth = [], [], []
+    for _ in range(runs):
+        x0 = start.mean + root @ rng.standard_normal(start.dim)
+        est, xs = simulate(sys, sys, ref, x0, ref.num_steps, gains, rng)
+        means.append([b.mean for b in est.beliefs])
+        covs.append([b.cov for b in est.beliefs])
+        truth.append(xs)
+    return problem, np.array(means), np.array(covs), np.array(truth)
+
+
+def test_tracked_filter_is_calibrated_against_the_true_state():
+    """A statistical oracle for the filter. The seed-0 plan of
+    tests/data/lightdark_linear (constant noise, W = 0.05 I) is tracked
+    K = 200 times against its own model. The filter's belief is then
+    the exact posterior, so at every step the NEES e^T P^-1 e of the
+    error e = x - mean is chi-square with 2 degrees of freedom, and the
+    runs are independent (Bar-Shalom, Li & Kirubarajan, 2001). Each
+    family of checks below has a false-alarm rate of at most 1e-3,
+    shared over its steps and predicates (Bonferroni):
+    - per step, K times the mean NEES over the runs is chi-square with
+      2K degrees of freedom;
+    - pooled, the mean NEES is the mean of K independent run averages,
+      each of variance at most 4, so within z 2 / sqrt(K) of 2;
+    - for each predicate P(h.x + c <= 0) >= 1 - eps of the formula and
+      each step, each of the N runs whose estimate satisfies it has the
+      true state violate h.x + c <= 0 with probability at most eps, so
+      the violations are at most the binomial (N, eps) bound.
+    The steps within a run are not independent; the runs are the
+    sample."""
+    K, alpha = 200, 1e-3
+    problem, means, covs, truth = _tracked_runs(LIGHTDARK_LINEAR, LIGHTDARK_LINEAR_PLAN, K, 2006)
+    steps = means.shape[1]
+    e = truth - means
+    nees = np.einsum("kti,ktij,ktj->kt", e, np.linalg.inv(covs), e)
+    lo, hi = chi2.ppf([alpha / steps / 2, 1 - alpha / steps / 2], 2 * K) / K
+    per_step = nees.mean(axis=0)
+    assert lo <= per_step.min() and per_step.max() <= hi, (per_step.min(), per_step.max())
+    z = NormalDist().inv_cdf(1 - alpha / 2)
+    assert abs(nees.mean() - 2.0) <= z * 2.0 / np.sqrt(K), nees.mean()
+    preds = [p for a in formula.atomic_propositions(problem.formula) for p in a.cone.constraints]
+    assert len(preds) == 8
+    checked = 0
+    for p in preds:
+        h, c, eps = p.expr.h, p.expr.c, p.epsilon
+        spread = NormalDist().inv_cdf(1 - eps) * np.sqrt(np.einsum("i,ktij,j->kt", h, covs, h))
+        passes = means @ h + c + spread <= 0.0
+        violations = (passes & (truth @ h + c > 0.0)).sum(axis=0)
+        runs = passes.sum(axis=0)
+        bound = binom.ppf(1 - alpha / (len(preds) * steps), runs, eps)
+        assert (violations <= bound).all(), (p, (violations - bound).max())
+        checked += (bound < runs).sum()  # steps where the bound can fail
+    assert checked > 1000
+
