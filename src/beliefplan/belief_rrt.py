@@ -72,7 +72,7 @@ class RrtParams:
     def __post_init__(self):
         if self.rrt_timeout is None and self.iteration_cap is None:
             raise ValueError("either rrt_timeout or iteration_cap is required")
-        if self.rrt_timeout is not None and self.rrt_timeout <= 0:
+        if self.rrt_timeout is not None and not self.rrt_timeout > 0:  # NaN too
             raise ValueError("rrt_timeout must be positive")
         if self.iteration_cap is not None and self.iteration_cap < 1:
             raise ValueError("iteration_cap must be at least 1")

@@ -221,6 +221,10 @@ def load_problem(path: str):
     for fname, text in named_doc.items():
         if not isinstance(text, str):
             raise SchemaError(f"$.named_formulas.{fname}: expected a string")
+        if fname in formula.KEYWORDS:
+            raise NameCollisionError(
+                f"$.named_formulas.{fname}: {fname!r} is a keyword of the formula grammar"
+            )
         parsed = _parse_entry(text, f"$.named_formulas.{fname}", n, len(modes), named)
         try:
             parsed = formula.named(parsed, fname)

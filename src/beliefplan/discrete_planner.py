@@ -6,10 +6,10 @@ then lexicographic over (atomic declaration index, mode) -- so the
 CEGIS trace is reproducible. Counterexamples exclude (atomic, mode)
 sequence prefixes of plans whose continuous realization failed.
 
-A sequence is emitted only if some dwell assignment induces a word that
-satisfies the specification under the word monitor; each emitted dwell
-window is the least and greatest dwell of its segment over all
-satisfying assignments (see dwell_search).
+A sequence is emitted only if some dwell assignment satisfies the
+specification under the word monitor, on the run-length word that holds
+each segment for its dwell; each emitted dwell window is the least and
+greatest dwell of its segment over all satisfying assignments.
 """
 
 from __future__ import annotations
@@ -134,15 +134,6 @@ def abstract(f, sys: SwitchedSystem) -> Abstraction:
     return Abstraction(atomics, num_modes)
 
 
-def signature_word(signature, dwells) -> list:
-    """Word of a (label, mode) signature held for the given dwells, with
-    no window check: each pair is repeated for its dwell."""
-    word = []
-    for (label, mode), d in zip(signature, dwells):
-        word.extend((frozenset({label}), mode) for _ in range(d))
-    return word
-
-
 class WitnessDisagreementError(RuntimeError):
     """The batched dwell search and the word monitor disagree on a dwell
     vector the search reports; this is a bug signal, never silently
@@ -210,7 +201,7 @@ def dwell_search(signature, f, cap):
     ends |= {tuple(longest[longest[:, i].argmin()]) for i in range(K)}
     ends |= {tuple(longest[longest[:, i].argmax()]) for i in range(K)}
     for dwells in sorted(ends):
-        if not monitor_word(f, signature_word(signature, dwells)):
+        if not monitor_word(f, signature, dwells):
             raise WitnessDisagreementError(
                 f"dwells {[int(d) for d in dwells]} of {signature} pass the "
                 "batched search but fail the word monitor"

@@ -52,8 +52,8 @@ class IllConditionedUpdateError(RuntimeError):
 class ScalarExpression:
     """Compiled scalar polynomial expression over the state vector; the
     text is parsed by formula.parse_noise, then compiled once into
-    `evaluate`, which takes x with x[i] the value of variable i: Python
-    floats give a Python float, columns of values a column."""
+    `evaluate`, which takes Python floats x with x[i] the value of
+    variable i and gives a Python float."""
 
     def __init__(self, text: str, dim: int):
         self.text = text
@@ -61,18 +61,14 @@ class ScalarExpression:
         self.evaluate = _compile_noise(parse_noise(text, dim))
 
     def __call__(self, x):
-        """The value at one state (n,), a Python float, or at each row of
-        a (k, n) stack, a (k,) array with the same bits per row (the
-        form the tests' reference MLO step reads)."""
+        """The value at one state (n,), a Python float."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
+        if x.shape != (self.dim,):
             raise ValueError(
                 f"expression over {self.dim} variables evaluated at point of "
-                f"dimension {x.shape[-1]}"
+                f"shape {x.shape}"
             )
-        if x.ndim == 1:
-            return self.evaluate(x.tolist())
-        return np.broadcast_to(self.evaluate(list(x.T)), len(x))
+        return self.evaluate(x.tolist())
 
     def __repr__(self):
         return f"ScalarExpression({self.text!r})"
@@ -80,9 +76,7 @@ class ScalarExpression:
 
 def _compile_noise(node):
     """The syntax tree of parse_noise as one closure per node (its depth
-    is bounded by MAX_NESTING). numpy's + - * and negation round as
-    Python floats do, but its array power can differ from float ** int,
-    already at exponent 2, so ^ is Python's per value."""
+    is bounded by MAX_NESTING), on Python floats."""
     tag = node[0]
     if tag == "num":
         value = node[1]
@@ -94,13 +88,7 @@ def _compile_noise(node):
         return lambda x: -a(x)
     if tag == "^":
         k = node[2]
-
-        def power(x):
-            base = a(x)
-            if isinstance(base, float):
-                return _power(base, k)
-            return np.array([_power(v, k) for v in base.tolist()])
-        return power
+        return lambda x: _power(a(x), k)
     b = _compile_noise(node[2])
     if tag == "+":
         return lambda x: a(x) + b(x)

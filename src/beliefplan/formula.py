@@ -15,10 +15,10 @@ One array evaluator serves every monitor. It maps a formula to its
 satisfaction at every position of a finite signal, with positions past
 the end counting as false (Maler & Nickovic, "Monitoring Temporal
 Properties of Continuous Signals", 2004). One atomic rule, a state test
-masked by the arriving mode, feeds it; the state test reads word labels
-in monitor_word(), a batch of run-length words in monitor_dwells() (one
-row per dwell vector of a (label, mode) segment sequence), and cone
-containment of each belief in monitor(). A belief trace gets
+masked by the arriving mode, feeds it; the state test reads the labels
+of a batch of run-length words in monitor_dwells() (one row per dwell
+vector of a (label, mode) segment sequence; monitor_word() is one row),
+and cone containment of each belief in monitor(). A belief trace gets
 three-valued bounded semantics: monitor() evaluates the pessimistic and
 the optimistic completion of the trace in one pass, and a verdict is
 definite when the two agree; otherwise it raises InsufficientTraceError.
@@ -65,7 +65,8 @@ class InsufficientTraceError(ValueError):
 
 
 class NameCollisionError(ValueError):
-    """Two structurally distinct atomics share a name."""
+    """Two structurally distinct atomics share a name, or a named formula
+    takes a keyword of the grammar."""
 
 
 class FormulaSyntaxError(ValueError):
@@ -331,7 +332,7 @@ def horizon(f) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Monitors: one array evaluator, one atomic rule, three front ends
+# Monitors: one array evaluator, one atomic rule, two front ends
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -444,41 +445,15 @@ def monitor(f, tr: Trace, k: int = 0) -> bool:
     )
 
 
-def monitor_word(f, word) -> bool:
-    """Boolean-level satisfaction of a finite word.
-
-    Each word entry is (label-set, mode): the names of the atomics
-    assumed true at that step, and the mode of the segment active there.
-    Universal obligations that reach past the end of the word count as
-    violated, so a True verdict is a genuine finite witness and is
-    preserved under extension of the word. This is the pessimistic trace
-    semantics with label membership in place of cone containment.
-    """
-    word = list(word)
-    if not word:
-        raise ValueError("word must be nonempty")
-    labels = [frozenset(ls) for ls, _ in word]
-    arrive = np.array([-1] + [int(m) for _, m in word[:-1]], dtype=np.int64)
-
-    def truth(a):
-        if not a.cone.H.any():  # no constraint reads the state
-            return np.ones(len(labels), dtype=bool)
-        label = atomic_label(a)
-        return np.fromiter((label in ls for ls in labels), bool, len(labels))
-
-    return bool(_sat(f, lambda a: _atomic_sat(a, truth, arrive))[0])
-
-
 def monitor_dwells(f, signature, dwells) -> np.ndarray:
     """Word-monitor verdicts for many dwell vectors over one signature.
 
     signature is a sequence of K (label, mode) segments and dwells a
     (B, K) matrix of non-negative dwells; row b stands for the word that
-    holds segment s for dwells[b, s] positions. Returns the (B,) Boolean
-    verdicts at position 0, equal to monitor_word on each row's word.
-    All rows are evaluated in one array pass, padded with false up to
-    horizon(f) + 1 positions (or the longest row): past its end a word
-    is false anyway.
+    holds segment s for dwells[b, s] positions, one label per position.
+    Returns the (B,) Boolean verdicts at position 0. All rows are
+    evaluated in one array pass, padded with false up to horizon(f) + 1
+    positions (or the longest row): past its end a word is false anyway.
     """
     dwells = np.asarray(dwells, dtype=np.int32)
     if dwells.ndim != 2 or dwells.shape[1] != len(signature):
@@ -505,6 +480,12 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
         return np.array([label is None or label == lb for lb in labels] + [False])[seg]
 
     return _sat(f, lambda a: _atomic_sat(a, truth, arrive))[:, 0]
+
+
+def monitor_word(f, signature, dwells) -> bool:
+    """monitor_dwells on one dwell vector: the verdict at position 0 of
+    the word that holds segment s of signature for dwells[s] positions."""
+    return bool(monitor_dwells(f, signature, [dwells])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +534,11 @@ def _tokenize(text: str):
         pos = m.end()
     tokens.append(_Token("eof", "", line, col))
     return tokens
+
+
+# Words the parser reads before the table of named formulas, so a
+# formula named after one would be shadowed or would not parse.
+KEYWORDS = frozenset(("true", "false", "P", "q", "G", "F"))
 
 
 class _Parser:

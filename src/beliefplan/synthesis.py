@@ -27,7 +27,6 @@ from .discrete_planner import (
     abstract,
     add_counterexample,
     bmc_next_candidate,
-    signature_word,
 )
 from .dynamics import SwitchedSystem
 from .formula import InsufficientTraceError, Trace, horizon, monitor, monitor_word
@@ -148,8 +147,7 @@ def _attempt_plan(
     # final segment additionally owns its entry position.
     dwells = list(realized)
     dwells[-1] += 1
-    word = signature_word(plan.signature(), dwells)
-    if not monitor_word(problem.formula, word):
+    if not monitor_word(problem.formula, plan.signature(), dwells):
         return ("fail", K - 1, "realized-dwell", None)
 
     trajectory = SolutionTrajectory(

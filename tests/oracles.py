@@ -200,7 +200,7 @@ def oracle_mlo_covariance(mode, covs, means=None):
     C, n = mode.C, mode.state_dim
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(mode.noise, ScalarExpression):
-            gain = mode.noise(means)
+            gain = np.array([mode.noise(mean) for mean in means])
             R = (gain * gain)[:, None, None] * np.eye(mode.obs_dim)
         else:
             R = mode.noise @ mode.noise.T
@@ -272,6 +272,59 @@ def oracle_monitor(f, trace, k):
                 return True
         return False
     raise TypeError(f)
+
+
+def oracle_word(f, signature, dwells):
+    """Bounded satisfaction at position 0 of the run-length word that
+    holds the (label, mode) pair signature[s] for dwells[s] positions, by
+    recursion memoised per (node, position), from the rules: a position
+    past the word's end is false; a trivially false atomic is false; an
+    atomic whose cone reads the state holds where the position's label is
+    its label; the mode set is tested against the mode arriving at the
+    position, the mode of the one before (none arrives at position 0)."""
+    word = [pair for pair, d in zip(signature, dwells) for _ in range(int(d))]
+    memo, labels = {}, {}
+
+    def atomic(a, k):
+        if k >= len(word):
+            return False
+        if id(a) not in labels:  # None: holds at every position
+            rows = [(bool(np.any(p.expr.h)), p.expr.c) for p in a.cone.constraints]
+            if any(not reads and c > 1e-12 for reads, c in rows):
+                return False
+            labels[id(a)] = atomic_label(a) if any(reads for reads, _ in rows) else None
+        if labels[id(a)] not in (None, word[k][0]):
+            return False
+        return k == 0 or a.modes is None or word[k - 1][1] in a.modes
+
+    def holds(g, k):
+        if (id(g), k) not in memo:
+            memo[id(g), k] = evaluate(g, k)
+        return memo[id(g), k]
+
+    def evaluate(g, k):
+        if isinstance(g, Atomic):
+            return atomic(g, k)
+        if isinstance(g, And):
+            return all(holds(ch, k) for ch in g.children)
+        if isinstance(g, Or):
+            return any(holds(ch, k) for ch in g.children)
+        window = range(k + g.a, k + g.b + 1)
+        if isinstance(g, Until):  # right at some j, left on [k + a, j)
+            for j in window:
+                if holds(g.right, j):
+                    return True
+                if not holds(g.left, j):
+                    return False
+            return False
+        for j in window:  # Release: right on [k + a, j], left at j, or right throughout
+            if not holds(g.right, j):
+                return False
+            if holds(g.left, j):
+                return True
+        return True
+
+    return holds(f, 0)
 
 
 def oracle_horizon(f):
@@ -371,21 +424,24 @@ def random_atomic(rng, dim, num_modes, name=None, edge_cases=False):
     return Atomic(BeliefCone(tuple(preds)), modes, name)
 
 
-def random_formula(rng, dim, num_modes, depth, edge_cases=False):
-    """A random formula tree over random_atomic leaves."""
+def random_formula(rng, dim, num_modes, depth, edge_cases=False, leaves=None):
+    """A random formula tree over random_atomic leaves, or over leaves
+    drawn from the given list."""
     if depth == 0 or rng.random() < 0.3:
+        if leaves is not None:
+            return leaves[int(rng.integers(len(leaves)))]
         return random_atomic(rng, dim, num_modes, edge_cases=edge_cases)
     kind = rng.integers(0, 4)
     if kind in (0, 1):
         children = tuple(
-            random_formula(rng, dim, num_modes, depth - 1, edge_cases)
+            random_formula(rng, dim, num_modes, depth - 1, edge_cases, leaves)
             for _ in range(rng.integers(2, 4))
         )
         return And(children) if kind == 0 else Or(children)
     a = int(rng.integers(0, 3))
     b = a + int(rng.integers(1, 4))
-    left = random_formula(rng, dim, num_modes, depth - 1, edge_cases)
-    right = random_formula(rng, dim, num_modes, depth - 1, edge_cases)
+    left = random_formula(rng, dim, num_modes, depth - 1, edge_cases, leaves)
+    right = random_formula(rng, dim, num_modes, depth - 1, edge_cases, leaves)
     return Until(left, right, a, b) if kind == 2 else Release(left, right, a, b)
 
 

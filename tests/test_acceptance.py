@@ -30,6 +30,7 @@ from beliefplan.formula import (
     atomic_propositions,
     horizon,
     monitor,
+    monitor_dwells,
     monitor_word,
 )
 from beliefplan.gaussian import make_belief, std_normal_cdf, std_normal_quantile
@@ -43,7 +44,7 @@ from beliefplan.geometry import (
 from beliefplan.synthesis import solve
 from beliefplan.tracking import lqr_gains, simulate
 
-from oracles import bisect_quantile, oracle_monitor, random_formula, random_trace
+from oracles import bisect_quantile, oracle_monitor, oracle_word, random_formula, random_trace
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LIGHTDARK = os.path.join(HERE, os.pardir, "problems", "lightdark.json")
@@ -133,9 +134,11 @@ def test_criterion_03_cegis_trace(lightdark, solutions):
     cap = horizon(problem.formula) + 1
     assert cap == 281
     for d in range(1, cap + 1):
-        word = [(frozenset({"free_space"}), 0)] * d
-        assert not monitor_word(problem.formula, word)
-    assert monitor_word(problem.formula, [(frozenset({"target"}), 0)] * 41)
+        assert not oracle_word(problem.formula, [("free_space", 0)], [d])
+    assert oracle_word(problem.formula, [("target", 0)], [41])
+    every_dwell = np.arange(1, cap + 1)[:, None]
+    assert not monitor_dwells(problem.formula, [("free_space", 0)], every_dwell).any()
+    assert monitor_word(problem.formula, [("target", 0)], [41])
     _report(3, "K=1 [(target,0)] fails infeasible-start, K=2 plan follows")
 
 

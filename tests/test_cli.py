@@ -215,6 +215,7 @@ def test_load_unknown_planner_field(tmp_path):
         ("delta_drain", True),
         ("goal_bias", "0.25"),
         ("rrt_timeout", "5"),
+        ("rrt_timeout", float("nan")),
         ("iteration_cap", 20000.5),
         ("iteration_cap", 0),
         ("iteration_cap", True),
@@ -633,7 +634,7 @@ def test_main_maps_search_errors_to_exit_codes(tmp_path, monkeypatch, capsys, er
 def test_rejected_dwell_vector_exits_internal(tmp_path, monkeypatch, capsys):
     """A dwell vector the search reports but discrete_planner.monitor_word
     rejects ends the run with exit 5 and no traceback."""
-    monkeypatch.setattr(discrete_planner, "monitor_word", lambda f, word: False)
+    monkeypatch.setattr(discrete_planner, "monitor_word", lambda f, signature, dwells: False)
     with pytest.raises(SystemExit) as exc:
         cli.main(["--problem", _write(tmp_path, _small_doc()), "--out", str(tmp_path / "out")])
     assert exc.value.code == EXIT_INTERNAL
@@ -646,7 +647,7 @@ def test_rejected_realized_dwells_exit_no_solution(tmp_path, monkeypatch, capsys
     """A word monitor that rejects every candidate's realized dwells
     leaves no plan: the run exits 1 without a traceback, and plan.json
     logs those candidates as "realized-dwell"."""
-    monkeypatch.setattr(synthesis, "monitor_word", lambda f, word: False)
+    monkeypatch.setattr(synthesis, "monitor_word", lambda f, signature, dwells: False)
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         cli.main(["--problem", _write(tmp_path, _small_doc()), "--out", str(out), "--iteration-cap", "300"])
@@ -705,6 +706,19 @@ def test_formula_error_names_its_entry(tmp_path, entry, path):
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_FORMULA, r.stderr
     assert r.stderr == f"formula error: {path}unknown formula name 'nowhere' (line 1, column 15)\n"
+
+
+@pytest.mark.parametrize("name", ["true", "false", "P", "q", "G", "F"])
+def test_a_formula_named_after_a_keyword_exits_formula(tmp_path, name):
+    """The parser reads these words before the table of named formulas:
+    a formula named "true" would stand for the constant, and one named
+    "G" would not parse. Such a name is a formula error at load."""
+    doc = _small_doc()
+    doc["named_formulas"][name] = doc["named_formulas"]["goal"]
+    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_FORMULA, r.stderr
+    assert r.stderr == (f"formula error: $.named_formulas.{name}: {name!r} is a keyword "
+                        "of the formula grammar\n")
 
 
 def _small_doc_3d():

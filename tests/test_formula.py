@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 from collections import Counter
@@ -33,7 +34,6 @@ from beliefplan.formula import (
     parse_formula,
     top,
 )
-from beliefplan.discrete_planner import signature_word
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
     BeliefCone,
@@ -50,6 +50,7 @@ from oracles import (
     oracle_horizon,
     oracle_monitor,
     oracle_walk_atomics,
+    oracle_word,
     random_dag,
     random_formula,
     random_trace,
@@ -171,7 +172,7 @@ def test_named_chain_walks_in_linear_time():
     f = chain["n30"]
     assert horizon(f) == 30
     assert [a is chain["n0"] for a in atomic_propositions(f)] == [True]
-    assert monitor_word(f, [(frozenset({atomic_label(chain["n0"])}), 0)] * 31) is True
+    assert monitor_word(f, [(atomic_label(chain["n0"]), 0)], [31]) is True
 
 
 # ---------------------------------------------------------------------------
@@ -337,91 +338,121 @@ def test_monitor_word_basic():
     a = _atomic([1.0], 0.0, 0.1, name="a")
     b = _atomic([-1.0], 0.0, 0.1, name="b")
     f = Until(a, b, 0, 10)
-    word = [(frozenset({"a"}), 0)] * 3 + [(frozenset({"b"}), 0)] * 2
-    assert monitor_word(f, word) is True
-    assert monitor_word(f, [(frozenset({"a"}), 0)] * 3) is False
+    assert monitor_word(f, [("a", 0), ("b", 0)], [3, 2]) is True
+    assert monitor_word(f, [("a", 0)], [3]) is False
 
 
 def test_monitor_word_always_needs_full_window():
     a = _atomic([1.0], 0.0, 0.1, name="a")
     g = always(0, 40, a, state_dim=1)
-    assert monitor_word(g, [(frozenset({"a"}), 0)] * 41) is True
-    assert monitor_word(g, [(frozenset({"a"}), 0)] * 40) is False
+    assert monitor_word(g, [("a", 0)], [41]) is True
+    assert monitor_word(g, [("a", 0)], [40]) is False
 
 
 def test_monitor_word_mode_rule():
     a = Atomic(BeliefCone(), DiscretePredicate(frozenset({1})), "m1")
-    word = [(frozenset(), 0), (frozenset(), 1)]
-    # position 0: vacuous; position 1: arrived via mode word[0] = 0
-    assert monitor_word(a, word) is True
-    sat_at_1 = monitor_word(Until(top(), a, 1, 2), word)
+    signature = [("none", 0), ("none", 1)]
+    # position 0: vacuous; position 1: arrived via mode 0 of position 0
+    assert monitor_word(a, signature, [1, 1]) is True
+    sat_at_1 = monitor_word(Until(top(), a, 1, 2), signature, [1, 1])
     assert sat_at_1 is False
-    word2 = [(frozenset(), 1), (frozenset(), 0)]
-    assert monitor_word(Until(top(), a, 1, 2), word2) is True
+    assert monitor_word(Until(top(), a, 1, 2), [("none", 1), ("none", 0)], [1, 1]) is True
 
 
 def test_monitor_word_empty():
     with pytest.raises(ValueError):
-        monitor_word(top(), [])
+        monitor_word(top(), [], [])
+    with pytest.raises(ValueError):
+        monitor_word(top(), [("a", 0), ("b", 1)], [0, 0])
+
+
+def _induced_word(tr, atomics):
+    """The run-length word of a trace: position k carries the name of
+    the one atomic whose cone the oracle finds satisfied at belief k, or
+    "none", and the mode applied on the step out of k (the mode arriving
+    at k + 1; the last position's mode is never read)."""
+    length = len(tr.beliefs)
+    pairs = []
+    for k in range(length):
+        held = [a.name for a in atomics if oracle_atomic(Atomic(a.cone), tr, k)]
+        assert len(held) <= 1, held
+        pairs.append((held[0] if held else "none", tr.modes[k] if k < length - 1 else 0))
+    runs = [(pair, len(list(run))) for pair, run in itertools.groupby(pairs)]
+    return [pair for pair, _ in runs], [d for _, d in runs]
+
+
+def _disjoint_atomics(rng, dim, num_modes):
+    """Two named atomics whose cones share no belief with variance along
+    h, P(h.x <= t) >= 1 - e1 (sometimes with one more constraint) and
+    P(h.x >= t) >= 1 - e2, and a mode-only one, each with a random mode
+    set (the first two also with none)."""
+    def modes():
+        size = int(rng.integers(1, num_modes + 1))
+        chosen = rng.choice(num_modes, size=size, replace=False)
+        return DiscretePredicate(frozenset(int(m) for m in chosen))
+
+    h, t = rng.normal(size=dim).round(2), float(rng.normal())
+    if not h.any():
+        h[0] = 1.0
+    low = [ProbabilisticLinearPredicate(LinearExpression(h, -t), float(rng.uniform(0.05, 0.45)))]
+    if rng.random() < 0.3:
+        low.append(ProbabilisticLinearPredicate(LinearExpression(rng.normal(size=dim), 2.0), 0.1))
+    high = ProbabilisticLinearPredicate(LinearExpression(-h, t), float(rng.uniform(0.05, 0.45)))
+    return [
+        Atomic(BeliefCone(tuple(low)), modes() if rng.random() < 0.5 else None, "p"),
+        Atomic(BeliefCone((high,)), modes() if rng.random() < 0.5 else None, "r"),
+        Atomic(BeliefCone(), modes(), "m"),
+    ]
 
 
 def test_monitor_word_agrees_with_trace_monitor_on_induced_traces():
-    """A word where atomic `a` holds exactly when the belief is in its
-    cone must produce the same verdict as the belief monitor."""
+    """The run-length word of a trace, holding at each position the one
+    atomic whose cone contains the belief, gets the trace monitor's
+    verdict from the word monitor and from the word oracle."""
     rng = np.random.default_rng(7)
-    from beliefplan.geometry import cone_contains
-
     for _ in range(200):
         num_modes = 2
-        a1 = _atomic([1.0], float(rng.normal()), 0.2, name="p")
-        a2 = _atomic([-1.0], float(rng.normal()), 0.2,
+        c = float(rng.normal())
+        a1 = _atomic([1.0], c, 0.2, name="p")
+        a2 = _atomic([-1.0], -c + abs(float(rng.normal())), 0.2,
                      modes=set(int(m) for m in rng.choice(2, size=1)), name="r")
         f = random_formula_over(rng, a1, a2)
         h = horizon(f)
         if h + 1 > 12:
             continue
         tr = random_trace(rng, 1, num_modes, h + 1)
-        # word position k carries the labels of the cones containing
-        # belief k; both monitors read the mode applied on the step
-        # into k, so word[k].mode = modes[k] (last entry is never read)
-        word = []
-        for k in range(len(tr.beliefs)):
-            labels = set()
-            if cone_contains(a1.cone, tr.beliefs[k]):
-                labels.add("p")
-            if cone_contains(a2.cone, tr.beliefs[k]):
-                labels.add("r")
-            mode = tr.modes[k] if k < len(tr.modes) else 0
-            word.append((frozenset(labels), mode))
-        assert monitor_word(f, word) == monitor(f, tr, 0)
+        signature, dwells = _induced_word(tr, [a1, a2])
+        assert monitor_word(f, signature, dwells) == monitor(f, tr, 0)
+        assert oracle_word(f, signature, dwells) == monitor(f, tr, 0)
 
 
 def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
-    """The word monitor against the brute-force oracle, not against the
-    trace monitor: a word carries the label of each atomic whose cone the
-    oracle finds satisfied at that belief, and the trace's modes. Past
-    the end the oracle reads false, which is the word semantics, so the
-    verdicts agree on short traces too; there the trace monitor may
-    answer True only when the oracle does."""
+    """The word oracle and the word monitor against the brute-force trace
+    oracle, not against the trace monitor: random formulas over atomics
+    with disjoint cones, true, false and a mode-only atomic, on the
+    induced run-length word of a random trace. Past the end the trace
+    oracle reads false, which is the word semantics, so the verdicts
+    agree on short traces too; there the trace monitor may answer True
+    only when the oracle does."""
     rng = np.random.default_rng(2004)
     lengths = {"short": 0, "full": 0}
+    verdicts = []
     for _ in range(300):
         dim = int(rng.integers(1, 3))
         num_modes = int(rng.integers(1, 4))
-        f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)))
+        atomics = _disjoint_atomics(rng, dim, num_modes)
+        leaves = atomics + [top(), bottom(dim)]
+        f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)), leaves=leaves)
         h = horizon(f)
         if h + 3 > 14:
             continue
         length = int(rng.integers(1, h + 4))
         tr = random_trace(rng, dim, num_modes, length)
-        atomics = atomic_propositions(f)
-        word = []
-        for k in range(length):
-            labels = frozenset(
-                atomic_label(a) for a in atomics if oracle_atomic(Atomic(a.cone), tr, k)
-            )
-            word.append((labels, tr.modes[k] if k < length - 1 else 0))
-        assert monitor_word(f, word) == oracle_monitor(f, tr, 0)
+        signature, dwells = _induced_word(tr, atomics[:2])
+        expected = oracle_monitor(f, tr, 0)
+        assert oracle_word(f, signature, dwells) == expected
+        assert monitor_word(f, signature, dwells) == expected
+        verdicts.append(expected)
         if length >= h + 1:
             lengths["full"] += 1
             continue
@@ -433,12 +464,14 @@ def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
                 verdict = None
             assert (verdict is True) == oracle_monitor(f, tr, k)
     assert lengths["short"] > 50 and lengths["full"] > 50
+    assert 30 < sum(verdicts) < len(verdicts) - 30
 
 
 def test_monitor_dwells_matches_word_monitor():
-    """Each row's batched verdict equals monitor_word on the row's word,
-    for random formulas, two labels, two modes and rows whose totals fall
-    short of, meet and pass the horizon (zero dwells included)."""
+    """Each row's batched verdict equals the brute-force word oracle's
+    on the row's word, and monitor_word's, for random formulas, two
+    labels, two modes and rows whose totals fall short of, meet and pass
+    the horizon (zero dwells included)."""
     rng = np.random.default_rng(2013)
     verdicts = []
     for _ in range(150):
@@ -453,7 +486,8 @@ def test_monitor_dwells_matches_word_monitor():
         got = monitor_dwells(f, signature, dwells)
         assert got.shape == (len(dwells),)
         for row, verdict in zip(dwells, got):
-            assert verdict == monitor_word(f, signature_word(signature, row))
+            assert verdict == oracle_word(f, signature, row)
+            assert monitor_word(f, signature, row) is bool(verdict)
             verdicts.append(bool(verdict))
     assert 200 < sum(verdicts) < len(verdicts) - 200
 

@@ -1,13 +1,15 @@
 """Every name a module imports is used in that module, no module
 imports a private name from another module of the package, every
-private module-level name is read by its module, and every upper-case
-public constant is read somewhere in src/, tests/ or bench/.
+private module-level name is read by its module, every upper-case
+public constant is read somewhere in src/, tests/ or bench/, and every
+function the benchmark hooks exists under the name it hooks.
 
 The package's `__init__.py` is left out of the first check: it imports
 names only to re-export them.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -148,3 +150,37 @@ def read_anywhere():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_orphaned_public_constants(path, read_anywhere):
     assert orphaned_public_constants(path.read_text(), read_anywhere) == []
+
+
+def hook_targets(source: str) -> list:
+    """The beliefplan.<module>.<attr> strings of the module-level
+    PLAN_HOOKS and EXPECTED_HOOKS assignments, read without importing
+    the source, in first-appearance order."""
+    targets = []
+    for stmt in ast.parse(source).body:
+        names = [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)]
+        if not {"PLAN_HOOKS", "EXPECTED_HOOKS"} & set(names):
+            continue
+        for node in ast.walk(stmt.value):
+            if isinstance(node, ast.Constant) and str(node.value).startswith("beliefplan."):
+                if node.value not in targets:
+                    targets.append(node.value)
+    return targets
+
+
+def test_detects_hook_targets():
+    source = (
+        'PLAN_HOOKS = ("beliefplan.a.f",)\n'
+        'EXPECTED_HOOKS = {"w": PLAN_HOOKS + ("beliefplan.b.g", "beliefplan.a.f", "x.y")}\n'
+        'OTHER = ("beliefplan.c.h",)\n'
+    )
+    assert hook_targets(source) == ["beliefplan.a.f", "beliefplan.b.g"]
+
+
+@pytest.mark.parametrize("target", hook_targets((ROOT / "bench" / "run.py").read_text()))
+def test_bench_hooks_exist(target):
+    """bench/run.py replaces each hooked function in the namespace of
+    the module that calls it; a renamed function would leave its span
+    empty."""
+    module, _, attr = target.rpartition(".")
+    assert callable(getattr(importlib.import_module(module), attr, None)), target

@@ -16,7 +16,6 @@ from beliefplan.discrete_planner import (
     add_counterexample,
     bmc_next_candidate,
     dwell_search,
-    signature_word,
 )
 from beliefplan.dynamics import SwitchedSystem, SystemMode
 from beliefplan.formula import (
@@ -38,7 +37,7 @@ from beliefplan.geometry import (
     box_polytope,
 )
 
-from oracles import random_formula
+from oracles import oracle_word, random_formula
 
 LIGHTDARK = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "lightdark.json")
 
@@ -96,22 +95,9 @@ def test_abstract_rejects_undeclared_mode():
         abstract(f, _system(num_modes=2))
 
 
-def test_signature_word():
-    a, b = _atomic("a"), _atomic("b")
-    plan = DiscretePlan((PlanSegment(a, 0, 1, 3), PlanSegment(b, 1, 2, 4)))
-    word = signature_word(plan.signature(), [2, 3])
-    assert word == [
-        (frozenset({"a"}), 0),
-        (frozenset({"a"}), 0),
-        (frozenset({"b"}), 1),
-        (frozenset({"b"}), 1),
-        (frozenset({"b"}), 1),
-    ]
-
-
 def _first_candidate_oracle(abs_, f, excluded, k_max):
     """Independent enumeration: all (atomic, mode) sequences in the same
-    canonical order, with an exhaustive dwell check via monitor_word."""
+    canonical order, with an exhaustive dwell check via the word oracle."""
     pairs = abs_.pairs()
     cap = horizon(f) + 1
     for K in range(1, k_max + 1):
@@ -123,12 +109,7 @@ def _first_candidate_oracle(abs_, f, excluded, k_max):
                 continue
             # exhaustive dwell enumeration (small caps only)
             for dwells in itertools.product(range(1, cap + 1), repeat=K):
-                if sum(dwells) > cap:
-                    continue
-                word = []
-                for (label, mode), d in zip(sig, dwells):
-                    word.extend([(frozenset({label}), mode)] * d)
-                if monitor_word(f, word):
+                if sum(dwells) <= cap and oracle_word(f, sig, dwells):
                     return sig
     return None
 
@@ -181,12 +162,7 @@ def _exists_assignment(plan, f, idx, value, cap):
     if value < 1:
         return False
     for dwells in itertools.product(range(1, cap + 1), repeat=K):
-        if dwells[idx] != value or sum(dwells) > cap:
-            continue
-        word = []
-        for seg, d in zip(plan.segments, dwells):
-            word.extend([(frozenset({seg.label}), seg.mode)] * d)
-        if monitor_word(f, word):
+        if dwells[idx] == value and sum(dwells) <= cap and oracle_word(f, plan.signature(), dwells):
             return True
     return False
 
@@ -217,7 +193,7 @@ def test_bmc_windows_match_bruteforce_bounds():
             first = next(
                 list(dwells)
                 for dwells in itertools.product(range(1, cap + 1), repeat=K)
-                if sum(dwells) <= cap and monitor_word(f, signature_word(plan.signature(), dwells))
+                if sum(dwells) <= cap and oracle_word(f, plan.signature(), dwells)
             )
             assert dwell_search(plan.signature(), f, cap)[0] == first
             for i, seg in enumerate(plan.segments):
@@ -243,8 +219,8 @@ def _random_case(rng):
 def test_dwell_search_matches_exhaustive_enumeration():
     """The witness is the lexicographically first satisfying dwell
     vector and each window the least and greatest dwell of its segment
-    over all of them, against every vector of at most cap positions,
-    for at least 400 random cases with 30 satisfiable ones per K. At
+    over all of them, against the word oracle on every vector of at
+    most cap positions, for at least 400 random cases with 30 satisfiable ones per K. At
     least 5 of them have a last window starting below the witness's
     last dwell, so the low end is not read off the witness."""
     rng = np.random.default_rng(2606)
@@ -255,7 +231,7 @@ def test_dwell_search_matches_exhaustive_enumeration():
         vectors = np.array(
             [d for d in itertools.product(range(1, cap + 1), repeat=K) if sum(d) <= cap]
         ).reshape(-1, K)
-        sat = vectors[monitor_dwells(f, signature, vectors)] if len(vectors) else vectors
+        sat = vectors[[oracle_word(f, signature, d) for d in vectors]]
         found = dwell_search(signature, f, cap)
         if len(sat) == 0:
             assert found is None
@@ -297,10 +273,10 @@ def test_dwell_search_confirms_reported_vectors_with_word_monitor(monkeypatch):
     signature, cap = (("a", 0), ("b", 0)), horizon(f) + 1
     confirmed = []
 
-    def recording(g, word):
-        verdict = monitor_word(g, word)
+    def recording(g, sig, dwells):
+        verdict = monitor_word(g, sig, dwells)
         if verdict:
-            confirmed.append([len(list(run)) for _, run in itertools.groupby(word)])
+            confirmed.append([int(d) for d in dwells])
         return verdict
 
     monkeypatch.setattr(discrete_planner, "monitor_word", recording)
@@ -310,7 +286,7 @@ def test_dwell_search_confirms_reported_vectors_with_word_monitor(monkeypatch):
     for i, window in enumerate(windows):
         for end in window:
             assert any(d[i] == end for d in confirmed), (i, end)
-    monkeypatch.setattr(discrete_planner, "monitor_word", lambda g, word: False)
+    monkeypatch.setattr(discrete_planner, "monitor_word", lambda g, sig, dwells: False)
     with pytest.raises(WitnessDisagreementError):
         dwell_search(signature, f, cap)
 

@@ -122,8 +122,8 @@ def test_rejected_realized_dwells_are_counterexamples(monkeypatch):
     words, solved = [], []
     solve_segment = synthesis.solve_segment
 
-    def reject(f, word):
-        words.append(word)
+    def reject(f, signature, dwells):
+        words.append((signature, dwells))
         return False
 
     def recording(*args):
