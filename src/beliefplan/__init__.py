@@ -35,7 +35,6 @@ from .formula import (
     Until,
     UnsupportedBoundError,
     always,
-    atomic_label,
     atomic_propositions,
     bottom,
     conjunction,

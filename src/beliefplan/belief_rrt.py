@@ -1,11 +1,12 @@
 """Sparse-RRT variant over belief states for one plan segment.
 
 The tree grows in the belief space under maximum-likelihood-observation
-propagation. Selection prefers low-uncertainty nodes among those near a
-sampled mean-space point (active perception); insertion drains nearby
-dominated nodes. A segment succeeds when some node's belief enters the
-goal cone and a zero-control dwell keeps the goal satisfied for the
-required number of further steps.
+propagation. Selection skips nodes with no steps left to extend and
+prefers low-uncertainty nodes among those near a sampled mean-space
+point (active perception); insertion drains nearby dominated nodes. A
+segment succeeds when some node's belief enters the goal cone and a
+zero-control dwell keeps the goal satisfied for the required number of
+further steps.
 
 The tree is a set of parallel arrays, so selection and draining are a
 few vector operations per iteration. An extension computes the mean
@@ -58,7 +59,7 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class RrtParams:
-    """Search tunables. rrt_timeout is wall-clock seconds; iteration_cap,
+    """Search tunables. rrt_timeout is finite wall-clock seconds; iteration_cap,
     when set, bounds the loop instead and makes runs reproducible."""
 
     rrt_timeout: float | None = None
@@ -72,8 +73,8 @@ class RrtParams:
     def __post_init__(self):
         if self.rrt_timeout is None and self.iteration_cap is None:
             raise ValueError("either rrt_timeout or iteration_cap is required")
-        if self.rrt_timeout is not None and not self.rrt_timeout > 0:  # NaN too
-            raise ValueError("rrt_timeout must be positive")
+        if self.rrt_timeout is not None and not 0 < self.rrt_timeout < np.inf:  # NaN too
+            raise ValueError("rrt_timeout must be finite and positive")
         if self.iteration_cap is not None and self.iteration_cap < 1:
             raise ValueError("iteration_cap must be at least 1")
         if not self.delta_drain <= self.delta_near:
@@ -171,13 +172,14 @@ def _distances(points: np.ndarray, point: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(d, d))
 
 
-def rrt_select(tree: RrtTree, sample_point: np.ndarray, delta_near: float) -> int:
-    """Among active nodes within delta_near of the sample, the one with
-    the least covariance trace; otherwise the nearest active node.
-    Ties break toward the lowest node id."""
-    ids = np.flatnonzero(tree.active[: len(tree)])
+def rrt_select(tree: RrtTree, sample_point: np.ndarray, delta_near: float, max_depth: int):
+    """Among active nodes no deeper than max_depth (those with steps left
+    to extend), the one with the least covariance trace within
+    delta_near of the sample; otherwise the nearest one; None if there
+    is none. Ties break toward the lowest node id."""
+    ids = np.flatnonzero(tree.active[: tree.size] & (tree.depth[: tree.size] <= max_depth))
     if ids.size == 0:
-        raise ValueError("tree has no active nodes")
+        return None
     dist = _distances(tree.means[ids], sample_point)
     near = ids[dist <= delta_near]
     if near.size:
@@ -371,7 +373,8 @@ def solve_segment(
 ) -> SegmentResult:
     """Steer from `start` to the goal cone while the stay cone holds.
 
-    Runs until success, the iteration cap, or the wall-clock timeout.
+    Runs until success, the iteration cap, the wall-clock timeout, or
+    a selection that finds no node with steps left to extend.
     Unless the noise depends on the state, a goal that _goal_empty
     proves empty at every depth ends the segment as a "timeout" with
     proof "goal-empty" before a random number is drawn.
@@ -388,6 +391,7 @@ def solve_segment(
 
     goal_lo, goal_hi = _cone_mean_box(task.goal, start.mean)
     stay_lo, stay_hi = _cone_mean_box(task.stay, start.mean)
+    max_depth = task.max_total_steps - params.min_num_of_steps
     deadline = (
         time.monotonic() + params.rrt_timeout
         if params.rrt_timeout is not None
@@ -405,7 +409,9 @@ def solve_segment(
             sample = rng.uniform(goal_lo, goal_hi)
         else:
             sample = rng.uniform(stay_lo, stay_hi)
-        node = rrt_select(tree, sample, params.delta_near)
+        node = rrt_select(tree, sample, params.delta_near, max_depth)
+        if node is None:  # no node has the budget for the shortest extension
+            return SegmentResult("timeout")
         steps = int(rng.integers(params.min_num_of_steps, params.max_num_of_steps + 1))
         if tree.depth[node] + steps > task.max_total_steps:
             continue

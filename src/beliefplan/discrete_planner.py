@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import SwitchedSystem
-from .formula import Atomic, atomic_label, atomic_propositions, horizon, monitor_dwells, monitor_word
+from .formula import Atomic, atomic_propositions, monitor_dwells, monitor_word
 
 # Dwell vectors checked per monitor_dwells call: large enough to
 # amortise the per-call set-up, small enough to keep the (rows x
@@ -45,12 +45,12 @@ class PlanSegment:
             )
         if self.atomic.modes is not None and self.mode not in self.atomic.modes:
             raise ValueError(
-                f"mode {self.mode} not allowed by atomic {atomic_label(self.atomic)!r}"
+                f"mode {self.mode} not allowed by atomic {self.atomic.label!r}"
             )
 
     @property
     def label(self) -> str:
-        return atomic_label(self.atomic)
+        return self.atomic.label
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def abstract(f, sys: SwitchedSystem) -> Abstraction:
             bad = [m for m in a.modes.modes if m >= num_modes]
             if bad:
                 raise ValueError(
-                    f"atomic {atomic_label(a)!r} references undeclared mode(s) {bad}"
+                    f"atomic {a.label!r} references undeclared mode(s) {bad}"
                 )
     return Abstraction(atomics, num_modes)
 
@@ -220,14 +220,12 @@ def bmc_next_candidate(
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     pairs = abs_.pairs()
-    cap = horizon(f) + 1
+    cap = f.horizon + 1
     for K in range(1, k_max + 1):
         for combo in itertools.product(pairs, repeat=K):
             if any(combo[i] == combo[i + 1] for i in range(K - 1)):
                 continue
-            signature = tuple(
-                (atomic_label(abs_.atomics[i]), m) for i, m in combo
-            )
+            signature = tuple((abs_.atomics[i].label, m) for i, m in combo)
             if cex.excludes(signature):
                 continue
             found = dwell_search(signature, f, cap)

@@ -1,4 +1,4 @@
-"""PrSTL abstract syntax, parser, horizon, and bounded-semantics monitor;
+"""PrSTL abstract syntax, parser and bounded-semantics monitor;
 the same tokenizer and parser also read a mode's noise expression.
 
 The formula grammar is negation-free: atomics are conjunctions of chance
@@ -6,10 +6,12 @@ constraints plus a mode-set predicate, composed with and/or and the
 bounded temporal operators U[a,b] and R[a,b]. Always and eventually are
 derived: G[a,b] f == false R[a,b] f, F[a,b] f == true U[a,b] f.
 
-Named formulas share subtrees, so a formula is a DAG: one walk lists
-each distinct node once, children first, and the horizon, the nesting
-bound, the atomic propositions and the monitors are loops over that
-list, linear in the distinct nodes.
+Nodes are immutable and built children first, so each derives at
+construction what the monitors read: its horizon from its children's,
+and for an atomic its label and constant verdict. Named formulas share
+subtrees, so a formula is a DAG: one walk lists each distinct node once,
+children first, and the nesting bound, the atomic propositions and the
+monitors are loops over that list, linear in the distinct nodes.
 
 One array evaluator serves every monitor. It maps a formula to its
 satisfaction at every position of a finite signal, with positions past
@@ -87,62 +89,83 @@ class Atomic:
     """State formula: belief cone plus mode-set predicate.
 
     modes=None leaves the mode unconstrained (the full declared set).
+    Construction derives label, the identity in words and deduplication
+    (the name, else the constraints and mode set spelled out), and
+    whether the atomic is trivially_false (a constant row of the cone
+    fails) and reads_state (some row reads the state).
     """
 
     cone: BeliefCone = field(default_factory=BeliefCone)
     modes: DiscretePredicate | None = None
     name: str | None = None
+    label: str = field(init=False, repr=False, compare=False)
+    trivially_false: bool = field(init=False, repr=False, compare=False)
+    reads_state: bool = field(init=False, repr=False, compare=False)
+    horizon = 0  # steps beyond the evaluation index it references
+
+    def __post_init__(self):
+        H, c = self.cone.H, self.cone.c
+        parts = []
+        for p in self.cone.constraints:
+            coeffs = ",".join(f"{v:.17g}" for v in p.expr.h)
+            parts.append(f"P([{coeffs}].x+{p.expr.c:.17g}<=0)>={1.0 - p.epsilon:.17g}")
+        if self.modes is not None:
+            parts.append("q in {%s}" % ",".join(str(m) for m in sorted(self.modes.modes)))
+        label = self.name if self.name is not None else " & ".join(parts) or "true"
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "trivially_false", bool(np.any(c[~H.any(axis=1)] > CONTAINMENT_TOL)))
+        object.__setattr__(self, "reads_state", bool(H.any()))
 
 
 @dataclass(frozen=True)
-class And:
+class _Junction:
+    """The body of And and Or; the horizon is the largest child's."""
+
     children: tuple
+    horizon: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.children:
-            raise ValueError("And requires at least one child")
+            raise ValueError(f"{type(self).__name__} requires at least one child")
         object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "horizon", max(ch.horizon for ch in self.children))
+
+
+class And(_Junction):
+    pass
+
+
+class Or(_Junction):
+    pass
 
 
 @dataclass(frozen=True)
-class Or:
-    children: tuple
+class _Bounded:
+    """The body of Until and Release; the horizon is b plus the larger operand's."""
 
-    def __post_init__(self):
-        if not self.children:
-            raise ValueError("Or requires at least one child")
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-@dataclass(frozen=True)
-class Until:
     left: object
     right: object
     a: int
     b: int
+    horizon: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_interval(self.a, self.b)
+        a, b = self.a, self.b
+        if a != int(a) or b != int(b):
+            raise UnsupportedBoundError(f"temporal bounds must be integers, got [{a}, {b}]")
+        if a < 0:
+            raise ValueError(f"temporal delay must be nonnegative, got {a}")
+        if not a < b:
+            raise ValueError(f"temporal interval requires a < b, got [{a}, {b}]")
+        object.__setattr__(self, "horizon", b + max(self.left.horizon, self.right.horizon))
 
 
-@dataclass(frozen=True)
-class Release:
-    left: object
-    right: object
-    a: int
-    b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
+class Until(_Bounded):
+    pass
 
 
-def _check_interval(a, b):
-    if a != int(a) or b != int(b):
-        raise UnsupportedBoundError(f"temporal bounds must be integers, got [{a}, {b}]")
-    if a < 0:
-        raise ValueError(f"temporal delay must be nonnegative, got {a}")
-    if not a < b:
-        raise ValueError(f"temporal interval requires a < b, got [{a}, {b}]")
+class Release(_Bounded):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +288,8 @@ def _levels(root) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Atomic classification and labels
+# Atomic propositions and horizon
 # ---------------------------------------------------------------------------
-
-def is_trivially_false(a: Atomic) -> bool:
-    """Some constant constraint (a zero row of the cone) fails."""
-    H, c = a.cone.H, a.cone.c
-    return bool(np.any(c[~H.any(axis=1)] > CONTAINMENT_TOL))
-
-
-def atomic_label(a: Atomic) -> str:
-    """Stable identity used for words and deduplication."""
-    if a.name is not None:
-        return a.name
-    parts = []
-    for p in a.cone.constraints:
-        coeffs = ",".join(f"{v:.17g}" for v in p.expr.h)
-        parts.append(f"P([{coeffs}].x+{p.expr.c:.17g}<=0)>={1.0 - p.epsilon:.17g}")
-    if a.modes is not None:
-        parts.append("q in {%s}" % ",".join(str(m) for m in sorted(a.modes.modes)))
-    return " & ".join(parts) if parts else "true"
-
 
 def _atomic_key(a: Atomic):
     constraints = tuple(
@@ -303,9 +307,9 @@ def atomic_propositions(f) -> list[Atomic]:
     for a in _program(f):
         if not isinstance(a, Atomic):
             continue
-        if (not a.cone.constraints and a.modes is None) or is_trivially_false(a):
+        if (not a.cone.constraints and a.modes is None) or a.trivially_false:
             continue  # constant: true or false everywhere
-        label = atomic_label(a)
+        label = a.label
         if label in seen:
             if _atomic_key(seen[label]) != _atomic_key(a):
                 raise NameCollisionError(
@@ -317,18 +321,10 @@ def atomic_propositions(f) -> list[Atomic]:
     return order
 
 
-# ---------------------------------------------------------------------------
-# Horizon
-# ---------------------------------------------------------------------------
-
 def horizon(f) -> int:
     """Number of steps beyond the evaluation index that the formula can
-    reference."""
-    h = {}
-    for node in _program(f):
-        below = max((h[id(ch)] for ch in _children(node)), default=0)
-        h[id(node)] = below + node.b if isinstance(node, (Until, Release)) else below
-    return h[id(f)]
+    reference: f.horizon, derived when f was built."""
+    return f.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +397,7 @@ def _atomic_sat(a: Atomic, truth, arrive: np.ndarray) -> np.ndarray:
     test as an array shaped like arrive, masked by the mode arriving at
     each position (arrive; -1 where none arrives, which passes the mode
     test). A trivially false atomic is false everywhere."""
-    if is_trivially_false(a):
+    if a.trivially_false:
         return np.zeros(arrive.shape, dtype=bool)
     sat = truth(a)
     if a.modes is not None:
@@ -412,7 +408,7 @@ def _atomic_sat(a: Atomic, truth, arrive: np.ndarray) -> np.ndarray:
 def monitor(f, tr: Trace, k: int = 0) -> bool:
     """Satisfaction of the trace at index k.
 
-    With at least k + horizon(f) + 1 beliefs the verdict is exact. On a
+    With at least k + f.horizon + 1 beliefs the verdict is exact. On a
     shorter trace the verdict is returned only when it is already
     definite (true under pessimistic completion, or false under
     optimistic completion); otherwise InsufficientTraceError is raised.
@@ -420,7 +416,7 @@ def monitor(f, tr: Trace, k: int = 0) -> bool:
     n = len(tr.beliefs)
     if k < 0 or k >= n:
         raise ValueError(f"evaluation index {k} outside trace")
-    need = k + horizon(f) + 1
+    need = k + f.horizon + 1
     arrive = np.array((-1, *tr.modes), dtype=np.int64)
     # Both completions in one pass: past the end of the trace every
     # atomic reads false in row 0 (pessimistic) and true in row 1.
@@ -452,7 +448,7 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
     (B, K) matrix of non-negative dwells; row b stands for the word that
     holds segment s for dwells[b, s] positions, one label per position.
     Returns the (B,) Boolean verdicts at position 0. All rows are
-    evaluated in one array pass, padded with false up to horizon(f) + 1
+    evaluated in one array pass, padded with false up to f.horizon + 1
     positions (or the longest row): past its end a word is false anyway.
     """
     dwells = np.asarray(dwells, dtype=np.int32)
@@ -464,7 +460,7 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
         raise ValueError("dwells must be non-negative with a nonempty word per row")
     B, K = dwells.shape
     ends = np.cumsum(dwells, axis=1, dtype=np.int32)
-    L = max(horizon(f) + 1, int(ends[:, -1].max()))
+    L = max(f.horizon + 1, int(ends[:, -1].max()))
     # seg[b, p]: segment active at position p of row b, K past the end.
     seg = (ends[:, None, :] <= np.arange(L, dtype=np.int32)[:, None]).sum(
         axis=2, dtype=np.int32
@@ -476,8 +472,7 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
     arrive = np.array([int(m) for _, m in signature] + [-1], dtype=np.int64)[prev]
 
     def truth(a):
-        label = atomic_label(a) if a.cone.H.any() else None
-        return np.array([label is None or label == lb for lb in labels] + [False])[seg]
+        return np.array([not a.reads_state or a.label == lb for lb in labels] + [False])[seg]
 
     return _sat(f, lambda a: _atomic_sat(a, truth, arrive))[:, 0]
 
@@ -565,15 +560,12 @@ class _Parser:
 
     def finish(self, root):
         """root, once the text ends here and its syntax tree nests at
-        most MAX_NESTING operator levels and reaches at most MAX_HORIZON
-        steps ahead."""
+        most MAX_NESTING operator levels."""
         tok = self.peek()
         if tok.kind != "eof":
             self.error(f"unexpected trailing input {tok.value!r}", tok)
         if _levels(root) > MAX_NESTING:
             self.error(self.too_deep, self.tokens[0])
-        if (steps := horizon(root)) > MAX_HORIZON:
-            self.error(f"horizon {steps} exceeds {MAX_HORIZON} steps", self.tokens[0])
         return root
 
     def peek(self) -> _Token:
@@ -842,7 +834,10 @@ def parse_formula(text: str, state_dim: int, num_modes: int, named=None):
     MAX_HORIZON, raises FormulaSyntaxError.
     """
     parser = _Parser(_tokenize(text), state_dim, num_modes, named)
-    return parser.finish(parser.parse_binary())
+    f = parser.finish(parser.parse_binary())
+    if f.horizon > MAX_HORIZON:
+        parser.error(f"horizon {f.horizon} exceeds {MAX_HORIZON} steps", parser.tokens[0])
+    return f
 
 
 def parse_noise(text: str, dim: int):

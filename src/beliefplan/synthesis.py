@@ -29,7 +29,7 @@ from .discrete_planner import (
     bmc_next_candidate,
 )
 from .dynamics import SwitchedSystem
-from .formula import InsufficientTraceError, Trace, horizon, monitor, monitor_word
+from .formula import InsufficientTraceError, Trace, monitor, monitor_word
 from .gaussian import BeliefState, uncertainty_measure
 
 _GROWTH_WARN_STEPS = 50
@@ -108,7 +108,7 @@ def _attempt_plan(
     ("ok", trajectory) or ("fail", failing segment index, status, proof)."""
     segs = plan.segments
     K = len(segs)
-    cap = horizon(problem.formula) + 1
+    cap = problem.formula.horizon + 1
 
     beliefs = [problem.initial_belief]
     modes: list[int] = []

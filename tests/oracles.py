@@ -21,9 +21,7 @@ from beliefplan.formula import (
     Or,
     Release,
     Until,
-    atomic_label,
     bottom,
-    is_trivially_false,
     top,
 )
 from beliefplan.gaussian import (
@@ -292,7 +290,7 @@ def oracle_word(f, signature, dwells):
             rows = [(bool(np.any(p.expr.h)), p.expr.c) for p in a.cone.constraints]
             if any(not reads and c > 1e-12 for reads, c in rows):
                 return False
-            labels[id(a)] = atomic_label(a) if any(reads for reads, _ in rows) else None
+            labels[id(a)] = a.label if any(reads for reads, _ in rows) else None
         if labels[id(a)] not in (None, word[k][0]):
             return False
         return k == 0 or a.modes is None or word[k - 1][1] in a.modes
@@ -350,19 +348,21 @@ def oracle_walk_atomics(f):
 
 
 def oracle_atomic_propositions(f):
-    """Non-constant atomics of the tree walk, deduplicated by label in
-    first-occurrence order; a label on two distinct atomics raises
-    NameCollisionError. The labelling rule is the package's own: the
-    walk is what this reference checks."""
+    """Non-constant atomics of the tree walk (constant: no constraint and
+    no mode set, or a failing constraint that reads no state),
+    deduplicated by label in first-occurrence order; a label on two
+    distinct atomics raises NameCollisionError. The labelling rule is
+    the package's own: the walk is what this reference checks."""
     def key(a):
         preds = sorted((tuple(p.expr.h), p.expr.c, p.epsilon) for p in a.cone.constraints)
         return preds, a.modes
 
     seen, order = {}, []
     for a in oracle_walk_atomics(f):
-        if (not a.cone.constraints and a.modes is None) or is_trivially_false(a):
+        constant_rows = [p.expr.c for p in a.cone.constraints if not np.any(p.expr.h)]
+        if (not a.cone.constraints and a.modes is None) or any(c > 1e-12 for c in constant_rows):
             continue
-        label = atomic_label(a)
+        label = a.label
         if label not in seen:
             seen[label] = a
             order.append(a)
@@ -496,22 +496,24 @@ class ListNode:
     parent: int | None
     node_id: int
     active: bool = True
+    depth: int = 0
 
     @property
     def trace_cov(self) -> float:
         return float(np.trace(self.belief.cov))
 
 
-def list_rrt_select(tree, sample_point, delta_near):
-    """Among active nodes within delta_near of the sample, the one with
-    the least covariance trace; otherwise the nearest active node.
-    Ties break toward the lowest node id."""
+def list_rrt_select(tree, sample_point, delta_near, max_depth):
+    """Among active nodes of depth at most max_depth, the one with the
+    least covariance trace within delta_near of the sample; otherwise
+    the nearest one; None if there is none. Ties break toward the lowest
+    node id."""
     best_near = None
     best_near_key = None
     best_far = None
     best_far_key = None
     for node in tree:
-        if not node.active:
+        if not node.active or node.depth > max_depth:
             continue
         dist = float(np.linalg.norm(node.belief.mean - sample_point))
         if dist <= delta_near:
@@ -523,11 +525,7 @@ def list_rrt_select(tree, sample_point, delta_near):
         if best_far_key is None or key < best_far_key:
             best_far_key = key
             best_far = node.node_id
-    if best_near is not None:
-        return best_near
-    if best_far is None:
-        raise ValueError("tree has no active nodes")
-    return best_far
+    return best_far if best_near is None else best_near
 
 
 def list_rrt_drain(tree, new_node, delta_drain):

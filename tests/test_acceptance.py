@@ -26,9 +26,7 @@ from beliefplan.cli import load_problem
 from beliefplan.dynamics import SwitchedSystem, SystemMode, kalman_update, propagate_mlo
 from beliefplan.formula import (
     InsufficientTraceError,
-    atomic_label,
     atomic_propositions,
-    horizon,
     monitor,
     monitor_dwells,
     monitor_word,
@@ -76,7 +74,7 @@ def solutions(lightdark):
 
 
 def _cones(problem):
-    atomics = {atomic_label(a): a for a in atomic_propositions(problem.formula)}
+    atomics = {a.label: a for a in atomic_propositions(problem.formula)}
     return atomics["free_space"].cone, atomics["target"].cone
 
 
@@ -131,7 +129,7 @@ def test_criterion_03_cegis_trace(lightdark, solutions):
     # the plans preceding [(target,0)] in canonical order are exactly
     # the all-free_space K=1 plans, and none of them admits a
     # satisfying dwell assignment while [(target,0)] does
-    cap = horizon(problem.formula) + 1
+    cap = problem.formula.horizon + 1
     assert cap == 281
     for d in range(1, cap + 1):
         assert not oracle_word(problem.formula, [("free_space", 0)], [d])
@@ -217,7 +215,7 @@ def test_criterion_07_monitor_oracle_equivalence():
         dim = int(rng.integers(1, 3))
         num_modes = int(rng.integers(1, 4))
         f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)))
-        h = horizon(f)
+        h = f.horizon
         if h + 1 > 12:
             continue
         length = h + 1 + int(rng.integers(0, max(1, 12 - h)))
@@ -351,7 +349,7 @@ def _solves_digest(results) -> str:
 # a planned belief, changes them.
 PINNED_SOLVES = {
     "lightdark": "8138bdc5644684e9cda93738bbd5afb49923d43f5d20db27130f9c2d6e8dc824",
-    "darkswitch": "77a0a679d723418e8238260f9732685012bdcdd4c2973ee4ffee09abba19aefb",
+    "darkswitch": "9ea931f864b6902b9784818f10bd9ba5aea34dbeb8449361a1e7f25fd0bd4df9",
 }
 
 
@@ -360,3 +358,16 @@ def test_solves_of_seeds_0_to_4_are_pinned(solutions):
     darkswitch = [solve(problem, params, k_max=k_max, rng=np.random.default_rng(s)) for s in SEEDS]
     assert _solves_digest(solutions[s] for s in SEEDS) == PINNED_SOLVES["lightdark"]
     assert _solves_digest(darkswitch) == PINNED_SOLVES["darkswitch"]
+
+
+def test_a_search_never_selects_a_node_without_steps_left(lightdark):
+    """RRT seed 30002 used to spend its 20,000-iteration cap selecting
+    deep, low-covariance nodes with no budget left for the shortest
+    extension, and ended with no solution. With those nodes left out of
+    the selection it solves, and the oracle accepts the trajectory."""
+    problem, params, k_max, _sim = lightdark
+    result = solve(problem, params, k_max=k_max, rng=np.random.default_rng(30002))
+    assert result.ok
+    t = result.trajectory
+    assert oracle_monitor(problem.formula, t, 0)
+    assert t.num_steps <= problem.formula.horizon + 1

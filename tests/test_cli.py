@@ -216,6 +216,7 @@ def test_load_unknown_planner_field(tmp_path):
         ("goal_bias", "0.25"),
         ("rrt_timeout", "5"),
         ("rrt_timeout", float("nan")),
+        ("rrt_timeout", float("inf")),
         ("iteration_cap", 20000.5),
         ("iteration_cap", 0),
         ("iteration_cap", True),
@@ -588,6 +589,20 @@ def test_exit_code_schema_bad_seed(tmp_path):
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_SCHEMA, r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_an_infinite_rrt_timeout_exits_schema(tmp_path):
+    """json reads "rrt_timeout": Infinity; without an iteration_cap its
+    deadline would never expire, so the file is rejected at load."""
+    doc = _base_doc()
+    del doc["planner"]["iteration_cap"]
+    doc["planner"]["rrt_timeout"] = float("inf")
+    path = _write(tmp_path, doc)
+    assert '"rrt_timeout": Infinity' in (tmp_path / "problem.json").read_text()
+    r = _cli(["--problem", path, "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert r.stderr.endswith("$.planner: rrt_timeout must be finite and positive\n")
+    assert r.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import re
@@ -19,14 +20,12 @@ from beliefplan.formula import (
     Trace,
     Until,
     always,
-    atomic_label,
     atomic_propositions,
     bottom,
     conjunction,
     disjunction,
     eventually,
     horizon,
-    is_trivially_false,
     monitor,
     monitor_dwells,
     monitor_word,
@@ -86,12 +85,41 @@ def test_interval_validation():
 
 
 def test_horizon():
+    """Each node carries its horizon from construction; horizon() reads it."""
     a = _atomic([1.0], 0.0, 0.1)
-    assert horizon(a) == 0
-    assert horizon(Until(a, a, 0, 240)) == 240
+    assert a.horizon == 0
+    assert Until(a, a, 0, 240).horizon == 240
     f = Until(a, Release(bottom(1), a, 0, 40), 0, 240)
-    assert horizon(f) == 280
-    assert horizon(And((a, Until(a, a, 1, 5)))) == 5
+    assert f.horizon == 280 and horizon(f) == 280
+    assert And((a, Until(a, a, 1, 5))).horizon == 5
+    assert Or((Release(a, a, 2, 7), a)).horizon == 7
+
+
+def test_atomics_carry_label_and_constant_verdict():
+    a = _atomic([1.0, 0.0], -2.0, 0.25, modes={2, 0})
+    assert a.label == "P([1,0].x+-2<=0)>=0.75 & q in {0,2}"
+    assert not a.trivially_false and a.reads_state
+    assert named(a, "goal").label == "goal"
+    assert top().label == "true" and not top().trivially_false and not top().reads_state
+    assert bottom(2).label == "false" and bottom(2).trivially_false
+    mode_only = Atomic(BeliefCone(), DiscretePredicate(frozenset({1})))
+    assert mode_only.label == "q in {1}" and not mode_only.reads_state
+    assert _atomic([0.0, 0.0], 1e-3, 0.1).trivially_false  # 0.x + 1e-3 <= 0
+    assert not _atomic([0.0, 0.0], 0.0, 0.1).trivially_false
+    # The derived fields stay out of the constructor, equality and repr.
+    assert [f.name for f in dataclasses.fields(Atomic) if f.init or f.compare] == ["cone", "modes", "name"]
+    assert "label" not in repr(a) and "horizon" not in repr(Until(a, a, 0, 3))
+
+
+def test_junction_and_bounded_operators_keep_their_identity():
+    a = _atomic([1.0], 0.0, 0.1)
+    assert And((a,)) != Or((a,)) and Until(a, a, 0, 3) != Release(a, a, 0, 3)
+    assert And([a, a]) == And((a, a)) and isinstance(And((a,)).children, tuple)
+    assert repr(Or((a,))).startswith("Or(children=")
+    with pytest.raises(ValueError, match="^Or requires at least one child$"):
+        Or(())
+    with pytest.raises(ValueError, match="^And requires at least one child$"):
+        And(())
 
 
 def test_conjunction_folds_atomics():
@@ -128,7 +156,7 @@ def test_atomic_propositions_dedup_and_collision():
     a1 = _atomic([1.0], 0.0, 0.1, name="a")
     a2 = _atomic([1.0], 0.0, 0.1, name="a")
     f = And((a1, Until(a2, _atomic([-1.0], 0.0, 0.2, name="b"), 0, 3)))
-    assert [atomic_label(x) for x in atomic_propositions(f)] == ["a", "b"]
+    assert [x.label for x in atomic_propositions(f)] == ["a", "b"]
     clash = And((a1, _atomic([2.0], 0.0, 0.1, name="a")))
     with pytest.raises(NameCollisionError):
         atomic_propositions(clash)
@@ -137,7 +165,7 @@ def test_atomic_propositions_dedup_and_collision():
 def test_atomic_propositions_skips_constants():
     a = _atomic([1.0], 0.0, 0.1, name="a")
     f = Until(top(), Release(bottom(1), a, 0, 2), 0, 3)
-    assert [atomic_label(x) for x in atomic_propositions(f)] == ["a"]
+    assert [x.label for x in atomic_propositions(f)] == ["a"]
 
 
 def test_dag_walks_match_the_tree_walk_references():
@@ -148,7 +176,7 @@ def test_dag_walks_match_the_tree_walk_references():
     shared = 0
     for _ in range(1000):
         f = random_dag(rng, 2, 3, size=int(rng.integers(1, 9)))
-        assert horizon(f) == oracle_horizon(f)
+        assert f.horizon == oracle_horizon(f)
         try:
             expected = oracle_atomic_propositions(f)
         except NameCollisionError as exc:
@@ -170,9 +198,9 @@ def test_named_chain_walks_in_linear_time():
     for i in range(1, 31):
         chain[f"n{i}"] = parse_formula(f"(n{i - 1}) & (true U[0,1] n{i - 1})", 1, 1, chain)
     f = chain["n30"]
-    assert horizon(f) == 30
+    assert f.horizon == 30
     assert [a is chain["n0"] for a in atomic_propositions(f)] == [True]
-    assert monitor_word(f, [(atomic_label(chain["n0"]), 0)], [31]) is True
+    assert monitor_word(f, [(chain["n0"].label, 0)], [31]) is True
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +259,7 @@ def test_monitor_matches_bruteforce_oracle():
         dim = int(rng.integers(1, 3))
         num_modes = int(rng.integers(1, 4))
         f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)))
-        h = horizon(f)
+        h = f.horizon
         length = h + 1 + int(rng.integers(0, 3))
         if length > 12:
             continue
@@ -247,7 +275,7 @@ def test_monitor_definite_verdicts_extension_stable():
         dim = 1
         num_modes = 2
         f = random_formula(rng, dim, num_modes, depth=2)
-        h = horizon(f)
+        h = f.horizon
         if h + 1 > 12:
             continue
         tr = random_trace(rng, dim, num_modes, h + 1)
@@ -295,14 +323,14 @@ def test_stacked_monitor_matches_the_oracle_and_per_belief_truths(monkeypatch):
     for _ in range(600):
         dim, num_modes = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         f = random_formula(rng, dim, num_modes, int(rng.integers(0, 4)), edge_cases=True)
-        h = horizon(f)
+        h = f.horizon
         if h + 1 > 12:
             continue
         tr = random_trace(rng, dim, num_modes, h + 1, edge_cases=True)
         cut = int(rng.integers(1, h + 2))
         prefix = Trace(tr.beliefs[:cut], tr.modes[: cut - 1])
         verdict, calls = _stacked_monitor_calls(monkeypatch, f, prefix)
-        atomics = [a for a in oracle_walk_atomics(f) if not is_trivially_false(a)]
+        atomics = [a for a in oracle_walk_atomics(f) if not a.trivially_false]
         assert calls == len(atomics)
         if verdict is None:
             outcomes["insufficient"] += 1
@@ -320,7 +348,7 @@ def test_stacked_monitor_on_a_plan_through_a_dark_mode(monkeypatch):
     undecided and the whole plan satisfies the formula."""
     problem = cli.load_problem(os.path.join(HERE, os.pardir, "bench", "darkswitch.json"))[0]
     plan = read_trajectory_csv(os.path.join(HERE, "data", "darkswitch_seed3", "trajectory.csv"))
-    assert 0 in plan.modes and len(plan) < horizon(problem.formula) + 1
+    assert 0 in plan.modes and len(plan) < problem.formula.horizon + 1
     outcomes = Counter()
     for cut in range(1, len(plan) + 1):
         prefix = Trace(plan.beliefs[:cut], plan.modes[: cut - 1])
@@ -417,7 +445,7 @@ def test_monitor_word_agrees_with_trace_monitor_on_induced_traces():
         a2 = _atomic([-1.0], -c + abs(float(rng.normal())), 0.2,
                      modes=set(int(m) for m in rng.choice(2, size=1)), name="r")
         f = random_formula_over(rng, a1, a2)
-        h = horizon(f)
+        h = f.horizon
         if h + 1 > 12:
             continue
         tr = random_trace(rng, 1, num_modes, h + 1)
@@ -443,7 +471,7 @@ def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
         atomics = _disjoint_atomics(rng, dim, num_modes)
         leaves = atomics + [top(), bottom(dim)]
         f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)), leaves=leaves)
-        h = horizon(f)
+        h = f.horizon
         if h + 3 > 14:
             continue
         length = int(rng.integers(1, h + 4))
@@ -476,11 +504,11 @@ def test_monitor_dwells_matches_word_monitor():
     verdicts = []
     for _ in range(150):
         f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
-        labels = [atomic_label(a) for a in atomic_propositions(f)][:2]
+        labels = [a.label for a in atomic_propositions(f)][:2]
         labels += ["other"] * (2 - len(labels))
         K = int(rng.integers(1, 5))
         signature = [(labels[int(rng.integers(2))], int(rng.integers(2))) for _ in range(K)]
-        h = horizon(f)
+        h = f.horizon
         dwells = rng.integers(0, h + 3, size=(int(rng.integers(1, 12)), K))
         dwells[dwells.sum(axis=1) == 0, 0] = 1
         got = monitor_dwells(f, signature, dwells)
@@ -541,7 +569,22 @@ def test_parse_temporal_and_boolean():
     assert isinstance(f, Until)
     assert (f.a, f.b) == (0, 240)
     assert isinstance(f.right, Release)
-    assert horizon(f) == 280
+    assert f.horizon == 280
+
+
+def test_parse_literal_false_is_bottom():
+    """The literal false parses to bottom(n): a constant that no belief,
+    word position or completion satisfies, so both monitors say false."""
+    f, b = parse_formula("false", 2, 2), bottom(2)
+    assert isinstance(f, Atomic) and f.name == b.name == f.label == "false"
+    assert f.modes == b.modes == DiscretePredicate(frozenset())
+    assert (f.cone.H.tolist(), f.cone.c.tolist()) == (b.cone.H.tolist(), b.cone.c.tolist())
+    assert f.trivially_false and f.horizon == 0 and atomic_propositions(f) == []
+    tr = _const_trace([0.0, 0.0], 0.01 * np.eye(2), [0, 1])
+    assert monitor(f, tr) is False and monitor(f, tr, 2) is False
+    assert monitor_dwells(f, [("a", 0), ("b", 1)], [[1, 0], [2, 3], [0, 4]]).tolist() == [False] * 3
+    g = parse_formula("false | (P(x0 <= 1) >= 0.9)", 2, 2)
+    assert isinstance(g, Or) and monitor(g, tr) is True
 
 
 def test_parse_conjunction_folds():
@@ -575,7 +618,7 @@ def test_nesting_bound_counts_parentheses_prefixes_and_named_formulas():
     chain = {"n0": top()}
     for i in range(1, MAX_NESTING + 1):
         chain[f"n{i}"] = parse_formula(f"F[0,1] (n{i - 1})", 1, 1, named=chain)
-    assert horizon(chain[f"n{MAX_NESTING}"]) == MAX_NESTING
+    assert chain[f"n{MAX_NESTING}"].horizon == MAX_NESTING
     last = f"n{MAX_NESTING}"
     assert parse_formula(f"({last})", 1, 1, named=chain) is chain[last]
     for deeper in (f"F[0,1] ({last})", f"true | ({last})"):

@@ -1,8 +1,9 @@
 """Every name a module imports is used in that module, no module
 imports a private name from another module of the package, every
 private module-level name is read by its module, every upper-case
-public constant is read somewhere in src/, tests/ or bench/, and every
-function the benchmark hooks exists under the name it hooks.
+public constant is read somewhere in src/, tests/ or bench/, every
+function the benchmark hooks exists under the name it hooks, and every
+package attribute the benchmark reads exists.
 
 The package's `__init__.py` is left out of the first check: it imports
 names only to re-export them.
@@ -184,3 +185,48 @@ def test_bench_hooks_exist(target):
     empty."""
     module, _, attr = target.rpartition(".")
     assert callable(getattr(importlib.import_module(module), attr, None)), target
+
+
+def beliefplan_reads(source: str) -> list:
+    """The beliefplan.<module>.<attr> names a source reads directly:
+    each name of `from beliefplan.<module> import ...`, and each
+    attribute read off a module bound by `from beliefplan import
+    <module>`, in sorted order."""
+    tree = ast.parse(source)
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "beliefplan":
+            modules.update({a.asname or a.name: f"beliefplan.{a.name}" for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("beliefplan."):
+            reads.update(f"{node.module}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                reads.add(f"{modules[node.value.id]}.{node.attr}")
+    return sorted(reads)
+
+
+def test_detects_beliefplan_reads():
+    source = (
+        "from beliefplan import cli, formula as fm\n"
+        "from beliefplan.gaussian import make_belief\n"
+        "import other\n"
+        "def f(p):\n    from beliefplan import tracking\n"
+        "    return fm.horizon(p.formula), cli.run, tracking.simulate, other.x, p.cli\n"
+    )
+    assert beliefplan_reads(source) == [
+        "beliefplan.cli.run", "beliefplan.formula.horizon",
+        "beliefplan.gaussian.make_belief", "beliefplan.tracking.simulate",
+    ]
+
+
+@pytest.mark.parametrize(
+    "target",
+    sorted(set().union(*(beliefplan_reads(p.read_text()) for p in (ROOT / "bench").glob("*.py")))),
+)
+def test_bench_reads_exist(target):
+    """Every package attribute the benchmark reads directly exists: a
+    stale name would fail every benchmark run at import or at its first
+    operation."""
+    module, _, attr = target.rpartition(".")
+    assert hasattr(importlib.import_module(module), attr), target

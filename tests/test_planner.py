@@ -22,9 +22,7 @@ from beliefplan.formula import (
     Atomic,
     Until,
     always,
-    atomic_label,
     atomic_propositions,
-    horizon,
     monitor_dwells,
     monitor_word,
     parse_formula,
@@ -99,12 +97,12 @@ def _first_candidate_oracle(abs_, f, excluded, k_max):
     """Independent enumeration: all (atomic, mode) sequences in the same
     canonical order, with an exhaustive dwell check via the word oracle."""
     pairs = abs_.pairs()
-    cap = horizon(f) + 1
+    cap = f.horizon + 1
     for K in range(1, k_max + 1):
         for combo in itertools.product(pairs, repeat=K):
             if any(combo[i] == combo[i + 1] for i in range(K - 1)):
                 continue
-            sig = tuple((atomic_label(abs_.atomics[i]), m) for i, m in combo)
+            sig = tuple((abs_.atomics[i].label, m) for i, m in combo)
             if any(sig[: len(p)] == tuple(p) for p in excluded):
                 continue
             # exhaustive dwell enumeration (small caps only)
@@ -146,7 +144,7 @@ def test_bmc_candidate_windows_are_satisfiable_and_tight():
     plan = bmc_next_candidate(abs_, f, cex, k_max=2)
     assert plan is not None
     assert plan.signature() == (("a", 0), ("b", 0))
-    cap = horizon(f) + 1
+    cap = f.horizon + 1
     # every boundary dwell of the emitted windows must admit a full
     # satisfying assignment
     for i, seg in enumerate(plan.segments):
@@ -182,7 +180,7 @@ def test_bmc_windows_match_bruteforce_bounds():
     sizes = set()
     for f in scenarios:
         abs_ = abstract(f, _system(num_modes=2))
-        cap = horizon(f) + 1
+        cap = f.horizon + 1
         cex = CounterexampleStore()
         while True:
             plan = bmc_next_candidate(abs_, f, cex, k_max=3)
@@ -208,9 +206,9 @@ def _random_case(rng):
     mode sets) and a signature of one to three segments over its first
     two labels, padded with a label no atomic has."""
     f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
-    while horizon(f) > 13:
+    while f.horizon > 13:
         f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
-    labels = [atomic_label(a) for a in atomic_propositions(f)][:2]
+    labels = [a.label for a in atomic_propositions(f)][:2]
     labels += ["other"] * (2 - len(labels))
     K = int(rng.integers(1, 4))
     return f, tuple((labels[int(rng.integers(2))], int(rng.integers(2))) for _ in range(K))
@@ -227,7 +225,7 @@ def test_dwell_search_matches_exhaustive_enumeration():
     cases, satisfiable, below_witness = 0, {1: 0, 2: 0, 3: 0}, 0
     while cases < 400 or min(satisfiable.values()) < 30:
         f, signature = _random_case(rng)
-        cap, K = horizon(f) + 1, len(signature)
+        cap, K = f.horizon + 1, len(signature)
         vectors = np.array(
             [d for d in itertools.product(range(1, cap + 1), repeat=K) if sum(d) <= cap]
         ).reshape(-1, K)
@@ -254,7 +252,7 @@ def test_monitor_dwells_is_monotone_in_the_last_dwell():
     rises = {False: 0, True: 0}  # by whether some atomic has a mode set
     for _ in range(600):
         f, signature = _random_case(rng)
-        cap, K = horizon(f) + 1, len(signature)
+        cap, K = f.horizon + 1, len(signature)
         last = np.arange(1, cap + 3)
         lead = np.repeat(rng.integers(1, cap // K + 2, size=(1, K - 1)), len(last), axis=0)
         verdicts = monitor_dwells(f, signature, np.column_stack((lead, last)))
@@ -270,7 +268,7 @@ def test_dwell_search_confirms_reported_vectors_with_word_monitor(monkeypatch):
     rejection raises WitnessDisagreementError."""
     a, b = _atomic("a"), _atomic("b")
     f = Until(a, always(0, 2, b, state_dim=1), 0, 5)
-    signature, cap = (("a", 0), ("b", 0)), horizon(f) + 1
+    signature, cap = (("a", 0), ("b", 0)), f.horizon + 1
     confirmed = []
 
     def recording(g, sig, dwells):
@@ -298,7 +296,7 @@ def test_lightdark_dwell_search_bisects_two_rows(monkeypatch):
     feasible row: at most 2 x 280 + 9 rows reach monitor_dwells in all,
     where a bisection of every feasible row passes 2,008."""
     problem = load_problem(LIGHTDARK)[0]
-    cap = horizon(problem.formula) + 1
+    cap = problem.formula.horizon + 1
     rows = []
 
     def counting(f, signature, dwells):

@@ -84,7 +84,7 @@ def test_select_prefers_low_uncertainty_near():
         ([0.5, 0.0], 0.1, 0),  # near, low uncertainty
         ([0.2, 0.0], 0.5, 0),
     )
-    assert rrt_select(tree, np.array([0.1, 0.0]), delta_near=1.0) == 1
+    assert rrt_select(tree, np.array([0.1, 0.0]), delta_near=1.0, max_depth=1) == 1
 
 
 def test_select_falls_back_to_nearest():
@@ -92,7 +92,7 @@ def test_select_falls_back_to_nearest():
         ([10.0, 0.0], 0.1, None),
         ([5.0, 0.0], 5.0, 0),  # nearest, despite higher uncertainty
     )
-    assert rrt_select(tree, np.array([4.0, 0.0]), delta_near=0.5) == 1
+    assert rrt_select(tree, np.array([4.0, 0.0]), delta_near=0.5, max_depth=1) == 1
 
 
 def test_select_ignores_inactive():
@@ -101,10 +101,26 @@ def test_select_ignores_inactive():
         ([0.1, 0.0], 5.0, 0),
     )
     tree.active[0] = False
-    assert rrt_select(tree, np.array([0.0, 0.0]), delta_near=1.0) == 1
+    assert rrt_select(tree, np.array([0.0, 0.0]), delta_near=1.0, max_depth=1) == 1
     tree.active[1] = False
-    with pytest.raises(ValueError):
-        rrt_select(tree, np.array([0.0, 0.0]), delta_near=1.0)
+    assert rrt_select(tree, np.array([0.0, 0.0]), delta_near=1.0, max_depth=1) is None
+
+
+def test_select_skips_nodes_deeper_than_max_depth():
+    """A node whose depth leaves no room for the shortest extension is
+    never selected, however low its uncertainty or near the sample."""
+    tree = _tree(
+        ([0.0, 0.0], 1.0, None),
+        ([0.5, 0.0], 0.5, 0),  # depth 1
+        ([0.1, 0.0], 0.01, 1),  # depth 2: near and least uncertain
+        ([3.0, 0.0], 0.01, 2),  # depth 3: nearest to the far sample
+    )
+    near, far = np.array([0.1, 0.0]), np.array([3.0, 0.0])
+    assert rrt_select(tree, near, delta_near=1.0, max_depth=2) == 2
+    assert rrt_select(tree, near, delta_near=1.0, max_depth=1) == 1
+    assert rrt_select(tree, far, delta_near=0.5, max_depth=3) == 3
+    assert rrt_select(tree, far, delta_near=0.5, max_depth=2) == 1
+    assert rrt_select(tree, near, delta_near=1.0, max_depth=-1) is None
 
 
 def test_extend_respects_stay_cone():
@@ -172,7 +188,7 @@ def _random_tree_pair(rng, size, grid):
     ref = [oracles.ListNode(beliefs[0], None, 0)]
     for i in range(1, size):
         assert tree.add(beliefs[i], parents[i], None, 1) == i
-        ref.append(oracles.ListNode(beliefs[i], parents[i], i))
+        ref.append(oracles.ListNode(beliefs[i], parents[i], i, depth=ref[parents[i]].depth + 1))
     tree.active[:size] = active
     for node, a in zip(ref, active):
         node.active = bool(a)
@@ -184,7 +200,7 @@ def test_select_and_drain_match_list_reference():
     reference's own distance to some node, so `<=` is tested at the
     boundary, where a distance one ulp off changes the answer."""
     rng = np.random.default_rng(2024)
-    checked_select = checked_drain = drained = 0
+    checked_select = checked_drain = drained = none_selected = 0
     for trial in range(300):
         size = int(rng.integers(1, 40))
         grid = trial % 2 == 0
@@ -196,14 +212,11 @@ def test_select_and_drain_match_list_reference():
             delta = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
             if rng.random() < 0.5:
                 delta = float(np.linalg.norm(ref[int(rng.integers(size))].belief.mean - sample))
-            try:
-                expected = oracles.list_rrt_select(ref, sample, delta)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    rrt_select(tree, sample, delta)
-                continue
-            assert rrt_select(tree, sample, delta) == expected
-            checked_select += 1
+            max_depth = int(rng.integers(0, 6))
+            expected = oracles.list_rrt_select(ref, sample, delta, max_depth)
+            assert rrt_select(tree, sample, delta, max_depth) == expected
+            checked_select += expected is not None
+            none_selected += expected is None
         node_id = int(rng.integers(0, size))
         delta = float(rng.choice([0.25, 0.5, 1.0]))
         if rng.random() < 0.5:
@@ -215,7 +228,8 @@ def test_select_and_drain_match_list_reference():
         assert tree.active[:size].tolist() == [node.active for node in ref]
         checked_drain += 1
         drained += before - sum(node.active for node in ref)
-    assert checked_select > 2000 and checked_drain == 300 and drained > 100
+    assert checked_select > 2000 and none_selected > 50
+    assert checked_drain == 300 and drained > 100
 
 
 def _same_bits(a, b):
