@@ -499,10 +499,7 @@ def run(argv=None) -> int:
                 )
         except (OverflowError, FloatingPointError, InvalidCovarianceError) as exc:
             raise NumericError(f"$.simulation: the tracked execution failed numerically ({exc})")
-        try:
-            satisfied = formula.monitor(problem.formula, est, 0)
-        except formula.InsufficientTraceError:
-            satisfied = False
+        satisfied = formula.monitor(problem.formula, est, 0)
         _write_simulation_csv(os.path.join(args.out, "simulation.csv"), est, xs, satisfied, m)
     return EXIT_SOLUTION
 

@@ -280,7 +280,7 @@ def _update(mode: SystemMode, cov, R):
     C = mode.C
     S = C @ cov @ C.T + R
     S = 0.5 * (S + S.T)
-    if S.shape[-1] > 2 and not np.isfinite(S).all():  # eigvalsh needs finite entries
+    if S.shape[-1] != 2 and not np.isfinite(S).all():  # eigvalsh needs finite entries
         raise _condition_error(False)
     mags = sorted(map(abs, symmetric_eigenvalues(S)))
     if _ill_conditioned(mags[0], mags[-1]):

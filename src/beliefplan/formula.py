@@ -7,8 +7,9 @@ bounded temporal operators U[a,b] and R[a,b]. Always and eventually are
 derived: G[a,b] f == false R[a,b] f, F[a,b] f == true U[a,b] f.
 
 Nodes are immutable and built children first, so each derives at
-construction what the monitors read: its horizon from its children's,
-and for an atomic its label and constant verdict. Named formulas share
+construction its horizon from its children's, which bounds the words
+the dwell search tries, and for an atomic the label and constant
+verdict the monitors read. Named formulas share
 subtrees, so a formula is a DAG: one walk lists each distinct node once,
 children first, and the nesting bound, the atomic propositions and the
 monitors are loops over that list, linear in the distinct nodes.
@@ -20,12 +21,10 @@ Properties of Continuous Signals", 2004). One atomic rule, a state test
 masked by the arriving mode, feeds it; the state test reads the labels
 of a batch of run-length words in monitor_dwells() (one row per dwell
 vector of a (label, mode) segment sequence; monitor_word() is one row),
-and cone containment of each belief in monitor(). A belief trace gets
-three-valued bounded semantics: monitor() evaluates the pessimistic and
-the optimistic completion of the trace in one pass, and a verdict is
-definite when the two agree; otherwise it raises InsufficientTraceError.
-Because the grammar has no negation, extending a trace can never turn a
-definite verdict around.
+and cone containment of each belief in monitor(). Both monitors read
+only the signal's own positions; neither pads it to the horizon.
+Because the grammar has no negation, extending a trace can never turn
+a true verdict false.
 """
 
 from __future__ import annotations
@@ -53,8 +52,8 @@ from .geometry import (
 MAX_NESTING = 64
 
 # The longest horizon a formula may have, in steps, once named formulas
-# are substituted. The monitors keep horizon + 1 positions per word, as
-# int32 in _sat; the bound keeps a mistyped bound from exhausting memory.
+# are substituted. The dwell search keeps horizon + 1 positions per
+# word; the bound keeps a mistyped bound from exhausting memory.
 MAX_HORIZON = 10_000
 
 
@@ -63,7 +62,9 @@ class UnsupportedBoundError(ValueError):
 
 
 class InsufficientTraceError(ValueError):
-    """The trace is too short to decide satisfaction."""
+    """The trace is too short to decide satisfaction. Nothing in the
+    package raises it, since monitor() reads positions past the end of
+    a trace as false; it stays because bench/workloads.py catches it."""
 
 
 class NameCollisionError(ValueError):
@@ -406,39 +407,18 @@ def _atomic_sat(a: Atomic, truth, arrive: np.ndarray) -> np.ndarray:
 
 
 def monitor(f, tr: Trace, k: int = 0) -> bool:
-    """Satisfaction of the trace at index k.
-
-    With at least k + f.horizon + 1 beliefs the verdict is exact. On a
-    shorter trace the verdict is returned only when it is already
-    definite (true under pessimistic completion, or false under
-    optimistic completion); otherwise InsufficientTraceError is raised.
-    """
+    """Satisfaction of the trace at index k, with positions past its end
+    counting as false."""
     n = len(tr.beliefs)
     if k < 0 or k >= n:
         raise ValueError(f"evaluation index {k} outside trace")
-    need = k + f.horizon + 1
     arrive = np.array((-1, *tr.modes), dtype=np.int64)
-    # Both completions in one pass: past the end of the trace every
-    # atomic reads false in row 0 (pessimistic) and true in row 1.
-    missing = np.repeat([[False], [True]], max(need - n, 0), axis=1)
-
     beliefs = BeliefState(np.array([b.mean for b in tr.beliefs]), np.array([b.cov for b in tr.beliefs]))
 
     def truth(a):
         return cone_contains(a.cone, beliefs)
 
-    def atom(a):
-        sat = _atomic_sat(a, truth, arrive)
-        return np.concatenate((np.broadcast_to(sat, (2, n)), missing), axis=1)
-
-    # Without negation the pessimistic verdict implies the optimistic one.
-    strong, weak = _sat(f, atom)[:, k]
-    if strong == weak:
-        return bool(strong)
-    raise InsufficientTraceError(
-        f"trace of length {n} cannot decide a formula of "
-        f"horizon {need - k - 1} at index {k}"
-    )
+    return bool(_sat(f, lambda a: _atomic_sat(a, truth, arrive))[k])
 
 
 def monitor_dwells(f, signature, dwells) -> np.ndarray:
@@ -448,8 +428,8 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
     (B, K) matrix of non-negative dwells; row b stands for the word that
     holds segment s for dwells[b, s] positions, one label per position.
     Returns the (B,) Boolean verdicts at position 0. All rows are
-    evaluated in one array pass, padded with false up to f.horizon + 1
-    positions (or the longest row): past its end a word is false anyway.
+    evaluated in one array pass, padded with false to the longest row:
+    past its end a word is false anyway.
     """
     dwells = np.asarray(dwells, dtype=np.int32)
     if dwells.ndim != 2 or dwells.shape[1] != len(signature):
@@ -460,7 +440,7 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
         raise ValueError("dwells must be non-negative with a nonempty word per row")
     B, K = dwells.shape
     ends = np.cumsum(dwells, axis=1, dtype=np.int32)
-    L = max(f.horizon + 1, int(ends[:, -1].max()))
+    L = int(ends[:, -1].max())
     # seg[b, p]: segment active at position p of row b, K past the end.
     seg = (ends[:, None, :] <= np.arange(L, dtype=np.int32)[:, None]).sum(
         axis=2, dtype=np.int32

@@ -81,24 +81,17 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
     this order: finite entries, before and after the symmetrization (an
     entry above about 9e307 overflows it), asymmetry at most 1e-6, no
     eigenvalue below -1e-9. Returns the symmetrized covariance."""
-    n = cov.shape[-1]
-    if n == 2:
+    if cov.shape[-1] == 2:
         return np.array(checked_cov_2x2(cov.ravel().tolist())).reshape(2, 2)
-    if n < 2:  # on Python floats, with numpy's rounding
-        sym = [0.5 * (a + a) for a in cov.ravel().tolist()]
-        if not all(map(math.isfinite, sym)):
-            raise InvalidCovarianceError("non-finite entries in belief state")
-        _check_limits(0.0, min(sym, default=0.0))
-        return np.array(sym).reshape(cov.shape)
     finite = np.isfinite(cov).all()  # first, as numpy warns on inf - inf
     if finite:
         with np.errstate(over="ignore"):  # an overflow fails a check below
             sym = 0.5 * (cov + cov.T)
-            asym = np.abs(cov - cov.T).max()
+            asym = np.abs(cov - cov.T).max(initial=0.0)
         finite = np.isfinite(sym).all()
     if not finite:
         raise InvalidCovarianceError("non-finite entries in belief state")
-    _check_limits(asym, symmetric_eigenvalues(sym)[0])
+    _check_limits(asym, min(symmetric_eigenvalues(sym), default=0.0))
     return sym
 
 
@@ -126,13 +119,10 @@ def checked_cov_2x2(P) -> tuple:
 
 def symmetric_eigenvalues(sym: np.ndarray) -> list:
     """The eigenvalues of one symmetric n-by-n matrix, ascending, as a
-    list of Python floats. Up to n = 2 in closed form (eigenvalues_2x2);
-    beyond n = 2 by eigvalsh, on finite entries only."""
-    n = sym.shape[-1]
-    if n > 2:
+    list of Python floats. At n = 2 in closed form (eigenvalues_2x2);
+    otherwise by eigvalsh, on finite entries only."""
+    if sym.shape[-1] != 2:
         return np.linalg.eigvalsh(sym).tolist()
-    if n < 2:
-        return sym.ravel().tolist()
     a, b, _, d = sym.ravel().tolist()
     return eigenvalues_2x2(a, b, d)
 

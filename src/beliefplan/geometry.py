@@ -44,6 +44,13 @@ class LinearExpression:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "c", float(self.c))
 
+    def __eq__(self, other):
+        """Equal coefficients and constant; the generated __eq__ would
+        read the truth value of an array comparison."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return np.array_equal(self.h, other.h) and self.c == other.c
+
     @property
     def dim(self) -> int:
         return self.h.shape[0]

@@ -29,7 +29,7 @@ from .discrete_planner import (
     bmc_next_candidate,
 )
 from .dynamics import SwitchedSystem
-from .formula import InsufficientTraceError, Trace, monitor, monitor_word
+from .formula import Trace, monitor, monitor_word
 from .gaussian import BeliefState, uncertainty_measure
 
 _GROWTH_WARN_STEPS = 50
@@ -193,11 +193,7 @@ def solve(
             continue
         trajectory = outcome[1]
         _warn_on_uncertainty_growth(trajectory.beliefs)
-        try:
-            verified = monitor(problem.formula, trajectory, 0)
-        except InsufficientTraceError:
-            verified = False
-        if not verified:
+        if not monitor(problem.formula, trajectory, 0):
             raise InternalConsistencyError(
                 "assembled trajectory failed the monitor; planner and "
                 "monitor disagree"

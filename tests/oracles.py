@@ -239,8 +239,8 @@ def oracle_atomic(atomic, trace, k):
 
 
 def oracle_monitor(f, trace, k):
-    """Brute-force recursive evaluation on a trace of full length
-    (>= k + horizon + 1); indices past the end never arise then."""
+    """Brute-force recursive evaluation at index k; an atomic at an
+    index past the end of the trace is false."""
     n = len(trace.beliefs)
     if isinstance(f, Atomic):
         if k >= n:

@@ -12,7 +12,6 @@ from beliefplan.formula import (
     And,
     Atomic,
     FormulaSyntaxError,
-    InsufficientTraceError,
     MAX_NESTING,
     NameCollisionError,
     Or,
@@ -109,6 +108,17 @@ def test_atomics_carry_label_and_constant_verdict():
     # The derived fields stay out of the constructor, equality and repr.
     assert [f.name for f in dataclasses.fields(Atomic) if f.init or f.compare] == ["cone", "modes", "name"]
     assert "label" not in repr(a) and "horizon" not in repr(Until(a, a, 0, 3))
+
+
+def test_atomics_over_several_states_compare_by_value():
+    """Two atomics over a 2-D state compare by their coefficients, as
+    do the junctions over them, and membership tests work."""
+    a, b = _atomic([1.0, 0.0], -2.0, 0.25), _atomic([1.0, 0.0], -2.0, 0.25)
+    other = _atomic([0.0, 1.0], -2.0, 0.25)
+    assert (a == b) is True and (a == other) is False and a != other
+    assert And((a, other)) == And((b, other)) and And((a, b)) != And((a, other))
+    assert a in (b,) and a not in (other,)
+    assert LinearExpression([1.0, 0.0], 1.0) != LinearExpression([1.0, 0.0], 2.0)
 
 
 def test_junction_and_bounded_operators_keep_their_identity():
@@ -223,17 +233,36 @@ def test_always_and_eventually():
     assert monitor(eventually(0, 5, far), tr, 0) is False
 
 
-def test_monitor_three_valued():
+def test_monitor_matches_the_oracle_on_every_prefix():
+    """Positions past the end of a trace are false: on a 3-point trace
+    G[0,10] fails although nothing inside the trace violates it, and
+    F[0,10] holds on its witness at 0. On random formulas and traces the
+    verdict equals the brute-force oracle's at every index of every
+    prefix, including prefixes shorter than the horizon."""
     a = _atomic([1.0], -1.0, 0.1)
     short = _const_trace([0.0], [[0.01]], [0, 0])
-    # G[0,10] over a 3-point trace: satisfied so far but indeterminate
-    with pytest.raises(InsufficientTraceError):
-        monitor(always(0, 10, a, state_dim=1), short, 0)
-    # F[0,10]: already witnessed at k=0, definite True on the short trace
+    assert monitor(always(0, 10, a, state_dim=1), short, 0) is False
     assert monitor(eventually(0, 10, a), short, 0) is True
-    # G with a violation inside the trace: definite False
-    bad = _atomic([1.0], 1.0, 0.1)
-    assert monitor(always(0, 10, bad, state_dim=1), short, 0) is False
+    assert monitor(always(0, 2, a, state_dim=1), short, 0) is True
+    rng = np.random.default_rng(35)
+    lengths = Counter()
+    verdicts = []
+    for _ in range(150):
+        dim, num_modes = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+        f = random_formula(rng, dim, num_modes, depth=int(rng.integers(0, 4)))
+        h = f.horizon
+        if h + 2 > 12:
+            continue
+        tr = random_trace(rng, dim, num_modes, h + 2)
+        for cut in range(1, h + 3):
+            prefix = Trace(tr.beliefs[:cut], tr.modes[: cut - 1])
+            lengths["short" if cut <= h else "full"] += 1
+            for k in range(cut):
+                verdict = monitor(f, prefix, k)
+                assert verdict is oracle_monitor(f, prefix, k)
+                verdicts.append(verdict)
+    assert lengths["short"] > 200 and lengths["full"] > 100, lengths
+    assert 300 < sum(verdicts) < len(verdicts) - 300
 
 
 def test_monitor_index_bounds():
@@ -267,8 +296,10 @@ def test_monitor_matches_bruteforce_oracle():
         assert monitor(f, tr, 0) == oracle_monitor(f, tr, 0)
 
 
-def test_monitor_definite_verdicts_extension_stable():
-    # any definite verdict on a prefix must persist on the full trace
+def test_monitor_true_verdicts_extension_stable():
+    """Without negation, a true verdict on a prefix stays true on the
+    full trace, which only turns positions past the prefix's end from
+    false to their own truth."""
     rng = np.random.default_rng(99)
     checked = 0
     for _ in range(200):
@@ -281,17 +312,14 @@ def test_monitor_definite_verdicts_extension_stable():
         tr = random_trace(rng, dim, num_modes, h + 1)
         for cut in range(1, h + 1):
             prefix = Trace(tr.beliefs[:cut], tr.modes[: cut - 1])
-            try:
-                verdict = monitor(f, prefix, 0)
-            except InsufficientTraceError:
-                continue
-            assert verdict == monitor(f, tr, 0)
-            checked += 1
+            if monitor(f, prefix, 0):
+                assert monitor(f, tr, 0) is True
+                checked += 1
     assert checked > 50
 
 
 def _stacked_monitor_calls(monkeypatch, f, tr):
-    """monitor's outcome on tr (None for InsufficientTraceError) and its
+    """monitor's verdict on tr and the number of its
     cone_contains calls, each checked against list_cone_contains at
     every belief of the trace."""
     calls = []
@@ -304,10 +332,7 @@ def _stacked_monitor_calls(monkeypatch, f, tr):
 
     with monkeypatch.context() as m:
         m.setattr(formula, "cone_contains", recording)
-        try:
-            verdict = monitor(f, tr, 0)
-        except InsufficientTraceError:
-            verdict = None
+        verdict = monitor(f, tr, 0)
     return verdict, len(calls)
 
 
@@ -315,9 +340,9 @@ def test_stacked_monitor_matches_the_oracle_and_per_belief_truths(monkeypatch):
     """The trace monitor makes one cone_contains call per atomic over the
     stacked trace, whose truths equal list_cone_contains at each belief.
     On random formulas with epsilon = 0 rows, empty cones and mode sets,
-    over beliefs with variance-free axes, a full-length trace's verdict
-    equals the brute-force oracle's; on shorter traces a definite verdict
-    equals the oracle's on a random full-length extension."""
+    over beliefs with variance-free axes, the verdict on a random prefix
+    equals the brute-force oracle's on that prefix, and a true one stays
+    true on the full-length trace."""
     rng = np.random.default_rng(2016)
     outcomes = Counter()
     for _ in range(600):
@@ -332,20 +357,18 @@ def test_stacked_monitor_matches_the_oracle_and_per_belief_truths(monkeypatch):
         verdict, calls = _stacked_monitor_calls(monkeypatch, f, prefix)
         atomics = [a for a in oracle_walk_atomics(f) if not a.trivially_false]
         assert calls == len(atomics)
-        if verdict is None:
-            outcomes["insufficient"] += 1
-            continue
-        assert verdict == oracle_monitor(f, tr, 0)
-        outcomes["full" if cut == h + 1 else "definite"] += 1
-    assert min(outcomes.values()) > 30 and len(outcomes) == 3, outcomes
+        assert verdict is oracle_monitor(f, prefix, 0)
+        assert not verdict or oracle_monitor(f, tr, 0)
+        outcomes["full" if cut == h + 1 else "short", verdict] += 1
+    assert min(outcomes.values()) > 30 and len(outcomes) == 4, outcomes
 
 
 def test_stacked_monitor_on_a_plan_through_a_dark_mode(monkeypatch):
     """The darkswitch plan at seed 3 dwells in the dark mode 0 (no
     observation) and is shorter than its formula's horizon. On every
     prefix the monitor makes one cone_contains call per atomic, with the
-    truths of list_cone_contains at each belief; short prefixes are
-    undecided and the whole plan satisfies the formula."""
+    truths of list_cone_contains at each belief; short prefixes fail the
+    formula and the whole plan satisfies it."""
     problem = cli.load_problem(os.path.join(HERE, os.pardir, "bench", "darkswitch.json"))[0]
     plan = read_trajectory_csv(os.path.join(HERE, "data", "darkswitch_seed3", "trajectory.csv"))
     assert 0 in plan.modes and len(plan) < problem.formula.horizon + 1
@@ -355,7 +378,7 @@ def test_stacked_monitor_on_a_plan_through_a_dark_mode(monkeypatch):
         verdict, calls = _stacked_monitor_calls(monkeypatch, problem.formula, prefix)
         assert calls == 2
         outcomes[verdict] += 1
-    assert verdict is True and outcomes[None] > 0, outcomes
+    assert verdict is True and outcomes[False] > 0, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +483,7 @@ def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
     with disjoint cones, true, false and a mode-only atomic, on the
     induced run-length word of a random trace. Past the end the trace
     oracle reads false, which is the word semantics, so the verdicts
-    agree on short traces too; there the trace monitor may answer True
-    only when the oracle does."""
+    agree on short traces too, as do the trace monitor's there."""
     rng = np.random.default_rng(2004)
     lengths = {"short": 0, "full": 0}
     verdicts = []
@@ -486,11 +508,7 @@ def test_monitor_word_matches_bruteforce_oracle_on_induced_words():
             continue
         lengths["short"] += 1
         for k in range(min(length, 3)):
-            try:
-                verdict = monitor(f, tr, k)
-            except InsufficientTraceError:
-                verdict = None
-            assert (verdict is True) == oracle_monitor(f, tr, k)
+            assert monitor(f, tr, k) is oracle_monitor(f, tr, k)
     assert lengths["short"] > 50 and lengths["full"] > 50
     assert 30 < sum(verdicts) < len(verdicts) - 30
 
@@ -499,9 +517,11 @@ def test_monitor_dwells_matches_word_monitor():
     """Each row's batched verdict equals the brute-force word oracle's
     on the row's word, and monitor_word's, for random formulas, two
     labels, two modes and rows whose totals fall short of, meet and pass
-    the horizon (zero dwells included)."""
+    the horizon (zero dwells included). A batch of the rows shorter than
+    horizon + 1 positions, evaluated over its longest row only, gets the
+    same verdicts."""
     rng = np.random.default_rng(2013)
-    verdicts = []
+    verdicts, short_rows = [], 0
     for _ in range(150):
         f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)))
         labels = [a.label for a in atomic_propositions(f)][:2]
@@ -517,7 +537,12 @@ def test_monitor_dwells_matches_word_monitor():
             assert verdict == oracle_word(f, signature, row)
             assert monitor_word(f, signature, row) is bool(verdict)
             verdicts.append(bool(verdict))
+        short = dwells.sum(axis=1) <= h
+        if short.any():
+            assert monitor_dwells(f, signature, dwells[short]).tolist() == got[short].tolist()
+            short_rows += int(short.sum())
     assert 200 < sum(verdicts) < len(verdicts) - 200
+    assert short_rows > 50
 
 
 def test_monitor_dwells_rejects_bad_shapes():
@@ -573,8 +598,8 @@ def test_parse_temporal_and_boolean():
 
 
 def test_parse_literal_false_is_bottom():
-    """The literal false parses to bottom(n): a constant that no belief,
-    word position or completion satisfies, so both monitors say false."""
+    """The literal false parses to bottom(n): a constant that no belief
+    or word position satisfies, so both monitors say false."""
     f, b = parse_formula("false", 2, 2), bottom(2)
     assert isinstance(f, Atomic) and f.name == b.name == f.label == "false"
     assert f.modes == b.modes == DiscretePredicate(frozenset())

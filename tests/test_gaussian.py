@@ -178,7 +178,7 @@ def _forms(mean, cov):
 
 
 def test_make_belief_matches_the_numpy_reference_bit_for_bit():
-    """make_belief, whose checks run on Python floats up to n = 2,
+    """make_belief, whose checks run on Python floats at n = 2,
     against the numpy reference: the same exception class and message,
     or the same bytes in fresh read-only arrays, on edge cases
     (non-finite entries, an overflowing symmetrization, asymmetry and

@@ -2,7 +2,8 @@
 imports a private name from another module of the package, every
 private module-level name is read by its module, every upper-case
 public constant is read somewhere in src/, tests/ or bench/, every
-function the benchmark hooks exists under the name it hooks, and every
+function the benchmark hooks exists under the name it hooks, a hooked
+name a module imports is called by that bare name there, and every
 package attribute the benchmark reads exists.
 
 The package's `__init__.py` is left out of the first check: it imports
@@ -185,6 +186,44 @@ def test_bench_hooks_exist(target):
     empty."""
     module, _, attr = target.rpartition(".")
     assert callable(getattr(importlib.import_module(module), attr, None)), target
+
+
+def uncalled_imports(source: str, names) -> list:
+    """The names among `names` that an import statement of the source
+    binds and that no call by bare name reads: a call through another
+    name, such as a module attribute, bypasses a hook on the import."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    called = {
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    return sorted(name for name in names if name in imported and name not in called)
+
+
+def test_detects_an_uncalled_import():
+    source = (
+        "from .formula import monitor, monitor_word\nfrom . import formula\n"
+        "from .dynamics import propagate_mlo\n"
+        "def f(x):\n    step = propagate_mlo\n    return formula.monitor(x), monitor_word(x), step(x)\n"
+    )
+    names = ["monitor", "monitor_word", "propagate_mlo", "solve"]
+    assert uncalled_imports(source, names) == ["monitor", "propagate_mlo"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_hooked_imports_are_called_by_name(path):
+    """bench/run.py hooks a function a module imports by replacing the
+    module's own binding, so the hook sees only the calls made by that
+    bare name."""
+    prefix = f"beliefplan.{path.stem}."
+    hooked = [t[len(prefix):] for t in hook_targets((ROOT / "bench" / "run.py").read_text())
+              if t.startswith(prefix)]
+    assert uncalled_imports(path.read_text(), hooked) == []
 
 
 def beliefplan_reads(source: str) -> list:

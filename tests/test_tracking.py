@@ -292,7 +292,7 @@ def _light_dark_executions(count, seed=2):
     benchmark's track workload runs them: execution i draws its initial
     state from the initial belief, then its noise, from
     default_rng([seed, i]). Yields each estimated trajectory with the
-    monitor's verdict (None for InsufficientTraceError)."""
+    monitor's verdict."""
     problem, _, _, _, sim = cli.load_problem(LIGHTDARK)
     ref = read_trajectory_csv(TRACK_REFERENCE)
     gains = {i: lqr_gains(m, sim.lqr_horizon, sim.Q_final, sim.Q, sim.R)
@@ -304,11 +304,7 @@ def _light_dark_executions(count, seed=2):
         est, _xs = tracking.simulate(
             problem.system, sim.real_system, ref, x0, ref.num_steps, gains, rng
         )
-        try:
-            verdict = formula.monitor(problem.formula, est, 0)
-        except formula.InsufficientTraceError:
-            verdict = None
-        yield est, verdict
+        yield est, formula.monitor(problem.formula, est, 0)
 
 
 def _expected_hooks(workload):
@@ -369,11 +365,10 @@ def test_one_solve_fires_every_expected_plan_hook(monkeypatch, tmp_path, workloa
 
 def test_tracked_execution_bits_are_pinned():
     """SHA-256 over the estimated means and covariances and the verdicts
-    of 12 tracked light-dark executions (9 satisfied, 3 undecided on the
-    plan's length): a change to the filter step, the feedback control or
-    the monitor that moves one bit changes it. The value was recorded
-    before the stacked trace monitor and the checks of make_belief on
-    Python floats, which kept every bit."""
+    of 12 tracked light-dark executions (9 satisfied, 3 failed because
+    a window they need runs past the end of the trace): a change to the
+    filter step, the feedback control or the monitor that moves one bit
+    changes it."""
     digest = hashlib.sha256()
     verdicts = []
     for est, verdict in _light_dark_executions(12):
@@ -381,8 +376,8 @@ def test_tracked_execution_bits_are_pinned():
         digest.update(np.array([b.cov for b in est.beliefs]).tobytes())
         digest.update(repr(verdict).encode())
         verdicts.append(verdict)
-    assert verdicts.count(True) == 9 and verdicts.count(None) == 3
-    assert digest.hexdigest() == "f5ff24355623be9722dca844f2402cf7727bc256f86c1c79f69b93913f279009"
+    assert verdicts.count(True) == 9 and verdicts.count(False) == 3
+    assert digest.hexdigest() == "19a22f436c269a609232c2a4068c599eee8be68e0e4fd3089c2da76c8cc83c89"
 
 
 LIGHTDARK_LINEAR = os.path.join(HERE, "data", "lightdark_linear.json")
