@@ -11,7 +11,10 @@ no observation (p = 0) propagates open loop; otherwise planning uses
 the maximum-likelihood-observation assumption: the future observation
 equals its predicted mean, so the Kalman update has zero innovation:
 the planned mean is the predicted mean, only the covariance contracts,
-and belief propagation is deterministic.
+and belief propagation is deterministic. Tracked execution filters the
+sampled observation instead: kalman_update is one filter step, predict
+then update, and builds one checked belief. step_truth and
+sample_observation take their normal draws w and v.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 from .formula import parse_noise
 from .gaussian import (
     BeliefState,
+    InvalidCovarianceError,
     checked_cov,
     checked_cov_2x2,
     checked_mean,
@@ -372,31 +376,41 @@ def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
 
 def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
     """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
-    mean = _predicted_mean(mode, b, u)
-    if mode.closed_form:
-        cov = _predict_cov_2x2(mode, b.cov.ravel().tolist())
-        return make_belief(mean, (cov[:2], cov[2:]))
-    return make_belief(mean, _predict_cov(mode, b.cov))
+    return make_belief(_predicted_mean(mode, b, u), _predict_cov(mode, b.cov))
 
 
-def kalman_update(mode: SystemMode, b: BeliefState, y) -> BeliefState:
-    """Measurement update with state-dependent R evaluated at the mean
-    (EKF-style linearization point); Joseph-form covariance."""
+def kalman_update(mode: SystemMode, b: BeliefState, u, y) -> BeliefState:
+    """The filter step of an observed mode: predict with the control u,
+    then update with the observation y, R read at the predicted mean
+    (EKF-style linearization point); Joseph-form covariance. The
+    predicted belief gets make_belief's checks (its mean finite, its
+    covariance checked_cov's) but is not built; one checked belief is
+    returned. For n = p = 2 the step runs on Python floats."""
     if mode.obs_dim == 0:
         raise NoObservationError("mode has no observation (p = 0)")
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.shape[0] != mode.obs_dim:
         raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
-    if mode.closed_form:
-        m0, m1 = b.mean.tolist()
-        (k00, k01, k10, k11), cov = _update_2x2(mode, b.cov.ravel().tolist(), (m0, m1))
-        c00, c01, c10, c11 = mode.closed_form[2]
-        y0, y1 = y.tolist()
-        v0, v1 = y0 - (c00 * m0 + c01 * m1), y1 - (c10 * m0 + c11 * m1)
-        mean = (m0 + (k00 * v0 + k01 * v1), m1 + (k10 * v0 + k11 * v1))
-        return make_belief(mean, (cov[:2], cov[2:]))
-    K, cov = _update(mode, b.cov, noise_cov(mode, b.mean))
-    return make_belief(b.mean + K @ (y - mode.C @ b.mean), cov)
+    if not mode.closed_form:
+        mean = _predicted_mean(mode, b, u)
+        K, cov = _update(mode, checked_cov(_predict_cov(mode, b.cov)), noise_cov(mode, mean))
+        return make_belief(mean + K @ (y - mode.C @ mean), cov)
+    u = np.asarray(u, dtype=float).reshape(-1)
+    if u.shape[0] != mode.control_dim:
+        raise ValueError(f"control dimension {u.shape[0]} != {mode.control_dim}")
+    if b.dim != 2:
+        raise ValueError(f"belief dimension {b.dim} != 2")
+    (a0, a1, a2, a3), _, (c0, c1, c2, c3), _ = mode.closed_form
+    x0, x1 = b.mean.tolist()
+    b0, b1 = (mode.B @ u).tolist()
+    m0, m1 = a0 * x0 + a1 * x1 + b0, a2 * x0 + a3 * x1 + b1  # predict_means on floats
+    if not (math.isfinite(m0) and math.isfinite(m1)):
+        raise InvalidCovarianceError("non-finite entries in belief state")
+    prior = checked_cov_2x2(_predict_cov_2x2(mode, b.cov.ravel().tolist()))
+    (k0, k1, k2, k3), cov = _update_2x2(mode, prior, (m0, m1))
+    y0, y1 = y.tolist()
+    v0, v1 = y0 - (c0 * m0 + c1 * m1), y1 - (c2 * m0 + c3 * m1)
+    return make_belief((m0 + (k0 * v0 + k1 * v1), m1 + (k2 * v0 + k3 * v1)), np.array(cov).reshape(2, 2))
 
 
 def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:
@@ -432,24 +446,23 @@ def mlo_covariance(mode: SystemMode, cov, mean=None):
     return np.array(checked_cov_2x2(cov)).reshape(2, 2)
 
 
-def sample_observation(mode: SystemMode, x_true, rng: np.random.Generator) -> np.ndarray:
-    """Draw y = C x + n(x) v, v ~ N(0, I_p); a scalar gain multiplies v
-    directly, with the bits of n(x) I_p v for a finite gain."""
-    p = mode.obs_dim
-    if p == 0:
+def sample_observation(mode: SystemMode, x_true, v) -> np.ndarray:
+    """The observation y = C x + n(x) v for the measurement-noise draw
+    v ~ N(0, I_p); a scalar gain multiplies v directly, with the bits of
+    n(x) I_p v for a finite gain."""
+    if mode.obs_dim == 0:
         raise NoObservationError("mode has no observation (p = 0)")
     x_true = np.asarray(x_true, dtype=float).reshape(-1)
-    v = rng.standard_normal(p)
     if isinstance(mode.noise, ScalarExpression):
         return mode.C @ x_true + mode.noise(x_true) * v
     return mode.C @ x_true + mode.noise @ v
 
 
-def step_truth(mode: SystemMode, x_true, u, rng: np.random.Generator) -> np.ndarray:
-    """Advance the ground-truth state: A x + B u + W w, w ~ N(0, I_n)."""
+def step_truth(mode: SystemMode, x_true, u, w) -> np.ndarray:
+    """The next ground-truth state A x + B u + W w for the process-noise
+    draw w ~ N(0, I_n)."""
     x_true = np.asarray(x_true, dtype=float).reshape(-1)
     u = np.asarray(u, dtype=float).reshape(-1)
     if x_true.shape[0] != mode.state_dim or u.shape[0] != mode.control_dim:
         raise ValueError("dimension mismatch in step_truth")
-    w = rng.standard_normal(mode.state_dim)
     return mode.A @ x_true + mode.B @ u + mode.W @ w

@@ -9,7 +9,9 @@ Gains come from the backward Riccati recursion
 and execution applies only K_0 each step, re-anchored to the reference
 index (receding horizon). The simulation runs the feedback law against a
 possibly different real system, with observations drawn from the
-planner's observation model at the true state.
+planner's observation model at the true state. A mode with a closed
+form (n = p = 2, every shipped problem) steps on Python floats, with
+one filter step and one checked belief per step.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .belief_rrt import InternalConsistencyError
 from .dynamics import (
+    ScalarExpression,
     SwitchedSystem,
     SystemMode,
     kalman_update,
@@ -105,8 +108,15 @@ def simulate(
 
     Returns (estimated trajectory, true state sequence). The estimate
     starts at the reference initial belief; each step applies the
-    feedback law, advances the truth through real_sys, draws an
-    observation from the planner's model at the true state, and filters.
+    feedback law, advances the truth through real_sys and, for an
+    observed mode, draws an observation from the planner's model at the
+    true state and takes the filter step (kalman_update); an unobserved
+    mode predicts. The run's normals come from one standard_normal
+    call: per step n for the truth, then p if the mode observes. A mode
+    with a closed form (n = p = 2) computes the control, the truth and
+    the observation on Python floats, the sums of track_step, step_truth
+    and sample_observation, which numpy's BLAS may round differently in
+    the last bit; a control domain that is not a box keeps track_step.
     The estimated trajectory carries the applied controls and the
     reference's segment boundaries up to num_steps.
     """
@@ -117,32 +127,78 @@ def simulate(
     for k in range(num_steps):
         if ref.modes[k] not in gains:
             raise ValueError(f"no LQR gains for mode {ref.modes[k]}")
+    if (real_sys.state_dim, real_sys.control_dim) != (sys.state_dim, sys.control_dim):
+        raise ValueError("the real system's dimensions differ from the planner's")
+
+    n = sys.state_dim
+    normals = rng.standard_normal(sum(n + sys.modes[i].obs_dim for i in ref.modes[:num_steps]))
+    draws = normals.tolist()
+    forms = {
+        i: _float_form(sys.modes[i], real_sys.modes[i], gains[i])
+        for i in set(ref.modes[:num_steps]) if sys.modes[i].closed_form
+    }
+    domain = sys.control_domain
+    lo, hi = (v.tolist() for v in domain.bounding_box())
 
     est = ref.beliefs[0]
-    x = np.asarray(real_x0, dtype=float).reshape(-1)
+    x = np.asarray(real_x0, dtype=float).reshape(-1).tolist()
     est_beliefs = [est]
     modes = []
     controls = []
     xs = [x]
+    j = 0  # the next unused draw
     for k in range(num_steps):
         mode_idx = ref.modes[k]
         mode = sys.modes[mode_idx]
-        real_mode = real_sys.modes[mode_idx]
-        u = track_step(
-            gains[mode_idx],
-            ref.beliefs[k].mean,
-            ref.controls[k],
-            est,
-            sys.control_domain,
-        )
-        x = step_truth(real_mode, x, u, rng)
-        est = predict(mode, est, u)
-        if mode.obs_dim > 0:
-            y = sample_observation(mode, x, rng)
-            est = kalman_update(mode, est, y)
+        form = forms.get(mode_idx)
+        if form is None:
+            u = track_step(gains[mode_idx], ref.beliefs[k].mean, ref.controls[k], est, domain)
+            x = step_truth(real_sys.modes[mode_idx], x, u, normals[j:j + n]).tolist()
+            j += n
+            if mode.obs_dim:
+                y = sample_observation(mode, x, normals[j:j + mode.obs_dim])
+                j += mode.obs_dim
+                est = kalman_update(mode, est, u, y)
+            else:
+                est = predict(mode, est, u)
+        else:
+            K0, (a0, a1, a2, a3), B, (w0, w1, w2, w3), (c0, c1, c2, c3), noise = form
+            if domain.is_box:
+                m0, m1 = est.mean.tolist()
+                r0, r1 = ref.beliefs[k].mean.tolist()
+                e0, e1 = m0 - r0, m1 - r1
+                u = np.array([
+                    min(max(r - (g0 * e0 + g1 * e1), low), high)
+                    for r, (g0, g1), low, high in zip(ref.controls[k].tolist(), K0, lo, hi)
+                ])
+            else:
+                u = track_step(gains[mode_idx], ref.beliefs[k].mean, ref.controls[k], est, domain)
+            (x0, x1), (b0, b1) = x, (B @ u).tolist()
+            d0, d1, v0, v1 = draws[j:j + 4]
+            j += 4
+            x0, x1 = a0 * x0 + a1 * x1 + b0 + (w0 * d0 + w1 * d1), a2 * x0 + a3 * x1 + b1 + (w2 * d0 + w3 * d1)
+            x = [x0, x1]
+            if callable(noise):  # a state-dependent gain times the identity
+                g = noise(x)
+                y = (c0 * x0 + c1 * x1 + g * v0, c2 * x0 + c3 * x1 + g * v1)
+            else:
+                n0, n1, n2, n3 = noise
+                y = (c0 * x0 + c1 * x1 + (n0 * v0 + n1 * v1), c2 * x0 + c3 * x1 + (n2 * v0 + n3 * v1))
+            est = kalman_update(mode, est, u, y)
         est_beliefs.append(est)
         modes.append(mode_idx)
         controls.append(u)
         xs.append(x)
     boundaries = tuple(b for b in ref.segment_boundaries if b <= num_steps)
-    return SolutionTrajectory(tuple(est_beliefs), tuple(modes), tuple(controls), boundaries), xs
+    trajectory = SolutionTrajectory(tuple(est_beliefs), tuple(modes), tuple(controls), boundaries)
+    return trajectory, list(np.array(xs))
+
+
+def _float_form(mode: SystemMode, real_mode: SystemMode, gains: LqrGains) -> tuple:
+    """What the tracked step of a closed-form mode reads: the rows of
+    K_0; the real system's A, B (an array) and W; the planner's C; its
+    noise gain's evaluate or its constant noise matrix. A, W, C and the
+    noise matrix are flat row-major sequences of Python floats."""
+    noise = mode.noise.evaluate if isinstance(mode.noise, ScalarExpression) else mode.noise.ravel().tolist()
+    return (gains.K_seq[0].tolist(), real_mode.A.ravel().tolist(), real_mode.B,
+            real_mode.W.ravel().tolist(), mode.closed_form[2], noise)

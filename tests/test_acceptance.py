@@ -246,7 +246,7 @@ def test_criterion_08_filtering_invariants():
                 b = propagate_mlo(mode, b, u)
             else:
                 y = rng.normal(size=n)
-                b = kalman_update(mode, b, y)
+                b = kalman_update(mode, b, u, y)
             assert np.array_equal(b.cov, b.cov.T)
             assert np.linalg.eigvalsh(b.cov)[0] >= -1e-9
             steps += 1

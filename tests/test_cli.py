@@ -160,10 +160,25 @@ def test_load_nonfinite_matrix_is_numeric(tmp_path):
         load_problem(_write(tmp_path, doc))
 
 
-def test_overflowing_tracked_execution_is_numeric(tmp_path):
-    doc = _small_doc()
-    doc["simulation"]["real_modes"][0]["A"] = [[1e200]]
-    with pytest.raises(NumericError, match="failed numerically"):
+@pytest.mark.parametrize("case", ["1-D-A", "2-D-A", "2-D-x0"])
+def test_overflowing_tracked_execution_is_numeric(tmp_path, case):
+    """A real system that overflows the tracked execution ends with a
+    NumericError (exit 4), never a traceback or a finished run. The 1-D
+    mode has no closed form, and numpy raises on the overflow. The 2-D
+    light-dark mode steps on Python floats, which ignore np.errstate:
+    real A = 1e200 I, or real_x0 = [1e308, 1e308] with its infinite
+    noise gain, makes the observation non-finite, and the filter step's
+    belief check names it."""
+    if case == "1-D-A":
+        doc, message = _small_doc(), "failed numerically"
+        doc["simulation"]["real_modes"][0]["A"] = [[1e200]]
+    else:
+        doc, message = _base_doc(), r"failed numerically \(non-finite entries in belief state\)"
+        if case == "2-D-A":
+            doc["simulation"]["real_modes"][0]["A"] = [[1e200, 0.0], [0.0, 1e200]]
+        else:
+            doc["simulation"]["real_x0"] = [1e308, 1e308]
+    with pytest.raises(NumericError, match=message):
         run(["--problem", _write(tmp_path, doc), "--out", str(tmp_path / "out")])
 
 

@@ -15,6 +15,7 @@ from beliefplan.dynamics import (
     ScalarExpression,
     SwitchedSystem,
     SystemMode,
+    _predict_cov_2x2,
     _update,
     kalman_update,
     mlo_covariance,
@@ -333,7 +334,7 @@ def test_kalman_update_textbook():
     # scalar oracle: K = P/(P+R), P+ = (1-K)P
     m = SystemMode(np.eye(1), np.eye(1), np.zeros((1, 1)), C=np.eye(1), noise=[[1.0]])
     b = make_belief([0.0], [[1.0]])
-    bu = kalman_update(m, b, [2.0])
+    bu = kalman_update(m, b, [0.0], [2.0])  # A = 1, W = 0: the prior is b
     assert bu.mean[0] == pytest.approx(1.0)
     assert bu.cov[0, 0] == pytest.approx(0.5)
 
@@ -365,7 +366,7 @@ def test_mlo_without_observation_is_predict():
 def test_sample_observation_statistics():
     m = SystemMode(np.eye(1), np.eye(1), np.zeros((1, 1)), C=np.eye(1), noise=[[0.5]])
     rng = np.random.default_rng(3)
-    ys = np.array([sample_observation(m, [2.0], rng)[0] for _ in range(4000)])
+    ys = np.array([sample_observation(m, [2.0], rng.standard_normal(1))[0] for _ in range(4000)])
     assert ys.mean() == pytest.approx(2.0, abs=0.05)
     assert ys.std() == pytest.approx(0.5, abs=0.05)
 
@@ -373,7 +374,7 @@ def test_sample_observation_statistics():
 def test_step_truth_noiseless():
     m = SystemMode(np.eye(2), 0.25 * np.eye(2), np.zeros((2, 2)))
     rng = np.random.default_rng(0)
-    x = step_truth(m, [0.5, 2.75], [1.0, -1.0], rng)
+    x = step_truth(m, [0.5, 2.75], [1.0, -1.0], rng.standard_normal(2))
     assert np.allclose(x, [0.75, 2.5])
 
 
@@ -512,7 +513,7 @@ def test_singular_innovation_matrix_is_ill_conditioned(cov):
     or of rank 1 with eigenvalues 0 and 5."""
     mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=np.zeros((2, 2)))
     with pytest.raises(IllConditionedUpdateError):
-        kalman_update(mode, make_belief([0.0, 0.0], cov), [0.0, 0.0])
+        kalman_update(mode, make_belief([0.0, 0.0], cov), [0.0, 0.0], [0.0, 0.0])
     with pytest.raises(IllConditionedUpdateError):
         propagate_mlo(mode, make_belief([0.0, 0.0], cov), [0.0, 0.0])
 
@@ -527,9 +528,9 @@ def test_three_dimensional_condition_verdicts_are_unchanged():
         b = make_belief(np.zeros(3), np.diag(diag))
         if ill:
             with pytest.raises(IllConditionedUpdateError, match="condition number exceeds 1e"):
-                kalman_update(mode, b, np.zeros(3))
+                kalman_update(mode, b, np.zeros(3), np.zeros(3))
         else:
-            kalman_update(mode, b, np.zeros(3))
+            kalman_update(mode, b, np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -577,10 +578,12 @@ def _outcome(step, *args):
 
 
 def test_closed_form_filter_matches_the_numpy_reference():
-    """predict and kalman_update of n = p = 2 modes against the numpy
-    bodies they replace, on 3,000 random cases. The predicted mean is
-    the same bits and the predicted covariance within 8 eps of its
-    largest entry. Both updates round a solve against S = C P C^T + R,
+    """The filter step (kalman_update) of n = p = 2 modes against the
+    numpy reference, oracle_predict then oracle_kalman_update, on 3,000
+    random cases; predict, the numpy body, gives oracle_predict's bits.
+    The filter step's predicted mean is the same bits and its predicted
+    covariance, on Python floats, within 8 eps of its largest entry.
+    Both updates round a solve against S = C P C^T + R,
     whose error grows with cond(S): the covariances differ by at most
     16 eps cond(S) of the largest prior or posterior entry, the means by
     64 eps cond(S) of the largest prior or posterior entry or entry of
@@ -592,11 +595,11 @@ def test_closed_form_filter_matches_the_numpy_reference():
     outcomes = {"updated": 0, "ill": 0, "differ": 0}
     for _ in range(3000):
         mode, b, u, y = _random_filter_case(rng)
-        mine, ref = predict(mode, b, u), oracles.oracle_predict(mode, b, u)
-        assert np.array_equal(mine.mean, ref.mean)
-        assert np.abs(mine.cov - ref.cov).max() <= 8 * _EPS * np.abs(ref.cov).max()
-        prior = ref
-        mine = _outcome(kalman_update, mode, prior, y)
+        mine, prior = predict(mode, b, u), oracles.oracle_predict(mode, b, u)
+        assert mine.mean.tobytes() == prior.mean.tobytes() and mine.cov.tobytes() == prior.cov.tobytes()
+        cov = np.reshape(_predict_cov_2x2(mode, b.cov.ravel().tolist()), (2, 2))
+        assert np.abs(cov - prior.cov).max() <= 8 * _EPS * np.abs(prior.cov).max()
+        mine = _outcome(kalman_update, mode, b, u, y)
         ref = _outcome(oracles.oracle_kalman_update, mode, prior, y)
         S = mode.C @ prior.cov @ mode.C.T + noise_cov(mode, prior.mean)
         cond = np.linalg.cond(S)
@@ -773,7 +776,7 @@ def test_closed_form_gain_where_the_determinant_under_or_overflows(scale):
     b = make_belief([1.0, -2.0], scale * np.array([[2.0, 0.3], [0.3, 1.0]]))
     S = b.cov + noise @ noise.T
     assert float(S[0, 0]) * float(S[1, 1]) == (0.0 if scale < 1 else math.inf)
-    mine = kalman_update(mode, b, [1.5, -1.0])
+    mine = kalman_update(mode, b, [0.0, 0.0], [1.5, -1.0])  # A = I, W = 0, u = 0: the prior is b
     ref = oracles.oracle_kalman_update(mode, b, [1.5, -1.0])
     K = np.linalg.solve(S, b.cov).mT
     assert np.allclose(ref.mean, b.mean + K @ (np.array([1.5, -1.0]) - b.mean), rtol=1e-14, atol=0)
@@ -794,7 +797,8 @@ def test_closed_form_singular_innovation_matrix(cov, message):
     mode = SystemMode(np.eye(2), np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=np.zeros((2, 2)))
     b = make_belief([0.0, 0.0], cov)
     expected = "innovation covariance " + message
-    assert _outcome(kalman_update, mode, b, [1.0, 1.0]) == expected
+    # A = I, W = 0 and u = 0, so the filter step's prior is b
+    assert _outcome(kalman_update, mode, b, [0.0, 0.0], [1.0, 1.0]) == expected
     assert _outcome(oracles.oracle_kalman_update, mode, b, [1.0, 1.0]) == expected
 
 
@@ -810,7 +814,8 @@ def test_non_finite_innovation_matrix_is_named(n, p, constant):
     mode = SystemMode(np.eye(n), np.eye(n), np.zeros((n, n)), C=C, noise=noise)
     b = make_belief(np.r_[1.0 if constant else 1e100, np.zeros(n - 1)], 0.1 * np.eye(n))
     expected = "non-finite entries in innovation covariance"
-    assert _outcome(kalman_update, mode, b, np.zeros(p)) == expected
+    # A = I, W = 0 and u = 0, so the filter step's prior is b
+    assert _outcome(kalman_update, mode, b, np.zeros(n), np.zeros(p)) == expected
     assert _outcome(oracles.oracle_kalman_update, mode, b, np.zeros(p)) == expected
     with pytest.raises(IllConditionedUpdateError, match=expected):
         propagate_mlo(mode, b, np.zeros(n))
@@ -818,9 +823,10 @@ def test_non_finite_innovation_matrix_is_named(n, p, constant):
 
 @pytest.mark.parametrize("n, p", [(1, 1), (3, 3), (3, 1), (2, 1), (2, 0), (3, 0)])
 def test_other_shapes_keep_the_numpy_bits(n, p):
-    """Outside n = p = 2, predict and kalman_update keep the numpy path:
-    the same bits as the reference on random modes with A != I, W != 0
-    and constant or state-dependent noise."""
+    """Outside n = p = 2, predict and the filter step keep the numpy
+    path: the same bits as the reference, oracle_predict and then
+    oracle_kalman_update, on random modes with A != I, W != 0 and
+    constant or state-dependent noise."""
     rng = np.random.default_rng(10 * n + p)
     for trial in range(200):
         A = np.eye(n) + 0.3 * rng.normal(size=(n, n))
@@ -837,5 +843,6 @@ def test_other_shapes_keep_the_numpy_bits(n, p):
         assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
         if p:
             y = rng.normal(size=p)
-            mine, ref = kalman_update(mode, b, y), oracles.oracle_kalman_update(mode, b, y)
+            mine = kalman_update(mode, b, u, y)
+            ref = oracles.oracle_kalman_update(mode, oracles.oracle_predict(mode, b, u), y)
             assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()

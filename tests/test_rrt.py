@@ -770,6 +770,34 @@ def test_solve_segment_timeout_status():
     assert result.status == "timeout"
 
 
+def test_solve_segment_ends_when_no_node_has_steps_left(monkeypatch):
+    """A budget below the shortest extension (max_total_steps 2 <
+    min_num_of_steps 3) leaves even the root without steps to extend.
+    State-dependent noise skips the goal-empty proof and the root is not
+    in the goal, so the search starts; its first selection finds no
+    node, and the segment ends as a timeout with the root alone in its
+    tree, far below its iteration cap."""
+    selections = []
+    select = belief_rrt.rrt_select
+
+    def recording(tree, *args):
+        node = select(tree, *args)
+        selections.append((tree.size, node))
+        return node
+
+    monkeypatch.setattr(belief_rrt, "rrt_select", recording)
+    sys = _lightdark_system()
+    assert sys.modes[0].kind == "polbs_nonlinear"
+    stay = _box_cone([(-1, 5), (-1, 4)], 0.01)
+    goal = _box_cone([(1.5, 3.0), (1.5, 3.0)], 0.05)
+    task = SegmentTask(mode=0, stay=stay, goal=goal, min_dwell_in_goal=0, max_total_steps=2)
+    start = make_belief([0.0, 2.5], 0.05 * np.eye(2))
+    params = RrtParams(iteration_cap=100, min_num_of_steps=3, max_num_of_steps=15)
+    result = solve_segment(sys, task, start, params, np.random.default_rng(0))
+    assert result.status == "timeout" and result.proof is None
+    assert selections == [(1, None)]
+
+
 def test_solve_segment_deterministic_given_seed():
     sys = _lightdark_system()
     stay = _box_cone([(-1, 5), (-1, 4)], 0.01)

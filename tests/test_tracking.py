@@ -9,7 +9,7 @@ from scipy.stats import binom, chi2
 
 from beliefplan import cli, dynamics, formula, synthesis, tracking
 from beliefplan.belief_rrt import InternalConsistencyError
-from beliefplan.dynamics import SwitchedSystem, SystemMode
+from beliefplan.dynamics import SwitchedSystem, SystemMode, noise_cov
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
     LinearExpression,
@@ -20,6 +20,7 @@ from beliefplan.geometry import (
 )
 from beliefplan.synthesis import SolutionTrajectory
 from beliefplan.tracking import lqr_gains, simulate, track_step
+import oracles
 from oracles import contains_always_track_step, read_trajectory_csv
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -258,9 +259,9 @@ def test_simulate_deterministic_given_seed():
 def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
     """bench/run.py times the filter by replacing kalman_update in
     tracking's namespace and make_belief in dynamics' namespace. One
-    simulate of an observed mode must call each through those names:
-    kalman_update once per step, make_belief twice (predict, then the
-    update)."""
+    simulate of an observed mode must call each through those names,
+    once per step: the filter step predicts and updates and builds one
+    checked belief."""
     calls = {}
 
     def count(module, name):
@@ -278,7 +279,110 @@ def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
     count(tracking, "kalman_update")
     count(dynamics, "make_belief")
     simulate(sys, sys, ref, [0.1, -0.1], 12, gains, np.random.default_rng(0))
-    assert calls == {"kalman_update": 12, "make_belief": 24}
+    assert calls == {"kalman_update": 12, "make_belief": 12}
+
+
+_EPS = np.finfo(float).eps
+
+
+def _random_closed_form_mode(rng):
+    """A random n = p = 2 mode: A a contracting rotation or a perturbed
+    identity, W != 0, a general C, constant or state-dependent noise."""
+    if rng.random() < 0.5:
+        th = rng.uniform(-np.pi, np.pi)
+        A = rng.uniform(0.5, 1.0) * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    else:
+        A = np.eye(2) + 0.3 * rng.normal(size=(2, 2))
+    W = 10 ** rng.uniform(-3, -1) * rng.normal(size=(2, 2))
+    C = rng.normal(size=(2, 2)) + 2 * np.eye(2)
+    noise = rng.choice(["const", "0.1*(5 - x0)^2 + 0.001", "0.05 + 0.01*x1^2"])
+    if noise == "const":
+        noise = 10 ** rng.uniform(-2, 0) * (rng.normal(size=(2, 2)) + 2 * np.eye(2))
+    return SystemMode(A, rng.normal(scale=0.5, size=(2, 2)), W, C=C, noise=noise)
+
+
+def _random_tracking_case(rng, domain, switched):
+    """A planner system of one or two closed-form modes, plus an
+    unobserved lbs mode when switched; a real system whose modes move
+    differently; a random reference of 20 steps over those modes with
+    controls inside the domain; LQR gains with a cheap control, so that
+    an initial state far from the reference drives the feedback control
+    out of the domain; and that initial state."""
+    modes = [_random_closed_form_mode(rng) for _ in range(int(rng.integers(1, 3)))]
+    if switched:
+        modes.append(SystemMode(np.eye(2) + 0.2 * rng.normal(size=(2, 2)),
+                                rng.normal(scale=0.5, size=(2, 2)), 0.05 * rng.normal(size=(2, 2))))
+    real = [SystemMode(m.A + 0.05 * rng.normal(size=(2, 2)), m.B, 2 * m.W) for m in modes]
+    sys = SwitchedSystem(tuple(modes), domain)
+    steps = 20
+    means = np.cumsum(rng.normal(scale=0.3, size=(steps + 1, 2)), axis=0)
+    beliefs = (make_belief(means[0], 0.05 * np.eye(2)),) + tuple(make_belief(m, 0.01 * np.eye(2)) for m in means[1:])
+    controls = tuple(polytope_sample(domain, rng) for _ in range(steps))
+    ref = SolutionTrajectory(beliefs, tuple(int(i) for i in rng.integers(0, len(modes), steps)), controls, (0,))
+    gains = {i: lqr_gains(m, 5, np.eye(2), np.eye(2), 0.01 * np.eye(2)) for i, m in enumerate(modes)}
+    x0 = means[0] + rng.normal(scale=rng.choice([0.1, 3.0]), size=2)
+    return sys, SwitchedSystem(tuple(real), domain), ref, x0, gains
+
+
+@pytest.mark.parametrize("name", ["box_polytope", "triangle", "rotated_square"])
+def test_float_step_matches_a_step_by_step_replay(name):
+    """simulate against a replay of each of its steps from its own
+    estimate and true state, on random switched systems: track_step,
+    the truth A x + B u + W w and the observation C x + n(x) v through
+    numpy, from sequential standard_normal draws (n for the truth, then
+    p if the mode observes), and the filter step as oracle_predict then
+    oracle_kalman_update. The closed-form step sums the same products on
+    Python floats, where numpy's BLAS may fuse a multiply and an add:
+    the control and the truth agree within 8 eps of the sum of their
+    terms' magnitudes; the estimate within the bounds of
+    test_closed_form_filter_matches_the_numpy_reference, 16 eps cond(S)
+    for the covariance and 64 eps cond(S) for the mean, whose scale also
+    counts the gain times the observation's terms. An unobserved mode
+    predicts on the numpy path. The generators end in the same state.
+    Non-box domains keep track_step, and the replay sees clamped
+    controls leave them."""
+    domain, is_box = DOMAINS[name]
+    lo, hi = domain.bounding_box()
+    rng = np.random.default_rng(37)
+    left_domain = observed_steps = 0
+    for trial in range(40):
+        sys, real_sys, ref, x0, gains = _random_tracking_case(rng, domain, switched=trial % 2 == 1)
+        seed = int(rng.integers(2 ** 32))
+        mine_rng, replay_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        est, xs = simulate(sys, real_sys, ref, x0, ref.num_steps, gains, mine_rng)
+        for k, i in enumerate(ref.modes):
+            mode, real, b, x, u = sys.modes[i], real_sys.modes[i], est.beliefs[k], xs[k], est.controls[k]
+            K0, ref_mean, ref_u = gains[i].K_seq[0], ref.beliefs[k].mean, ref.controls[k]
+            e = b.mean - ref_mean
+            u_ref = track_step(gains[i], ref_mean, ref_u, b, domain)
+            assert np.all(np.abs(u - u_ref) <= 8 * _EPS * (np.abs(ref_u) + np.abs(K0) @ np.abs(e)))
+            left_domain += not polytope_contains(domain, np.clip(ref_u - K0 @ e, lo, hi))
+            w = replay_rng.standard_normal(2)
+            x_ref = real.A @ x + real.B @ u + real.W @ w
+            terms = np.abs(real.A) @ np.abs(x) + np.abs(real.B) @ np.abs(u) + np.abs(real.W) @ np.abs(w)
+            assert np.all(np.abs(xs[k + 1] - x_ref) <= 8 * _EPS * terms)
+            prior = oracles.oracle_predict(mode, b, u)
+            mine = est.beliefs[k + 1]
+            if mode.closed_form is None:
+                assert mode.obs_dim == 0
+                assert mine.mean.tobytes() == prior.mean.tobytes() and mine.cov.tobytes() == prior.cov.tobytes()
+                continue
+            observed_steps += 1
+            v = replay_rng.standard_normal(2)
+            nv = mode.noise(xs[k + 1]) * v if mode.kind == "polbs_nonlinear" else mode.noise @ v
+            y = mode.C @ xs[k + 1] + nv
+            ref_b = oracles.oracle_kalman_update(mode, prior, y)
+            S = mode.C @ prior.cov @ mode.C.T + noise_cov(mode, prior.mean)
+            cond = np.linalg.cond(S)
+            K = np.linalg.solve(S, mode.C @ prior.cov).T
+            y_terms = np.abs(y - mode.C @ prior.mean) + np.abs(mode.C) @ np.abs(xs[k + 1]) + np.abs(nv)
+            mean_scale = max(np.abs(prior.mean).max(), np.abs(ref_b.mean).max(), (np.abs(K) @ y_terms).max())
+            cov_scale = max(np.abs(prior.cov).max(), np.abs(ref_b.cov).max())
+            assert np.abs(mine.mean - ref_b.mean).max() <= 64 * _EPS * cond * mean_scale
+            assert np.abs(mine.cov - ref_b.cov).max() <= 16 * _EPS * cond * cov_scale
+        assert mine_rng.bit_generator.state == replay_rng.bit_generator.state
+    assert observed_steps > 300
+    assert left_domain == 0 if is_box else left_domain > 20
 
 
 LIGHTDARK = os.path.join(ROOT, "problems", "lightdark.json")
