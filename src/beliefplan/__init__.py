@@ -61,7 +61,6 @@ from .dynamics import (
     step_truth,
 )
 from .discrete_planner import (
-    Abstraction,
     CounterexampleStore,
     DiscretePlan,
     PlanSegment,
@@ -87,6 +86,6 @@ from .synthesis import (
     SynthesisResult,
     solve,
 )
-from .tracking import LqrGains, lqr_gains, simulate, track_step
+from .tracking import lqr_gains, simulate, track_step
 
 __version__ = "0.1.0"

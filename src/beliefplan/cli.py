@@ -27,7 +27,7 @@ from .belief_rrt import InternalConsistencyError, RrtParams
 from .discrete_planner import WitnessDisagreementError
 from .dynamics import IllConditionedUpdateError, SwitchedSystem, SystemMode
 from .formula import FormulaSyntaxError, NameCollisionError, UnsupportedBoundError, parse_formula
-from .gaussian import DomainError, InvalidCovarianceError, make_belief
+from .gaussian import EIGENVALUE_TOL, DomainError, InvalidCovarianceError, make_belief
 from .geometry import DegeneratePolytopeError, Polytope, LinearExpression, box_polytope
 from .synthesis import Problem, SynthesisResult, solve
 from .tracking import lqr_gains, simulate
@@ -143,8 +143,7 @@ def _load_control_domain(doc, path: str, m: int) -> Polytope:
 
 def _vertices_polytope(vertices: np.ndarray, path: str) -> Polytope:
     m = vertices.shape[1]
-    if m == 1 or vertices.shape[0] <= m:
-        # Degenerate hull: fall back to the bounding box of the vertices.
+    if m == 1:  # the hull of points on a line is the interval between the extreme ones
         lo, hi = vertices.min(axis=0), vertices.max(axis=0)
         box = box_polytope(list(zip(lo, hi)))
         return Polytope(box.halfspaces, tuple(vertices))
@@ -319,6 +318,9 @@ def _load_simulation(doc, system: SwitchedSystem, n: int, m: int) -> SimulationC
     if not (np.array_equal(R, R.T) and np.linalg.eigvalsh(R)[0] > 0
             and np.linalg.matrix_rank(R) == m):
         raise NumericError(f"{path}.lqr.R: expected a symmetric positive definite matrix, got {R.tolist()}")
+    for name, M in (("Q_final", Q_final), ("Q", Q)):  # the eigenvalue bound of a covariance
+        if not (np.array_equal(M, M.T) and np.linalg.eigvalsh(M)[0] >= EIGENVALUE_TOL):
+            raise NumericError(f"{path}.lqr.{name}: expected a symmetric positive semidefinite matrix, got {M.tolist()}")
     return SimulationConfig(real_system, real_x0, num_steps, h, Q_final, Q, R)
 
 
@@ -497,7 +499,7 @@ def run(argv=None) -> int:
                     problem.system, sim.real_system, trajectory, sim.real_x0,
                     num_steps, gains, rng,
                 )
-        except (OverflowError, FloatingPointError, InvalidCovarianceError) as exc:
+        except (np.linalg.LinAlgError, OverflowError, FloatingPointError, InvalidCovarianceError) as exc:
             raise NumericError(f"$.simulation: the tracked execution failed numerically ({exc})")
         satisfied = formula.monitor(problem.formula, est, 0)
         _write_simulation_csv(os.path.join(args.out, "simulation.csv"), est, xs, satisfied, m)

@@ -99,39 +99,22 @@ def add_counterexample(cex: CounterexampleStore, prefix) -> CounterexampleStore:
     return cex
 
 
-@dataclass(frozen=True)
-class Abstraction:
-    """Label alphabet and mode universe; the discrete transition
-    structure is the complete graph over (atomic, mode) pairs."""
-
-    atomics: tuple
-    num_modes: int
-
-    def pairs(self) -> list:
-        """(atomic index, mode) pairs in canonical order."""
-        out = []
-        for i, a in enumerate(self.atomics):
-            modes = (
-                range(self.num_modes)
-                if a.modes is None
-                else sorted(a.modes.modes)
-            )
-            out.extend((i, m) for m in modes)
-        return out
-
-
-def abstract(f, sys: SwitchedSystem) -> Abstraction:
-    """Extract the label alphabet of the formula over the system's modes."""
+def abstract(f, sys: SwitchedSystem) -> list:
+    """The (atomic, mode) pairs of the formula's label alphabet over the
+    system's modes, in canonical order: atomics in declaration order,
+    each with its allowed modes ascending (all modes when unconstrained).
+    The discrete transition structure is the complete graph over them."""
     num_modes = len(sys.modes)
-    atomics = tuple(atomic_propositions(f))
-    for a in atomics:
-        if a.modes is not None:
-            bad = [m for m in a.modes.modes if m >= num_modes]
-            if bad:
-                raise ValueError(
-                    f"atomic {a.label!r} references undeclared mode(s) {bad}"
-                )
-    return Abstraction(atomics, num_modes)
+    pairs = []
+    for a in atomic_propositions(f):
+        if a.modes is None:
+            pairs.extend((a, m) for m in range(num_modes))
+            continue
+        bad = [m for m in a.modes.modes if m >= num_modes]
+        if bad:
+            raise ValueError(f"atomic {a.label!r} references undeclared mode(s) {bad}")
+        pairs.extend((a, m) for m in sorted(a.modes.modes))
+    return pairs
 
 
 class WitnessDisagreementError(RuntimeError):
@@ -211,21 +194,19 @@ def dwell_search(signature, f, cap):
     return [int(d) for d in witness], windows
 
 
-def bmc_next_candidate(
-    abs_: Abstraction, f, cex: CounterexampleStore, k_max: int
-) -> DiscretePlan | None:
-    """First plan, in canonical order, with <= k_max segments that is
-    not excluded by a counterexample prefix and admits a satisfying
-    dwell assignment. Returns None when the space is exhausted."""
+def bmc_next_candidate(pairs, f, cex: CounterexampleStore, k_max: int) -> DiscretePlan | None:
+    """First plan over abstract's (atomic, mode) pairs, in canonical
+    order, with <= k_max segments that is not excluded by a
+    counterexample prefix and admits a satisfying dwell assignment.
+    Returns None when the space is exhausted."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    pairs = abs_.pairs()
     cap = f.horizon + 1
     for K in range(1, k_max + 1):
         for combo in itertools.product(pairs, repeat=K):
-            if any(combo[i] == combo[i + 1] for i in range(K - 1)):
+            signature = tuple((a.label, m) for a, m in combo)
+            if any(signature[i] == signature[i + 1] for i in range(K - 1)):
                 continue
-            signature = tuple((abs_.atomics[i].label, m) for i, m in combo)
             if cex.excludes(signature):
                 continue
             found = dwell_search(signature, f, cap)
@@ -233,8 +214,7 @@ def bmc_next_candidate(
                 continue
             _, windows = found
             segments = tuple(
-                PlanSegment(abs_.atomics[i], m, lo, hi)
-                for (i, m), (lo, hi) in zip(combo, windows)
+                PlanSegment(a, m, lo, hi) for (a, m), (lo, hi) in zip(combo, windows)
             )
             return DiscretePlan(segments)
     return None

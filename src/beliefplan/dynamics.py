@@ -19,7 +19,6 @@ sample_observation take their normal draws w and v.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -34,7 +33,6 @@ from .gaussian import (
     checked_cov_2x2,
     checked_mean,
     make_belief,
-    symmetric_eigenvalues,
 )
 from .geometry import Polytope, polytope_contains
 
@@ -259,14 +257,6 @@ def _scalar_noise_cov(gain: float, p: int) -> list:
     return [g2] + ([g2 * 0.0] * p + [g2]) * (p - 1)  # I_p: a one, then p zeros and a one
 
 
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """One read-only n-by-n identity, shared by every call."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M x for one vector or each row of a stack; per row this is the
     same BLAS call as M @ x, so the results agree bit for bit."""
@@ -284,13 +274,13 @@ def _update(mode: SystemMode, cov, R):
     C = mode.C
     S = C @ cov @ C.T + R
     S = 0.5 * (S + S.T)
-    if S.shape[-1] != 2 and not np.isfinite(S).all():  # eigvalsh needs finite entries
+    if not np.isfinite(S).all():  # eigvalsh needs finite entries
         raise _condition_error(False)
-    mags = sorted(map(abs, symmetric_eigenvalues(S)))
+    mags = sorted(map(abs, np.linalg.eigvalsh(S).tolist()))
     if _ill_conditioned(mags[0], mags[-1]):
-        raise _condition_error(np.isfinite(S).all())
+        raise _condition_error(True)
     K = np.linalg.solve(S, C @ cov).T
-    IKC = _identity(mode.state_dim) - K @ C
+    IKC = np.eye(mode.state_dim) - K @ C
     return K, IKC @ cov @ IKC.T + K @ R @ K.T
 
 
@@ -342,7 +332,8 @@ def _update_2x2(mode: SystemMode, P, mean):
     s0, s1 = q0 * c0 + q1 * c1 + r0, q0 * c2 + q1 * c3 + r1
     s2, s3 = q2 * c0 + q3 * c1 + r2, q2 * c2 + q3 * c3 + r3
     s00, s01, s11 = 0.5 * (s0 + s0), 0.5 * (s1 + s2), 0.5 * (s3 + s3)
-    # |eigenvalues_2x2(s00, s01, s11)| are |mid -+ radius|, that is |mid| -+ radius
+    # S's eigenvalues are (s00 + s11)/2 -+ hypot((s00 - s11)/2, s01), so their
+    # magnitudes are |mid - radius| and mid + radius with mid = |s00 + s11|/2
     mid, radius = abs((s00 + s11) / 2), math.hypot((s00 - s11) / 2, s01)
     if _ill_conditioned(abs(mid - radius), mid + radius):
         raise _condition_error(all(map(math.isfinite, (s00, s01, s11))))

@@ -91,7 +91,7 @@ def checked_cov(cov: np.ndarray) -> np.ndarray:
         finite = np.isfinite(sym).all()
     if not finite:
         raise InvalidCovarianceError("non-finite entries in belief state")
-    _check_limits(asym, min(symmetric_eigenvalues(sym), default=0.0))
+    _check_limits(asym, min(np.linalg.eigvalsh(sym).tolist(), default=0.0))
     return sym
 
 
@@ -113,27 +113,8 @@ def checked_cov_2x2(P) -> tuple:
     # a non-finite entry makes a non-finite symmetrized one
     if not all(map(math.isfinite, (a, b, d))):
         raise InvalidCovarianceError("non-finite entries in belief state")
-    _check_limits(asym, (a + d) / 2 - math.hypot((a - d) / 2, b))  # eigenvalues_2x2(a, b, d)[0]
+    _check_limits(asym, (a + d) / 2 - math.hypot((a - d) / 2, b))  # the lesser eigenvalue, in closed form
     return a, b, b, d
-
-
-def symmetric_eigenvalues(sym: np.ndarray) -> list:
-    """The eigenvalues of one symmetric n-by-n matrix, ascending, as a
-    list of Python floats. At n = 2 in closed form (eigenvalues_2x2);
-    otherwise by eigvalsh, on finite entries only."""
-    if sym.shape[-1] != 2:
-        return np.linalg.eigvalsh(sym).tolist()
-    a, b, _, d = sym.ravel().tolist()
-    return eigenvalues_2x2(a, b, d)
-
-
-def eigenvalues_2x2(a: float, b: float, d: float) -> list:
-    """The eigenvalues of the symmetric [[a, b], [b, d]], ascending:
-    (a+d)/2 -/+ hypot((a-d)/2, b). They may differ from LAPACK's by a
-    rounding of about 1e-16 times the matrix norm, and a non-finite
-    entry gives a non-finite eigenvalue."""
-    mid, radius = (a + d) / 2, math.hypot((a - d) / 2, b)
-    return [mid - radius, mid + radius]
 
 
 def uncertainty_measure(b: BeliefState) -> float:

@@ -166,13 +166,13 @@ def solve(
     """Alternate BMC proposals and RRT feasibility checks until a
     trajectory passes the monitor or the candidate space is exhausted.
     `rng` seeds every RRT segment, so a solve is reproducible."""
-    abs_ = abstract(problem.formula, problem.system)
+    pairs = abstract(problem.formula, problem.system)
     cex = CounterexampleStore()
     iterations = 0
     log: list = []
 
     while True:
-        plan = bmc_next_candidate(abs_, problem.formula, cex, k_max)
+        plan = bmc_next_candidate(pairs, problem.formula, cex, k_max)
         if plan is None:
             return SynthesisResult(None, None, cex.as_list(), iterations, k_max, log)
         iterations += 1

@@ -16,8 +16,6 @@ one filter step and one checked belief per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .belief_rrt import InternalConsistencyError
@@ -35,15 +33,9 @@ from .geometry import Polytope, polytope_contains
 from .synthesis import SolutionTrajectory
 
 
-@dataclass(frozen=True)
-class LqrGains:
-    """K_seq[k]: the feedback gain k steps into the horizon."""
-
-    K_seq: tuple
-
-
-def lqr_gains(mode: SystemMode, h: int, Q_final, Q, R) -> LqrGains:
-    """Backward Riccati recursion for a single mode."""
+def lqr_gains(mode: SystemMode, h: int, Q_final, Q, R) -> tuple:
+    """Backward Riccati recursion for a single mode: entry k of the
+    tuple is the feedback gain k steps into the horizon."""
     if h < 1:
         raise ValueError("horizon must be at least 1")
     A, B = mode.A, mode.B
@@ -63,11 +55,11 @@ def lqr_gains(mode: SystemMode, h: int, Q_final, Q, R) -> LqrGains:
         P = Q + A.T @ P @ (A - B @ K)
         gains.append(K)
     gains.reverse()
-    return LqrGains(tuple(gains))
+    return tuple(gains)
 
 
 def track_step(
-    gains: LqrGains,
+    gains: tuple,
     ref_mean: np.ndarray,
     ref_control: np.ndarray,
     est: BeliefState,
@@ -79,7 +71,7 @@ def track_step(
     when the domain is not a box) is pulled back along the segment
     toward ref_control, to its last point inside. Raises
     InternalConsistencyError when ref_control is itself outside."""
-    u = ref_control - gains.K_seq[0] @ (est.mean - ref_mean)
+    u = ref_control - gains[0] @ (est.mean - ref_mean)
     lo, hi = control_domain.bounding_box()
     u = np.minimum(np.maximum(u, lo), hi)
     if control_domain.is_box or polytope_contains(control_domain, u):
@@ -194,11 +186,11 @@ def simulate(
     return trajectory, list(np.array(xs))
 
 
-def _float_form(mode: SystemMode, real_mode: SystemMode, gains: LqrGains) -> tuple:
+def _float_form(mode: SystemMode, real_mode: SystemMode, gains: tuple) -> tuple:
     """What the tracked step of a closed-form mode reads: the rows of
     K_0; the real system's A, B (an array) and W; the planner's C; its
     noise gain's evaluate or its constant noise matrix. A, W, C and the
     noise matrix are flat row-major sequences of Python floats."""
     noise = mode.noise.evaluate if isinstance(mode.noise, ScalarExpression) else mode.noise.ravel().tolist()
-    return (gains.K_seq[0].tolist(), real_mode.A.ravel().tolist(), real_mode.B,
+    return (gains[0].tolist(), real_mode.A.ravel().tolist(), real_mode.B,
             real_mode.W.ravel().tolist(), mode.closed_form[2], noise)

@@ -279,9 +279,10 @@ def test_criterion_09_lqr():
         Qf = Mqf @ Mqf.T
         R = Mr @ Mr.T + 0.1 * np.eye(m)
         g = lqr_gains(mode, h, Qf, Q, R)
+        assert len(g) == h
         P = Qf
         for k in range(h - 1, -1, -1):
-            K = g.K_seq[k]
+            K = g[k]
             residual = (R + B.T @ P @ B) @ K - B.T @ P @ A
             assert np.linalg.norm(residual, "fro") <= 1e-9 * max(
                 1.0, np.linalg.norm(B.T @ P @ A, "fro")
@@ -289,7 +290,7 @@ def test_criterion_09_lqr():
             P = Q + A.T @ P @ (A - B @ K)
     mode = SystemMode(np.eye(2), 0.25 * np.eye(2), np.zeros((2, 2)))
     g = lqr_gains(mode, 1, np.eye(2), np.eye(2), 0.05 * np.eye(2))
-    assert np.allclose(g.K_seq[0], 2.22222222222222 * np.eye(2), atol=1e-9)
+    assert np.allclose(g[0], 2.22222222222222 * np.eye(2), atol=1e-9)
     _report(9, "Riccati residuals <= 1e-9; h=1 gain 2.2222 I")
 
 

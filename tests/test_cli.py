@@ -146,6 +146,44 @@ def test_load_bad_lqr_R_is_numeric(tmp_path, R):
         load_problem(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "field, M",
+    [
+        ("Q_final", [[-0.8, 0.0], [0.0, -0.8]]),  # negative definite
+        ("Q", [[-5.0, 0.0], [0.0, -5.0]]),
+        ("Q", [[1.0, 0.5], [0.0, 1.0]]),  # not symmetric
+        ("Q_final", [[1.0, 0.0], [0.0, -1e-8]]),  # an eigenvalue below -1e-9
+    ],
+)
+def test_load_bad_lqr_Q_is_numeric(tmp_path, field, M):
+    doc = _base_doc()
+    doc["simulation"]["lqr"][field] = M
+    with pytest.raises(NumericError, match=rf"lqr\.{field}: expected a symmetric positive semidefinite"):
+        load_problem(_write(tmp_path, doc))
+
+
+def test_lqr_costs_at_the_eigenvalue_bound_load(tmp_path):
+    """Q and Q_final may be singular, down to an eigenvalue of -1e-9."""
+    doc = _base_doc()
+    doc["simulation"]["lqr"]["Q"] = [[1.0, 0.0], [0.0, 0.0]]
+    doc["simulation"]["lqr"]["Q_final"] = [[1.0, 0.0], [0.0, -1e-9]]
+    assert load_problem(_write(tmp_path, doc))[4] is not None
+
+
+def test_a_singular_riccati_step_exits_numeric(tmp_path, capsys):
+    """A LinAlgError from the gains maps to exit 4 with one line that
+    names the tracking stage."""
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+    fixed = mock.patch.object(cli, "solve", lambda *args, **kwargs: _lightdark_result())
+    with fixed, mock.patch.object(cli, "lqr_gains", singular), pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", LIGHTDARK, "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        "numeric error: $.simulation: the tracked execution failed numerically (Singular matrix)\n"
+    )
+
+
 def test_load_huge_lqr_horizon_is_schema_error(tmp_path):
     doc = _base_doc()
     doc["simulation"]["lqr"]["horizon"] = cli.MAX_LQR_HORIZON + 1
@@ -253,6 +291,18 @@ def test_load_vertices_control_domain(tmp_path):
 
     assert polytope_contains(problem.system.control_domain, [0.5])
     assert not polytope_contains(problem.system.control_domain, [1.5])
+
+
+def test_a_degenerate_vertex_domain_exits_numeric(tmp_path, capsys):
+    """Two vertices span a segment of the plane, not a region: qhull
+    rejects them, and the domain is not widened to their bounding box."""
+    doc = _base_doc()
+    doc["control_domain"] = {"vertices": [[-1.0, -1.0], [1.0, 1.0]]}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, doc), "--validate-only"])
+    assert exc.value.code == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "$.control_domain.vertices: convex hull failed (" in err, err
 
 
 def test_load_vertices_hull_2d(tmp_path):
@@ -774,6 +824,10 @@ def _numeric_cases():
     doc = _small_doc_3d()
     doc["initial"]["cov"][2][2] = 1.7e308  # numpy's symmetrization overflows
     yield doc, True, "$.initial.cov: non-finite entries in belief state"
+    doc = _base_doc()
+    doc["simulation"]["lqr"]["Q_final"] = [[-0.8, 0.0], [0.0, -0.8]]  # lqr_gains meets a singular matrix
+    yield doc, True, ("$.simulation.lqr.Q_final: expected a symmetric positive semidefinite "
+                      "matrix, got [[-0.8, 0.0], [0.0, -0.8]]")
     # light-dark's gain 0.1 (5 - x0)^2 + 0.001 is infinite at the true
     # state, which the estimate does not follow
     doc = _base_doc()

@@ -803,7 +803,7 @@ def test_closed_form_singular_innovation_matrix(cov, message):
 
 
 @pytest.mark.parametrize("constant", [False, True], ids=["state-dependent", "constant"])
-@pytest.mark.parametrize("n, p", [(2, 2), (2, 1), (3, 3), (1, 1)])
+@pytest.mark.parametrize("n, p", [(2, 2), (2, 1), (3, 3), (1, 1), (3, 2), (1, 2)])
 def test_non_finite_innovation_matrix_is_named(n, p, constant):
     """A noise gain x0^2 of 1e200, or a constant gain 1e200 I, squares to
     R = inf I, and inf * 0 puts NaN off its diagonal on the numpy path:
@@ -821,7 +821,7 @@ def test_non_finite_innovation_matrix_is_named(n, p, constant):
         propagate_mlo(mode, b, np.zeros(n))
 
 
-@pytest.mark.parametrize("n, p", [(1, 1), (3, 3), (3, 1), (2, 1), (2, 0), (3, 0)])
+@pytest.mark.parametrize("n, p", [(1, 1), (3, 3), (3, 1), (2, 1), (2, 0), (3, 0), (3, 2), (1, 2)])
 def test_other_shapes_keep_the_numpy_bits(n, p):
     """Outside n = p = 2, predict and the filter step keep the numpy
     path: the same bits as the reference, oracle_predict and then

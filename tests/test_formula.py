@@ -155,6 +155,22 @@ def test_disjunction_keeps_cone_atomics_apart():
     assert isinstance(disjunction(a, b), Or)
 
 
+def test_parse_parenthesised_disjunction_flattens():
+    """(a | b) | c parses to one Or of three atomics, as a | b | c does."""
+    f = parse_formula("(P(x0 <= 1) >= 0.9 | P(x0 <= 2) >= 0.9) | P(x0 <= 3) >= 0.9", 1, 1)
+    flat = parse_formula("P(x0 <= 1) >= 0.9 | P(x0 <= 2) >= 0.9 | P(x0 <= 3) >= 0.9", 1, 1)
+    assert isinstance(f, Or) and all(isinstance(ch, Atomic) for ch in f.children)
+    assert [ch.label for ch in f.children] == [ch.label for ch in flat.children]
+
+
+def test_parse_disjunction_with_true_folds_to_true():
+    """A mode atomic or true is the unconstrained, always-true atomic."""
+    f = parse_formula("q == 0 | true", 1, 2)
+    assert isinstance(f, Atomic) and f.modes is None and not f.cone.constraints
+    assert f.label == "true" and not f.trivially_false
+    assert atomic_propositions(f) == []
+
+
 def test_named_requires_atomic():
     a = _atomic([1.0], 0.0, 0.1)
     assert named(a, "goal").name == "goal"

@@ -7,7 +7,6 @@ import pytest
 from beliefplan import discrete_planner
 from beliefplan.cli import load_problem
 from beliefplan.discrete_planner import (
-    Abstraction,
     CounterexampleStore,
     DiscretePlan,
     PlanSegment,
@@ -80,11 +79,19 @@ def test_counterexample_prefix_semantics():
     assert cex.as_list() == [(("a", 0),)]
 
 
+def test_adding_an_excluded_prefix_leaves_the_store_unchanged():
+    cex = CounterexampleStore()
+    add_counterexample(cex, [("a", 0)])
+    assert add_counterexample(cex, [("a", 0), ("b", 1)]) is cex
+    assert add_counterexample(cex, [("a", 0)]) is cex
+    assert cex.as_list() == [(("a", 0),)]
+
+
 def test_abstraction_pairs_canonical_order():
     a = _atomic("a")
     b = _atomic("b", modes={1})
-    abs_ = Abstraction((a, b), 2)
-    assert abs_.pairs() == [(0, 0), (0, 1), (1, 1)]
+    pairs = abstract(Until(b, a, 0, 5), _system(num_modes=2))
+    assert [(atomic.label, m) for atomic, m in pairs] == [("b", 1), ("a", 0), ("a", 1)]
 
 
 def test_abstract_rejects_undeclared_mode():
@@ -93,16 +100,15 @@ def test_abstract_rejects_undeclared_mode():
         abstract(f, _system(num_modes=2))
 
 
-def _first_candidate_oracle(abs_, f, excluded, k_max):
+def _first_candidate_oracle(pairs, f, excluded, k_max):
     """Independent enumeration: all (atomic, mode) sequences in the same
     canonical order, with an exhaustive dwell check via the word oracle."""
-    pairs = abs_.pairs()
+    labels = [(a.label, m) for a, m in pairs]
     cap = f.horizon + 1
     for K in range(1, k_max + 1):
-        for combo in itertools.product(pairs, repeat=K):
-            if any(combo[i] == combo[i + 1] for i in range(K - 1)):
+        for sig in itertools.product(labels, repeat=K):
+            if any(sig[i] == sig[i + 1] for i in range(K - 1)):
                 continue
-            sig = tuple((abs_.atomics[i].label, m) for i, m in combo)
             if any(sig[: len(p)] == tuple(p) for p in excluded):
                 continue
             # exhaustive dwell enumeration (small caps only)
@@ -121,13 +127,13 @@ def test_bmc_matches_enumeration_oracle_small():
         always(0, 3, b, state_dim=1),
     ]
     for f in scenarios:
-        abs_ = abstract(f, sys)
+        pairs = abstract(f, sys)
         for excluded in ([], [(("b", 0),)], [(("b", 0),), (("b", 1),)]):
             cex = CounterexampleStore()
             for p in excluded:
                 add_counterexample(cex, p)
-            plan = bmc_next_candidate(abs_, f, cex, k_max=2)
-            expected = _first_candidate_oracle(abs_, f, excluded, 2)
+            plan = bmc_next_candidate(pairs, f, cex, k_max=2)
+            expected = _first_candidate_oracle(pairs, f, excluded, 2)
             if expected is None:
                 assert plan is None
             else:
@@ -138,10 +144,10 @@ def test_bmc_matches_enumeration_oracle_small():
 def test_bmc_candidate_windows_are_satisfiable_and_tight():
     a, b = _atomic("a"), _atomic("b")
     f = Until(a, always(0, 3, b, state_dim=1), 0, 5)
-    abs_ = abstract(f, _system(1))
+    pairs = abstract(f, _system(1))
     cex = CounterexampleStore()
     add_counterexample(cex, [("b", 0)])  # force the two-segment plan
-    plan = bmc_next_candidate(abs_, f, cex, k_max=2)
+    plan = bmc_next_candidate(pairs, f, cex, k_max=2)
     assert plan is not None
     assert plan.signature() == (("a", 0), ("b", 0))
     cap = f.horizon + 1
@@ -179,11 +185,11 @@ def test_bmc_windows_match_bruteforce_bounds():
     ]
     sizes = set()
     for f in scenarios:
-        abs_ = abstract(f, _system(num_modes=2))
+        pairs = abstract(f, _system(num_modes=2))
         cap = f.horizon + 1
         cex = CounterexampleStore()
         while True:
-            plan = bmc_next_candidate(abs_, f, cex, k_max=3)
+            plan = bmc_next_candidate(pairs, f, cex, k_max=3)
             if plan is None:
                 break
             K = len(plan.segments)
@@ -312,10 +318,10 @@ def test_lightdark_dwell_search_bisects_two_rows(monkeypatch):
 
 def test_bmc_exhaustion_returns_none():
     f = always(0, 3, _atomic("b"), state_dim=1)
-    abs_ = abstract(f, _system(1))
+    pairs = abstract(f, _system(1))
     cex = CounterexampleStore()
     add_counterexample(cex, [("b", 0)])
-    assert bmc_next_candidate(abs_, f, cex, k_max=3) is None
+    assert bmc_next_candidate(pairs, f, cex, k_max=3) is None
 
 
 def test_lightdark_windows():
@@ -331,13 +337,13 @@ def test_lightdark_windows():
         "(free_space) U[0,240] G[0,40] (target)", 1, 1,
         named={"free_space": free, "target": target},
     )
-    abs_ = abstract(f, _system(1))
+    pairs = abstract(f, _system(1))
     cex = CounterexampleStore()
-    p1 = bmc_next_candidate(abs_, f, cex, k_max=2)
+    p1 = bmc_next_candidate(pairs, f, cex, k_max=2)
     assert p1.signature() == (("target", 0),)
     assert (p1.segments[0].dwell_min, p1.segments[0].dwell_max) == (41, 281)
     add_counterexample(cex, p1.signature())
-    p2 = bmc_next_candidate(abs_, f, cex, k_max=2)
+    p2 = bmc_next_candidate(pairs, f, cex, k_max=2)
     assert p2.signature() == (("free_space", 0), ("target", 0))
     assert (p2.segments[0].dwell_min, p2.segments[0].dwell_max) == (1, 240)
     assert (p2.segments[1].dwell_min, p2.segments[1].dwell_max) == (41, 280)

@@ -40,7 +40,7 @@ def test_lqr_h1_gain_closed_form():
     # K = (R + B'QB)^{-1} B'QA = 0.25/(0.05+0.0625) I = 2.2222... I
     mode = _mode()
     g = lqr_gains(mode, 1, np.eye(2), np.eye(2), 0.05 * np.eye(2))
-    assert np.allclose(g.K_seq[0], (0.25 / 0.1125) * np.eye(2), atol=1e-9)
+    assert np.allclose(g[0], (0.25 / 0.1125) * np.eye(2), atol=1e-9)
 
 
 def test_lqr_riccati_residuals_random():
@@ -62,7 +62,7 @@ def test_lqr_riccati_residuals_random():
         # independent forward reconstruction of the P sequence
         P = Qf
         for k in range(h - 1, -1, -1):
-            K = g.K_seq[k]
+            K = g[k]
             residual = (R + B.T @ P @ B) @ K - B.T @ P @ A
             assert np.linalg.norm(residual, "fro") <= 1e-9 * max(1.0, np.linalg.norm(P, "fro"))
             P = Q + A.T @ P @ (A - B @ K)
@@ -82,7 +82,7 @@ def test_track_step_feedback_and_clamp():
     ref_u = np.array([0.1, 0.0])
     est = make_belief([0.01, 0.0], 0.01 * np.eye(2))
     u = track_step(g, ref_mean, ref_u, est, domain)
-    assert np.allclose(u, ref_u - g.K_seq[0] @ np.array([0.01, 0.0]))
+    assert np.allclose(u, ref_u - g[0] @ np.array([0.01, 0.0]))
     # large error saturates at the box
     est_far = make_belief([10.0, -10.0], 0.01 * np.eye(2))
     u = track_step(g, ref_mean, ref_u, est_far, domain)
@@ -164,9 +164,9 @@ def test_box_flag_keeps_the_track_step_of_a_contains_always_reference(name):
         ref_u = polytope_sample(domain, rng) if rng.random() < 0.9 else rng.uniform(-2, 2, 2)
         est = make_belief(ref_mean + rng.normal(scale=rng.choice([0.05, 2.0]), size=2), 0.01 * np.eye(2))
         mine = _outcome(track_step, g, ref_mean, ref_u, est, domain)
-        ref = _outcome(contains_always_track_step, g.K_seq[0], ref_mean, ref_u, est.mean, domain)
+        ref = _outcome(contains_always_track_step, g[0], ref_mean, ref_u, est.mean, domain)
         assert mine == ref
-        u = ref_u - g.K_seq[0] @ (est.mean - ref_mean)
+        u = ref_u - g[0] @ (est.mean - ref_mean)
         outcomes.add("outside" if mine == "outside" else polytope_contains(domain, u))
     assert {False, True} <= outcomes
 
@@ -352,7 +352,7 @@ def test_float_step_matches_a_step_by_step_replay(name):
         est, xs = simulate(sys, real_sys, ref, x0, ref.num_steps, gains, mine_rng)
         for k, i in enumerate(ref.modes):
             mode, real, b, x, u = sys.modes[i], real_sys.modes[i], est.beliefs[k], xs[k], est.controls[k]
-            K0, ref_mean, ref_u = gains[i].K_seq[0], ref.beliefs[k].mean, ref.controls[k]
+            K0, ref_mean, ref_u = gains[i][0], ref.beliefs[k].mean, ref.controls[k]
             e = b.mean - ref_mean
             u_ref = track_step(gains[i], ref_mean, ref_u, b, domain)
             assert np.all(np.abs(u - u_ref) <= 8 * _EPS * (np.abs(ref_u) + np.abs(K0) @ np.abs(e)))
