@@ -13,7 +13,6 @@ from .gaussian import (
 from .geometry import (
     BeliefCone,
     DegeneratePolytopeError,
-    DiscretePredicate,
     LinearExpression,
     Polytope,
     ProbabilisticLinearPredicate,

@@ -212,7 +212,7 @@ def rrt_extend(
     covariance walk serves every candidate.
     """
     controls = polytope_sample(control_domain, rng, _NUM_RANDOM_CONTROLS)
-    lo, hi = control_domain.bounding_box()
+    lo, hi = control_domain.box
     reach = horizon * mode.B
     residual = target_point - belief.mean
     if not (np.isfinite(reach).all() and np.isfinite(residual).all()):  # LAPACK would print

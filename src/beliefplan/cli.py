@@ -100,8 +100,6 @@ def _number(value, path: str) -> float:
 
 
 def _load_mode(doc, path: str, n: int, m: int) -> SystemMode:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
     A = _matrix(_require(doc, "A", path), f"{path}.A", (n, n))
     B = _matrix(_require(doc, "B", path), f"{path}.B", (n, m))
     W = _matrix(_require(doc, "W", path), f"{path}.W", (n, n))
@@ -182,6 +180,8 @@ def load_problem(path: str):
         raise SchemaError(f"problem file not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}")
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise SchemaError(f"problem file {path} could not be read ({exc})")
     if not isinstance(doc, dict):
         raise SchemaError("$: expected a JSON object")
 
@@ -197,7 +197,7 @@ def load_problem(path: str):
     control_domain = _load_control_domain(
         _require(doc, "control_domain", "$"), "$.control_domain", m
     )
-    lo, hi = (bound.tolist() for bound in control_domain.bounding_box())
+    lo, hi = (bound.tolist() for bound in control_domain.box)
     if not all(math.isfinite(h - l) for l, h in zip(lo, hi)):  # the planner samples this box
         raise NumericError("$.control_domain: a side of the bounding box is not finite in length")
     try:
@@ -289,8 +289,6 @@ def load_problem(path: str):
 
 def _load_simulation(doc, system: SwitchedSystem, n: int, m: int) -> SimulationConfig:
     path = "$.simulation"
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
     real_modes_doc = _require(doc, "real_modes", path)
     if not isinstance(real_modes_doc, list) or len(real_modes_doc) != len(system.modes):
         raise SchemaError(
@@ -306,8 +304,6 @@ def _load_simulation(doc, system: SwitchedSystem, n: int, m: int) -> SimulationC
     if num_steps is not None:
         num_steps = _positive_int(num_steps, f"{path}.num_steps")
     lqr_doc = _require(doc, "lqr", path)
-    if not isinstance(lqr_doc, dict):
-        raise SchemaError(f"{path}.lqr: expected an object")
     h = _positive_int(_require(lqr_doc, "horizon", f"{path}.lqr"), f"{path}.lqr.horizon")
     if h > MAX_LQR_HORIZON:
         raise SchemaError(f"{path}.lqr.horizon: expected at most {MAX_LQR_HORIZON}, got {h}")
@@ -360,39 +356,22 @@ def _write_plan_json(path, result: SynthesisResult):
         fh.write("\n")
 
 
-def _cov_columns(n: int):
-    diag = [(i, i) for i in range(n)]
-    off = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return diag + off
-
-
 def _write_trajectory_csv(path, trajectory, m: int):
     n = trajectory.beliefs[0].dim
-    cov_cols = _cov_columns(n)
+    cov_cols = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
     header = (
         ["k", "mode"]
         + [f"mean{i}" for i in range(n)]
         + [f"cov{i}{j}" for i, j in cov_cols]
         + [f"control{i}" for i in range(m)]
     )
-    T = trajectory.num_steps
+    leads = [[str(mode)] for mode in trajectory.modes] + [[""]]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, b in enumerate(trajectory.beliefs):
-            row = [str(k)]
-            row.append(str(trajectory.modes[k]) if k < T else "")
-            row.extend(_fmt(v) for v in b.mean)
-            row.extend(_fmt(b.cov[i, j]) for i, j in cov_cols)
-            if k < T:
-                row.extend(_fmt(v) for v in trajectory.controls[k])
-            else:
-                row.extend("" for _ in range(m))
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, header, trajectory, leads, cov_cols, m)
 
 
 def _write_simulation_csv(path, est, xs, satisfied: bool, m: int):
     n = est.beliefs[0].dim
-    diag = [(i, i) for i in range(n)]
     header = (
         ["k"]
         + [f"real{i}" for i in range(n)]
@@ -400,20 +379,26 @@ def _write_simulation_csv(path, est, xs, satisfied: bool, m: int):
         + [f"est_cov{i}{i}" for i in range(n)]
         + [f"control{i}" for i in range(m)]
     )
-    T = est.num_steps
+    leads = [[_fmt(v) for v in x] for x in xs]
     with open(path, "w", newline="") as fh:
         fh.write(f"# satisfied: {1 if satisfied else 0}\n")
-        fh.write(",".join(header) + "\n")
-        for k, b in enumerate(est.beliefs):
-            row = [str(k)]
-            row.extend(_fmt(v) for v in xs[k])
-            row.extend(_fmt(v) for v in b.mean)
-            row.extend(_fmt(b.cov[i, j]) for i, j in diag)
-            if k < T:
-                row.extend(_fmt(v) for v in est.controls[k])
-            else:
-                row.extend("" for _ in range(m))
-            fh.write(",".join(row) + "\n")
+        _write_rows(fh, header, est, leads, [(i, i) for i in range(n)], m)
+
+
+def _write_rows(fh, header, traj, leads, cov_cols, m: int):
+    """The header, then one row per belief k of traj: k, leads[k], the
+    mean, the cov_cols entries of the covariance, and the controls
+    applied at k, blank on the last row."""
+    fh.write(",".join(header) + "\n")
+    for k, b in enumerate(traj.beliefs):
+        row = [str(k), *leads[k]]
+        row.extend(_fmt(v) for v in b.mean)
+        row.extend(_fmt(b.cov[i, j]) for i, j in cov_cols)
+        if k < traj.num_steps:
+            row.extend(_fmt(v) for v in traj.controls[k])
+        else:
+            row.extend("" for _ in range(m))
+        fh.write(",".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +452,10 @@ def run(argv=None) -> int:
         log.info("problem file %s validated", args.problem)
         return EXIT_SOLUTION
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise SchemaError(f"--out: cannot create the output directory ({exc})")
     rng = np.random.default_rng(seed)
     try:
         result = solve(problem, params, k_max=k_max, rng=rng)

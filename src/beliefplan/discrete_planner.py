@@ -110,10 +110,10 @@ def abstract(f, sys: SwitchedSystem) -> list:
         if a.modes is None:
             pairs.extend((a, m) for m in range(num_modes))
             continue
-        bad = [m for m in a.modes.modes if m >= num_modes]
+        bad = [m for m in a.modes if m >= num_modes]
         if bad:
             raise ValueError(f"atomic {a.label!r} references undeclared mode(s) {bad}")
-        pairs.extend((a, m) for m in sorted(a.modes.modes))
+        pairs.extend((a, m) for m in sorted(a.modes))
     return pairs
 
 

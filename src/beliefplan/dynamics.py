@@ -217,8 +217,6 @@ class SwitchedSystem:
             raise ValueError(
                 f"control domain dimension {self.control_domain.dim} != {m}"
             )
-        if self.control_domain.vertices is None:
-            raise ValueError("control domain needs a V-representation")
         if not polytope_contains(self.control_domain, np.zeros(m)):
             raise ValueError("control domain must contain 0, the control of a goal dwell")
         object.__setattr__(self, "modes", modes)

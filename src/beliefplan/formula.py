@@ -38,7 +38,6 @@ from .gaussian import BeliefState
 from .geometry import (
     CONTAINMENT_TOL,
     BeliefCone,
-    DiscretePredicate,
     LinearExpression,
     ProbabilisticLinearPredicate,
     cone_contains,
@@ -89,7 +88,8 @@ class FormulaSyntaxError(ValueError):
 class Atomic:
     """State formula: belief cone plus mode-set predicate.
 
-    modes=None leaves the mode unconstrained (the full declared set).
+    modes is a frozenset of mode indices, stored as Python ints, or None,
+    which leaves the mode unconstrained (the full declared set).
     Construction derives label, the identity in words and deduplication
     (the name, else the constraints and mode set spelled out), and
     whether the atomic is trivially_false (a constant row of the cone
@@ -97,7 +97,7 @@ class Atomic:
     """
 
     cone: BeliefCone = field(default_factory=BeliefCone)
-    modes: DiscretePredicate | None = None
+    modes: frozenset | None = None
     name: str | None = None
     label: str = field(init=False, repr=False, compare=False)
     trivially_false: bool = field(init=False, repr=False, compare=False)
@@ -105,13 +105,15 @@ class Atomic:
     horizon = 0  # steps beyond the evaluation index it references
 
     def __post_init__(self):
+        if self.modes is not None:
+            object.__setattr__(self, "modes", frozenset(int(m) for m in self.modes))
         H, c = self.cone.H, self.cone.c
         parts = []
         for p in self.cone.constraints:
             coeffs = ",".join(f"{v:.17g}" for v in p.expr.h)
             parts.append(f"P([{coeffs}].x+{p.expr.c:.17g}<=0)>={1.0 - p.epsilon:.17g}")
         if self.modes is not None:
-            parts.append("q in {%s}" % ",".join(str(m) for m in sorted(self.modes.modes)))
+            parts.append("q in {%s}" % ",".join(str(m) for m in sorted(self.modes)))
         label = self.name if self.name is not None else " & ".join(parts) or "true"
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "trivially_false", bool(np.any(c[~H.any(axis=1)] > CONTAINMENT_TOL)))
@@ -183,7 +185,7 @@ def bottom(state_dim: int) -> Atomic:
     pred = ProbabilisticLinearPredicate(
         LinearExpression(np.zeros(state_dim), 1.0), 0.5
     )
-    return Atomic(BeliefCone((pred,)), DiscretePredicate(frozenset()), "false")
+    return Atomic(BeliefCone((pred,)), frozenset(), "false")
 
 
 def always(a: int, b: int, f, state_dim: int) -> Release:
@@ -213,11 +215,7 @@ def conjunction(*children):
         for ch in flat:
             constraints.extend(ch.cone.constraints)
             if ch.modes is not None:
-                modes = (
-                    DiscretePredicate(ch.modes.modes)
-                    if modes is None
-                    else DiscretePredicate(modes.modes & ch.modes.modes)
-                )
+                modes = ch.modes if modes is None else modes & ch.modes
         return Atomic(BeliefCone(tuple(constraints)), modes)
     return And(tuple(flat))
 
@@ -236,8 +234,7 @@ def disjunction(*children):
     if all(isinstance(ch, Atomic) and not ch.cone.constraints for ch in flat):
         if any(ch.modes is None for ch in flat):
             return Atomic(BeliefCone(), None)
-        union = frozenset().union(*(ch.modes.modes for ch in flat))
-        return Atomic(BeliefCone(), DiscretePredicate(union))
+        return Atomic(BeliefCone(), frozenset().union(*(ch.modes for ch in flat)))
     return Or(tuple(flat))
 
 
@@ -296,7 +293,7 @@ def _atomic_key(a: Atomic):
     constraints = tuple(
         sorted((tuple(p.expr.h), p.expr.c, p.epsilon) for p in a.cone.constraints)
     )
-    modes = None if a.modes is None else tuple(sorted(a.modes.modes))
+    modes = None if a.modes is None else tuple(sorted(a.modes))
     return constraints, modes
 
 
@@ -402,7 +399,7 @@ def _atomic_sat(a: Atomic, truth, arrive: np.ndarray) -> np.ndarray:
         return np.zeros(arrive.shape, dtype=bool)
     sat = truth(a)
     if a.modes is not None:
-        sat = sat & ((arrive < 0) | np.isin(arrive, list(a.modes.modes)))
+        sat = sat & ((arrive < 0) | np.isin(arrive, list(a.modes)))
     return sat
 
 
@@ -574,11 +571,7 @@ class _Parser:
             self.next()
             a, b = self.parse_interval()
             right = self.parse_unary()
-            try:
-                node = Until if tok.value == "U" else Release
-                return node(left, right, a, b)
-            except ValueError as exc:
-                self.error(str(exc), tok)
+            return (Until if tok.value == "U" else Release)(left, right, a, b)
         return left
 
     # unary := ("G"|"F") "[" int "," int "]" unary | disj
@@ -665,7 +658,7 @@ class _Parser:
         tok = self.next()
         if tok.value == "==":
             mode = self.parse_mode_index()
-            return Atomic(BeliefCone(), DiscretePredicate(frozenset({mode})))
+            return Atomic(BeliefCone(), frozenset({mode}))
         if tok.value == "in":
             self.expect("{")
             modes = {self.parse_mode_index()}
@@ -673,7 +666,7 @@ class _Parser:
                 self.next()
                 modes.add(self.parse_mode_index())
             self.expect("}")
-            return Atomic(BeliefCone(), DiscretePredicate(frozenset(modes)))
+            return Atomic(BeliefCone(), frozenset(modes))
         self.error(f"expected '==' or 'in' after 'q', found {tok.value!r}", tok)
 
     def parse_mode_index(self) -> int:

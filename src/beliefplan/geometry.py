@@ -1,7 +1,7 @@
 """Linear expressions, predicates, polytopes, and belief cones.
 
 A polytope is kept in H-representation (list of halfspaces h.x + c <= 0)
-with an optional V-representation used only for sampling. A belief cone
+with its vertices, whose bounding box sampling draws from. A belief cone
 is a conjunction of probabilistic linear predicates; membership of a
 Gaussian belief is a second-order-cone inequality per constraint:
 
@@ -69,21 +69,8 @@ class ProbabilisticLinearPredicate:
 
 
 @dataclass(frozen=True)
-class DiscretePredicate:
-    """Mode-set membership predicate over declared modes 0..N-1."""
-
-    modes: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", frozenset(int(m) for m in self.modes))
-
-    def __contains__(self, mode: int) -> bool:
-        return int(mode) in self.modes
-
-
-@dataclass(frozen=True)
 class Polytope:
-    """Intersection of closed halfspaces, with optional vertex list.
+    """Intersection of closed halfspaces, with its vertices.
 
     Construction stacks the halfspaces into read-only H (k, m) and c
     (k,), keeps the vertex bounding box as box = (lo, hi), and sets
@@ -91,38 +78,30 @@ class Polytope:
     and -x_j <= -lo_j, so that every point of the box lies inside."""
 
     halfspaces: tuple
-    vertices: tuple | None = None
+    vertices: tuple
     H: np.ndarray = field(init=False, repr=False, compare=False)
     c: np.ndarray = field(init=False, repr=False, compare=False)
-    box: tuple | None = field(init=False, repr=False, compare=False)
+    box: tuple = field(init=False, repr=False, compare=False)
     is_box: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         hs = tuple(self.halfspaces)
         object.__setattr__(self, "halfspaces", hs)
         _stack_rows(self, [mu.h for mu in hs], [mu.c for mu in hs])
-        box = None
-        if self.vertices is not None:
-            vs = tuple(np.asarray(v, dtype=float).reshape(-1) for v in self.vertices)
-            with np.errstate(over="ignore"):  # +inf fails the check below, -inf passes
-                worst = (np.vecdot(np.stack(vs)[:, None, :], self.H) + self.c).max(axis=1)
-            if np.any(worst > 1e-9):
-                i = worst.argmax()
-                raise ValueError(f"vertex {vs[i]} violates halfspace (residual {worst[i]:g})")
-            object.__setattr__(self, "vertices", vs)
-            box = (_read_only(np.min(vs, axis=0)), _read_only(np.max(vs, axis=0)))
+        vs = tuple(np.asarray(v, dtype=float).reshape(-1) for v in self.vertices)
+        with np.errstate(over="ignore"):  # +inf fails the check below, -inf passes
+            worst = (np.vecdot(np.stack(vs)[:, None, :], self.H) + self.c).max(axis=1)
+        if np.any(worst > 1e-9):
+            i = worst.argmax()
+            raise ValueError(f"vertex {vs[i]} violates halfspace (residual {worst[i]:g})")
+        object.__setattr__(self, "vertices", vs)
+        box = (_read_only(np.min(vs, axis=0)), _read_only(np.max(vs, axis=0)))
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "is_box", box is not None and _has_box_faces(self.H, self.c, *box))
+        object.__setattr__(self, "is_box", _has_box_faces(self.H, self.c, *box))
 
     @property
     def dim(self) -> int:
         return self.H.shape[1]
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Axis-aligned bounding box of the vertex set."""
-        if self.box is None:
-            raise ValueError("polytope has no V-representation")
-        return self.box
 
 
 @dataclass(frozen=True)
@@ -188,7 +167,7 @@ def polytope_sample(P: Polytope, rng: np.random.Generator, count: int | None = N
     equals the same draws made one at a time. DegeneratePolytopeError
     is raised after _MAX_REJECTIONS draws in a row without an acceptance.
     """
-    lo, hi = P.bounding_box()
+    lo, hi = P.box
     need = 1 if count is None else count
     accepted = [np.empty((0, lo.size))]
     misses = 0

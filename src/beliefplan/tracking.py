@@ -72,7 +72,7 @@ def track_step(
     toward ref_control, to its last point inside. Raises
     InternalConsistencyError when ref_control is itself outside."""
     u = ref_control - gains[0] @ (est.mean - ref_mean)
-    lo, hi = control_domain.bounding_box()
+    lo, hi = control_domain.box
     u = np.minimum(np.maximum(u, lo), hi)
     if control_domain.is_box or polytope_contains(control_domain, u):
         return u
@@ -130,7 +130,7 @@ def simulate(
         for i in set(ref.modes[:num_steps]) if sys.modes[i].closed_form
     }
     domain = sys.control_domain
-    lo, hi = (v.tolist() for v in domain.bounding_box())
+    lo, hi = (v.tolist() for v in domain.box)
 
     est = ref.beliefs[0]
     x = np.asarray(real_x0, dtype=float).reshape(-1).tolist()

@@ -32,7 +32,6 @@ from beliefplan.gaussian import (
 )
 from beliefplan.geometry import (
     BeliefCone,
-    DiscretePredicate,
     LinearExpression,
     ProbabilisticLinearPredicate,
     cone_contains,
@@ -412,9 +411,7 @@ def random_atomic(rng, dim, num_modes, name=None, edge_cases=False):
     modes = None
     if rng.random() < 0.5:
         size = int(rng.integers(1, num_modes + 1))
-        modes = DiscretePredicate(
-            frozenset(int(m) for m in rng.choice(num_modes, size=size, replace=False))
-        )
+        modes = frozenset(int(m) for m in rng.choice(num_modes, size=size, replace=False))
     if not preds and modes is None and not edge_cases:
         preds.append(
             ProbabilisticLinearPredicate(
@@ -557,7 +554,7 @@ def list_rrt_extend(mode, belief, target_point, horizon, stay, control_domain, r
     the step at which candidate i left the stay cone (None if it stayed)
     and candidates[i] is its control."""
     candidates = [list_polytope_sample(control_domain, rng)[0] for _ in range(7)]
-    lo, hi = control_domain.bounding_box()
+    lo, hi = control_domain.box
     greedy, *_ = np.linalg.lstsq(horizon * mode.B, target_point - belief.mean, rcond=None)
     greedy = np.minimum(np.maximum(greedy, lo), hi)
     if polytope_contains(control_domain, greedy):
@@ -647,7 +644,7 @@ def contains_always_track_step(K, ref_mean, ref_control, mean, domain):
     from beliefplan.belief_rrt import InternalConsistencyError
 
     u = ref_control - K @ (mean - ref_mean)
-    lo, hi = domain.bounding_box()
+    lo, hi = domain.box
     u = np.minimum(np.maximum(u, lo), hi)
     if polytope_contains(domain, u):
         return u

@@ -227,11 +227,22 @@ def test_load_formula_error(tmp_path):
         load_problem(_write(tmp_path, doc))
 
 
-def test_load_non_object_section_is_schema_error(tmp_path):
+@pytest.mark.parametrize(
+    "keys",
+    [("initial",), ("modes", 0), ("control_domain",), ("planner",), ("simulation",),
+     ("simulation", "lqr"), ("simulation", "real_modes", 0)],
+    ids=["initial", "modes[0]", "control_domain", "planner", "simulation", "simulation.lqr",
+         "simulation.real_modes[0]"],
+)
+def test_load_non_object_section_is_schema_error(tmp_path, request, keys):
     doc = _base_doc()
-    doc["initial"] = 3
-    with pytest.raises(SchemaError, match=r"\$\.initial: expected an object"):
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = 3
+    with pytest.raises(SchemaError) as info:
         load_problem(_write(tmp_path, doc))
+    assert str(info.value) == f"$.{request.node.callspec.id}: expected an object"
 
 
 def test_load_nonfinite_predicate_is_formula_error(tmp_path):
@@ -646,6 +657,38 @@ def test_exit_code_schema(tmp_path):
     del doc["modes"]
     r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
     assert r.returncode == EXIT_SCHEMA, r.stderr
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "deep-nesting"])
+def test_an_unreadable_problem_file_exits_schema_with_one_line(tmp_path, case):
+    """A problem file that cannot be opened, decoded or parsed without
+    running out of stack exits 2 with one line naming the file, not
+    with a traceback and the no-solution code."""
+    path = tmp_path / "problem.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"\xff" + json.dumps(_small_doc()).encode())
+    else:
+        path.write_text('{"state_dim": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    r = _cli(["--problem", str(path), "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert r.stderr.startswith(f"schema error: problem file {path} could not be read ("), r.stderr
+
+
+def test_an_out_path_that_is_a_file_exits_schema(tmp_path):
+    """--out naming a regular file exits 2 with one line, before any
+    planning, and leaves the file as it was."""
+    out = tmp_path / "out"
+    out.write_text("")
+    r = _cli(["--problem", _write(tmp_path, _small_doc()), "--out", str(out)], tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert r.stderr.startswith("schema error: --out: cannot create the output directory ("), r.stderr
+    assert out.read_text() == ""
 
 
 def test_exit_code_schema_bad_seed(tmp_path):

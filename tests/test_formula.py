@@ -35,7 +35,6 @@ from beliefplan.formula import (
 from beliefplan.gaussian import make_belief
 from beliefplan.geometry import (
     BeliefCone,
-    DiscretePredicate,
     LinearExpression,
     ProbabilisticLinearPredicate,
     cone_contains,
@@ -60,7 +59,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 def _atomic(h, c, eps, modes=None, name=None):
     pred = ProbabilisticLinearPredicate(LinearExpression(h, c), eps)
-    mset = None if modes is None else DiscretePredicate(frozenset(modes))
+    mset = None if modes is None else frozenset(modes)
     return Atomic(BeliefCone((pred,)), mset, name)
 
 
@@ -101,7 +100,7 @@ def test_atomics_carry_label_and_constant_verdict():
     assert named(a, "goal").label == "goal"
     assert top().label == "true" and not top().trivially_false and not top().reads_state
     assert bottom(2).label == "false" and bottom(2).trivially_false
-    mode_only = Atomic(BeliefCone(), DiscretePredicate(frozenset({1})))
+    mode_only = Atomic(BeliefCone(), frozenset({1}))
     assert mode_only.label == "q in {1}" and not mode_only.reads_state
     assert _atomic([0.0, 0.0], 1e-3, 0.1).trivially_false  # 0.x + 1e-3 <= 0
     assert not _atomic([0.0, 0.0], 0.0, 0.1).trivially_false
@@ -138,15 +137,15 @@ def test_conjunction_folds_atomics():
     c = conjunction(a, b)
     assert isinstance(c, Atomic)
     assert len(c.cone.constraints) == 2
-    assert c.modes.modes == frozenset({1})
+    assert c.modes == frozenset({1})
 
 
 def test_disjunction_folds_mode_atomics():
-    a = Atomic(BeliefCone(), DiscretePredicate(frozenset({0})))
-    b = Atomic(BeliefCone(), DiscretePredicate(frozenset({2})))
+    a = Atomic(BeliefCone(), frozenset({0}))
+    b = Atomic(BeliefCone(), frozenset({2}))
     d = disjunction(a, b)
     assert isinstance(d, Atomic)
-    assert d.modes.modes == frozenset({0, 2})
+    assert d.modes == frozenset({0, 2})
 
 
 def test_disjunction_keeps_cone_atomics_apart():
@@ -417,7 +416,7 @@ def test_monitor_word_always_needs_full_window():
 
 
 def test_monitor_word_mode_rule():
-    a = Atomic(BeliefCone(), DiscretePredicate(frozenset({1})), "m1")
+    a = Atomic(BeliefCone(), frozenset({1}), "m1")
     signature = [("none", 0), ("none", 1)]
     # position 0: vacuous; position 1: arrived via mode 0 of position 0
     assert monitor_word(a, signature, [1, 1]) is True
@@ -456,7 +455,7 @@ def _disjoint_atomics(rng, dim, num_modes):
     def modes():
         size = int(rng.integers(1, num_modes + 1))
         chosen = rng.choice(num_modes, size=size, replace=False)
-        return DiscretePredicate(frozenset(int(m) for m in chosen))
+        return frozenset(int(m) for m in chosen)
 
     h, t = rng.normal(size=dim).round(2), float(rng.normal())
     if not h.any():
@@ -599,9 +598,9 @@ def test_parse_probpred():
 
 def test_parse_modepred():
     f = parse_formula("q == 1", 1, 3)
-    assert f.modes.modes == frozenset({1})
+    assert f.modes == frozenset({1})
     f = parse_formula("q in {0, 2}", 1, 3)
-    assert f.modes.modes == frozenset({0, 2})
+    assert f.modes == frozenset({0, 2})
 
 
 def test_parse_temporal_and_boolean():
@@ -618,7 +617,7 @@ def test_parse_literal_false_is_bottom():
     or word position satisfies, so both monitors say false."""
     f, b = parse_formula("false", 2, 2), bottom(2)
     assert isinstance(f, Atomic) and f.name == b.name == f.label == "false"
-    assert f.modes == b.modes == DiscretePredicate(frozenset())
+    assert f.modes == b.modes == frozenset()
     assert (f.cone.H.tolist(), f.cone.c.tolist()) == (b.cone.H.tolist(), b.cone.c.tolist())
     assert f.trivially_false and f.horizon == 0 and atomic_propositions(f) == []
     tr = _const_trace([0.0, 0.0], 0.01 * np.eye(2), [0, 1])
@@ -632,7 +631,7 @@ def test_parse_conjunction_folds():
     f = parse_formula("P(x0 <= 1) >= 0.99 & P(-x0 <= 1) >= 0.99 & q == 0", 1, 1)
     assert isinstance(f, Atomic)
     assert len(f.cone.constraints) == 2
-    assert f.modes.modes == frozenset({0})
+    assert f.modes == frozenset({0})
 
 
 def test_parse_named_resolution():

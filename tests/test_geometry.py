@@ -10,7 +10,6 @@ from beliefplan.gaussian import BeliefState, make_belief, std_normal_quantile
 from beliefplan.geometry import (
     BeliefCone,
     DegeneratePolytopeError,
-    DiscretePredicate,
     LinearExpression,
     Polytope,
     ProbabilisticLinearPredicate,
@@ -47,17 +46,12 @@ def test_predicate_epsilon_range():
         ProbabilisticLinearPredicate(expr, -0.01)
 
 
-def test_discrete_predicate_membership():
-    p = DiscretePredicate(frozenset({0, 2}))
-    assert 0 in p and 2 in p and 1 not in p
-
-
 def test_box_polytope_contains_and_box():
     P = box_polytope([(-1.0, 1.0), (0.0, 2.0)])
     assert polytope_contains(P, [0.0, 1.0])
     assert polytope_contains(P, [1.0, 2.0])  # boundary included
     assert not polytope_contains(P, [1.0 + 1e-6, 1.0])
-    lo, hi = P.bounding_box()
+    lo, hi = P.box
     assert np.allclose(lo, [-1.0, 0.0]) and np.allclose(hi, [1.0, 2.0])
 
 
@@ -137,7 +131,7 @@ def test_compiled_arrays_are_read_only_stacks():
     assert cone.c.tolist() == [-3.0, 0.5]
     assert cone.quantile.tolist() == [std_normal_quantile(0.95), math.inf]
     P = box_polytope([(-1.0, 1.0), (0.0, 2.0)])
-    for a in (cone.H, cone.c, cone.quantile, P.H, P.c, *P.bounding_box()):
+    for a in (cone.H, cone.c, cone.quantile, P.H, P.c, *P.box):
         assert not a.flags.writeable
 
 
@@ -195,7 +189,7 @@ def test_containment_tolerance_is_inclusive():
     at_tol = BeliefCone((_pred([0.0, 0.0], 1e-12, 0.3), _pred([1.0, 0.0], 1e-12, 0.0)))
     assert cone_contains(at_tol, b)
     assert not cone_contains(BeliefCone((_pred([1.0, 0.0], 2e-12, 0.0),)), b)
-    P = Polytope((LinearExpression([1.0], 1e-12),))
+    P = Polytope((LinearExpression([1.0], 1e-12), LinearExpression([-1.0], -1.0)), ([-1.0], [-1e-12]))
     assert polytope_contains(P, [0.0])
     assert not polytope_contains(P, [1e-12])
 
@@ -217,7 +211,7 @@ def test_polytope_contains_matches_per_halfspace_reference():
     rng = np.random.default_rng(7)
     for _ in range(300):
         P = _random_polytope(rng)
-        lo, hi = P.bounding_box()
+        lo, hi = P.box
         assert np.array_equal(lo, np.min(P.vertices, axis=0))
         assert np.array_equal(hi, np.max(P.vertices, axis=0))
         around = rng.uniform(lo - 0.5, hi + 0.5, size=(20, lo.size))
@@ -271,7 +265,7 @@ def test_rejection_budget_counts_draws(monkeypatch, count):
     rng, r_ref = np.random.default_rng(9), np.random.default_rng(9)
     with pytest.raises(DegeneratePolytopeError, match="after 20 rejections"):
         polytope_sample(P, rng, count)
-    r_ref.uniform(*P.bounding_box(), size=(20, 2))
+    r_ref.uniform(*P.box, size=(20, 2))
     assert rng.bit_generator.state == r_ref.bit_generator.state
 
 

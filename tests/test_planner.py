@@ -28,7 +28,6 @@ from beliefplan.formula import (
 )
 from beliefplan.geometry import (
     BeliefCone,
-    DiscretePredicate,
     LinearExpression,
     ProbabilisticLinearPredicate,
     box_polytope,
@@ -41,7 +40,7 @@ LIGHTDARK = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "ligh
 
 def _atomic(name, modes=None):
     pred = ProbabilisticLinearPredicate(LinearExpression([1.0], -1.0), 0.1)
-    mset = None if modes is None else DiscretePredicate(frozenset(modes))
+    mset = None if modes is None else frozenset(modes)
     return Atomic(BeliefCone((pred,)), mset, name)
 
 
@@ -57,6 +56,17 @@ def test_plan_segment_validation():
         PlanSegment(a, 1, 1, 5)  # mode not allowed by the atomic
     with pytest.raises(ValueError):
         PlanSegment(a, 0, 5, 1)  # inverted window
+
+
+def test_mode_set_holds_python_ints_and_admits_numpy_modes():
+    """An atomic stores its mode set as a frozenset of Python ints, and
+    a plan segment accepts a numpy integer mode that the set holds."""
+    a = Atomic(BeliefCone(), [np.int64(1), 2], "a")
+    assert a.modes == frozenset({1, 2})
+    assert all(type(m) is int for m in a.modes)
+    PlanSegment(a, np.int64(2), 1, 5)
+    with pytest.raises(ValueError, match="not allowed"):
+        PlanSegment(a, np.int64(0), 1, 5)
 
 
 def test_plan_rejects_repeated_segment():

@@ -298,7 +298,7 @@ def test_extend_matches_per_candidate_reference():
         assert _same_extension(got, expected), trial
         assert r_new.bit_generator.state == r_ref.bit_generator.state
         r_plain = np.random.default_rng(seed)
-        r_plain.uniform(*domain.bounding_box(), size=(7, m))
+        r_plain.uniform(*domain.box, size=(7, m))
         dead = {e for e in exits if e is not None}
         seen["none"] += expected is None
         seen["partial"] += expected is not None and bool(dead)

@@ -342,7 +342,7 @@ def test_float_step_matches_a_step_by_step_replay(name):
     Non-box domains keep track_step, and the replay sees clamped
     controls leave them."""
     domain, is_box = DOMAINS[name]
-    lo, hi = domain.bounding_box()
+    lo, hi = domain.box
     rng = np.random.default_rng(37)
     left_domain = observed_steps = 0
     for trial in range(40):
