@@ -328,6 +328,14 @@ def _fmt(x: float) -> str:
     return _FMT % x
 
 
+def _write(writer, path, *args) -> None:
+    """writer(path, *args), with an OSError as a one-line error about --out."""
+    try:
+        writer(path, *args)
+    except OSError as exc:
+        raise SchemaError(f"--out: cannot write {path} ({exc})")
+
+
 def _write_plan_json(path, result: SynthesisResult):
     segments = []
     if result.plan is not None:
@@ -461,14 +469,14 @@ def run(argv=None) -> int:
         result = solve(problem, params, k_max=k_max, rng=rng)
     except (np.linalg.LinAlgError, OverflowError, FloatingPointError) as exc:
         raise NumericError(f"the planner failed numerically ({exc})")
-    _write_plan_json(os.path.join(args.out, "plan.json"), result)
+    _write(_write_plan_json, os.path.join(args.out, "plan.json"), result)
     if not result.ok:
         log.info("no solution after %d CEGIS iterations", result.iterations)
         return EXIT_NO_SOLUTION
 
     trajectory = result.trajectory
     m = problem.system.control_dim  # the control columns, even of a plan with no steps
-    _write_trajectory_csv(os.path.join(args.out, "trajectory.csv"), trajectory, m)
+    _write(_write_trajectory_csv, os.path.join(args.out, "trajectory.csv"), trajectory, m)
     log.info("solution with %d steps", trajectory.num_steps)
 
     if sim is not None and not args.no_simulation:
@@ -490,7 +498,7 @@ def run(argv=None) -> int:
         except (np.linalg.LinAlgError, OverflowError, FloatingPointError, InvalidCovarianceError) as exc:
             raise NumericError(f"$.simulation: the tracked execution failed numerically ({exc})")
         satisfied = formula.monitor(problem.formula, est, 0)
-        _write_simulation_csv(os.path.join(args.out, "simulation.csv"), est, xs, satisfied, m)
+        _write(_write_simulation_csv, os.path.join(args.out, "simulation.csv"), est, xs, satisfied, m)
     return EXIT_SOLUTION
 
 

@@ -118,9 +118,9 @@ class SystemMode:
 
     noise is a constant p-by-p matrix, a ScalarExpression (times the
     identity), or None when there is no observation. Construction
-    compiles closed_form: for n = p = 2, the row-major float tuples
-    (A, W W^T, C, R) of the covariance step on Python floats, R None for
-    a ScalarExpression, else None.
+    compiles closed_form: for n = p = 2, the float tuples (A, B, W W^T,
+    C, R) of the filter step on Python floats, row-major, B as its n rows
+    of m floats each, R None for a ScalarExpression, else None.
     """
 
     A: np.ndarray
@@ -172,7 +172,7 @@ class SystemMode:
             w0, w1, w2, w3 = W.ravel().tolist()
             WW = (w0 * w0 + w1 * w1, w0 * w2 + w1 * w3, w2 * w0 + w3 * w1, w2 * w2 + w3 * w3)
             R = None if isinstance(noise, ScalarExpression) else tuple(noise_cov(self, None).ravel().tolist())
-            closed = (tuple(A.ravel().tolist()), WW, tuple(C.ravel().tolist()), R)
+            closed = (tuple(A.ravel().tolist()), tuple(map(tuple, B.tolist())), WW, tuple(C.ravel().tolist()), R)
         object.__setattr__(self, "closed_form", closed)
 
     @property
@@ -309,7 +309,7 @@ def _condition_error(finite) -> IllConditionedUpdateError:
 def _predict_cov_2x2(mode: SystemMode, P) -> tuple:
     """A P A^T + W W^T: the entries of the product M = A P, then
     M A^T + W W^T."""
-    (a0, a1, a2, a3), (w0, w1, w2, w3), _, _ = mode.closed_form
+    (a0, a1, a2, a3), _, (w0, w1, w2, w3), _, _ = mode.closed_form
     p0, p1, p2, p3 = P
     m0, m1, m2, m3 = a0 * p0 + a1 * p2, a0 * p1 + a1 * p3, a2 * p0 + a3 * p2, a2 * p1 + a3 * p3
     return (m0 * a0 + m1 * a1 + w0, m0 * a2 + m1 * a3 + w1, m2 * a0 + m3 * a1 + w2, m2 * a2 + m3 * a3 + w3)
@@ -321,7 +321,7 @@ def _update_2x2(mode: SystemMode, P, mean):
     Joseph-form covariance, returned as row-major 4-tuples. The gain
     solves against S scaled by its largest entry, so no determinant
     under- or overflows where np.linalg.solve would not."""
-    _, _, (c0, c1, c2, c3), R = mode.closed_form
+    _, _, _, (c0, c1, c2, c3), R = mode.closed_form
     if R is None:
         R = _scalar_noise_cov(mode.noise.evaluate(mean), 2)
     p0, p1, p2, p3 = P
@@ -350,6 +350,16 @@ def _update_2x2(mode: SystemMode, P, mean):
         m2 * i0 + m3 * i1 + (n2 * k0 + n3 * k1), m2 * i2 + m3 * i3 + (n2 * k2 + n3 * k3))
 
 
+def _floats(v) -> list:
+    """np.asarray(v, dtype=float).reshape(-1).tolist(), with no array for a flat list or tuple."""
+    if isinstance(v, (list, tuple)):
+        try:
+            return [*map(float, v)]
+        except TypeError:  # nested sequences
+            pass
+    return np.asarray(v, dtype=float).reshape(-1).tolist()
+
+
 def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
     """predict_means of one belief and control, after checking their
     dimensions against the mode."""
@@ -374,32 +384,31 @@ def kalman_update(mode: SystemMode, b: BeliefState, u, y) -> BeliefState:
     (EKF-style linearization point); Joseph-form covariance. The
     predicted belief gets make_belief's checks (its mean finite, its
     covariance checked_cov's) but is not built; one checked belief is
-    returned. For n = p = 2 the step runs on Python floats."""
+    returned. For n = p = 2 it runs on Python floats, from u and y to the posterior."""
     if mode.obs_dim == 0:
         raise NoObservationError("mode has no observation (p = 0)")
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if y.shape[0] != mode.obs_dim:
-        raise ValueError(f"observation dimension {y.shape[0]} != {mode.obs_dim}")
+    y = _floats(y)
+    if len(y) != mode.obs_dim:
+        raise ValueError(f"observation dimension {len(y)} != {mode.obs_dim}")
     if not mode.closed_form:
         mean = _predicted_mean(mode, b, u)
         K, cov = _update(mode, checked_cov(_predict_cov(mode, b.cov)), noise_cov(mode, mean))
         return make_belief(mean + K @ (y - mode.C @ mean), cov)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if u.shape[0] != mode.control_dim:
-        raise ValueError(f"control dimension {u.shape[0]} != {mode.control_dim}")
+    u = _floats(u)
+    if len(u) != mode.control_dim:
+        raise ValueError(f"control dimension {len(u)} != {mode.control_dim}")
     if b.dim != 2:
         raise ValueError(f"belief dimension {b.dim} != 2")
-    (a0, a1, a2, a3), _, (c0, c1, c2, c3), _ = mode.closed_form
+    (a0, a1, a2, a3), (B0, B1), _, (c0, c1, c2, c3), _ = mode.closed_form
     x0, x1 = b.mean.tolist()
-    b0, b1 = (mode.B @ u).tolist()
+    b0, b1 = sum(map(operator.mul, B0, u)), sum(map(operator.mul, B1, u))
     m0, m1 = a0 * x0 + a1 * x1 + b0, a2 * x0 + a3 * x1 + b1  # predict_means on floats
     if not (math.isfinite(m0) and math.isfinite(m1)):
         raise InvalidCovarianceError("non-finite entries in belief state")
     prior = checked_cov_2x2(_predict_cov_2x2(mode, b.cov.ravel().tolist()))
-    (k0, k1, k2, k3), cov = _update_2x2(mode, prior, (m0, m1))
-    y0, y1 = y.tolist()
-    v0, v1 = y0 - (c0 * m0 + c1 * m1), y1 - (c2 * m0 + c3 * m1)
-    return make_belief((m0 + (k0 * v0 + k1 * v1), m1 + (k2 * v0 + k3 * v1)), np.array(cov).reshape(2, 2))
+    (k0, k1, k2, k3), (p0, p1, p2, p3) = _update_2x2(mode, prior, (m0, m1))
+    v0, v1 = y[0] - (c0 * m0 + c1 * m1), y[1] - (c2 * m0 + c3 * m1)
+    return make_belief((m0 + (k0 * v0 + k1 * v1), m1 + (k2 * v0 + k3 * v1)), ((p0, p1), (p2, p3)))
 
 
 def propagate_mlo(mode: SystemMode, b: BeliefState, u) -> BeliefState:

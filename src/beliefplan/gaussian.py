@@ -53,16 +53,23 @@ def make_belief(mean, cov) -> BeliefState:
 
     The covariance is symmetrized as (S + S^T)/2 before validation.
     Raises InvalidCovarianceError for a non-finite entry, asymmetry
-    beyond 1e-6 or an eigenvalue below -1e-9.
+    beyond 1e-6 or an eigenvalue below -1e-9. A 2-by-2 covariance is
+    read once into Python floats, for checked_cov_2x2.
     """
-    mean = np.array(mean, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
-    n = mean.shape[0]
-    if cov.shape != (n, n):
-        raise InvalidCovarianceError(
-            f"covariance shape {cov.shape} does not match mean dimension {n}"
-        )
-    mean, sym = checked_mean(mean), checked_cov(cov)  # checked_cov builds a fresh covariance
+    mean = np.array(mean, dtype=float).ravel()
+    n, entries = mean.shape[0], None
+    if n == 2:
+        try:  # numpy reads, and names the shape of, anything but two rows of two
+            (a, b), (c, d) = cov.tolist() if isinstance(cov, np.ndarray) else cov
+            entries = [float(a), float(b), float(c), float(d)]
+        except (TypeError, ValueError):
+            pass
+    if entries is None:
+        cov = np.asarray(cov, dtype=float)
+        if cov.shape != (n, n):
+            raise InvalidCovarianceError(f"covariance shape {cov.shape} does not match mean dimension {n}")
+    checked_mean(mean)
+    sym = checked_cov(cov) if entries is None else np.array(checked_cov_2x2(entries)).reshape(2, 2)
     mean.setflags(write=False)
     sym.setflags(write=False)
     return BeliefState(mean, sym)
@@ -111,7 +118,7 @@ def checked_cov_2x2(P) -> tuple:
     asym = abs(b - c)
     a, b, d = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (d + d)
     # a non-finite entry makes a non-finite symmetrized one
-    if not all(map(math.isfinite, (a, b, d))):
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(d)):
         raise InvalidCovarianceError("non-finite entries in belief state")
     _check_limits(asym, (a + d) / 2 - math.hypot((a - d) / 2, b))  # the lesser eigenvalue, in closed form
     return a, b, b, d

@@ -16,6 +16,8 @@ one filter step and one checked belief per step.
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from .belief_rrt import InternalConsistencyError
@@ -105,12 +107,12 @@ def simulate(
     true state and takes the filter step (kalman_update); an unobserved
     mode predicts. The run's normals come from one standard_normal
     call: per step n for the truth, then p if the mode observes. A mode
-    with a closed form (n = p = 2) computes the control, the truth and
-    the observation on Python floats, the sums of track_step, step_truth
-    and sample_observation, which numpy's BLAS may round differently in
-    the last bit; a control domain that is not a box keeps track_step.
-    The estimated trajectory carries the applied controls and the
-    reference's segment boundaries up to num_steps.
+    with a closed form (n = p = 2) runs on Python floats from the control
+    (track_step's sums; a domain that is not a box keeps track_step) to
+    the truth, the observation and the filter step, with B u included:
+    sums that numpy's BLAS may round differently in the last bit. The
+    estimated trajectory carries the applied controls (arrays built once
+    at the end) and the reference's segment boundaries up to num_steps.
     """
     if num_steps > ref.num_steps:
         raise ValueError(
@@ -154,20 +156,18 @@ def simulate(
             else:
                 est = predict(mode, est, u)
         else:
-            K0, (a0, a1, a2, a3), B, (w0, w1, w2, w3), (c0, c1, c2, c3), noise = form
+            K0, (a0, a1, a2, a3), (B0, B1), (w0, w1, w2, w3), (c0, c1, c2, c3), noise = form
             if domain.is_box:
                 m0, m1 = est.mean.tolist()
                 r0, r1 = ref.beliefs[k].mean.tolist()
                 e0, e1 = m0 - r0, m1 - r1
-                u = np.array([
-                    min(max(r - (g0 * e0 + g1 * e1), low), high)
-                    for r, (g0, g1), low, high in zip(ref.controls[k].tolist(), K0, lo, hi)
-                ])
+                u = [low if (v := r - (g0 * e0 + g1 * e1)) < low else high if v > high else v
+                     for r, (g0, g1), low, high in zip(ref.controls[k].tolist(), K0, lo, hi)]
             else:
-                u = track_step(gains[mode_idx], ref.beliefs[k].mean, ref.controls[k], est, domain)
-            (x0, x1), (b0, b1) = x, (B @ u).tolist()
-            d0, d1, v0, v1 = draws[j:j + 4]
+                u = track_step(gains[mode_idx], ref.beliefs[k].mean, ref.controls[k], est, domain).tolist()
+            (x0, x1), (d0, d1, v0, v1) = x, draws[j:j + 4]
             j += 4
+            b0, b1 = sum(map(mul, B0, u)), sum(map(mul, B1, u))
             x0, x1 = a0 * x0 + a1 * x1 + b0 + (w0 * d0 + w1 * d1), a2 * x0 + a3 * x1 + b1 + (w2 * d0 + w3 * d1)
             x = [x0, x1]
             if callable(noise):  # a state-dependent gain times the identity
@@ -182,15 +182,15 @@ def simulate(
         controls.append(u)
         xs.append(x)
     boundaries = tuple(b for b in ref.segment_boundaries if b <= num_steps)
-    trajectory = SolutionTrajectory(tuple(est_beliefs), tuple(modes), tuple(controls), boundaries)
+    trajectory = SolutionTrajectory(tuple(est_beliefs), tuple(modes), tuple(np.array(controls)), boundaries)
     return trajectory, list(np.array(xs))
 
 
 def _float_form(mode: SystemMode, real_mode: SystemMode, gains: tuple) -> tuple:
-    """What the tracked step of a closed-form mode reads: the rows of
-    K_0; the real system's A, B (an array) and W; the planner's C; its
-    noise gain's evaluate or its constant noise matrix. A, W, C and the
-    noise matrix are flat row-major sequences of Python floats."""
+    """What the tracked step of a closed-form mode reads, in Python
+    floats: the rows of K_0 and of the real system's B; its A and W, the
+    planner's C and its constant noise matrix as flat row-major
+    sequences, or the noise gain's evaluate."""
     noise = mode.noise.evaluate if isinstance(mode.noise, ScalarExpression) else mode.noise.ravel().tolist()
-    return (gains[0].tolist(), real_mode.A.ravel().tolist(), real_mode.B,
-            real_mode.W.ravel().tolist(), mode.closed_form[2], noise)
+    return (gains[0].tolist(), real_mode.A.ravel().tolist(), real_mode.B.tolist(),
+            real_mode.W.ravel().tolist(), mode.closed_form[3], noise)

@@ -691,6 +691,24 @@ def test_an_out_path_that_is_a_file_exits_schema(tmp_path):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("name, written", [
+    ("plan.json", []),
+    ("simulation.csv", ["plan.json", "trajectory.csv"]),
+], ids=["plan.json", "simulation.csv"])
+def test_an_output_file_that_cannot_be_written_exits_schema(tmp_path, name, written):
+    """A directory in --out named like an output file: after planning,
+    writing that file fails, which exits 2 with one line naming it and
+    no traceback. The files written before it stay."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    r = _cli(["--problem", _write(tmp_path, _small_doc()), "--seed", "0", "--out", str(out)], tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert r.stderr.startswith(f"schema error: --out: cannot write {out / name} ("), r.stderr
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == written
+
+
 def test_exit_code_schema_bad_seed(tmp_path):
     doc = _small_doc()
     doc["planner"]["seed"] = "abc"

@@ -846,3 +846,69 @@ def test_other_shapes_keep_the_numpy_bits(n, p):
             mine = kalman_update(mode, b, u, y)
             ref = oracles.oracle_kalman_update(mode, oracles.oracle_predict(mode, b, u), y)
             assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
+
+
+def _input_forms(v):
+    """A vector as an ndarray, a list and a tuple of Python floats, and
+    as a column: a (k, 1) ndarray and nested lists."""
+    v = np.asarray(v, dtype=float)
+    return [v, v.tolist(), tuple(v.tolist()), v.reshape(-1, 1), v.reshape(-1, 1).tolist()]
+
+
+def test_closed_form_filter_reads_its_inputs_in_any_form():
+    """The closed-form filter step reads u and y as floats: given as an
+    ndarray, a list, a tuple or a column they give the same bytes; a wrong length
+    raises the dimension message; a non-finite observation makes a
+    non-finite mean, which the belief check rejects."""
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        mode, b, u, y = _random_filter_case(rng)
+        try:
+            ref = kalman_update(mode, b, u, y)
+        except IllConditionedUpdateError:
+            continue
+        for uf in _input_forms(u):
+            for yf in _input_forms(y):
+                mine = kalman_update(mode, b, uf, yf)
+                assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
+    mode, b, u, y = _lightdark_mode(), make_belief([1.0, 2.0], 0.1 * np.eye(2)), [0.1, -0.2], [1.0, 2.0]
+    for bad in _input_forms([0.1, -0.2, 0.3]) + _input_forms([0.1]):
+        with pytest.raises(ValueError, match=rf"^control dimension {len(bad)} != 2$"):
+            kalman_update(mode, b, bad, y)
+        with pytest.raises(ValueError, match=rf"^observation dimension {len(bad)} != 2$"):
+            kalman_update(mode, b, u, bad)
+    for bad in ([math.nan, 2.0], [1.0, math.inf]):
+        for yf in _input_forms(bad):
+            with pytest.raises(InvalidCovarianceError, match="^non-finite entries in belief state$"):
+                kalman_update(mode, b, u, yf)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_closed_form_filter_with_other_control_widths(m):
+    """A closed-form mode (n = p = 2) with m = 1 or 3 control columns:
+    the filter step, B u on Python floats, against oracle_predict then
+    oracle_kalman_update, within the bounds of
+    test_closed_form_filter_matches_the_numpy_reference."""
+    rng = np.random.default_rng(50 + m)
+    updated = 0
+    for _ in range(300):
+        mode, b, _, y = _random_filter_case(rng)
+        mode = SystemMode(mode.A, rng.normal(scale=0.5, size=(2, m)), mode.W, C=mode.C, noise=mode.noise)
+        assert mode.closed_form is not None
+        u = rng.uniform(-1.0, 1.0, size=m)
+        prior = oracles.oracle_predict(mode, b, u)
+        mine = _outcome(kalman_update, mode, b, u, y)
+        ref = _outcome(oracles.oracle_kalman_update, mode, prior, y)
+        S = mode.C @ prior.cov @ mode.C.T + noise_cov(mode, prior.mean)
+        cond = np.linalg.cond(S)
+        if isinstance(mine, str) or isinstance(ref, str):
+            assert mine == ref or abs(cond / 1e12 - 1) <= 1e-3
+            continue
+        updated += 1
+        cov_scale = max(np.abs(prior.cov).max(), np.abs(ref.cov).max())
+        K = np.linalg.solve(S, mode.C @ prior.cov).mT
+        terms = np.abs(K) @ np.abs(y - mode.C @ prior.mean)
+        mean_scale = max(np.abs(prior.mean).max(), np.abs(ref.mean).max(), terms.max())
+        assert np.abs(mine.cov - ref.cov).max() <= 16 * _EPS * cond * cov_scale
+        assert np.abs(mine.mean - ref.mean).max() <= 64 * _EPS * cond * mean_scale
+    assert updated > 150

@@ -243,6 +243,46 @@ def test_checked_cov_keeps_the_numpy_bits_on_stacks():
                 assert mine.shape == ref[0].shape and mine.tobytes() == ref[0].tobytes()
 
 
+def _as_form(a: np.ndarray, form):
+    """A fresh copy of the array as an ndarray, or as nested lists or tuples."""
+    return a.copy() if form == "array" else _nested(a, {"list": list, "tuple": tuple}[form])
+
+
+@pytest.mark.parametrize("form", ["array", "list", "tuple"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_make_belief_contract(n, form):
+    """make_belief from arrays, lists or tuples, at n = 1, 2 and 3: two
+    read-only float64 arrays of shapes (n,) and (n, n) that later
+    changes to the input do not reach, the covariance symmetrized; and
+    its errors in order: a non-finite entry, then the asymmetry, then
+    the eigenvalue."""
+    rng = np.random.default_rng(n)
+    L = rng.normal(size=(n, n))
+    sym = L @ L.T + np.eye(n)
+    cov = sym + 1e-7 * np.triu(np.ones((n, n)), 1)  # asymmetric within the limit
+    mean = rng.normal(size=n)
+    mean_in, cov_in = _as_form(mean, form), _as_form(cov, form)
+    b = make_belief(mean_in, cov_in)
+    for x, shape in ((b.mean, (n,)), (b.cov, (n, n))):
+        assert x.dtype == np.float64 and x.shape == shape and not x.flags.writeable
+    assert np.array_equal(b.mean, mean) and np.array_equal(b.cov, b.cov.T)
+    assert np.array_equal(b.cov, 0.5 * (cov + cov.T))
+    if form != "tuple":  # tuples cannot change
+        mean_in[0] = 99.0
+        cov_in[0][0] = 99.0
+        assert np.array_equal(b.mean, mean) and np.array_equal(b.cov, 0.5 * (cov + cov.T))
+    neg = np.diag(np.r_[-1.0, np.ones(n - 1)])  # an eigenvalue of -1
+    asym_neg = neg + np.eye(n, k=n - 1) if n > 1 else neg  # and an asymmetry of 1
+    nan_asym_neg = asym_neg.copy()
+    nan_asym_neg[-1, -1] = math.nan
+    cases = [(nan_asym_neg, "^non-finite entries in belief state$"),
+             (asym_neg, "^covariance asymmetry 1 exceeds 1e-6$" if n > 1 else "^covariance has negative"),
+             (neg, "^covariance has negative eigenvalue -1$")]
+    for bad, message in cases:
+        with pytest.raises(InvalidCovarianceError, match=message):
+            make_belief(_as_form(mean, form), _as_form(bad, form))
+
+
 def test_belief_arrays_read_only():
     b = make_belief([1.0], [[1.0]])
     with pytest.raises(ValueError):

@@ -256,12 +256,18 @@ def test_simulate_deterministic_given_seed():
     )
 
 
-def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
+@pytest.mark.parametrize("noise, domain", [
+    ("constant", "box_polytope"),
+    ("constant", "rotated_square"),
+    ("0.001 + 0.01*x0^2", "box_polytope"),
+], ids=["constant-box", "constant-vertices", "state-dependent-box"])
+def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch, noise, domain):
     """bench/run.py times the filter by replacing kalman_update in
     tracking's namespace and make_belief in dynamics' namespace. One
-    simulate of an observed mode must call each through those names,
-    once per step: the filter step predicts and updates and builds one
-    checked belief."""
+    simulate of an observed closed-form mode, with constant or
+    state-dependent noise, in a box or a vertex control domain, must
+    call each through those names, once per step: the filter step
+    predicts and updates and builds one checked belief."""
     calls = {}
 
     def count(module, name):
@@ -275,6 +281,12 @@ def test_simulate_calls_the_filter_through_the_hooked_names(monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     sys, ref = _straight_reference(12, observed=True)
+    if noise != "constant":
+        sys = SwitchedSystem((SystemMode(np.eye(2), 0.25 * np.eye(2), np.zeros((2, 2)), C=np.eye(2), noise=noise),),
+                             sys.control_domain)
+    sys = SwitchedSystem(sys.modes, DOMAINS[domain][0])
+    assert sys.modes[0].closed_form is not None and sys.control_domain.is_box == DOMAINS[domain][1]
+    assert all(polytope_contains(sys.control_domain, u) for u in ref.controls)
     gains = {0: lqr_gains(sys.modes[0], 5, np.eye(2), np.eye(2), 0.05 * np.eye(2))}
     count(tracking, "kalman_update")
     count(dynamics, "make_belief")
