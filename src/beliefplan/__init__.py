@@ -6,7 +6,6 @@ from .gaussian import (
     DomainError,
     InvalidCovarianceError,
     make_belief,
-    std_normal_cdf,
     std_normal_quantile,
     uncertainty_measure,
 )

@@ -4,12 +4,16 @@ A candidate plan is a sequence of (atomic proposition, mode) segments
 with dwell windows. Enumeration is canonical -- segment count ascending,
 then lexicographic over (atomic declaration index, mode) -- so the
 CEGIS trace is reproducible. Counterexamples exclude (atomic, mode)
-sequence prefixes of plans whose continuous realization failed.
+sequence prefixes of plans whose continuous realization failed. The
+sequences of K segments extend the surviving ones of K - 1, so an
+excluded prefix never grows, and as each segment dwells at least one
+position, K <= min(k_max, horizon + 1): k_max needs no upper bound.
 
 A sequence is emitted only if some dwell assignment satisfies the
 specification under the word monitor, on the run-length word that holds
-each segment for its dwell; each emitted dwell window is the least and
-greatest dwell of its segment over all satisfying assignments.
+each segment for its dwell (dwell_search checks C(cap - 1, K - 1) rows,
+cap = horizon + 1); each emitted dwell window is the least and greatest
+dwell of its segment over all satisfying assignments.
 """
 
 from __future__ import annotations
@@ -79,9 +83,7 @@ class CounterexampleStore:
 
     def excludes(self, signature) -> bool:
         signature = tuple(signature)
-        return any(
-            signature[: len(p)] == p for p in self.prefixes if len(p) <= len(signature)
-        )
+        return any(signature[: len(p)] == p for p in self.prefixes)
 
     def as_list(self) -> list:
         return sorted(self.prefixes, key=lambda p: (len(p), p))
@@ -167,10 +169,10 @@ def dwell_search(signature, f, cap):
     word monitor.
     """
     K = len(signature)
-    leads = (p for p in itertools.product(range(1, cap), repeat=K - 1) if sum(p) < cap)
+    cuts = itertools.combinations(range(1, cap), K - 1)  # where each leading segment ends
     feasible = []
-    while chunk := list(itertools.islice(leads, CHUNK_ROWS)):
-        rows = np.array([p + (cap - sum(p),) for p in chunk], dtype=np.int64)
+    while chunk := list(itertools.islice(cuts, CHUNK_ROWS)):
+        rows = np.diff(np.array([(0, *c, cap) for c in chunk], dtype=np.int64))
         feasible.extend(rows[monitor_dwells(f, signature, rows)])
     if not feasible:
         return None
@@ -202,19 +204,17 @@ def bmc_next_candidate(pairs, f, cex: CounterexampleStore, k_max: int) -> Discre
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     cap = f.horizon + 1
-    for K in range(1, k_max + 1):
-        for combo in itertools.product(pairs, repeat=K):
-            signature = tuple((a.label, m) for a, m in combo)
-            if any(signature[i] == signature[i + 1] for i in range(K - 1)):
-                continue
-            if cex.excludes(signature):
-                continue
-            found = dwell_search(signature, f, cap)
-            if found is None:
-                continue
-            _, windows = found
-            segments = tuple(
-                PlanSegment(a, m, lo, hi) for (a, m), (lo, hi) in zip(combo, windows)
-            )
-            return DiscretePlan(segments)
+    labels = [(a.label, m) for a, m in pairs]
+    level = [((), ())]  # (pairs, signature) of the sequences whose every prefix survived
+    for _ in range(min(k_max, cap)):
+        level = [
+            (combo + (pair,), signature + (label,))
+            for combo, signature in level
+            for pair, label in zip(pairs, labels)
+            if signature[-1:] != (label,) and signature + (label,) not in cex.prefixes
+        ]
+        for combo, signature in level:
+            if (found := dwell_search(signature, f, cap)) is not None:
+                segments = zip(combo, found[1])
+                return DiscretePlan(tuple(PlanSegment(a, m, *w) for (a, m), w in segments))
     return None

@@ -1,4 +1,4 @@
-"""Standard-normal numerics and the Gaussian belief-state type.
+"""The standard-normal quantile and the Gaussian belief-state type.
 
 Everything downstream (chance constraints, Kalman filtering, cone
 membership) goes through the functions in this module, so tolerances
@@ -16,7 +16,6 @@ import numpy as np
 
 EIGENVALUE_TOL = -1e-9
 _MAKE_SYMMETRY_TOL = 1e-6
-_SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = NormalDist()
 
 
@@ -127,16 +126,6 @@ def checked_cov_2x2(P) -> tuple:
 def uncertainty_measure(b: BeliefState) -> float:
     """Scalar uncertainty order: trace of the covariance."""
     return float(np.trace(b.cov))
-
-
-def std_normal_cdf(v: float) -> float:
-    """CDF of the standard normal, evaluated through erfc to keep
-    precision in both tails."""
-    if not math.isfinite(v):
-        raise DomainError(f"std_normal_cdf requires finite input, got {v!r}")
-    if v < 0.0:
-        return 0.5 * math.erfc(-v / _SQRT2)
-    return 1.0 - 0.5 * math.erfc(v / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:

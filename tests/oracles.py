@@ -26,6 +26,7 @@ from beliefplan.formula import (
 )
 from beliefplan.gaussian import (
     BeliefState,
+    DomainError,
     InvalidCovarianceError,
     make_belief,
     std_normal_quantile,
@@ -37,6 +38,19 @@ from beliefplan.geometry import (
     cone_contains,
     polytope_contains,
 )
+
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def std_normal_cdf(v: float) -> float:
+    """CDF of the standard normal, evaluated through erfc to keep
+    precision in both tails."""
+    if not math.isfinite(v):
+        raise DomainError(f"std_normal_cdf requires finite input, got {v!r}")
+    if v < 0.0:
+        return 0.5 * math.erfc(-v / _SQRT2)
+    return 1.0 - 0.5 * math.erfc(v / _SQRT2)
 
 
 def bisect_quantile(p, lo=-40.0, hi=40.0, iters=200):

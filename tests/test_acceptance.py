@@ -30,7 +30,7 @@ from beliefplan.formula import (
     monitor_dwells,
     monitor_word,
 )
-from beliefplan.gaussian import make_belief, std_normal_cdf, std_normal_quantile
+from beliefplan.gaussian import make_belief, std_normal_quantile
 from beliefplan.geometry import (
     LinearExpression,
     ProbabilisticLinearPredicate,
@@ -41,7 +41,14 @@ from beliefplan.geometry import (
 from beliefplan.synthesis import solve
 from beliefplan.tracking import lqr_gains, simulate
 
-from oracles import bisect_quantile, oracle_monitor, oracle_word, random_formula, random_trace
+from oracles import (
+    bisect_quantile,
+    oracle_monitor,
+    oracle_word,
+    random_formula,
+    random_trace,
+    std_normal_cdf,
+)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 LIGHTDARK = os.path.join(HERE, os.pardir, "problems", "lightdark.json")

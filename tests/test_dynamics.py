@@ -581,10 +581,11 @@ def test_closed_form_filter_matches_the_numpy_reference():
     """The filter step (kalman_update) of n = p = 2 modes against the
     numpy reference, oracle_predict then oracle_kalman_update, on 3,000
     random cases; predict, the numpy body, gives oracle_predict's bits.
-    The filter step's predicted mean is the same bits and its predicted
-    covariance, on Python floats, within 8 eps of its largest entry.
-    Both updates round a solve against S = C P C^T + R,
-    whose error grows with cond(S): the covariances differ by at most
+    The filter step's predicted covariance, _predict_cov_2x2 on Python
+    floats, is within 8 eps of the largest entry of oracle_predict's;
+    its predicted mean is not exposed and not compared. Both updates
+    round a solve against S = C P C^T + R, whose error grows with
+    cond(S): the posterior covariances differ by at most
     16 eps cond(S) of the largest prior or posterior entry, the means by
     64 eps cond(S) of the largest prior or posterior entry or entry of
     |K| |y - C m|, the size of the terms the update sums. The worst

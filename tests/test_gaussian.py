@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from oracles import std_normal_cdf
 from beliefplan.gaussian import (
     EIGENVALUE_TOL,
     BeliefState,
     InvalidCovarianceError,
     checked_cov,
     make_belief,
-    std_normal_cdf,
     std_normal_quantile,
     uncertainty_measure,
 )

@@ -243,6 +243,22 @@ def test_a_region_within_the_tolerance_is_not_empty():
     assert not mean_region_empty((task.goal, task.stay), (np.zeros((1, 1)),) * 2, 1)
 
 
+def test_an_eps_zero_row_under_variance_empties_the_region():
+    """An eps = 0 row holds for no mean once its direction has variance:
+    its spread is +inf, and mean_region_empty calls the region empty,
+    though its axis bounds alone would scale the gap by that +inf and
+    call it not empty. At zero covariance the same cones are not empty."""
+    goal = BeliefCone((_row([1.0, 0.0], -1.0, 0.0),))
+    stay = BeliefCone(tuple(_box_rows([0.0, 0.0], [5.0, 5.0], 0.1)))
+    cov = np.array([[[0.5, 0.1], [0.1, 0.2]]])
+    spreads = (cone_spread(goal, cov), cone_spread(stay, cov))
+    assert np.isinf(spreads[0]).all() and np.isfinite(spreads[1]).all()
+    assert not cone_holds(goal, np.array([[-3.0, 0.0], [0.0, 0.0]]), spreads[0]).any()
+    assert mean_region_empty((goal, stay), spreads, 2)
+    zero = np.zeros((1, 2, 2))
+    assert not mean_region_empty((goal, stay), (cone_spread(goal, zero), cone_spread(stay, zero)), 2)
+
+
 def test_fixed_point_stop_after_a_repeated_row(monkeypatch):
     """A = diag(1, 0) without process noise: step 1 zeroes the second
     variance and step 2 repeats it, so the walk takes two steps only,

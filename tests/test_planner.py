@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import os
 
 import numpy as np
@@ -32,10 +34,13 @@ from beliefplan.geometry import (
     ProbabilisticLinearPredicate,
     box_polytope,
 )
+from beliefplan.synthesis import solve
 
-from oracles import oracle_word, random_formula
+from oracles import oracle_word, random_atomic, random_formula
 
-LIGHTDARK = os.path.join(os.path.dirname(__file__), os.pardir, "problems", "lightdark.json")
+HERE = os.path.dirname(__file__)
+LIGHTDARK = os.path.join(HERE, os.pardir, "problems", "lightdark.json")
+DARKSWITCH = os.path.join(HERE, os.pardir, "bench", "darkswitch.json")
 
 
 def _atomic(name, modes=None):
@@ -149,6 +154,66 @@ def test_bmc_matches_enumeration_oracle_small():
             else:
                 assert plan is not None
                 assert plan.signature() == expected
+
+
+def test_bmc_candidates_match_the_product_order_oracle():
+    """On random formulas over two random atomics (cap <= 13) with
+    random counterexample stores, every candidate of k_max 3 is the
+    oracle's, which filters the full product of each length. After each
+    candidate it or, one time in three, a shorter prefix of it is
+    excluded, until both find none; at least 100 cases and 20 candidates
+    of three segments."""
+    rng = np.random.default_rng(4111)
+    sys = _system(num_modes=2)
+    cases, sizes = 0, {1: 0, 2: 0, 3: 0}
+    while cases < 100 or sizes[3] < 20:
+        leaves = [random_atomic(rng, 1, 2, name=name) for name in ("a", "b")]
+        f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)), leaves=leaves)
+        while f.horizon > 12:
+            f = random_formula(rng, 1, 2, depth=int(rng.integers(0, 4)), leaves=leaves)
+        pairs = abstract(f, sys)
+        labels = [(a.label, m) for a, m in pairs]
+        cex = CounterexampleStore()
+        for _ in range(int(rng.integers(0, 3))):
+            add_counterexample(cex, [labels[i] for i in rng.integers(len(labels), size=rng.integers(1, 3))])
+        while True:
+            plan = bmc_next_candidate(pairs, f, cex, k_max=3)
+            expected = _first_candidate_oracle(pairs, f, cex.prefixes, 3)
+            assert (plan.signature() if plan else None) == expected, (f, cex.as_list())
+            if plan is None:
+                break
+            signature = plan.signature()
+            sizes[len(signature)] += 1
+            cut = len(signature) if rng.random() < 2 / 3 else int(rng.integers(1, len(signature) + 1))
+            add_counterexample(cex, signature[:cut])
+        cases += 1
+    assert cases < 400, (cases, sizes)
+
+
+def test_dark_only_bmc_does_not_grow_with_k_max(tmp_path, monkeypatch):
+    """A copy of darkswitch without its observed mode: both one-segment
+    plans fail, so every longer signature is excluded. It makes as many
+    dwell_search calls at k_max 1,000 as at 6, and its result is the
+    same but for k_max."""
+    with open(DARKSWITCH) as fh:
+        doc = json.load(fh)
+    doc["modes"] = doc["modes"][:1]
+    path = tmp_path / "dark_only.json"
+    path.write_text(json.dumps(doc))
+    problem, params, _, seed, _ = load_problem(str(path))
+    calls = []
+
+    def counting(signature, f, cap):
+        calls.append(signature)
+        return dwell_search(signature, f, cap)
+
+    monkeypatch.setattr(discrete_planner, "dwell_search", counting)
+    six = solve(problem, params, k_max=6, rng=np.random.default_rng(seed))
+    six_calls = len(calls)
+    many = solve(problem, params, k_max=1000, rng=np.random.default_rng(seed))
+    assert not six.ok and six.counterexamples == [(("free_space", 0),), (("target", 0),)]
+    assert 0 < six_calls == len(calls) - six_calls
+    assert dataclasses.replace(many, k_max=6) == six
 
 
 def test_bmc_candidate_windows_are_satisfiable_and_tight():
