@@ -20,7 +20,6 @@ stage of the pipeline).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -59,10 +58,13 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class RrtParams:
-    """Search tunables. rrt_timeout is finite wall-clock seconds; iteration_cap,
-    when set, bounds the loop instead and makes runs reproducible."""
+    """Search tunables. iteration_cap, required, is the one bound on a
+    segment search, so runs are reproducible."""
 
-    rrt_timeout: float | None = None
+    # Accepts only None. It stays because bench/workloads.py passes
+    # rrt_timeout=None to replace(); ROADMAP item 1 deletes it together
+    # with that call.
+    rrt_timeout: None = None
     iteration_cap: int | None = None
     delta_near: float = 1.0
     delta_drain: float = 0.5
@@ -71,11 +73,11 @@ class RrtParams:
     max_num_of_steps: int = 1
 
     def __post_init__(self):
-        if self.rrt_timeout is None and self.iteration_cap is None:
-            raise ValueError("either rrt_timeout or iteration_cap is required")
-        if self.rrt_timeout is not None and not 0 < self.rrt_timeout < np.inf:  # NaN too
-            raise ValueError("rrt_timeout must be finite and positive")
-        if self.iteration_cap is not None and self.iteration_cap < 1:
+        if self.rrt_timeout is not None:
+            raise ValueError("rrt_timeout must be None; iteration_cap bounds the search")
+        if self.iteration_cap is None:
+            raise ValueError("iteration_cap is required")
+        if self.iteration_cap < 1:
             raise ValueError("iteration_cap must be at least 1")
         if not self.delta_drain <= self.delta_near:
             raise ValueError("delta_drain must not exceed delta_near")
@@ -93,6 +95,8 @@ class RrtTree:
     between are replayed on success."""
 
     def __init__(self, root: BeliefState, capacity: int = 64):
+        if capacity < 1:
+            raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.size = 0
         self.means = np.empty((capacity, root.dim))
         self.traces = np.empty(capacity)
@@ -143,6 +147,8 @@ class SegmentTask:
     max_total_steps: int
 
     def __post_init__(self):
+        if self.mode < 0:
+            raise ValueError(f"mode must be nonnegative, got {self.mode}")
         if self.max_total_steps < 1:
             raise ValueError("max_total_steps must be at least 1")
         if self.min_dwell_in_goal < 0:
@@ -373,8 +379,9 @@ def solve_segment(
 ) -> SegmentResult:
     """Steer from `start` to the goal cone while the stay cone holds.
 
-    Runs until success, the iteration cap, the wall-clock timeout, or
-    a selection that finds no node with steps left to extend.
+    Runs until success, params.iteration_cap iterations, or a selection
+    that finds no node with steps left to extend; the last two end as a
+    "timeout".
     Unless the noise depends on the state, a goal that _goal_empty
     proves empty at every depth ends the segment as a "timeout" with
     proof "goal-empty" before a random number is drawn.
@@ -392,19 +399,7 @@ def solve_segment(
     goal_lo, goal_hi = _cone_mean_box(task.goal, start.mean)
     stay_lo, stay_hi = _cone_mean_box(task.stay, start.mean)
     max_depth = task.max_total_steps - params.min_num_of_steps
-    deadline = (
-        time.monotonic() + params.rrt_timeout
-        if params.rrt_timeout is not None
-        else None
-    )
-    iteration = 0
-    while True:
-        if params.iteration_cap is not None and iteration >= params.iteration_cap:
-            return SegmentResult("timeout")
-        if deadline is not None and time.monotonic() >= deadline:
-            return SegmentResult("timeout")
-        iteration += 1
-
+    for _ in range(params.iteration_cap):
         if rng.random() < params.goal_bias:
             sample = rng.uniform(goal_lo, goal_hi)
         else:
@@ -425,3 +420,4 @@ def solve_segment(
         reached = _goal_reached(mode, task, tree, new)
         if reached is not None:
             return reached
+    return SegmentResult("timeout")

@@ -240,7 +240,7 @@ def load_problem(path: str):
     if not isinstance(planner_doc, dict):
         raise SchemaError("$.planner: expected an object")
     known = {
-        "rrt_timeout", "iteration_cap", "delta_near", "delta_drain",
+        "iteration_cap", "delta_near", "delta_drain",
         "goal_bias", "min_num_of_steps", "max_num_of_steps",
         "k_max", "seed",
     }
@@ -257,15 +257,11 @@ def load_problem(path: str):
     max_steps = _positive_int(
         planner_doc.get("max_num_of_steps", 1), "$.planner.max_num_of_steps"
     )
-    timeout = planner_doc.get("rrt_timeout")
-    if timeout is not None:
-        timeout = _number(timeout, "$.planner.rrt_timeout")
-    cap = planner_doc.get("iteration_cap")
-    if cap is not None:
-        cap = _positive_int(cap, "$.planner.iteration_cap")
+    cap = _positive_int(
+        _require(planner_doc, "iteration_cap", "$.planner"), "$.planner.iteration_cap"
+    )
     try:
         params = RrtParams(
-            rrt_timeout=timeout,
             iteration_cap=cap,
             delta_near=_number(planner_doc.get("delta_near", 1.0), "$.planner.delta_near"),
             delta_drain=_number(planner_doc.get("delta_drain", 0.5), "$.planner.delta_drain"),
@@ -423,7 +419,7 @@ def _build_arg_parser():
     ap.add_argument("--seed", type=int, default=None, help="RNG seed (overrides the file)")
     ap.add_argument(
         "--iteration-cap", type=int, default=None,
-        help="RRT iteration cap (overrides rrt_timeout for reproducible runs)",
+        help="RRT iteration cap (overrides the file's iteration_cap)",
     )
     ap.add_argument("--k-max", type=int, default=None, help="maximum plan segments")
     ap.add_argument("--validate-only", action="store_true", help="parse and validate, no planning")
@@ -450,7 +446,7 @@ def run(argv=None) -> int:
 
     problem, params, k_max, seed, sim = load_problem(args.problem)
     if args.iteration_cap is not None:
-        params = replace(params, rrt_timeout=None, iteration_cap=args.iteration_cap)
+        params = replace(params, iteration_cap=args.iteration_cap)
     if args.k_max is not None:
         k_max = args.k_max
     if args.seed is not None:

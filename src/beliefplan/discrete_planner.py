@@ -43,6 +43,8 @@ class PlanSegment:
     dwell_max: int
 
     def __post_init__(self):
+        if self.mode < 0:
+            raise ValueError(f"mode must be nonnegative, got {self.mode}")
         if not (0 <= self.dwell_min <= self.dwell_max):
             raise ValueError(
                 f"bad dwell window [{self.dwell_min}, {self.dwell_max}]"

@@ -345,6 +345,8 @@ class Trace:
                 f"trace needs len(modes) == len(beliefs) - 1, got "
                 f"{len(modes)} modes for {len(beliefs)} beliefs"
             )
+        if modes and min(modes) < 0:
+            raise ValueError(f"trace modes must be nonnegative, got {min(modes)}")
         object.__setattr__(self, "beliefs", beliefs)
         object.__setattr__(self, "modes", modes)
 

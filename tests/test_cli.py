@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from beliefplan import cli, discrete_planner, synthesis
+from beliefplan import belief_rrt, cli, discrete_planner, synthesis
 from beliefplan.cli import (
     EXIT_FORMULA,
     EXIT_INTERNAL,
@@ -718,8 +718,9 @@ def test_exit_code_schema_bad_seed(tmp_path):
 
 
 def test_an_infinite_rrt_timeout_exits_schema(tmp_path):
-    """json reads "rrt_timeout": Infinity; without an iteration_cap its
-    deadline would never expire, so the file is rejected at load."""
+    """json reads "rrt_timeout": Infinity; the planner block has no such
+    field, so the file is rejected at load as an unknown field, before
+    the missing iteration_cap is reported."""
     doc = _base_doc()
     del doc["planner"]["iteration_cap"]
     doc["planner"]["rrt_timeout"] = float("inf")
@@ -727,8 +728,50 @@ def test_an_infinite_rrt_timeout_exits_schema(tmp_path):
     assert '"rrt_timeout": Infinity' in (tmp_path / "problem.json").read_text()
     r = _cli(["--problem", path, "--validate-only"], tmp_path)
     assert r.returncode == EXIT_SCHEMA, r.stderr
-    assert r.stderr.endswith("$.planner: rrt_timeout must be finite and positive\n")
+    assert r.stderr.endswith("$.planner: unknown field(s) ['rrt_timeout']\n")
     assert r.stderr.count("\n") == 1
+
+
+def test_a_missing_iteration_cap_exits_schema(tmp_path):
+    """iteration_cap is the one bound on a segment search, so a planner
+    block without it is rejected at load with one line naming it."""
+    doc = _base_doc()
+    del doc["planner"]["iteration_cap"]
+    r = _cli(["--problem", _write(tmp_path, doc), "--validate-only"], tmp_path)
+    assert r.returncode == EXIT_SCHEMA, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.count("\n") == 1, r.stderr
+    assert r.stderr.endswith("$.planner.iteration_cap: missing required field\n"), r.stderr
+
+
+def test_a_hopeless_segment_runs_exactly_the_iteration_cap(tmp_path, monkeypatch):
+    """A goal inside the safe region that the control bound of 1 per
+    step cannot reach in 3 steps, so the goal proof does not prune it:
+    every segment search from a feasible start runs --iteration-cap
+    iterations, one rrt_select call each, and ends as a "timeout"."""
+    doc = _small_doc()
+    doc["formula"] = "(safe) U[0,3] (goal)"
+    selects, searches = [], []
+    select, solve_segment = belief_rrt.rrt_select, synthesis.solve_segment
+
+    def counting_select(*args):
+        selects.append(None)
+        return select(*args)
+
+    def recording_solve_segment(*args):
+        before = len(selects)
+        result = solve_segment(*args)
+        searches.append((result.status, result.proof, len(selects) - before))
+        return result
+
+    monkeypatch.setattr(belief_rrt, "rrt_select", counting_select)
+    monkeypatch.setattr(synthesis, "solve_segment", recording_solve_segment)
+    out = tmp_path / "out"
+    code = run(["--problem", _write(tmp_path, doc), "--out", str(out), "--iteration-cap", "37"])
+    assert code == EXIT_NO_SOLUTION
+    searched = [s for s in searches if s[0] != "infeasible-start"]
+    assert searched and set(searched) == {("timeout", None, 37)}, searches
+    assert len(selects) == 37 * len(searched)
 
 
 @pytest.mark.parametrize(

@@ -240,6 +240,16 @@ def test_atomic_mode_rule_vacuous_at_zero():
     assert monitor(a, tr, 1) is False
 
 
+def test_trace_rejects_a_negative_mode():
+    """The monitors read mode -1 as "no mode arrives", which would pass
+    the mode rule of every atomic."""
+    a = Atomic(BeliefCone(), frozenset({0}))
+    b = make_belief([0.0], [[0.01]])
+    assert monitor(a, Trace((b, b), (1,)), 1) is False
+    with pytest.raises(ValueError, match="nonnegative"):
+        Trace((b, b), (-1,))
+
+
 def test_always_and_eventually():
     near = _atomic([1.0], -1.0, 0.1)  # P(x <= 1) >= 0.9
     tr = _const_trace([0.0], [[0.01]], [0] * 5)

@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, no module
-imports a private name from another module of the package, every
+imports a private name from another module of the package or the
+standard library's `time` module, every
 private module-level name is read by its module, every upper-case
 public constant is read somewhere in src/, tests/ or bench/, every
 function the benchmark hooks exists under the name it hooks, a hooked
@@ -67,6 +68,29 @@ def test_detects_a_private_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_private_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def clock_imports(source: str) -> list:
+    """Import statements that bind the standard library's `time` module
+    or a name from it."""
+    return sorted(
+        f"time (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "time" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "time")
+    )
+
+
+def test_detects_a_clock_import():
+    source = "import time\nfrom time import monotonic\nimport datetime, timeit\nfrom . import time\n"
+    assert clock_imports(source) == ["time (line 1)", "time (line 2)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_clock_imports(path):
+    """Searches are bounded by iteration counts, never by the wall clock,
+    so a run's results depend on its seed alone."""
+    assert clock_imports(path.read_text()) == []
 
 
 def orphaned_private_names(source: str) -> list:

@@ -61,6 +61,8 @@ def test_plan_segment_validation():
         PlanSegment(a, 1, 1, 5)  # mode not allowed by the atomic
     with pytest.raises(ValueError):
         PlanSegment(a, 0, 5, 1)  # inverted window
+    with pytest.raises(ValueError, match="nonnegative"):
+        PlanSegment(_atomic("b"), -1, 1, 2)  # a mode set of None allows every mode
 
 
 def test_mode_set_holds_python_ints_and_admits_numpy_modes():

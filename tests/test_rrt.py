@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -76,6 +77,38 @@ def test_params_validation():
         RrtParams(iteration_cap=10, goal_bias=1.5)
     with pytest.raises(ValueError):
         RrtParams(iteration_cap=10, min_num_of_steps=5, max_num_of_steps=3)
+
+
+def test_rrt_timeout_accepts_only_none():
+    """The iteration cap is the one bound on a search: a timeout is
+    rejected, and the benchmark's replace(..., rrt_timeout=None) still
+    works."""
+    with pytest.raises(ValueError, match="rrt_timeout"):
+        RrtParams(iteration_cap=10, rrt_timeout=5.0)
+    with pytest.raises(ValueError, match="iteration_cap is required"):
+        RrtParams(rrt_timeout=None)
+    params = dataclasses.replace(
+        RrtParams(iteration_cap=10, delta_near=2.0), iteration_cap=400, rrt_timeout=None
+    )
+    assert params == RrtParams(iteration_cap=400, delta_near=2.0)
+
+
+def test_tree_capacity_must_be_positive():
+    root = _belief([0.0, 0.0], 0.2)
+    with pytest.raises(ValueError, match="capacity"):
+        RrtTree(root, capacity=0)
+    tree = RrtTree(root, capacity=1)
+    tree.add(_belief([1.0, 0.0], 0.1), 0, None, 1)
+    assert len(tree) == 2 and tree.depth[1] == 1
+
+
+def test_segment_task_rejects_a_negative_mode():
+    """A mode of -1 would plan the segment in the last mode through
+    sys.modes[-1]."""
+    cone = BeliefCone()
+    SegmentTask(mode=0, stay=cone, goal=cone, min_dwell_in_goal=0, max_total_steps=2)
+    with pytest.raises(ValueError, match="mode"):
+        SegmentTask(mode=-1, stay=cone, goal=cone, min_dwell_in_goal=0, max_total_steps=2)
 
 
 def test_select_prefers_low_uncertainty_near():
