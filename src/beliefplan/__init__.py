@@ -53,7 +53,6 @@ from .dynamics import (
     SystemMode,
     kalman_update,
     noise_cov,
-    predict,
     propagate_mlo,
     sample_observation,
     step_truth,

@@ -61,11 +61,11 @@ class RrtParams:
     """Search tunables. iteration_cap, required, is the one bound on a
     segment search, so runs are reproducible."""
 
+    iteration_cap: int
     # Accepts only None. It stays because bench/workloads.py passes
     # rrt_timeout=None to replace(); ROADMAP item 1 deletes it together
     # with that call.
     rrt_timeout: None = None
-    iteration_cap: int | None = None
     delta_near: float = 1.0
     delta_drain: float = 0.5
     goal_bias: float = 0.25
@@ -75,8 +75,6 @@ class RrtParams:
     def __post_init__(self):
         if self.rrt_timeout is not None:
             raise ValueError("rrt_timeout must be None; iteration_cap bounds the search")
-        if self.iteration_cap is None:
-            raise ValueError("iteration_cap is required")
         if self.iteration_cap < 1:
             raise ValueError("iteration_cap must be at least 1")
         if not self.delta_drain <= self.delta_near:

@@ -67,9 +67,17 @@ class SimulationConfig:
     R: np.ndarray
 
 
-def _require(doc: dict, key: str, path: str):
+def _object(doc, path: str, fields) -> dict:
+    """doc, after checking that it is an object whose keys all lie in fields."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object")
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise SchemaError(f"{path}: unknown field(s) {sorted(unknown)}")
+    return doc
+
+
+def _require(doc: dict, key: str, path: str):
     if key not in doc:
         raise SchemaError(f"{path}.{key}: missing required field")
     return doc[key]
@@ -99,7 +107,16 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+# The RrtParams fields a problem file may set, with their checks; the
+# defaults and the cross-field rules are RrtParams' own.
+_PLANNER_FIELDS = {
+    "iteration_cap": _positive_int, "min_num_of_steps": _positive_int, "max_num_of_steps": _positive_int,
+    "delta_near": _number, "delta_drain": _number, "goal_bias": _number,
+}
+
+
 def _load_mode(doc, path: str, n: int, m: int) -> SystemMode:
+    _object(doc, path, ("A", "B", "W", "C", "noise"))
     A = _matrix(_require(doc, "A", path), f"{path}.A", (n, n))
     B = _matrix(_require(doc, "B", path), f"{path}.B", (n, m))
     W = _matrix(_require(doc, "W", path), f"{path}.W", (n, n))
@@ -121,8 +138,7 @@ def _load_mode(doc, path: str, n: int, m: int) -> SystemMode:
 
 
 def _load_control_domain(doc, path: str, m: int) -> Polytope:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
+    _object(doc, path, ("box", "vertices"))
     if "box" in doc:
         bounds = doc["box"]
         if not isinstance(bounds, list) or len(bounds) != m:
@@ -182,8 +198,10 @@ def load_problem(path: str):
         raise SchemaError(f"invalid JSON: {exc}")
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"problem file {path} could not be read ({exc})")
-    if not isinstance(doc, dict):
-        raise SchemaError("$: expected a JSON object")
+    _object(doc, "$", (
+        "state_dim", "control_dim", "modes", "control_domain", "initial",
+        "named_formulas", "formula", "planner", "simulation",
+    ))
 
     n = _positive_int(_require(doc, "state_dim", "$"), "$.state_dim")
     m = _positive_int(_require(doc, "control_dim", "$"), "$.control_dim")
@@ -205,7 +223,7 @@ def load_problem(path: str):
     except ValueError as exc:
         raise NumericError(f"$.modes: {exc}")
 
-    initial_doc = _require(doc, "initial", "$")
+    initial_doc = _object(_require(doc, "initial", "$"), "$.initial", ("mean", "cov"))
     mean = _matrix(_require(initial_doc, "mean", "$.initial"), "$.initial.mean", (n,))
     cov = _matrix(_require(initial_doc, "cov", "$.initial"), "$.initial.cov", (n, n))
     try:
@@ -236,39 +254,20 @@ def load_problem(path: str):
         raise SchemaError("$.formula: expected a string")
     spec = _parse_entry(formula_text, "$.formula", n, len(modes), named)
 
-    planner_doc = _require(doc, "planner", "$")
-    if not isinstance(planner_doc, dict):
-        raise SchemaError("$.planner: expected an object")
-    known = {
-        "iteration_cap", "delta_near", "delta_drain",
-        "goal_bias", "min_num_of_steps", "max_num_of_steps",
-        "k_max", "seed",
+    planner_doc = _object(
+        _require(doc, "planner", "$"), "$.planner", {*_PLANNER_FIELDS, "k_max", "seed"}
+    )
+    _require(planner_doc, "iteration_cap", "$.planner")
+    fields = {
+        key: check(planner_doc[key], f"$.planner.{key}")
+        for key, check in _PLANNER_FIELDS.items() if key in planner_doc
     }
-    unknown = set(planner_doc) - known
-    if unknown:
-        raise SchemaError(f"$.planner: unknown field(s) {sorted(unknown)}")
     k_max = _positive_int(planner_doc.get("k_max", 6), "$.planner.k_max")
     seed = planner_doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError(f"$.planner.seed: expected a non-negative integer, got {seed!r}")
-    min_steps = _positive_int(
-        planner_doc.get("min_num_of_steps", 1), "$.planner.min_num_of_steps"
-    )
-    max_steps = _positive_int(
-        planner_doc.get("max_num_of_steps", 1), "$.planner.max_num_of_steps"
-    )
-    cap = _positive_int(
-        _require(planner_doc, "iteration_cap", "$.planner"), "$.planner.iteration_cap"
-    )
     try:
-        params = RrtParams(
-            iteration_cap=cap,
-            delta_near=_number(planner_doc.get("delta_near", 1.0), "$.planner.delta_near"),
-            delta_drain=_number(planner_doc.get("delta_drain", 0.5), "$.planner.delta_drain"),
-            goal_bias=_number(planner_doc.get("goal_bias", 0.25), "$.planner.goal_bias"),
-            min_num_of_steps=min_steps,
-            max_num_of_steps=max_steps,
-        )
+        params = RrtParams(**fields)
     except ValueError as exc:
         raise SchemaError(f"$.planner: {exc}")
 
@@ -285,6 +284,7 @@ def load_problem(path: str):
 
 def _load_simulation(doc, system: SwitchedSystem, n: int, m: int) -> SimulationConfig:
     path = "$.simulation"
+    _object(doc, path, ("real_modes", "real_x0", "num_steps", "lqr"))
     real_modes_doc = _require(doc, "real_modes", path)
     if not isinstance(real_modes_doc, list) or len(real_modes_doc) != len(system.modes):
         raise SchemaError(
@@ -299,7 +299,7 @@ def _load_simulation(doc, system: SwitchedSystem, n: int, m: int) -> SimulationC
     num_steps = doc.get("num_steps")
     if num_steps is not None:
         num_steps = _positive_int(num_steps, f"{path}.num_steps")
-    lqr_doc = _require(doc, "lqr", path)
+    lqr_doc = _object(_require(doc, "lqr", path), f"{path}.lqr", ("horizon", "Q_final", "Q", "R"))
     h = _positive_int(_require(lqr_doc, "horizon", f"{path}.lqr"), f"{path}.lqr.horizon")
     if h > MAX_LQR_HORIZON:
         raise SchemaError(f"{path}.lqr.horizon: expected at most {MAX_LQR_HORIZON}, got {h}")

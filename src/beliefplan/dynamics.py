@@ -373,11 +373,6 @@ def _predicted_mean(mode: SystemMode, b: BeliefState, u) -> np.ndarray:
     return predict_means(mode, b.mean, u)
 
 
-def predict(mode: SystemMode, b: BeliefState, u) -> BeliefState:
-    """Open-loop prediction: mean' = A mean + B u, cov' = A cov A^T + W W^T."""
-    return make_belief(_predicted_mean(mode, b, u), _predict_cov(mode, b.cov))
-
-
 def kalman_update(mode: SystemMode, b: BeliefState, u, y) -> BeliefState:
     """The filter step of an observed mode: predict with the control u,
     then update with the observation y, R read at the predicted mean

@@ -55,6 +55,9 @@ MAX_NESTING = 64
 # word; the bound keeps a mistyped bound from exhausting memory.
 MAX_HORIZON = 10_000
 
+# The longest word monitor_dwells reads: it counts positions in int32.
+MAX_WORD = 2**31 - 1
+
 
 class UnsupportedBoundError(ValueError):
     """Temporal bound is infinite or otherwise not representable."""
@@ -430,13 +433,17 @@ def monitor_dwells(f, signature, dwells) -> np.ndarray:
     evaluated in one array pass, padded with false to the longest row:
     past its end a word is false anyway.
     """
-    dwells = np.asarray(dwells, dtype=np.int32)
+    try:
+        dwells = np.asarray(dwells, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"dwells must be integers that fit in int64 ({exc})") from None
     if dwells.ndim != 2 or dwells.shape[1] != len(signature):
         raise ValueError(
             f"dwells must be a (B, {len(signature)}) matrix, got shape {dwells.shape}"
         )
-    if np.any(dwells < 0) or not np.all(dwells.sum(axis=1) > 0):
-        raise ValueError("dwells must be non-negative with a nonempty word per row")
+    lengths = dwells.sum(axis=1, dtype=float)  # no wrap-around, and exact up to 2**53
+    if np.any(dwells < 0) or not 0 < lengths.min() <= lengths.max() <= MAX_WORD:
+        raise ValueError(f"dwells must be non-negative, with a nonempty word of at most {MAX_WORD} positions per row")
     B, K = dwells.shape
     ends = np.cumsum(dwells, axis=1, dtype=np.int32)
     L = int(ends[:, -1].max())

@@ -159,7 +159,7 @@ def _attempt_plan(
 def solve(
     problem: Problem,
     params: RrtParams,
-    k_max: int = 6,
+    k_max: int,
     *,
     rng: np.random.Generator,
 ) -> SynthesisResult:

@@ -26,7 +26,7 @@ from .dynamics import (
     SwitchedSystem,
     SystemMode,
     kalman_update,
-    predict,
+    propagate_mlo,
     sample_observation,
     step_truth,
 )
@@ -154,7 +154,7 @@ def simulate(
                 j += mode.obs_dim
                 est = kalman_update(mode, est, u, y)
             else:
-                est = predict(mode, est, u)
+                est = propagate_mlo(mode, est, u)
         else:
             K0, (a0, a1, a2, a3), (B0, B1), (w0, w1, w2, w3), (c0, c1, c2, c3), noise = form
             if domain.is_box:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from beliefplan import belief_rrt, cli, discrete_planner, synthesis
+from beliefplan.belief_rrt import RrtParams
 from beliefplan.cli import (
     EXIT_FORMULA,
     EXIT_INTERNAL,
@@ -260,6 +262,101 @@ def test_load_unknown_planner_field(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "keys, old, new",
+    [
+        ((), "simulation", "simulaton"),
+        (("modes", 0), "noise", "noize"),
+        (("control_domain",), "box", "boxes"),
+        (("initial",), "cov", "covariance"),
+        (("planner",), "seed", "sed"),
+        (("simulation",), "num_steps", "steps"),
+        (("simulation", "real_modes", 0), "W", "w"),
+        (("simulation", "lqr"), "Q_final", "Qf"),
+    ],
+    ids=["$", "$.modes[0]", "$.control_domain", "$.initial", "$.planner", "$.simulation",
+         "$.simulation.real_modes[0]", "$.simulation.lqr"],
+)
+def test_a_misspelt_field_exits_schema_with_one_line(tmp_path, capsys, request, keys, old, new):
+    """Every block of a problem file but the open map named_formulas
+    rejects a key it does not know, so a misspelt field is reported,
+    not dropped: light-dark with "simulation" spelt "simulaton" would
+    otherwise run without a tracked execution."""
+    doc = _base_doc()
+    block = doc
+    for key in keys:
+        block = block[key]
+    block[new] = block.pop(old)
+    doc["named_formulas"]["unused"] = "P(x0 <= 1) >= 0.5"  # any name is a field of named_formulas
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_SCHEMA
+    path = request.node.callspec.id
+    assert capsys.readouterr().err == f"schema error: {path}: unknown field(s) [{new!r}]\n"
+    assert not (tmp_path / "out").exists()
+
+
+# A valid value of each RrtParams field a problem file may set, none of
+# them the field's default.
+_PLANNER_VALUES = {
+    "iteration_cap": 9,
+    "delta_near": 2.0,
+    "delta_drain": 0.25,
+    "goal_bias": 0.5,
+    "min_num_of_steps": 3,
+    "max_num_of_steps": 4,
+}
+
+
+@pytest.mark.parametrize("field", sorted(_PLANNER_VALUES))
+def test_every_planner_field_loads(tmp_path, field):
+    """Each field of RrtParams but the retired rrt_timeout can be set
+    from the planner block (a field added to RrtParams fails the first
+    assertion until it is listed here), and the loader passes it on
+    unchanged."""
+    assert set(_PLANNER_VALUES) == {f.name for f in dataclasses.fields(RrtParams)} - {"rrt_timeout"}
+    doc = _base_doc()
+    doc["planner"] = {"iteration_cap": 7, "max_num_of_steps": 5, field: _PLANNER_VALUES[field]}
+    params = load_problem(_write(tmp_path, doc))[1]
+    assert params == RrtParams(**doc["planner"])
+    assert getattr(params, field) == _PLANNER_VALUES[field]
+
+
+def test_a_planner_block_with_only_the_cap_takes_the_defaults(tmp_path):
+    doc = _base_doc()
+    doc["planner"] = {"iteration_cap": 11}
+    _, params, k_max, seed, _ = load_problem(_write(tmp_path, doc))
+    assert (params, k_max, seed) == (RrtParams(iteration_cap=11), 6, 0)
+    doc["planner"]["rrt_timeout"] = None
+    with pytest.raises(SchemaError) as info:
+        load_problem(_write(tmp_path, doc))
+    assert str(info.value) == "$.planner: unknown field(s) ['rrt_timeout']"
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("iteration_cap", "20000", "$.planner.iteration_cap: expected a positive integer, got '20000'"),
+        ("delta_near", "2", "$.planner.delta_near: expected a number, got '2'"),
+        ("delta_drain", True, "$.planner.delta_drain: expected a number, got True"),
+        ("goal_bias", "0.25", "$.planner.goal_bias: expected a number, got '0.25'"),
+        ("min_num_of_steps", 0, "$.planner.min_num_of_steps: expected a positive integer, got 0"),
+        ("max_num_of_steps", "15", "$.planner.max_num_of_steps: expected a positive integer, got '15'"),
+        ("goal_bias", 1.5, "$.planner: goal_bias must lie in [0, 1]"),
+    ],
+)
+def test_a_bad_planner_field_exits_schema_with_its_path(tmp_path, capsys, field, value, message):
+    """A bad value is reported once, under its own path; only a rule
+    across fields, which RrtParams checks, is reported under
+    $.planner."""
+    doc = _base_doc()
+    doc["planner"][field] = value
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--problem", _write(tmp_path, doc), "--validate-only"])
+    assert exc.value.code == EXIT_SCHEMA
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("seed", "abc"),
@@ -411,16 +508,39 @@ def test_run_no_simulation_flag(tmp_path):
     assert not (out / "simulation.csv").exists()
 
 
-def test_run_no_solution(tmp_path):
+def test_run_no_solution(tmp_path, monkeypatch):
+    """The start lies in safe and far lies 50 away, out of reach at one
+    unit per step: a state-dependent noise keeps the goal proof out, so
+    the segment from safe to far is searched for iteration_cap
+    iterations and times out, and the run exits with no solution."""
     doc = _small_doc()
-    doc["named_formulas"]["goal"] = "P(x0 <= -50) >= 0.9"
-    doc["formula"] = "F[0,5] (goal)"
-    doc["planner"]["iteration_cap"] = 200
+    doc["modes"][0]["noise"] = "0.01 + 0.001*x0^2"
+    doc["named_formulas"]["far"] = "P(50 - x0 <= 0) >= 0.9"
+    doc["formula"] = "(safe) U[0,5] (far)"
+    doc["planner"]["iteration_cap"] = 40
+    selects, searches = [], []
+    select, solve_segment = belief_rrt.rrt_select, synthesis.solve_segment
+
+    def counting_select(*args):
+        selects.append(None)
+        return select(*args)
+
+    def recording_solve_segment(*args):
+        before = len(selects)
+        result = solve_segment(*args)
+        searches.append((result.status, len(selects) - before))
+        return result
+
+    monkeypatch.setattr(belief_rrt, "rrt_select", counting_select)
+    monkeypatch.setattr(synthesis, "solve_segment", recording_solve_segment)
     out = tmp_path / "out"
     code = run(["--problem", _write(tmp_path, doc), "--out", str(out)])
     assert code == EXIT_NO_SOLUTION
     plan = json.loads((out / "plan.json").read_text())
     assert plan["status"] == "no-solution"
+    assert "timeout" in [c["outcome"] for c in plan["candidates"]], plan["candidates"]
+    assert ("timeout", 40) in searches, searches
+    assert all(count == 40 for status, count in searches if status == "timeout"), searches
     assert not (out / "trajectory.csv").exists()
 
 

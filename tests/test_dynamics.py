@@ -15,12 +15,13 @@ from beliefplan.dynamics import (
     ScalarExpression,
     SwitchedSystem,
     SystemMode,
+    _predict_cov,
     _predict_cov_2x2,
+    _predicted_mean,
     _update,
     kalman_update,
     mlo_covariance,
     noise_cov,
-    predict,
     predict_means,
     propagate_mlo,
     sample_observation,
@@ -314,10 +315,16 @@ def test_noise_cov_at_one_state_keeps_numpys_bits():
             [(R.dtype, R.shape, R.tobytes()) for R in refs]
 
 
+def _predict(mode, b, u):
+    """The numpy prediction body: the checked belief of the predicted
+    mean and covariance."""
+    return make_belief(_predicted_mean(mode, b, u), _predict_cov(mode, b.cov))
+
+
 def test_predict():
     m = _lightdark_mode()
     b = make_belief([0.0, 2.5], 0.1 * np.eye(2))
-    bp = predict(m, b, [1.0, -1.0])
+    bp = _predict(m, b, [1.0, -1.0])
     assert np.allclose(bp.mean, [0.25, 2.25])
     assert np.allclose(bp.cov, 0.1 * np.eye(2))  # W = 0, A = I
 
@@ -325,7 +332,7 @@ def test_predict():
 def test_predict_process_noise():
     m = SystemMode(2.0 * np.eye(1), np.eye(1), 0.5 * np.eye(1))
     b = make_belief([1.0], [[1.0]])
-    bp = predict(m, b, [0.0])
+    bp = _predict(m, b, [0.0])
     assert np.allclose(bp.mean, [2.0])
     assert np.allclose(bp.cov, [[4.25]])  # 4*1 + 0.25
 
@@ -358,9 +365,12 @@ def test_mlo_contraction_stronger_in_the_light():
 
 
 def test_mlo_without_observation_is_predict():
+    """A mode with no observation has nothing to update on, so its MLO
+    step is the open-loop prediction, bit for bit."""
     lbs = SystemMode(np.eye(1), np.eye(1), 0.1 * np.eye(1))
     b = make_belief([0.0], [[1.0]])
-    assert np.allclose(propagate_mlo(lbs, b, [1.0]).cov, predict(lbs, b, [1.0]).cov)
+    mine, ref = propagate_mlo(lbs, b, [1.0]), oracles.oracle_predict(lbs, b, [1.0])
+    assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
 
 
 def test_sample_observation_statistics():
@@ -459,7 +469,7 @@ def test_mlo_mean_is_the_predicted_mean_where_c_m_overflows():
     mode = SystemMode(np.eye(2), 0.25 * np.eye(2), np.zeros((2, 2)), C=[[1.0, 1.0]], noise=[[0.1]])
     b = make_belief([1e308, 1e308], 0.1 * np.eye(2))
     u = np.zeros(2)
-    assert np.array_equal(propagate_mlo(mode, b, u).mean, predict(mode, b, u).mean)
+    assert np.array_equal(propagate_mlo(mode, b, u).mean, _predicted_mean(mode, b, u))
     rng = np.random.default_rng(0)
     branch = rrt_extend(mode, b, b.mean, 2, BeliefCone(), box_polytope([(-1, 1), (-1, 1)]), rng)
     assert branch is not None
@@ -580,7 +590,8 @@ def _outcome(step, *args):
 def test_closed_form_filter_matches_the_numpy_reference():
     """The filter step (kalman_update) of n = p = 2 modes against the
     numpy reference, oracle_predict then oracle_kalman_update, on 3,000
-    random cases; predict, the numpy body, gives oracle_predict's bits.
+    random cases; the numpy prediction body, _predicted_mean and
+    _predict_cov, gives oracle_predict's bits.
     The filter step's predicted covariance, _predict_cov_2x2 on Python
     floats, is within 8 eps of the largest entry of oracle_predict's;
     its predicted mean is not exposed and not compared. Both updates
@@ -596,7 +607,7 @@ def test_closed_form_filter_matches_the_numpy_reference():
     outcomes = {"updated": 0, "ill": 0, "differ": 0}
     for _ in range(3000):
         mode, b, u, y = _random_filter_case(rng)
-        mine, prior = predict(mode, b, u), oracles.oracle_predict(mode, b, u)
+        mine, prior = _predict(mode, b, u), oracles.oracle_predict(mode, b, u)
         assert mine.mean.tobytes() == prior.mean.tobytes() and mine.cov.tobytes() == prior.cov.tobytes()
         cov = np.reshape(_predict_cov_2x2(mode, b.cov.ravel().tolist()), (2, 2))
         assert np.abs(cov - prior.cov).max() <= 8 * _EPS * np.abs(prior.cov).max()
@@ -824,10 +835,11 @@ def test_non_finite_innovation_matrix_is_named(n, p, constant):
 
 @pytest.mark.parametrize("n, p", [(1, 1), (3, 3), (3, 1), (2, 1), (2, 0), (3, 0), (3, 2), (1, 2)])
 def test_other_shapes_keep_the_numpy_bits(n, p):
-    """Outside n = p = 2, predict and the filter step keep the numpy
-    path: the same bits as the reference, oracle_predict and then
+    """Outside n = p = 2, the prediction and the filter step keep the
+    numpy path: the same bits as the reference, oracle_predict and then
     oracle_kalman_update, on random modes with A != I, W != 0 and
-    constant or state-dependent noise."""
+    constant or state-dependent noise. With p = 0 the MLO step, which
+    tracking runs for such a mode, is oracle_predict's bits too."""
     rng = np.random.default_rng(10 * n + p)
     for trial in range(200):
         A = np.eye(n) + 0.3 * rng.normal(size=(n, n))
@@ -840,8 +852,9 @@ def test_other_shapes_keep_the_numpy_bits(n, p):
         L = rng.normal(size=(n, n))
         b = make_belief(rng.normal(size=n), 10 ** rng.uniform(-3, 3) * (L @ L.T + 1e-3 * np.eye(n)))
         u = rng.uniform(-1.0, 1.0, size=2)
-        mine, ref = predict(mode, b, u), oracles.oracle_predict(mode, b, u)
-        assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
+        ref = oracles.oracle_predict(mode, b, u)
+        for mine in [_predict(mode, b, u)] + [propagate_mlo(mode, b, u)] * (not p):
+            assert mine.mean.tobytes() == ref.mean.tobytes() and mine.cov.tobytes() == ref.cov.tobytes()
         if p:
             y = rng.normal(size=p)
             mine = kalman_update(mode, b, u, y)

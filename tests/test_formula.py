@@ -580,6 +580,24 @@ def test_monitor_dwells_rejects_bad_shapes():
         monitor_dwells(a, [("a", 0), ("b", 0)], [[2, -1]])
 
 
+@pytest.mark.parametrize(
+    "dwells",
+    [np.array([[2**32 + 3]]), np.array([[2**31 + 1]]), [[2**32 + 3]], [[2**64]],
+     np.array([[2**31 - 1, 1]])],
+    ids=["int64-2**32+3", "int64-2**31+1", "int-2**32+3", "int-2**64", "row-sum-2**31"],
+)
+def test_monitor_dwells_rejects_words_past_int32(dwells):
+    """The word monitor counts positions in int32. F[0,5] of one atomic
+    holds on a word of 3 positions, so a dwell of 2**32 + 3 read modulo
+    2**32 would be true; a dwell or a row longer than 2**31 - 1
+    positions is a ValueError instead, also as a Python int."""
+    f = parse_formula("F[0,5] goal", 1, 1, named={"goal": _atomic([1.0], 0.0, 0.1, name="goal")})
+    signature = [("goal", 0)] * np.shape(dwells)[1]
+    assert monitor_dwells(f, signature, np.full((1, len(signature)), 3)).tolist() == [True]
+    with pytest.raises(ValueError, match="dwells"):
+        monitor_dwells(f, signature, dwells)
+
+
 def random_formula_over(rng, a1, a2):
     kind = rng.integers(0, 4)
     a = int(rng.integers(0, 2))

@@ -69,8 +69,8 @@ def _tree(*nodes):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        RrtParams()  # neither timeout nor cap
+    with pytest.raises(TypeError, match="iteration_cap"):
+        RrtParams()  # the cap is a required argument
     with pytest.raises(ValueError):
         RrtParams(iteration_cap=10, delta_near=1.0, delta_drain=2.0)
     with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ def test_rrt_timeout_accepts_only_none():
     works."""
     with pytest.raises(ValueError, match="rrt_timeout"):
         RrtParams(iteration_cap=10, rrt_timeout=5.0)
-    with pytest.raises(ValueError, match="iteration_cap is required"):
+    with pytest.raises(TypeError, match="iteration_cap"):
         RrtParams(rrt_timeout=None)
     params = dataclasses.replace(
         RrtParams(iteration_cap=10, delta_near=2.0), iteration_cap=400, rrt_timeout=None
